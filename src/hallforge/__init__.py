@@ -19,7 +19,8 @@ from .cuspidal import (CuspidalSpace, LinearFormL, NormalizedTubeCuspidal, Tube,
                        primitive_space, regular_comultiply, regular_cuspidal_space,
                        tube_decomposition, verify_kernel_theorem, verify_sigma_hopf,
                        xi_value)
-from .errors import CapExceeded, HallforgeError, SingularMatrix, SizeMismatch
+from .errors import (CapExceeded, CertificateError, HallforgeError, SingularMatrix,
+                     SizeMismatch)
 from .gf import (GF, FieldSpec, Mat, gaussian_binomial, gl_order,
                  monic_irreducibles, subspaces_of_dim)
 from .hall import HallAlgebra, HallElement, QNum, TensorElement

@@ -24,3 +24,17 @@ class SizeMismatch(HallforgeError):
 
 class SingularMatrix(HallforgeError):
     """Inversion of a singular matrix or of zero in a field."""
+
+
+class CertificateError(HallforgeError):
+    """An exactness certificate failed, so the computed data cannot be trusted.
+
+    Raised in place of `assert`, which `python -O` would remove.
+    """
+
+    def __init__(self, what: str, grade, expected, got):
+        self.what = what
+        self.grade = grade
+        self.expected = expected
+        self.got = got
+        super().__init__(f"{what} at grade {grade}: expected {expected}, got {got}")

@@ -19,6 +19,17 @@ modes feed it:
   certified Krull-Schmidt decompositions or complete rank fingerprints,
   and automorphism orders come from the endomorphism-ring structure.
 
+  Extension cocycles are enumerated one per F_q^* line: the zero cocycle
+  and those whose first nonzero free entry is 1.  Rescaling the new basis
+  vector at the support sink by 1/c maps the middle term of c*xi onto that
+  of xi (arrows out of the sink vanish on the support), and the kept
+  cocycle is the first of its line in enumeration order, so the candidate
+  that first registers each class is unchanged.  A candidate, or any
+  representation of a constructive slice, is identified by one Fitting
+  split: each half whose grade is already built is identified there and
+  contributes its registered summands, and only halves of unbuilt grades
+  are split further.
+
 Every slice, in either mode, must pass the exact mass identity
 sum over classes of |G| / |Aut| = #points of the ambient space, which
 certifies completeness and all automorphism orders at once.
@@ -35,13 +46,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded
+from .errors import CapExceeded, CertificateError
 from .gf import (GF, Mat, char_poly, gl_order, monic_irreducibles,
                  poly_divmod, poly_mul, subspaces_of_dim)
 from .quiver import Quiver, classify_type, euler_form
-from .reps import (Rep, aut_order_from_summands, direct_sum_all, hom_dim,
-                   is_nilpotent_rep, iso_indecomposables, krull_schmidt,
-                   pri_of_defect, residue_degree, sub_quotient, zero_rep)
+from .reps import (Rep, aut_order_from_summands, direct_sum_all, fitting_split,
+                   hom_dim, is_nilpotent_rep, iso_indecomposables, pri_of_defect,
+                   residue_degree, sub_quotient, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 
@@ -285,9 +296,8 @@ class IsoRegistry:
         for c in sl.classes:
             total += Fraction(g, c.aut_order)
         expected = self.ambient_count(sl.grade)
-        assert total == expected, (
-            f"mass identity failed at grade {sl.grade}: {total} != {expected}"
-        )
+        if total != expected:
+            raise CertificateError("mass identity", sl.grade, expected, total)
 
     def _annotate(self, sl: GradeSlice) -> None:
         affine_acyclic = (
@@ -376,7 +386,8 @@ class IsoRegistry:
 
         for idx, (seed, size) in enumerate(seeds):
             canon = decode_rep(quiver, ctx, grade, seed)
-            assert group % size == 0
+            if group % size:
+                raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
             sl.classes.append(
                 IsoClass(grade, idx, canon, group // size, False, (), False)
             )
@@ -414,17 +425,13 @@ class IsoRegistry:
     def _fill_structure(self, sl: GradeSlice) -> None:
         """Krull-Schmidt data, flags and summand keys for every class."""
         for c in sl.classes:
-            parts = krull_schmidt(c.canon, self.caps)
-            if len(parts) == 1:
+            counts: Dict[ClassKey, int] = {}
+            if self._summands(c.canon, counts):
+                c.summands = tuple(sorted(counts.items()))
+            else:
                 c.indec = True
                 c.res_degree = residue_degree(c.canon, self.caps)
                 c.summands = (((c.grade, c.index), 1),)
-            else:
-                counts: Dict[ClassKey, int] = {}
-                for p in parts:
-                    key = self.identify(p)
-                    counts[key] = counts.get(key, 0) + 1
-                c.summands = tuple(sorted(counts.items()))
             c.nilpotent = is_nilpotent_rep(c.canon)
             sl.by_summands[c.summands] = c.index
 
@@ -462,6 +469,10 @@ class IsoRegistry:
                 piv = ()
             free_pos = [t for t in range(cocycle_dim) if t not in piv]
             for free_vals in itertools.product(range(ctx.q), repeat=len(free_pos)):
+                # xi and c*xi have isomorphic middle terms, so keep the first
+                # cocycle of each line: zero, or leading free entry 1
+                if next(filter(None, free_vals), 1) != 1:
+                    continue
                 combo = [0] * cocycle_dim
                 for t, val in zip(free_pos, free_vals):
                     combo[t] = val
@@ -488,38 +499,56 @@ class IsoRegistry:
         hit = sl.bytes_cache.get(buf)
         if hit is not None:
             return hit
-        parts = krull_schmidt(rep, self.caps)
         counts: Dict[ClassKey, int] = {}
-        top_indec: List[Rep] = []
-        for p in parts:
-            if p.dims == sl.grade:
-                top_indec.append(p)
-                continue
-            key = self.identify(p)
-            counts[key] = counts.get(key, 0) + 1
-        for p in top_indec:
-            sig = self._indec_signature(p, hom_dim(p, p))
+        if not self._summands(rep, counts):
+            sig = self._indec_signature(rep, hom_dim(rep, rep))
             idx = None
             for j in sl.indec_buckets.get(sig, ()):
-                if iso_indecomposables(p, sl.classes[j].canon):
+                if iso_indecomposables(rep, sl.classes[j].canon):
                     idx = j
                     break
             if idx is None:
                 if not register_new:
-                    raise AssertionError(
-                        f"unregistered indecomposable of grade {sl.grade}"
-                    )
-                idx = self._register_constructive(sl, p, indec=True)
+                    raise CertificateError("identification", sl.grade,
+                                           "a registered indecomposable",
+                                           f"none with signature {sig}")
+                idx = self._register_constructive(sl, rep, indec=True)
                 sl.indec_buckets.setdefault(sig, []).append(idx)
-            counts[(sl.grade, idx)] = counts.get((sl.grade, idx), 0) + 1
+            counts[(sl.grade, idx)] = 1
         key = tuple(sorted(counts.items()))
         found = sl.by_summands.get(key)
         if found is None:
             if not register_new:
-                raise AssertionError(f"unregistered class of grade {sl.grade}")
+                raise CertificateError("identification", sl.grade,
+                                       "a registered class", f"summands {key}")
             found = self._register_constructive(sl, None, indec=False, summands=key)
         sl.bytes_cache[buf] = found
         return found
+
+    def _summands(self, rep: Rep, counts: Dict[ClassKey, int], top: bool = True) -> bool:
+        """Add the Krull-Schmidt summands of `rep` to `counts` by class key.
+
+        Makes one Fitting split; a half whose grade is built is looked up and
+        adds its registered summands, any other half is split further, so
+        no slice is built that a full decomposition would not build.  Returns
+        False, adding nothing, when `rep` is indecomposable and `top`: an
+        indecomposable of the grade being built or identified has no class
+        to look up yet.
+        """
+        halves = fitting_split(rep, self.caps)
+        if halves is None:
+            if top:
+                return False
+            key = self.identify(rep)  # builds the slice, as a full decomposition does
+            counts[key] = counts.get(key, 0) + 1
+            return True
+        for half in halves:
+            if half.dims in self.slices:
+                for key, mult in self.cls(self.identify(half)).summands:
+                    counts[key] = counts.get(key, 0) + mult
+            else:
+                self._summands(half, counts, top=False)
+        return True
 
     def _register_constructive(self, sl: GradeSlice, rep: Optional[Rep],
                                indec: bool, summands: Optional[tuple] = None) -> int:

@@ -17,6 +17,7 @@ caps) a full scan of End(M).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -348,25 +349,36 @@ def _image_kernel_bases(g: Sequence[Mat]):
     return kers, ims
 
 
-def krull_schmidt(m: Rep, caps: Caps = DEFAULT_CAPS, scan_order: Optional[Sequence[int]] = None) -> List[Rep]:
-    """Indecomposable direct summands, with multiplicity, via Fitting splits.
+def fitting_split(m: Rep, caps: Caps = DEFAULT_CAPS,
+                  scan_order: Optional[Sequence[int]] = None) -> Optional[Tuple[Rep, Rep]]:
+    """Split m once by the Fitting power of a splitter endomorphism.
 
-    `scan_order` permutes the endomorphism basis before the splitter
-    search; the resulting multiset of summand classes is independent of
-    it, which the test suite checks.
+    Returns (kernel part, image part), both nonzero, or None when m is
+    certified indecomposable.  `scan_order` permutes the endomorphism basis
+    before the splitter search.
     """
-    if m.total_dim == 0:
-        return []
     basis = end_basis(m)
     if scan_order is not None:
         basis = [basis[i] for i in scan_order]
     g, _ = _find_splitter(m, basis, caps, certify=True)
     if g is None:
-        return [m]
+        return None
     kers, ims = _image_kernel_bases(g)
-    part1 = restrict_to_invariant(m, kers)
-    part2 = restrict_to_invariant(m, ims)
-    return krull_schmidt(part1, caps) + krull_schmidt(part2, caps)
+    return restrict_to_invariant(m, kers), restrict_to_invariant(m, ims)
+
+
+def krull_schmidt(m: Rep, caps: Caps = DEFAULT_CAPS, scan_order: Optional[Sequence[int]] = None) -> List[Rep]:
+    """Indecomposable direct summands, with multiplicity, via Fitting splits.
+
+    `scan_order` applies to the first split only; the resulting multiset of
+    summand classes is independent of it, which the test suite checks.
+    """
+    if m.total_dim == 0:
+        return []
+    halves = fitting_split(m, caps, scan_order)
+    if halves is None:
+        return [m]
+    return krull_schmidt(halves[0], caps) + krull_schmidt(halves[1], caps)
 
 
 def is_indecomposable(m: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
@@ -411,14 +423,8 @@ def residue_degree(m: Rep, caps: Caps = DEFAULT_CAPS) -> int:
             block = fi if block is None else block.block_diag(fi)
         mp = min_poly(block)
         deg = _prime_power_degree(m.ctx, mp)
-        t = t * deg // _gcd(t, deg)
+        t = t * deg // math.gcd(t, deg)
     return t
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _prime_power_degree(ctx: GF, poly: list) -> int:

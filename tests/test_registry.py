@@ -1,17 +1,48 @@
+import hashlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hallforge.config import Caps
-from hallforge.errors import CapExceeded
+from hallforge.errors import CapExceeded, CertificateError
 from hallforge.gf import GF, Mat, gl_order
-from hallforge.quiver import (affine_a2_acyclic, cyclic_quiver, dual_quiver,
-                              jordan, kronecker)
+from hallforge.quiver import (affine_a2_acyclic, cyclic_quiver, d4_star_out,
+                              dual_quiver, jordan, kronecker)
 from hallforge.registry import IsoRegistry, a_lambda, encode_rep
-from hallforge.reps import dualize_rep, rep_with_dims, simple_rep
+from hallforge.reps import dualize_rep, krull_schmidt, rep_with_dims, simple_rep
 
-F2, F3 = GF.of(2), GF.of(3)
+F2, F3, F4 = GF.of(2), GF.of(3), GF.of(2, 2)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+TINY = Caps(max_tuple_count=3)  # forces constructive builds at every grade
+
+# Forced-constructive registries over fields with q > 2, where keeping one
+# extension cocycle per F_q^* line drops candidates, with the sha256 of
+# export_jsonl(sorted(reg.slices)) as recorded before that cut.
+CONSTRUCTIVE_CASES = {
+    "kronecker-q3": (kronecker(), F3, [(1, 1), (2, 1), (1, 2), (2, 2)],
+                     "dcd7be40203c230f4de20a0c521d31e3e67a33e52bb7b5cccf55ba6b907fc0f2"),
+    "kronecker-q4": (kronecker(), F4, [(1, 1), (2, 1), (1, 2), (2, 2)],
+                     "66250bdde7f2b31c24e4fb4001d39a620b568010445de2e729a9428688f60a39"),
+    "a2-acyclic-q3": (affine_a2_acyclic(), F3, [(1, 1, 1)],
+                      "dbda8291126efdbc4fada875219e225dd3dc44bfed6544618a7bdac13c6eef57"),
+    "d4-star-q3": (d4_star_out(), F3, [(2, 1, 1, 1, 1)],
+                   "1956329e13afbb83dc384adab59ec755219cb4f9cd8b343261282a67031276e0"),
+}
+
+
+@pytest.fixture(scope="module")
+def constructive_regs():
+    out = {}
+    for name, (quiver, ctx, grades, _) in CONSTRUCTIVE_CASES.items():
+        reg = IsoRegistry(quiver, ctx, TINY)
+        for g in grades:
+            reg.slice(g)
+        out[name] = reg
+    return out
 
 
 def test_census_kronecker_delta(kron2):
@@ -62,15 +93,20 @@ def test_jordan_dim1_aut(jordan3):
         assert c.aut_order == 2  # |F_q^*| = q - 1
 
 
-def test_orbit_vs_constructive_cross_validation():
-    tiny = Caps(max_tuple_count=3)
-    for quiver, ctx, grades in (
-        (kronecker(), F2, [(1, 1), (2, 1), (1, 2), (2, 2)]),
-        (jordan(), F2, [(1,), (2,), (3,)]),
-        (jordan(), F3, [(1,), (2,)]),
-    ):
+def _summand_grades(c):
+    return sorted((g, m) for (g, _), m in c.summands)
+
+
+def test_orbit_vs_constructive_cross_validation(constructive_regs):
+    cases = [
+        (kronecker(), F2, [(1, 1), (2, 1), (1, 2), (2, 2)], IsoRegistry(kronecker(), F2, TINY)),
+        (jordan(), F2, [(1,), (2,), (3,)], IsoRegistry(jordan(), F2, TINY)),
+        (jordan(), F3, [(1,), (2,)], IsoRegistry(jordan(), F3, TINY)),
+    ]
+    for name, (quiver, ctx, grades, _) in CONSTRUCTIVE_CASES.items():
+        cases.append((quiver, ctx, grades, constructive_regs[name]))
+    for quiver, ctx, grades, constructive in cases:
         orbit = IsoRegistry(quiver, ctx)
-        constructive = IsoRegistry(quiver, ctx, tiny)
         for g in grades:
             a, b = orbit.slice(g), constructive.slice(g)
             assert len(a.classes) == len(b.classes), (quiver, g)
@@ -80,6 +116,52 @@ def test_orbit_vs_constructive_cross_validation():
                 sorted(c.indec for c in b.classes)
             assert sorted(c.nilpotent for c in a.classes) == \
                 sorted(c.nilpotent for c in b.classes)
+            assert sorted(_summand_grades(c) for c in a.classes) == \
+                sorted(_summand_grades(c) for c in b.classes)
+
+
+def test_constructive_exports_golden(constructive_regs):
+    for name, (_, _, _, digest) in CONSTRUCTIVE_CASES.items():
+        reg = constructive_regs[name]
+        text = reg.export_jsonl(sorted(reg.slices))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_summands_match_full_krull_schmidt(kron3, constructive_regs):
+    # summands come from one Fitting split plus lookups of built halves;
+    # the oracle decomposes fully and identifies every part
+    for reg in (kron3, constructive_regs["kronecker-q3"]):
+        for g in reg.grades_below((2, 2)):
+            for c in reg.classes(g):
+                counts = {}
+                for part in krull_schmidt(c.canon, reg.caps):
+                    key = reg.identify(part)
+                    counts[key] = counts.get(key, 0) + 1
+                assert c.summands == tuple(sorted(counts.items())), c.key
+
+
+def test_mass_check_survives_optimize():
+    code = (
+        "from hallforge.errors import CertificateError\n"
+        "from hallforge.gf import GF\n"
+        "from hallforge.quiver import kronecker\n"
+        "from hallforge.registry import IsoRegistry\n"
+        "assert False, 'asserts are live'\n"
+        "reg = IsoRegistry(kronecker(), GF.of(2))\n"
+        "sl = reg.slice((1, 1))\n"
+        "sl.classes[0].aut_order *= 2\n"
+        "try:\n"
+        "    reg._mass_check(sl)\n"
+        "except CertificateError as err:\n"
+        "    print(err.what, err.grade, err.expected, err.got)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    # 4 points at grade (1,1); doubling one |Aut| halves its share of the mass
+    assert proc.stdout.strip().startswith("mass identity (1, 1) 4 ")
 
 
 def test_identify_constant_on_orbits(kron2):
