@@ -29,7 +29,7 @@ from .quiver import (Quiver, QuiverType, classify_type, defect, dual_quiver,
                      support, support_is_connected, symmetrized_form)
 from .registry import IsoClass, IsoRegistry, a_lambda, partitions_of
 from .reps import (Rep, direct_sum, dualize_rep, ext1_dim, hom_dim, hom_space,
-                   is_indecomposable, is_nilpotent_rep, krull_schmidt, make_rep,
+                   is_indecomposable, is_nilpotent_rep, krull_schmidt,
                    simple_rep, zero_rep)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

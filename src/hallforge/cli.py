@@ -67,7 +67,6 @@ def add_common(p: argparse.ArgumentParser) -> None:
                    help="dimension vector a,b,... (repeatable)")
     p.add_argument("--r", default="", help="delta multiples, e.g. 1,2")
     p.add_argument("--cap-tuples", type=int, default=Caps.max_tuple_count)
-    p.add_argument("--cap-group", type=int, default=Caps.max_group_order)
     p.add_argument("--cap-end-scan", type=int, default=Caps.max_end_scan)
     p.add_argument("--cap-subspaces", type=int, default=Caps.max_subspace_enum)
     p.add_argument("--seed", type=int, default=0)
@@ -83,10 +82,8 @@ def build_context(args):
     quiver = load_quiver(args.quiver)
     caps = Caps(
         max_tuple_count=args.cap_tuples,
-        max_group_order=args.cap_group,
         max_end_scan=args.cap_end_scan,
         max_subspace_enum=args.cap_subspaces,
-        seed=args.seed,
     )
     ctx = GF.of(args.p, args.k)
     registry = IsoRegistry(quiver, ctx, caps, nilpotent_only=args.nilpotent)

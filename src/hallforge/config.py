@@ -12,27 +12,21 @@ from dataclasses import dataclass
 from .errors import CapExceeded
 
 DEFAULT_FIELD_SIZE_CAP = 64
-DEFAULT_MATRIX_DIM_CAP = 12
 
 
 @dataclass(frozen=True)
 class Caps:
     max_tuple_count: int = 2_000_000      # ambient points an orbit walk may touch
-    max_group_order: int = 10 ** 30       # |prod GL_{d_i}(q)|, sanity bound only
     max_end_scan: int = 2 ** 16           # full scans of End(M) / Hom(M,N)
     max_subspace_enum: int = 200_000      # subspace tuples per submodule census
     max_field_size: int = DEFAULT_FIELD_SIZE_CAP
-    max_matrix_dim: int = DEFAULT_MATRIX_DIM_CAP
-    seed: int = 0
 
     def check(self, what: str, estimate) -> None:
         cap = {
             "tuple_count": self.max_tuple_count,
-            "group_order": self.max_group_order,
             "end_scan": self.max_end_scan,
             "subspace_enum": self.max_subspace_enum,
             "field_size": self.max_field_size,
-            "matrix_dim": self.max_matrix_dim,
         }[what]
         if estimate > cap:
             raise CapExceeded(what, estimate, cap)

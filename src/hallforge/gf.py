@@ -10,10 +10,14 @@ The modulus for each (p, k) is fixed by MODULUS_TABLE below so that runs
 are reproducible across machines; every entry is a monic irreducible
 polynomial over GF(p), checked by the test suite.
 
-Matrices are thin immutable wrappers over numpy uint8 code arrays.  Prime
-fields use native modular arithmetic; extension fields go through q x q
-add/mul lookup tables.  Everything is exact; there is no floating point
-anywhere in this package.
+Matrices are thin immutable wrappers over numpy uint8 code arrays.  Every
+elementwise operation (sum, difference, negation, scaling, the row
+operations of elimination) is a lookup in the q x q ADD/MUL and q-entry NEG
+tables, which every field builds.  Matrix products all go through
+`GF.matmul`, the one place that chooses between the two product paths: an
+integer matmul reduced mod p for prime fields, and an accumulation of table
+lookups over the inner index for extension fields.  Everything is exact;
+there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
@@ -220,6 +224,18 @@ class GF:
         """All element codes in the canonical order."""
         return list(range(self.q))
 
+    # -- matrix product on code arrays
+
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b on uint8 code arrays, broadcasting stack dimensions like np.matmul."""
+        if self.k == 1:
+            return ((a.astype(np.int64) @ b.astype(np.int64)) % self.p).astype(np.uint8)
+        shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+        acc = np.zeros(shape, dtype=np.uint8)
+        for t in range(a.shape[-1]):
+            acc = self.ADD[acc, self.MUL[a[..., :, t, None], b[..., t, None, :]]]
+        return acc
+
     # -- embedding into an extension of the same characteristic
 
     def embed_into(self, big: "GF") -> np.ndarray:
@@ -332,38 +348,21 @@ class Mat:
     # -- arithmetic
 
     def __add__(self, other: "Mat") -> "Mat":
-        if self.ctx.k == 1:
-            return Mat(self.ctx, (self.a.astype(np.int64) + other.a) % self.ctx.p)
         return Mat(self.ctx, self.ctx.ADD[self.a, other.a])
 
     def __sub__(self, other: "Mat") -> "Mat":
-        if self.ctx.k == 1:
-            return Mat(self.ctx, (self.a.astype(np.int64) - other.a) % self.ctx.p)
         return Mat(self.ctx, self.ctx.ADD[self.a, self.ctx.NEG[other.a]])
 
     def __neg__(self) -> "Mat":
-        if self.ctx.k == 1:
-            return Mat(self.ctx, (-self.a.astype(np.int64)) % self.ctx.p)
         return Mat(self.ctx, self.ctx.NEG[self.a])
 
     def scale(self, c: int) -> "Mat":
-        if self.ctx.k == 1:
-            return Mat(self.ctx, (self.a.astype(np.int64) * c) % self.ctx.p)
         return Mat(self.ctx, self.ctx.MUL[c, self.a])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise SizeMismatch(f"matmul {self.shape} @ {other.shape}")
-        ctx = self.ctx
-        if self.cols == 0 or self.rows == 0 or other.cols == 0:
-            return Mat.zeros(ctx, self.rows, other.cols)
-        if ctx.k == 1:
-            return Mat(ctx, (self.a.astype(np.int64) @ other.a.astype(np.int64)) % ctx.p)
-        acc = np.zeros((self.rows, other.cols), dtype=np.uint8)
-        for t in range(self.cols):
-            term = ctx.MUL[self.a[:, t][:, None], other.a[t, :][None, :]]
-            acc = ctx.ADD[acc, term]
-        return Mat(ctx, acc)
+        return Mat(self.ctx, self.ctx.matmul(self.a, other.a))
 
     def is_zero(self) -> bool:
         return not self.a.any()
@@ -377,9 +376,9 @@ class Mat:
         the invertible T with T @ self == R.
         """
         ctx = self.ctx
-        work = self.a.astype(np.int64).copy() if ctx.k == 1 else self.a.copy()
+        work = self.a.copy()
         rows, cols = work.shape
-        trans = np.eye(rows, dtype=work.dtype) if with_transform else None
+        trans = np.eye(rows, dtype=np.uint8) if with_transform else None
         pivots = []
         r = 0
         for c in range(cols):
@@ -396,36 +395,23 @@ class Mat:
             pv = int(work[r, c])
             if pv != 1:
                 factor = ctx.inv(pv)
-                work[r] = self._row_scale(work[r], factor)
+                work[r] = ctx.MUL[factor, work[r]]
                 if trans is not None:
-                    trans[r] = self._row_scale(trans[r], factor)
+                    trans[r] = ctx.MUL[factor, trans[r]]
             mask = np.nonzero(work[:, c])[0]
             for i in mask:
                 if i == r:
                     continue
-                f = int(work[i, c])
-                work[i] = self._row_axpy(work[i], work[r], f)
+                f = ctx.NEG[work[i, c]]  # row i -= work[i, c] * row r
+                work[i] = ctx.ADD[work[i], ctx.MUL[f, work[r]]]
                 if trans is not None:
-                    trans[i] = self._row_axpy(trans[i], trans[r], f)
+                    trans[i] = ctx.ADD[trans[i], ctx.MUL[f, trans[r]]]
             pivots.append(c)
             r += 1
-        res = Mat(ctx, work.astype(np.uint8))
+        res = Mat(ctx, work)
         if with_transform:
-            return res, r, tuple(pivots), Mat(ctx, trans.astype(np.uint8))
+            return res, r, tuple(pivots), Mat(ctx, trans)
         return res, r, tuple(pivots)
-
-    def _row_scale(self, row, factor: int):
-        ctx = self.ctx
-        if ctx.k == 1:
-            return (row * factor) % ctx.p
-        return ctx.MUL[factor, row]
-
-    def _row_axpy(self, row, pivot_row, f: int):
-        """row - f * pivot_row."""
-        ctx = self.ctx
-        if ctx.k == 1:
-            return (row - f * pivot_row) % ctx.p
-        return ctx.ADD[row, ctx.NEG[ctx.MUL[f, pivot_row]]]
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -464,12 +450,6 @@ class Mat:
 
     def transpose(self) -> "Mat":
         return Mat(self.ctx, self.a.T.copy())
-
-    def hstack(self, other: "Mat") -> "Mat":
-        return Mat(self.ctx, np.concatenate([self.a, other.a], axis=1))
-
-    def vstack(self, other: "Mat") -> "Mat":
-        return Mat(self.ctx, np.concatenate([self.a, other.a], axis=0))
 
     def block_diag(self, other: "Mat") -> "Mat":
         out = np.zeros((self.rows + other.rows, self.cols + other.cols), dtype=np.uint8)

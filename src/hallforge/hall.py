@@ -105,18 +105,6 @@ class QNum:
         return self.a
 
 
-def _squarefree_split(q: int) -> Tuple[int, int]:
-    """q = s^2 * m with m squarefree; q is a prime power so m is 1 or p."""
-    s, m = 1, q
-    p = next(x for x in range(2, q + 1) if q % x == 0)
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    assert m == 1
-    return (p ** (k // 2), 1) if k % 2 == 0 else (p ** (k // 2), p)
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -210,7 +198,8 @@ class HallAlgebra:
         self.registry = registry
         self.quiver = registry.quiver
         self.q = registry.ctx.q
-        self.s, self.m = _squarefree_split(self.q)
+        spec = registry.ctx.spec  # q = s^2 * m with m squarefree: m is 1 or p
+        self.s, self.m = spec.p ** (spec.k // 2), (spec.p if spec.k % 2 else 1)
 
     # -- scalars
 

@@ -144,32 +144,6 @@ def _gl_generators(ctx: GF, n: int) -> List[Mat]:
     return gens
 
 
-def _batch_left(ctx: GF, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g @ x for a stack x of shape (N, r, c)."""
-    if ctx.k == 1:
-        return np.einsum("ij,njk->nik", g.astype(np.int64), x.astype(np.int64)) % ctx.p
-    out = np.zeros_like(x)
-    for i in range(g.shape[0]):
-        acc = np.zeros((x.shape[0], x.shape[2]), dtype=np.uint8)
-        for t in range(g.shape[1]):
-            acc = ctx.ADD[acc, ctx.MUL[g[i, t], x[:, t, :]]]
-        out[:, i, :] = acc
-    return out
-
-
-def _batch_right(ctx: GF, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """x @ g for a stack x of shape (N, r, c)."""
-    if ctx.k == 1:
-        return np.einsum("njk,kl->njl", x.astype(np.int64), g.astype(np.int64)) % ctx.p
-    out = np.zeros_like(x)
-    for j in range(g.shape[1]):
-        acc = np.zeros((x.shape[0], x.shape[1]), dtype=np.uint8)
-        for t in range(g.shape[0]):
-            acc = ctx.ADD[acc, ctx.MUL[g[t, j], x[:, :, t]]]
-        out[:, :, j] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # grade slices
 
@@ -372,9 +346,9 @@ class IsoRegistry:
                             continue
                         block = nd[:, lo:hi].reshape(-1, r, c)
                         if t == v:
-                            block = _batch_left(ctx, g, block)
+                            block = ctx.matmul(g, block)
                         if s == v:
-                            block = _batch_right(ctx, block, ginv)
+                            block = ctx.matmul(block, ginv)
                         nd[:, lo:hi] = block.reshape(-1, hi - lo)
                     images.append(_encode_batch(nd, q))
                 allim = np.unique(np.concatenate(images))
@@ -413,12 +387,12 @@ class IsoRegistry:
         for v in range(n):
             lo, hi, r, c = arr_of[v]
             block = digs[:, lo:hi].reshape(ambient, r, c)
-            comp = block if comp is None else _batch_matmul(ctx, block, comp)
+            comp = block if comp is None else ctx.matmul(block, comp)
         total = sum(grade)
         power = comp
         steps = 1
         while steps < total:
-            power = _batch_matmul(ctx, power, power)
+            power = ctx.matmul(power, power)
             steps *= 2
         return ~power.reshape(power.shape[0], -1).any(axis=1)
 
@@ -688,7 +662,9 @@ class IsoRegistry:
     def _one_loop_identify(self, sl: GradeSlice, rep: Rep) -> int:
         typ = one_loop_fingerprint(rep)
         idx = sl.fingerprint_to_class.get(typ)
-        assert idx is not None, f"unregistered conjugacy type {typ}"
+        if idx is None:
+            raise CertificateError("identification", sl.grade,
+                                   "a registered conjugacy type", typ)
         return idx
 
     # -- nilpotent ambient count (mass identity in nilpotent-only mode)
@@ -791,19 +767,6 @@ class IsoRegistry:
                     "tube_id": c.tube_id,
                 }, sort_keys=True))
         return "\n".join(lines) + "\n"
-
-
-def _batch_matmul(ctx: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if ctx.k == 1:
-        return np.einsum("nij,njk->nik", a.astype(np.int64), b.astype(np.int64)) % ctx.p
-    out = np.zeros((a.shape[0], a.shape[1], b.shape[2]), dtype=np.uint8)
-    for i in range(a.shape[1]):
-        for j in range(b.shape[2]):
-            acc = np.zeros(a.shape[0], dtype=np.uint8)
-            for t in range(a.shape[2]):
-                acc = ctx.ADD[acc, ctx.MUL[a[:, i, t], b[:, t, j]]]
-            out[:, i, j] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,6 @@ class Rep:
         return hash((self.quiver, id(self.ctx), self.tobytes()))
 
 
-def make_rep(quiver: Quiver, ctx: GF, dims: Sequence, mats: Sequence) -> Rep:
-    dims = quiver.check_dim(dims)
-    return Rep(quiver, ctx, dims, tuple(mats))
-
-
 def zero_rep(quiver: Quiver, ctx: GF) -> Rep:
     dims = (0,) * quiver.n
     mats = tuple(Mat.zeros(ctx, 0, 0) for _ in quiver.arrows)
@@ -268,8 +263,8 @@ def sub_quotient(m: Rep, sub_bases: Sequence[Mat]) -> Tuple[Rep, Rep]:
         if sub_dims[t]:
             coeff = w[piv[t], :]  # coordinates along the sub basis
             corr = (sub_bases[t].transpose() @ Mat(ctx, coeff)).a
-            w = ctx.ADD[w, ctx.NEG[corr]] if ctx.k > 1 else (w.astype(np.int64) - corr) % ctx.p
-        quot_mats.append(Mat(ctx, np.asarray(w, dtype=np.uint8)[free[t], :].copy()))
+            w = ctx.ADD[w, ctx.NEG[corr]]
+        quot_mats.append(Mat(ctx, w[free[t], :]))
     sub = Rep(m.quiver, ctx, sub_dims, tuple(sub_mats))
     quot = Rep(m.quiver, ctx, quot_dims, tuple(quot_mats))
     return sub, quot

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hallforge.errors import SingularMatrix
@@ -48,6 +49,44 @@ def test_moduli_irreducible():
                 assert poly_divmod(ctx, full, f)[1], (p, k, f)
 
 
+def _oracle_matmul(ctx, a, b):
+    """Triple loop over the scalar add/mul of the field."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = 0
+            for t in range(a.shape[1]):
+                acc = ctx.add(acc, ctx.mul(int(a[i, t]), int(b[t, j])))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_matmul_matches_scalar_oracle(p, k):
+    ctx = GF.of(p, k)
+    rng = np.random.default_rng(ctx.q)
+
+    def rand(*shape):
+        return rng.integers(0, ctx.q, size=shape, dtype=np.uint8)
+
+    def check(a, b):
+        got = ctx.matmul(a, b)
+        assert got.dtype == np.uint8 and got.shape == np.matmul(a, b).shape
+        stack = got.shape[:-2]
+        a, b = np.broadcast_to(a, stack + a.shape[-2:]), np.broadcast_to(b, stack + b.shape[-2:])
+        for idx in np.ndindex(stack):
+            assert np.array_equal(got[idx], _oracle_matmul(ctx, a[idx], b[idx]))
+
+    r, c, n = 3, 2, 4
+    check(rand(r, c), rand(c, r))               # single matrices
+    check(rand(r, r), rand(n, r, c))            # (r,r) @ (N,r,c)
+    check(rand(n, r, c), rand(c, c))            # (N,r,c) @ (c,c)
+    check(rand(n, r, c), rand(n, c, r))         # stack @ stack
+    check(rand(r, 0), rand(0, c))               # empty inner dimension
+    check(rand(0, n), rand(n, c))               # no rows
+    assert Mat(ctx, rand(r, 0)) @ Mat(ctx, rand(0, c)) == Mat.zeros(ctx, r, c)
+
+
 def test_rref_and_kernel():
     f2 = GF.of(2)
     ident = Mat.identity(f2, 2)
@@ -57,7 +96,7 @@ def test_rref_and_kernel():
     assert kb.tolist() == [[1, 1]]
     assert Mat(f2, [[0, 1], [0, 0]]).rank() == 1
     rng = random.Random(9)
-    for ctx in (f2, GF.of(3), GF.of(2, 2)):
+    for ctx in (GF.of(p, k) for p, k in FIELDS):
         for _ in range(25):
             rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
             m = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(cols)] for _ in range(rows)])
@@ -69,7 +108,7 @@ def test_rref_and_kernel():
 
 def test_solve_and_inverse():
     rng = random.Random(4)
-    for ctx in (GF.of(2), GF.of(3), GF.of(3, 2)):
+    for ctx in (GF.of(p, k) for p, k in FIELDS):
         for _ in range(20):
             n = rng.randrange(1, 4)
             m = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)])

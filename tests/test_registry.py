@@ -142,9 +142,10 @@ def test_summands_match_full_krull_schmidt(kron3, constructive_regs):
 
 def test_mass_check_survives_optimize():
     code = (
+        "from hallforge.config import Caps\n"
         "from hallforge.errors import CertificateError\n"
         "from hallforge.gf import GF\n"
-        "from hallforge.quiver import kronecker\n"
+        "from hallforge.quiver import jordan, kronecker\n"
         "from hallforge.registry import IsoRegistry\n"
         "assert False, 'asserts are live'\n"
         "reg = IsoRegistry(kronecker(), GF.of(2))\n"
@@ -154,14 +155,25 @@ def test_mass_check_survives_optimize():
         "    reg._mass_check(sl)\n"
         "except CertificateError as err:\n"
         "    print(err.what, err.grade, err.expected, err.got)\n"
+        "reg = IsoRegistry(jordan(), GF.of(2), Caps(max_tuple_count=3))\n"
+        "sl = reg.slice((2,))\n"
+        "typ = next(t for t, i in sl.fingerprint_to_class.items() if i == 0)\n"
+        "del sl.fingerprint_to_class[typ]\n"
+        "try:\n"
+        "    reg.identify(sl.classes[0].canon)\n"
+        "except CertificateError as err:\n"
+        "    print(err.what, err.grade, err.expected)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
+    mass, ident = proc.stdout.strip().splitlines()
     # 4 points at grade (1,1); doubling one |Aut| halves its share of the mass
-    assert proc.stdout.strip().startswith("mass identity (1, 1) 4 ")
+    assert mass.startswith("mass identity (1, 1) 4 ")
+    # a constructive Jordan slice whose class 0 lost its conjugacy-type entry
+    assert ident == "identification (2,) a registered conjugacy type"
 
 
 def test_identify_constant_on_orbits(kron2):
