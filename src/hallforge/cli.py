@@ -13,6 +13,10 @@ byte-identical across runs for a fixed configuration and seed.
 The --quiver option accepts a JSON file ({"vertices": [...], "arrows":
 [[s, t], ...]}) or one of the built-in names: kronecker, jordan,
 cyclic<N>, a2-acyclic, d4-star, a4-square.
+
+Exit codes: 0 all checks passed, 1 a check failed, 2 a HallforgeError (bad
+input, an exceeded cap, a failed certificate), written as one JSON record
+{"error": <class name>, "message": ...} in place of the report.
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ from .cuspidal import (TubePermutation, cancellation_check, conjecture1_check,
                        span_rows, subspace_contains, tube_decomposition,
                        verify_kernel_theorem, verify_sigma_hopf, xi_value,
                        CuspidalSpace)
+from .errors import HallforgeError
+from .exact import matrix_rank
 from .gf import GF, monic_irreducibles
-from .hall import HallAlgebra, matrix_rank
+from .hall import HallAlgebra
 from .registry import IsoRegistry
 
 BUILTIN_QUIVERS = {
@@ -97,24 +103,32 @@ def emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def affine_delta(hall) -> tuple:
+    qtype = hall.registry.qtype
+    if qtype is None or qtype.delta is None:
+        raise HallforgeError("this command needs a connected affine quiver")
+    return qtype.delta
+
+
 def grades_of(args, quiver, hall) -> list:
     grades = [parse_grade(g) for g in args.grade]
     if args.r:
-        delta = hall.registry.qtype.delta
+        delta = affine_delta(hall)
         for r in (int(x) for x in args.r.split(",")):
             grades.append(tuple(r * d for d in delta))
     return grades
 
 
 def r_values(args, hall) -> list:
-    delta = hall.registry.qtype.delta
+    delta = affine_delta(hall)
     out = []
     if args.r:
         out = [int(x) for x in args.r.split(",")]
     for g in args.grade:
         grade = parse_grade(g)
         r = grade[0] // delta[0]
-        assert grade == tuple(r * d for d in delta), f"{grade} is not a multiple of delta"
+        if grade != tuple(r * d for d in delta):
+            raise HallforgeError(f"grade {grade} is not a multiple of delta {delta}")
         out.append(r)
     return sorted(set(out))
 
@@ -138,7 +152,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_kac(args) -> int:
     quiver, hall = build_context(args)
-    delta = hall.registry.qtype.delta
+    delta = affine_delta(hall)
     rs = r_values(args, hall) or [1]
     rows = []
     for r in rs:
@@ -233,7 +247,7 @@ def _suite_sigma(args, quiver, hall):
     # products of two sampled elements can land in grade 2*max(rs)*delta,
     # so the tube labelling must extend at least that far
     tubes = tube_decomposition(hall, 2 * max(rs))
-    delta = hall.registry.qtype.delta
+    delta = affine_delta(hall)
     grades = [tuple(r * d for d in delta) for r in rs]
     rng = random.Random(args.seed)
     keys = [c.key for g in grades for c in hall.registry.classes(g)]
@@ -255,7 +269,7 @@ def _suite_sigma(args, quiver, hall):
 def _suite_cancellation(args, quiver, hall):
     rs = r_values(args, hall) or [1]
     tubes = tube_decomposition(hall, max(rs))
-    delta = hall.registry.qtype.delta
+    delta = affine_delta(hall)
     out = []
     for r in rs:
         _, normalized = regular_cuspidal_space(hall, tubes, r, delta)
@@ -414,7 +428,12 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_tubes)
 
     args = top.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except HallforgeError as err:
+        record = {"error": type(err).__name__, "message": str(err)}
+        emit(args, json.dumps(record, sort_keys=True, indent=2) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

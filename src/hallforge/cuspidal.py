@@ -4,7 +4,9 @@ An element f is cuspidal when Delta(f) = f(x)1 + 1(x)f.  Writing
 g_R = f(R)/|Aut R|, primitivity in a fixed grade is the integer linear
 system  sum_R F^R_{U,V} g_R = 0  over all proper decompositions (U, V),
 so cuspidal spaces are computed by exact rational kernels of census
-matrices; no tolerance appears anywhere.
+matrices (the shared eliminator in `exact`); no tolerance appears anywhere.
+Elements and coproducts are the sparse vectors of `hall`, and failed
+solver invariants raise CertificateError.
 
 On an affine acyclic quiver the regular classes decompose into tubes
 (blocks of the regular subcategory, detected here by the transitive
@@ -26,9 +28,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HallforgeError
+from .errors import CertificateError, HallforgeError
+from .exact import kernel_basis_exact, matrix_rank, row_reduce
 from .gf import Mat
-from .hall import HallAlgebra, HallElement, QNum, kernel_basis_exact, matrix_rank, row_reduce
+from .hall import HallAlgebra, HallElement, QNum, TensorElement, _add_into
 from .quiver import (Quiver, classify_type, euler_form, restrict_dim, subquiver_on,
                      support, support_is_connected, symmetrized_form)
 from .registry import ClassKey, a_lambda, partitions_of
@@ -137,18 +140,13 @@ def cuspidal_space(hall: HallAlgebra, grade: Sequence) -> CuspidalSpace:
     return primitive_space(hall, grade, regular_only=False)
 
 
-def _project_regular(hall: HallAlgebra, tensor):
-    reg = hall.registry
-    unit = hall.unit_key()
-    keep = {}
-    for (u, v), c in tensor.terms.items():
-        for key in (u, v):
-            if key != unit and reg.cls(key).pri_class != "regular":
-                break
-        else:
-            keep[(u, v)] = c
-    from .hall import TensorElement
-    return TensorElement(keep)
+def _project_regular(hall: HallAlgebra, tensor: TensorElement) -> TensorElement:
+    """The terms of `tensor` on pairs of regular classes (unit terms kept)."""
+    reg, unit = hall.registry, hall.unit_key()
+    return TensorElement({
+        (u, v): c for (u, v), c in tensor.terms.items()
+        if all(k == unit or reg.cls(k).pri_class == "regular" for k in (u, v))
+    })
 
 
 def regular_comultiply(hall: HallAlgebra, f: HallElement):
@@ -158,15 +156,9 @@ def regular_comultiply(hall: HallAlgebra, f: HallElement):
 
 
 def regular_defect(hall: HallAlgebra, f: HallElement):
-    """Delta_R(f) - f(x)1 - 1(x)f: the coproduct defect projected to regular pairs."""
-    defect = hall.coproduct_defect(f)
-    reg = hall.registry
-    keep = {}
-    for (u, v), c in defect.terms.items():
-        if reg.cls(u).pri_class == "regular" and reg.cls(v).pri_class == "regular":
-            keep[(u, v)] = c
-    from .hall import TensorElement
-    return TensorElement(keep)
+    """Delta_R(f) - f(x)1 - 1(x)f: the coproduct defect projected to regular
+    pairs.  Unit terms of the defect cancel in positive grades."""
+    return _project_regular(hall, hall.coproduct_defect(f))
 
 
 def is_regular_primitive(hall: HallAlgebra, f: HallElement) -> bool:
@@ -213,7 +205,8 @@ class Tube:
         """The unique indecomposable of dimension level*degree*delta (homogeneous)."""
         grade = tuple(level * self.degree * d for d in delta)
         members = self.members.get(grade, [])
-        assert len(members) == 1, "level member is unique only in homogeneous tubes"
+        if len(members) != 1:
+            raise CertificateError(f"tube {self.tid} level member", grade, 1, len(members))
         return members[0]
 
 
@@ -287,7 +280,8 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
             for g in {k[0] for k in block}
             if all(x == (g[0] // delta[0]) * d for x, d in zip(g, delta)) and g[0] % delta[0] == 0
         ]
-        assert degrees, "every tube within range contains a multiple of delta"
+        if not degrees:
+            raise CertificateError("tube member of dimension m*delta", top, ">= 1", 0)
         member_map: Dict[tuple, List[ClassKey]] = {}
         for k in sorted(block):
             member_map.setdefault(k[0], []).append(k)
@@ -358,16 +352,17 @@ def normalized_tube_cuspidal(hall: HallAlgebra, tube: Tube, level: int,
     grade = tuple(level * step * d for d in delta)
     keys = tube_support_keys(hall, tube, grade)
     space = primitive_space(hall, grade, regular_only=True, support_keys=keys)
-    assert space.dim == 1, (
-        f"tube {tube.tid} level {level}: expected a line, got dim {space.dim}"
-    )
+    what = f"tube {tube.tid} level {level}"
+    if space.dim != 1:
+        raise CertificateError(f"{what} primitive dimension", grade, 1, space.dim)
     f = space.basis[0]
-    indec_members = tube.members.get(grade, [])
-    assert indec_members, "no indecomposable member at the normalization dimension"
-    values = {f.coeff(k) for k in indec_members}
-    assert len(values) == 1, "indecomposable values in one tube must agree"
+    values = {f.coeff(k) for k in tube.members.get(grade, [])}
+    if len(values) != 1:
+        raise CertificateError(f"{what} distinct values on indecomposables", grade, 1,
+                               len(values))
     val = values.pop()
-    assert val, "tube primitive vanishes on indecomposables"
+    if not val:
+        raise CertificateError(f"{what} value on indecomposables", grade, "nonzero", val)
     return NormalizedTubeCuspidal(tube.tid, level, grade,
                                   f.scaled(val.inverse()))
 
@@ -387,9 +382,8 @@ def regular_cuspidal_space(hall: HallAlgebra, tubes: List[Tube], r: int,
         if r % step == 0:
             normalized.append(normalized_tube_cuspidal(hall, t, r // step, delta))
     space = primitive_space(hall, grade, regular_only=True)
-    assert space.dim == len(normalized), (
-        f"regular cuspidal dimension {space.dim} != tube count {len(normalized)}"
-    )
+    if space.dim != len(normalized):
+        raise CertificateError("regular cuspidal dimension", grade, len(normalized), space.dim)
     basis = [n.element for n in normalized]
     return CuspidalSpace(grade, "regular", space.coords, basis), normalized
 
@@ -532,7 +526,8 @@ def extending_sink(quiver: Quiver, delta: tuple) -> int:
 
 def unique_indec_key(reg, grade: tuple) -> ClassKey:
     cands = [c.key for c in reg.classes(grade) if c.indec]
-    assert len(cands) == 1, f"expected a unique indecomposable of dimension {grade}"
+    if len(cands) != 1:
+        raise CertificateError("indecomposables", grade, 1, len(cands))
     return cands[0]
 
 
@@ -542,7 +537,8 @@ def multiple_class(reg, key: ClassKey, mult: int) -> ClassKey:
     summands = ((key, mult),)
     sl = reg.slice(grade)
     idx = sl.by_summands.get(summands)
-    assert idx is not None, "direct power class not found"
+    if idx is None:
+        raise CertificateError("class of summands", grade, summands, None)
     return (grade, idx)
 
 
@@ -574,10 +570,10 @@ class TubePermutation:
                 )
             if tid is None or tid not in self.mapping or not self.tubes[tid].homogeneous:
                 return key
-            level = c.tube_level
-            assert level is not None
+            if c.tube_level is None:
+                raise CertificateError(f"tube level of {key}", key[0], "a level", None)
             target = self.tubes[self.mapping[tid]]
-            return target.level_member(level, reg.qtype.delta)
+            return target.level_member(c.tube_level, reg.qtype.delta)
         moved: Dict[ClassKey, int] = {}
         for (sk, m) in c.summands:
             moved_key = self.map_key(sk)
@@ -585,15 +581,15 @@ class TubePermutation:
         summands = tuple(sorted(moved.items()))
         sl = reg.slice(key[0])
         idx = sl.by_summands.get(summands)
-        assert idx is not None, "permuted class not found"
+        if idx is None:
+            raise CertificateError("class of permuted summands", key[0], summands, None)
         return (key[0], idx)
 
     def apply(self, f: HallElement) -> HallElement:
         out: Dict[ClassKey, QNum] = {}
         for k, v in f.terms.items():
-            nk = self.map_key(k)
-            out[nk] = out.get(nk, self.hall.zero()) + v
-        return HallElement({k: v for k, v in out.items() if v})
+            _add_into(out, self.map_key(k), v)
+        return HallElement(out)
 
 
 def verify_sigma_hopf(hall: HallAlgebra, tubes: List[Tube], sigma: TubePermutation,
@@ -625,9 +621,8 @@ def verify_sigma_hopf(hall: HallAlgebra, tubes: List[Tube], sigma: TubePermutati
             rhs = hall.comultiply(f)
             mapped = {}
             for (u, v), val in rhs.terms.items():
-                key = (sigma.map_key(u), sigma.map_key(v))
-                mapped[key] = mapped.get(key, hall.zero()) + val
-            if {k: v for k, v in mapped.items() if v} != lhs.terms:
+                _add_into(mapped, (sigma.map_key(u), sigma.map_key(v)), val)
+            if mapped != lhs.terms:
                 coalg_ok = False
     report["checks"]["coalgebra_map"] = coalg_ok
 
@@ -685,7 +680,8 @@ def partition_class_in_tube(hall: HallAlgebra, tube: Tube, lam: Sequence) -> Cla
     summands = tuple(sorted(counts.items()))
     grade = tuple(sum(lam) * tube.degree * d for d in delta)
     idx = reg.slice(grade).by_summands.get(summands)
-    assert idx is not None
+    if idx is None:
+        raise CertificateError("class of summands", grade, summands, None)
     return (grade, idx)
 
 
@@ -766,17 +762,19 @@ def cyclic_nilpotent_cuspidal(hall: HallAlgebra, d: int) -> HallElement:
     """The unique (up to scalar) nilpotent primitive in grade d*delta of a
     cyclic quiver, normalized to value 1 on every indecomposable there."""
     reg = hall.registry
-    assert reg.nilpotent_only, "use a nilpotent-only registry for cyclic quivers"
-    n = hall.quiver.n
-    grade = (d,) * n
+    if not reg.nilpotent_only:
+        raise HallforgeError("use a nilpotent-only registry for cyclic quivers")
+    grade = (d,) * hall.quiver.n
     space = primitive_space(hall, grade, regular_only=False)
-    assert space.dim == 1, f"nilpotent cuspidal space has dim {space.dim}, expected 1"
+    if space.dim != 1:
+        raise CertificateError("nilpotent primitive dimension", grade, 1, space.dim)
     f = space.basis[0]
-    indec = [c.key for c in reg.classes(grade) if c.indec]
-    values = {f.coeff(k) for k in indec}
-    assert len(values) == 1, "values on indecomposables must agree"
+    values = {f.coeff(c.key) for c in reg.classes(grade) if c.indec}
+    if len(values) != 1:
+        raise CertificateError("distinct values on indecomposables", grade, 1, len(values))
     val = values.pop()
-    assert val, "nilpotent primitive vanishes on indecomposables"
+    if not val:
+        raise CertificateError("value on indecomposables", grade, "nonzero", val)
     return f.scaled(val.inverse())
 
 
@@ -790,7 +788,8 @@ def isotropic_support_check(hall: HallAlgebra, grade: Sequence) -> dict:
     the support's delta."""
     quiver = hall.quiver
     grade = quiver.check_dim(grade)
-    assert symmetrized_form(quiver, grade, grade) == 0, "grade must be isotropic"
+    if symmetrized_form(quiver, grade, grade) != 0:
+        raise HallforgeError(f"grade {grade} is not isotropic")
     report = {"grade": list(grade), "q": hall.q, "checks": {}, "status": "pass"}
     space = cuspidal_space(hall, grade)
     report["dims"] = {"cuspidal": space.dim}

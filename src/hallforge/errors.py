@@ -37,4 +37,5 @@ class CertificateError(HallforgeError):
         self.grade = grade
         self.expected = expected
         self.got = got
-        super().__init__(f"{what} at grade {grade}: expected {expected}, got {got}")
+        where = "" if grade is None else f" at grade {grade}"
+        super().__init__(f"{what}{where}: expected {expected}, got {got}")

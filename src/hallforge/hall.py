@@ -14,16 +14,22 @@ representatives: with F^S_{M,N} = #{X <= S : X iso N, S/X iso M},
 and the pairing is a Hopf pairing: (fg, h) = (f (x) g, Delta h).  The
 tensor square multiplies with the usual twist
 (x (x) y)(z (x) w) = nu^{(dim y, dim z)} xz (x) yw.
+
+HallElement and TensorElement are one sparse vector (`_SparseElement`,
+with `_add_into` as its only accumulate-and-drop-zero step); exact solves
+over Q(sqrt(q)) use the shared eliminator in `exact`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .config import DEFAULT_CAPS
-from .errors import SizeMismatch
+from .errors import CertificateError, SizeMismatch
+# bound here too: bench/tracing.py wraps the eliminator by its hallforge.hall path
+from .exact import kernel_basis_exact, matrix_rank, row_reduce  # noqa: F401
 from .gf import Mat
 from .quiver import euler_form, symmetrized_form
 from .registry import ClassKey, IsoRegistry
@@ -101,7 +107,8 @@ class QNum:
         return f"({self.a} + {self.b}*sqrt({self.m}))"
 
     def as_fraction(self) -> Fraction:
-        assert self.b == 0, "value is irrational"
+        if self.b:
+            raise CertificateError("rational value", None, "no sqrt part", self)
         return self.a
 
 
@@ -109,9 +116,19 @@ class QNum:
 # elements
 
 
+def _add_into(terms: dict, key, val) -> None:
+    """terms[key] += val, dropping the key when the sum is zero."""
+    tot = terms[key] + val if key in terms else val
+    if tot:
+        terms[key] = tot
+    else:
+        terms.pop(key, None)
+
+
 @dataclass
-class HallElement:
-    terms: Dict[ClassKey, QNum]
+class _SparseElement:
+    """A finite sum of basis keys; `terms` never stores a zero coefficient."""
+    terms: Dict[tuple, QNum]
 
     def __iter__(self):
         return iter(sorted(self.terms.items()))
@@ -122,30 +139,30 @@ class HallElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def coeff(self, key) -> QNum:
+        return self.terms.get(key, QNum(0))
+
+    def scaled(self, c):
+        return type(self)({k: w for k, v in self.terms.items() if (w := v * c)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            _add_into(out, k, v)
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+
+class HallElement(_SparseElement):
+    """An element of the Hall algebra: class key -> coefficient."""
+
     def grade(self) -> Optional[tuple]:
         grades = {k[0] for k in self.terms}
         if len(grades) > 1:
             raise SizeMismatch("element is not homogeneous")
         return grades.pop() if grades else None
-
-    def coeff(self, key: ClassKey) -> QNum:
-        return self.terms.get(key, QNum(0))
-
-    def scaled(self, c) -> "HallElement":
-        return HallElement({k: v * c for k, v in self.terms.items() if v * c})
-
-    def __add__(self, other: "HallElement") -> "HallElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, QNum(0, 0, v.m)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return HallElement(out)
-
-    def __sub__(self, other: "HallElement") -> "HallElement":
-        return self + other.scaled(-1)
 
     def to_json(self) -> str:
         """{"grade": [...], "terms": [{"class_id", "a", "b"}]} with exact
@@ -160,31 +177,8 @@ class HallElement:
         }, sort_keys=True)
 
 
-@dataclass
-class TensorElement:
-    terms: Dict[Tuple[ClassKey, ClassKey], QNum]
-
-    def __iter__(self):
-        return iter(sorted(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, pair) -> QNum:
-        return self.terms.get(pair, QNum(0))
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, QNum(0, 0, v.m)) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return TensorElement(out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + TensorElement({k: -v for k, v in other.terms.items()})
+class TensorElement(_SparseElement):
+    """An element of the tensor square: (class key, class key) -> coefficient."""
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +258,7 @@ class HallAlgebra:
                     count = census.get((mk, nk))
                     if count:
                         acc = acc + c * self.nu_pow(euler_form(self.quiver, mk[0], nk[0])) * self.scalar(count)
-                if acc:
-                    out[cls.key] = out.get(cls.key, self.zero()) + acc
-                    if not out[cls.key]:
-                        del out[cls.key]
+                _add_into(out, cls.key, acc)
         return HallElement(out)
 
     def multiply_all(self, factors: Sequence[HallElement]) -> HallElement:
@@ -283,24 +274,13 @@ class HallAlgebra:
             for (qk, sk), count in self.registry.census(rk).items():
                 coeff = (cr * self.nu_pow(euler_form(self.quiver, qk[0], sk[0]))
                          * self.scalar(Fraction(count * self.aut(qk) * self.aut(sk), a_r)))
-                if coeff:
-                    key = (qk, sk)
-                    tot = out.get(key, self.zero()) + coeff
-                    if tot:
-                        out[key] = tot
-                    else:
-                        out.pop(key, None)
+                _add_into(out, (qk, sk), coeff)
         return TensorElement(out)
 
     def coproduct_defect(self, f: HallElement) -> TensorElement:
         """Delta(f) - f(x)1 - 1(x)f; zero exactly for primitive (cuspidal) f."""
-        delta = self.comultiply(f)
-        unit = self.unit_key()
-        prim = {}
-        for k, v in f.terms.items():
-            prim[(k, unit)] = v
-            prim[(unit, k)] = prim.get((unit, k), self.zero()) + v
-        return delta - TensorElement(prim)
+        one = self.one()
+        return self.comultiply(f) - self.tensor(f, one) - self.tensor(one, f)
 
     def is_primitive(self, f: HallElement) -> bool:
         return self.coproduct_defect(f).is_zero()
@@ -348,14 +328,7 @@ class HallAlgebra:
                 c = c1 * c2 * twist
                 for lk, lv in left.terms.items():
                     for rk, rv in right.terms.items():
-                        val = c * lv * rv
-                        if val:
-                            key = (lk, rk)
-                            tot = out.get(key, self.zero()) + val
-                            if tot:
-                                out[key] = tot
-                            else:
-                                out.pop(key, None)
+                        _add_into(out, (lk, rk), c * lv * rv)
         return TensorElement(out)
 
     # -- dualization
@@ -456,54 +429,3 @@ def _all_combinations(basis: list, q: int, zero: tuple):
                 part = tuple(bi.scale(c) for bi in b)
                 f = tuple(x + y for x, y in zip(f, part))
         yield f
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra over QNum / Fraction rows
-
-
-def row_reduce(rows: List[list], zero) -> Tuple[List[list], List[int]]:
-    """RREF of a matrix over an exact field (Fraction or QNum entries)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    cols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + [[zero] * cols for _ in range(len(rows) - r)], pivots
-
-
-def matrix_rank(rows: List[list], zero) -> int:
-    return len(row_reduce(rows, zero)[1])
-
-
-def kernel_basis_exact(rows: List[list], zero, one) -> List[list]:
-    """Right kernel basis (canonical form from the RREF free columns)."""
-    if not rows:
-        return []
-    cols = len(rows[0])
-    red, pivots = row_reduce(rows, zero)
-    free = [c for c in range(cols) if c not in pivots]
-    out = []
-    for fc in free:
-        vec = [zero] * cols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = zero - red[r][fc]
-        out.append(vec)
-    return out

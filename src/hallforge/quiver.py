@@ -23,10 +23,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import SizeMismatch
+from .errors import CertificateError, SizeMismatch
+from .exact import kernel_basis_exact
 
 DimVector = tuple
 
@@ -176,37 +177,11 @@ def _psd_rank(c) -> Optional[int]:
 
 def _radical_vector(c) -> tuple:
     """Primitive integer kernel vector of a corank-one symmetric matrix."""
-    n = len(c)
-    m = [[Fraction(x) for x in row] + [Fraction(0)] for row in c]
-    # fraction-free enough at these sizes: plain Gauss over Q
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    free = [j for j in range(n) if j not in pivots]
-    assert len(free) == 1, "corank-one expected"
-    vec = [Fraction(0)] * n
-    vec[free[0]] = Fraction(1)
-    for row, col in zip(range(r), pivots):
-        vec[col] = -m[row][free[0]]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    (vec,) = kernel_basis_exact([[Fraction(x) for x in row] for row in c],
+                                Fraction(0), Fraction(1))
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     if next(x for x in ints if x != 0) < 0:
         ints = [-x for x in ints]
@@ -231,7 +206,8 @@ def classify_type(q: Quiver) -> QuiverType:
     if rank != q.n - 1:
         return QuiverType("wild")
     delta = _radical_vector(c)
-    assert all(x > 0 for x in delta), "affine delta must be positive on a connected quiver"
+    if min(delta) <= 0:
+        raise CertificateError("positive radical vector", delta, "entries > 0", min(delta))
     return QuiverType("affine", delta)
 
 

@@ -118,3 +118,31 @@ def test_subprocess_entry():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["xi"] == "1/2"
+
+
+def test_bad_input_is_a_structured_error(tmp_path):
+    code, text = run_cli(["verify", "noyau", "--quiver", "kronecker", "--p", "2",
+                          "--grade", "1,2"], tmp_path)
+    assert code == 2
+    assert json.loads(text) == {"error": "HallforgeError",
+                                "message": "grade (1, 2) is not a multiple of delta (1, 1)"}
+    # a disconnected quiver has no type, a wild one has no delta
+    for name, arrows in (("two_points", []), ("wild", [[0, 1]] * 3)):
+        qfile = tmp_path / f"{name}.json"
+        qfile.write_text(json.dumps({"vertices": ["1", "2"], "arrows": arrows}))
+        for cmd in (["verify", "noyau"], ["tubes"], ["kac"]):
+            code, text = run_cli(cmd + ["--quiver", str(qfile), "--r", "1"], tmp_path)
+            assert code == 2, (name, cmd)
+            assert json.loads(text)["error"] == "HallforgeError"
+
+
+def test_structured_error_survives_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hallforge.cli", "verify", "noyau",
+         "--quiver", "kronecker", "--p", "2", "--grade", "1,2"],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"] == "HallforgeError"
+    assert "Traceback" not in proc.stderr

@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hallforge.errors import HallforgeError
+from hallforge.errors import CertificateError, HallforgeError
 from hallforge.gf import GF, monic_irreducibles
 from hallforge.hall import HallAlgebra, QNum
 from hallforge.quiver import (Quiver, a4_square, affine_a2_acyclic, classify_type,
@@ -21,6 +24,7 @@ from hallforge.cuspidal import (CuspidalSpace, TubePermutation, cancellation_che
                                 verify_kernel_theorem, verify_sigma_hopf, xi_value)
 
 F2, F3 = GF.of(2), GF.of(3)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +394,54 @@ def test_isotropic_disconnected_support_vacuous():
 
 def test_isotropic_guard():
     h = HallAlgebra(IsoRegistry(WILD1, F2))
-    with pytest.raises(AssertionError):
+    with pytest.raises(HallforgeError):
         isotropic_support_check(h, (1, 0, 0))
+
+
+def test_solver_certificates_fire(hall_kron2, kron2, tubes_kron2):
+    delta = kron2.qtype.delta
+    # dropping one tube leaves the regular cuspidal dimension one above the tube count
+    with pytest.raises(CertificateError) as err:
+        regular_cuspidal_space(hall_kron2, tubes_kron2[1:], 1, delta)
+    assert (err.value.grade, err.value.expected, err.value.got) == ((1, 1), 2, 3)
+    # three regular simples of dimension delta over GF(2): the lookup is not unique
+    with pytest.raises(CertificateError) as err:
+        unique_indec_key(kron2, (1, 1))
+    assert (err.value.expected, err.value.got) == (1, 3)
+    with pytest.raises(HallforgeError):
+        cyclic_nilpotent_cuspidal(hall_kron2, 1)
+
+
+def test_guards_survive_optimize():
+    code = (
+        "from hallforge.cuspidal import isotropic_support_check\n"
+        "from hallforge.errors import CertificateError, HallforgeError\n"
+        "from hallforge.gf import GF\n"
+        "from hallforge.hall import HallAlgebra, QNum\n"
+        "from hallforge.quiver import kronecker\n"
+        "from hallforge.registry import IsoRegistry\n"
+        "assert False, 'asserts are live'\n"
+        "h = HallAlgebra(IsoRegistry(kronecker(), GF.of(2)))\n"
+        "try:\n"
+        "    isotropic_support_check(h, (1, 0))\n"
+        "except CertificateError:\n"
+        "    print('wrong class')\n"
+        "except HallforgeError as err:\n"
+        "    print(err)\n"
+        "try:\n"
+        "    QNum(0, 1, 2).as_fraction()\n"
+        "except CertificateError as err:\n"
+        "    print(err)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "grade (1, 0) is not isotropic",
+        "rational value: expected no sqrt part, got (0 + 1*sqrt(2))",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,117 @@
+"""The shared exact eliminator (`hallforge.exact`) and the bench tracer targets."""
+
+import importlib
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+import hallforge.cli
+import hallforge.cuspidal
+import hallforge.hall
+import hallforge.quiver
+from hallforge import exact
+from hallforge.exact import kernel_basis_exact, matrix_rank, row_reduce
+from hallforge.hall import QNum
+
+ROOT = Path(__file__).resolve().parent.parent
+
+F = Fraction
+# rank 2 over Q: row 3 = row 1 + 2 * row 2, pivots in columns 0 and 2
+FRACTION_ROWS = [
+    [F(1), F(2), F(0), F(-1), F(1, 2)],
+    [F(0), F(0), F(3), F(1), F(-1)],
+    [F(1), F(2), F(6), F(1), F(-3, 2)],
+]
+
+
+def _qnum_rows():
+    r2 = QNum(0, 1, 2)  # sqrt(2)
+    one, two = QNum(1, 0, 2), QNum(2, 0, 2)
+    zero = QNum(0, 0, 2)
+    # rank 2: row 3 = row 2 - sqrt(2) * row 1, pivots in columns 0 and 2
+    return [
+        [one, r2, zero, two],
+        [r2, two, one, zero],
+        [zero, zero, one, zero - two * r2],
+    ], zero, one
+
+
+def _apply(rows, vec, zero):
+    out = []
+    for row in rows:
+        acc = zero
+        for a, x in zip(row, vec):
+            acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+def _check_kernel(rows, zero, one):
+    cols = len(rows[0])
+    basis = kernel_basis_exact(rows, zero, one)
+    rank = matrix_rank(rows, zero)
+    assert rank + len(basis) == cols
+    for vec in basis:
+        assert all(x == zero for x in _apply(rows, vec, zero))
+    # canonical: each vector is 1 on its own free column, 0 on the others
+    _, pivots = row_reduce(rows, zero)
+    free = [c for c in range(cols) if c not in pivots]
+    assert len(free) == len(basis)
+    for fc, vec in zip(free, basis):
+        assert [vec[c] for c in free] == [one if c == fc else zero for c in free]
+    return basis, pivots
+
+
+def test_kernel_fraction_rows():
+    basis, pivots = _check_kernel(FRACTION_ROWS, F(0), F(1))
+    assert pivots == [0, 2]
+    assert basis == [
+        [F(-2), F(1), F(0), F(0), F(0)],
+        [F(1), F(0), F(-1, 3), F(1), F(0)],
+        [F(-1, 2), F(0), F(1, 3), F(0), F(1)],
+    ]
+
+
+def test_kernel_qnum_rows():
+    rows, zero, one = _qnum_rows()
+    basis, pivots = _check_kernel(rows, zero, one)
+    assert pivots == [0, 2]
+    # the kernel vectors carry sqrt(2) parts: the field really is Q(sqrt 2)
+    assert any(x.b for vec in basis for x in vec)
+
+
+def test_row_reduce_edge_cases():
+    assert row_reduce([], F(0)) == ([], [])
+    assert kernel_basis_exact([], F(0), F(1)) == []
+    assert matrix_rank([], F(0)) == 0
+    assert matrix_rank([[F(0), F(0)], [F(0), F(0)]], F(0)) == 0
+    assert matrix_rank(FRACTION_ROWS, F(0)) == 2
+    red, pivots = row_reduce(FRACTION_ROWS, F(0))
+    assert red[2] == [F(0)] * 5  # zero rows are kept, at the bottom
+    assert matrix_rank([[F(1), F(2)], [F(3), F(4)]], F(0)) == 2
+    rows, zero, _ = _qnum_rows()
+    assert matrix_rank(rows, zero) == 2
+
+
+def test_one_eliminator_object():
+    # every module binds the same function objects, so the bench tracer,
+    # which wraps them by identity, sees every call
+    for mod in (hallforge.hall, hallforge.cuspidal, hallforge.cli):
+        assert mod.matrix_rank is exact.matrix_rank
+    for mod in (hallforge.hall, hallforge.cuspidal, hallforge.quiver):
+        assert mod.kernel_basis_exact is exact.kernel_basis_exact
+    assert hallforge.hall.row_reduce is exact.row_reduce
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    for name, module, attr in tracing.LAYERS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(owner, part), (name, module, attr)
+            owner = getattr(owner, part)
+        assert callable(owner), (name, module, attr)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hallforge.gf import GF
-from hallforge.hall import HallAlgebra, QNum
+from hallforge.hall import HallAlgebra, QNum, TensorElement
 from hallforge.quiver import kronecker, single_vertex
 from hallforge.registry import IsoRegistry
 from hallforge.reps import simple_rep
@@ -264,3 +264,71 @@ def test_element_serialization(hall_kron2, kron2):
     text = json.dumps(payload, sort_keys=True)
     assert json.loads(text)["grade"] == [1, 1]
     assert all(t["b"] == "0" for t in json.loads(text)["terms"])  # nu^-2 is rational
+
+
+# ---------------------------------------------------------------------------
+# the shared sparse vector and the coproduct defect
+
+
+def _no_stored_zeros(el):
+    return all(v for v in el.terms.values())
+
+
+def test_sparse_difference_is_zero(hall_kron2, kron2):
+    h = hall_kron2
+    keys = [c.key for c in kron2.classes((1, 1))]
+    f = h.basis(keys[0]) + h.basis(keys[1]).scaled(Fraction(-2, 3))
+    t = h.comultiply(h.basis(next(c.key for c in kron2.classes((2, 1)))))
+    for el in (f, t):
+        diff = el - el
+        assert type(diff) is type(el)
+        assert diff.is_zero() and diff.terms == {} and len(diff) == 0
+        assert el.scaled(0).is_zero()
+        partial = el + el.scaled(-1) + el
+        assert partial.terms == el.terms and _no_stored_zeros(partial)
+    # cancelling one key keeps the others, and stores no zero for it
+    g = f - h.basis(keys[0])
+    assert keys[0] not in g.terms and g.coeff(keys[0]) == 0
+    assert g.terms == {keys[1]: h.scalar(Fraction(-2, 3))}
+
+
+def _explicit_defect(h, f):
+    """Delta(f) - f(x)1 - 1(x)f with the primitive part spelled out term by term."""
+    unit = h.unit_key()
+    prim = {}
+    for k, v in f.terms.items():
+        prim[(k, unit)] = v
+        prim[(unit, k)] = prim.get((unit, k), h.zero()) + v
+    return h.comultiply(f) - TensorElement(prim)
+
+
+def test_coproduct_defect_matches_explicit(hall_kron2, kron2):
+    h = hall_kron2
+    keys = [c.key for g in kron2.grades_below((2, 2)) for c in kron2.classes(g)]
+    assert len(keys) > 20
+    for key in keys:
+        f = h.basis(key)
+        got = h.coproduct_defect(f)
+        assert got.terms == _explicit_defect(h, f).terms, key
+        assert _no_stored_zeros(got)
+    mixed = h.basis(keys[1]) + h.basis(keys[-1]).scaled(3)
+    assert h.coproduct_defect(mixed).terms == _explicit_defect(h, mixed).terms
+
+
+def test_regular_defect_matches_two_sided_filter(hall_kron2, kron2, tubes_kron2):
+    from hallforge.cuspidal import regular_cuspidal_space, regular_defect
+    h = hall_kron2
+
+    def two_regular(f):
+        return {(u, v): c for (u, v), c in h.coproduct_defect(f).terms.items()
+                if kron2.cls(u).pri_class == "regular" and kron2.cls(v).pri_class == "regular"}
+
+    elements = []
+    for r in (1, 2):
+        _, normalized = regular_cuspidal_space(h, tubes_kron2, r, kron2.qtype.delta)
+        elements += [n.element for n in normalized]
+    # basis elements have nonzero regular defects, so the comparison is not vacuous
+    elements += [h.basis(c.key) for g in ((1, 1), (2, 2)) for c in kron2.classes(g)]
+    assert any(two_regular(f) for f in elements)
+    for f in elements:
+        assert regular_defect(h, f).terms == two_regular(f)
