@@ -54,15 +54,27 @@ BUILTIN_QUIVERS = {
 
 
 def load_quiver(name: str) -> qv.Quiver:
+    if not name:
+        raise HallforgeError("this command requires --quiver")
     if name in BUILTIN_QUIVERS:
         return BUILTIN_QUIVERS[name]()
-    if name.startswith("cyclic"):
-        return qv.cyclic_quiver(int(name[len("cyclic"):]))
-    return qv.Quiver.from_json(Path(name).read_text())
+    try:
+        if name.startswith("cyclic"):
+            return qv.cyclic_quiver(int(name[len("cyclic"):]))
+        return qv.Quiver.from_json(Path(name).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise HallforgeError(f"cannot load quiver {name!r}: {err}") from err
 
 
-def parse_grade(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(","))
+def parse_ints(text: str) -> tuple:
+    """Comma-separated nonnegative integers, e.g. a grade '1,2' or --r '1,2'."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = None
+    if values is None or any(x < 0 for x in values):
+        raise HallforgeError(f"expected comma-separated nonnegative integers, got {text!r}")
+    return values
 
 
 def add_common(p: argparse.ArgumentParser) -> None:
@@ -83,8 +95,6 @@ def add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_context(args):
-    if not args.quiver:
-        raise SystemExit("this command requires --quiver")
     quiver = load_quiver(args.quiver)
     caps = Caps(
         max_tuple_count=args.cap_tuples,
@@ -111,10 +121,10 @@ def affine_delta(hall) -> tuple:
 
 
 def grades_of(args, quiver, hall) -> list:
-    grades = [parse_grade(g) for g in args.grade]
+    grades = [parse_ints(g) for g in args.grade]
     if args.r:
         delta = affine_delta(hall)
-        for r in (int(x) for x in args.r.split(",")):
+        for r in parse_ints(args.r):
             grades.append(tuple(r * d for d in delta))
     return grades
 
@@ -123,9 +133,9 @@ def r_values(args, hall) -> list:
     delta = affine_delta(hall)
     out = []
     if args.r:
-        out = [int(x) for x in args.r.split(",")]
+        out = list(parse_ints(args.r))
     for g in args.grade:
-        grade = parse_grade(g)
+        grade = parse_ints(g)
         r = grade[0] // delta[0]
         if grade != tuple(r * d for d in delta):
             raise HallforgeError(f"grade {grade} is not a multiple of delta {delta}")
@@ -282,7 +292,7 @@ def _suite_cancellation(args, quiver, hall):
 
 def _suite_isotropic(args, quiver, hall):
     out = []
-    for g in (parse_grade(x) for x in args.grade):
+    for g in (parse_ints(x) for x in args.grade):
         rep = isotropic_support_check(hall, g)
         rep["check"] = "isotropic"
         out.append(rep)

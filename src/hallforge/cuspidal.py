@@ -2,22 +2,26 @@
 
 An element f is cuspidal when Delta(f) = f(x)1 + 1(x)f.  Writing
 g_R = f(R)/|Aut R|, primitivity in a fixed grade is the integer linear
-system  sum_R F^R_{U,V} g_R = 0  over all proper decompositions (U, V),
-so cuspidal spaces are computed by exact rational kernels of census
-matrices (the shared eliminator in `exact`); no tolerance appears anywhere.
-Elements and coproducts are the sparse vectors of `hall`, and failed
-solver invariants raise CertificateError.
+system  sum_R F^R_{U,V} g_R = 0, one row per pair (U, V) of positive
+grades that occurs in the census of some support class R, so cuspidal
+spaces are exact rational kernels of census matrices (the shared
+eliminator in `exact`); no tolerance appears anywhere.  Elements and
+coproducts are the sparse vectors of `hall`, classes of direct sums come
+from `IsoRegistry.class_of_summands`, and failed solver invariants raise
+CertificateError.
 
 On an affine acyclic quiver the regular classes decompose into tubes
 (blocks of the regular subcategory, detected here by the transitive
-closure of hom/ext nonvanishing between regular indecomposables).  Each
-tube carries, per level, a one-dimensional space of primitives for the
-regular-corestricted coproduct; normalized representatives take value 1
-on an indecomposable of the right dimension.  The linear form
-L(f) = (f, chi) with chi the sum of all classes of the grade evaluates on
-a normalized tube element to xi(n, q^deg), and its kernel inside the
-regular cuspidals is exactly the space of cuspidal elements, which is the
-main verification target of this package.
+closure of hom/ext nonvanishing between regular indecomposables).  A
+non-homogeneous tube has degree 1 (checked), so level n of any tube lives
+in grade `Tube.grade_at(n) = n * degree * delta`.  Each tube carries, per
+level, a one-dimensional space of primitives for the regular-corestricted
+coproduct; normalized representatives take value 1 on the indecomposables
+of that grade.  The linear form L(f) = (f, chi) with chi the sum of all
+classes of the grade evaluates on a normalized tube element to
+xi(n, q^deg), and its kernel inside the regular cuspidals is exactly the
+space of cuspidal elements, which is the main verification target of this
+package.
 """
 
 from __future__ import annotations
@@ -65,61 +69,37 @@ class CuspidalSpace:
         return rows
 
 
-def _proper_splits(grade: tuple) -> List[Tuple[tuple, tuple]]:
-    ranges = [range(x + 1) for x in grade]
-    out = []
-    import itertools
-    for d1 in itertools.product(*ranges):
-        if not any(d1) or d1 == grade:
-            continue
-        d2 = tuple(a - b for a, b in zip(grade, d1))
-        out.append((d1, d2))
-    return out
-
-
-def _grade_classes(hall: HallAlgebra, grade: tuple, regular_only: bool) -> list:
-    classes = hall.registry.classes(grade)
-    if regular_only:
-        return [c for c in classes if c.pri_class == "regular"]
-    return classes
-
-
 def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = False,
                     support_keys: Optional[List[ClassKey]] = None) -> CuspidalSpace:
     """Kernel of the coproduct constraints on one graded piece.
 
-    With `regular_only`, both the support and the constraint pairs are
+    Each constraint row is one pair (U, V) of positive grades that occurs in
+    the census of a support column, with entries F^R_{U,V} over the columns
+    R.  With `regular_only`, both the support and the constraint pairs are
     restricted to regular classes: that computes primitives for the
     corestricted coproduct.  `support_keys` further restricts the support
     (used per tube).
     """
     grade = hall.quiver.check_dim(grade)
     reg = hall.registry
-    cols = [c.key for c in _grade_classes(hall, grade, regular_only)]
+    cols = [c.key for c in reg.classes(grade)
+            if not regular_only or c.pri_class == "regular"]
     if support_keys is not None:
         allowed = set(support_keys)
         cols = [k for k in cols if k in allowed]
-    pos = {k: i for i, k in enumerate(cols)}
-    censuses = {k: reg.census(k) for k in cols}
+    censuses = [reg.census(k) for k in cols]
+    pairs = sorted({
+        pair for census in censuses for pair in census
+        if all(any(k[0]) and (not regular_only or reg.cls(k).pri_class == "regular")
+               for k in pair)
+    })
     rows = []
     seen = set()
-    for d1, d2 in _proper_splits(grade):
-        us = _grade_classes(hall, d1, regular_only)
-        vs = _grade_classes(hall, d2, regular_only)
-        for u in us:
-            for v in vs:
-                row = [0] * len(cols)
-                nonzero = False
-                for k in cols:
-                    count = censuses[k].get((u.key, v.key))
-                    if count:
-                        row[pos[k]] = count
-                        nonzero = True
-                if nonzero:
-                    tup = tuple(row)
-                    if tup not in seen:
-                        seen.add(tup)
-                        rows.append([Fraction(x) for x in row])
+    for pair in pairs:
+        row = tuple(census.get(pair, 0) for census in censuses)
+        if row not in seen:
+            seen.add(row)
+            rows.append([Fraction(x) for x in row])
     if rows:
         kernel = kernel_basis_exact(rows, Fraction(0), Fraction(1))
     else:
@@ -201,9 +181,13 @@ class Tube:
     def homogeneous(self) -> bool:
         return self.period == 1
 
+    def grade_at(self, level: int, delta: tuple) -> tuple:
+        """Dimension vector of one level: level * degree * delta."""
+        return tuple(level * self.degree * d for d in delta)
+
     def level_member(self, level: int, delta: tuple) -> ClassKey:
-        """The unique indecomposable of dimension level*degree*delta (homogeneous)."""
-        grade = tuple(level * self.degree * d for d in delta)
+        """The unique indecomposable of dimension grade_at(level) (homogeneous)."""
+        grade = self.grade_at(level, delta)
         members = self.members.get(grade, [])
         if len(members) != 1:
             raise CertificateError(f"tube {self.tid} level member", grade, 1, len(members))
@@ -215,9 +199,10 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
 
     Two indecomposables are joined when hom or ext^1 is nonzero in either
     direction; the blocks of the regular subcategory are the connected
-    components.  Degree = least m with a member of dimension m*delta;
-    period = number of members without a proper nonzero regular
-    subrepresentation (the regular simples).
+    components.  Degree = least m with a member of dimension m*delta, which
+    must be 1 for a non-homogeneous tube (checked), so level n of every tube
+    has dimension n*degree*delta; period = number of members without a
+    proper nonzero regular subrepresentation (the regular simples).
     """
     reg = hall.registry
     qtype = reg.qtype
@@ -275,44 +260,27 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
             )
             if not has_regular_sub:
                 simples.append(k)
-        degrees = [
-            g[0] // delta[0] if delta[0] else 0
-            for g in {k[0] for k in block}
-            if all(x == (g[0] // delta[0]) * d for x, d in zip(g, delta)) and g[0] % delta[0] == 0
-        ]
-        if not degrees:
-            raise CertificateError("tube member of dimension m*delta", top, ">= 1", 0)
         member_map: Dict[tuple, List[ClassKey]] = {}
         for k in sorted(block):
             member_map.setdefault(k[0], []).append(k)
-        tubes.append(Tube(-1, min(degrees), len(simples), sorted(simples), member_map))
+        degrees = [m for m in range(1, up_to + 1)
+                   if tuple(m * d for d in delta) in member_map]
+        if not degrees:
+            raise CertificateError("tube member of dimension m*delta", top, ">= 1", 0)
+        tube = Tube(-1, degrees[0], len(simples), sorted(simples), member_map)
+        if not tube.homogeneous and tube.degree != 1:
+            raise CertificateError("degree of a non-homogeneous tube", top, 1, tube.degree)
+        tubes.append(tube)
     tubes.sort(key=lambda t: (t.degree, t.period, t.simples[0]))
     for i, t in enumerate(tubes):
         t.tid = i
+        levels = {t.grade_at(n, delta): n for n in range(1, up_to // t.degree + 1)}
         for ms in t.members.values():
             for k in ms:
                 c = reg.cls(k)
                 c.tube_id = i
-                g = k[0]
-                if all(x % (t.degree * d) == 0 for x, d in zip(g, delta)) and delta[0] * t.degree and \
-                        g[0] % (t.degree * delta[0]) == 0:
-                    lvl = g[0] // (t.degree * delta[0])
-                    if g == tuple(lvl * t.degree * d for d in delta):
-                        c.tube_level = lvl
+                c.tube_level = levels.get(k[0])
     return tubes
-
-
-def tube_of_class(hall: HallAlgebra, key: ClassKey) -> Optional[int]:
-    """Tube id when every summand lies in one tube, else None."""
-    reg = hall.registry
-    c = reg.cls(key)
-    tids = set()
-    for (sk, _mult) in c.summands:
-        tid = reg.cls(sk).tube_id
-        if tid is None:
-            return None
-        tids.add(tid)
-    return tids.pop() if len(tids) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -338,49 +306,47 @@ def tube_support_keys(hall: HallAlgebra, tube: Tube, grade: tuple) -> List[Class
     return out
 
 
-def normalized_tube_cuspidal(hall: HallAlgebra, tube: Tube, level: int,
-                             delta: tuple) -> NormalizedTubeCuspidal:
-    """The unique regular-primitive element supported in one tube, value 1
-    on an indecomposable of the right dimension.
-
-    Levels count multiples of degree*delta for homogeneous tubes and
-    multiples of delta for non-homogeneous ones.  In the non-homogeneous
-    case all indecomposables of the top dimension must carry equal values
-    (checked; the normalization would otherwise be ill-defined).
-    """
-    step = tube.degree if tube.homogeneous else 1
-    grade = tuple(level * step * d for d in delta)
-    keys = tube_support_keys(hall, tube, grade)
-    space = primitive_space(hall, grade, regular_only=True, support_keys=keys)
-    what = f"tube {tube.tid} level {level}"
+def _normalized_line(space: CuspidalSpace, indecs: List[ClassKey], what: str) -> HallElement:
+    """The basis element of a one-dimensional space, scaled to value 1 on
+    the indecomposables `indecs`.  Certifies that the space is a line and
+    that its element takes one value, nonzero, on all of `indecs` (the
+    normalization would otherwise be ill-defined)."""
+    grade = space.grade
     if space.dim != 1:
         raise CertificateError(f"{what} primitive dimension", grade, 1, space.dim)
     f = space.basis[0]
-    values = {f.coeff(k) for k in tube.members.get(grade, [])}
+    values = {f.coeff(k) for k in indecs}
     if len(values) != 1:
         raise CertificateError(f"{what} distinct values on indecomposables", grade, 1,
                                len(values))
     val = values.pop()
     if not val:
         raise CertificateError(f"{what} value on indecomposables", grade, "nonzero", val)
-    return NormalizedTubeCuspidal(tube.tid, level, grade,
-                                  f.scaled(val.inverse()))
+    return f.scaled(val.inverse())
+
+
+def normalized_tube_cuspidal(hall: HallAlgebra, tube: Tube, level: int,
+                             delta: tuple) -> NormalizedTubeCuspidal:
+    """The unique regular-primitive element supported in one tube, in grade
+    tube.grade_at(level), with value 1 on its indecomposables of that grade
+    (all of which must carry equal values in a non-homogeneous tube)."""
+    grade = tube.grade_at(level, delta)
+    keys = tube_support_keys(hall, tube, grade)
+    space = primitive_space(hall, grade, regular_only=True, support_keys=keys)
+    f = _normalized_line(space, tube.members.get(grade, []), f"tube {tube.tid} level {level}")
+    return NormalizedTubeCuspidal(tube.tid, level, grade, f)
 
 
 def regular_cuspidal_space(hall: HallAlgebra, tubes: List[Tube], r: int,
                            delta: tuple) -> Tuple[CuspidalSpace, List[NormalizedTubeCuspidal]]:
     """Regular-primitive space in grade r*delta with its normalized basis.
 
-    The basis has one element per (tube, level) with level*degree = r for
-    homogeneous tubes and level = r for non-homogeneous ones; the global
-    solve must agree in dimension.
+    The basis has one element per (tube, level) with level*degree = r; the
+    global solve must agree in dimension.
     """
     grade = tuple(r * d for d in delta)
-    normalized = []
-    for t in tubes:
-        step = t.degree if t.homogeneous else 1
-        if r % step == 0:
-            normalized.append(normalized_tube_cuspidal(hall, t, r // step, delta))
+    normalized = [normalized_tube_cuspidal(hall, t, r // t.degree, delta)
+                  for t in tubes if r % t.degree == 0]
     space = primitive_space(hall, grade, regular_only=True)
     if space.dim != len(normalized):
         raise CertificateError("regular cuspidal dimension", grade, len(normalized), space.dim)
@@ -450,10 +416,8 @@ def verify_kernel_theorem(hall: HallAlgebra, tubes: List[Tube], r: int) -> dict:
     form = linear_form(hall, grade)
     xi_ok = True
     for n in normalized:
-        tube = tubes[n.tube_id]
-        d = tube.degree if tube.homogeneous else 1
         got = form.evaluate(hall, n.element)
-        want = xi_value(n.level, hall.q ** d)
+        want = xi_value(n.level, hall.q ** tubes[n.tube_id].degree)
         if got != QNum(want):
             xi_ok = False
             report.setdefault("counterexample", {})["xi"] = {
@@ -533,13 +497,7 @@ def unique_indec_key(reg, grade: tuple) -> ClassKey:
 
 def multiple_class(reg, key: ClassKey, mult: int) -> ClassKey:
     """Class of the direct sum of `mult` copies of one class."""
-    grade = tuple(mult * x for x in key[0])
-    summands = ((key, mult),)
-    sl = reg.slice(grade)
-    idx = sl.by_summands.get(summands)
-    if idx is None:
-        raise CertificateError("class of summands", grade, summands, None)
-    return (grade, idx)
+    return reg.class_of_summands(tuple(mult * x for x in key[0]), {key: mult})
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +536,7 @@ class TubePermutation:
         for (sk, m) in c.summands:
             moved_key = self.map_key(sk)
             moved[moved_key] = moved.get(moved_key, 0) + m
-        summands = tuple(sorted(moved.items()))
-        sl = reg.slice(key[0])
-        idx = sl.by_summands.get(summands)
-        if idx is None:
-            raise CertificateError("class of permuted summands", key[0], summands, None)
-        return (key[0], idx)
+        return reg.class_of_summands(key[0], moved)
 
     def apply(self, f: HallElement) -> HallElement:
         out: Dict[ClassKey, QNum] = {}
@@ -677,12 +630,7 @@ def partition_class_in_tube(hall: HallAlgebra, tube: Tube, lam: Sequence) -> Cla
     for part in lam:
         k = tube.level_member(part, delta)
         counts[k] = counts.get(k, 0) + 1
-    summands = tuple(sorted(counts.items()))
-    grade = tuple(sum(lam) * tube.degree * d for d in delta)
-    idx = reg.slice(grade).by_summands.get(summands)
-    if idx is None:
-        raise CertificateError("class of summands", grade, summands, None)
-    return (grade, idx)
+    return reg.class_of_summands(tube.grade_at(sum(lam), delta), counts)
 
 
 def conjecture2_check(hall: HallAlgebra, tubes: List[Tube], lam: Sequence, degree: int = 1) -> bool:
@@ -766,16 +714,7 @@ def cyclic_nilpotent_cuspidal(hall: HallAlgebra, d: int) -> HallElement:
         raise HallforgeError("use a nilpotent-only registry for cyclic quivers")
     grade = (d,) * hall.quiver.n
     space = primitive_space(hall, grade, regular_only=False)
-    if space.dim != 1:
-        raise CertificateError("nilpotent primitive dimension", grade, 1, space.dim)
-    f = space.basis[0]
-    values = {f.coeff(c.key) for c in reg.classes(grade) if c.indec}
-    if len(values) != 1:
-        raise CertificateError("distinct values on indecomposables", grade, 1, len(values))
-    val = values.pop()
-    if not val:
-        raise CertificateError("value on indecomposables", grade, "nonzero", val)
-    return f.scaled(val.inverse())
+    return _normalized_line(space, [c.key for c in reg.classes(grade) if c.indec], "nilpotent")
 
 
 # ---------------------------------------------------------------------------

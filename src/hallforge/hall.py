@@ -33,7 +33,7 @@ from .exact import kernel_basis_exact, matrix_rank, row_reduce  # noqa: F401
 from .gf import Mat
 from .quiver import euler_form, symmetrized_form
 from .registry import ClassKey, IsoRegistry
-from .reps import dualize_rep, hom_space
+from .reps import dualize_rep, hom_combinations, hom_space
 
 # ---------------------------------------------------------------------------
 # scalars: a + b sqrt(m), m squarefree
@@ -50,16 +50,22 @@ class QNum:
 
     # -- ring structure
 
-    def _lift(self, other) -> "QNum":
-        if isinstance(other, QNum):
-            if other.m != self.m and other.b != 0 and self.b != 0:
-                raise SizeMismatch("mixing incompatible quadratic fields")
-            return other if other.m == self.m else QNum(other.a, 0, self.m)
-        return QNum(other, 0, self.m)
+    def _common(self, other):
+        """(self, other) over one field: a rational operand adopts the m of
+        the other; two irrational operands must share m."""
+        if not isinstance(other, QNum):
+            return self, QNum(other, 0, self.m)
+        if other.m == self.m:
+            return self, other
+        if not other.b:
+            return self, QNum(other.a, 0, self.m)
+        if not self.b:
+            return QNum(self.a, 0, other.m), other
+        raise SizeMismatch("mixing incompatible quadratic fields")
 
     def __add__(self, other):
-        o = self._lift(other)
-        return QNum(self.a + o.a, self.b + o.b, self.m)
+        x, y = self._common(other)
+        return QNum(x.a + y.a, x.b + y.b, x.m)
 
     __radd__ = __add__
 
@@ -67,15 +73,15 @@ class QNum:
         return QNum(-self.a, -self.b, self.m)
 
     def __sub__(self, other):
-        return self + (-self._lift(other))
+        x, y = self._common(other)
+        return QNum(x.a - y.a, x.b - y.b, x.m)
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return -(self - other)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        return QNum(self.a * o.a + self.b * o.b * self.m,
-                    self.a * o.b + self.b * o.a, self.m)
+        x, y = self._common(other)
+        return QNum(x.a * y.a + x.b * y.b * x.m, x.a * y.b + x.b * y.a, x.m)
 
     __rmul__ = __mul__
 
@@ -86,13 +92,14 @@ class QNum:
         return QNum(self.a / denom, -self.b / denom, self.m)
 
     def __truediv__(self, other):
-        return self * self._lift(other).inverse()
+        x, y = self._common(other)
+        return x * y.inverse()
 
     def __rtruediv__(self, other):
-        return self._lift(other) * self.inverse()
+        return self.inverse() * other
 
     def __eq__(self, other):
-        o = self._lift(other) if not isinstance(other, QNum) else other
+        o = other if isinstance(other, QNum) else QNum(other)
         return self.a == o.a and self.b == o.b and (self.b == 0 or self.m == o.m)
 
     def __bool__(self):
@@ -222,15 +229,10 @@ class HallAlgebra:
     def basis(self, key: ClassKey) -> HallElement:
         return HallElement({key: self.scalar(1)})
 
-    def chi(self, grade: Sequence, regular_only: bool = False) -> HallElement:
-        """Sum of all classes of one grade (optionally only regular ones)."""
+    def chi(self, grade: Sequence) -> HallElement:
+        """Sum of all classes of one grade."""
         grade = self.quiver.check_dim(grade)
-        terms = {}
-        for c in self.registry.classes(grade):
-            if regular_only and c.pri_class != "regular":
-                continue
-            terms[c.key] = self.scalar(1)
-        return HallElement(terms)
+        return HallElement({c.key: self.scalar(1) for c in self.registry.classes(grade)})
 
     def aut(self, key: ClassKey) -> int:
         return self.registry.cls(key).aut_order
@@ -347,13 +349,6 @@ class HallAlgebra:
             out[dk] = v
         return HallElement(out)
 
-    def antihom_check(self, f: HallElement, g: HallElement,
-                      dual: "HallAlgebra") -> bool:
-        """Dualization is a graded algebra anti-map: D(fg) = D(g) D(f)."""
-        lhs = self.dualize(self.multiply(f, g), dual)
-        rhs = dual.multiply(self.dualize(g, dual), self.dualize(f, dual))
-        return lhs.terms == rhs.terms
-
     # -- counting identities
 
     def ext_total_check(self, m_key: ClassKey, n_key: ClassKey) -> bool:
@@ -397,10 +392,10 @@ class HallAlgebra:
         zero_b = tuple(Mat.zeros(self.registry.ctx, cm.dims[i], cr.dims[i])
                        for i in range(self.quiver.n))
         count = 0
-        for fa in _all_combinations(alphas, self.registry.ctx.q, zero_a):
+        for fa in hom_combinations(alphas, self.registry.ctx.q, zero_a):
             if any(fi.rank() < d for fi, d in zip(fa, cn.dims)):
                 continue  # not injective
-            for fb in _all_combinations(betas, self.registry.ctx.q, zero_b):
+            for fb in hom_combinations(betas, self.registry.ctx.q, zero_b):
                 if any(fi.rank() < d for fi, d in zip(fb, cm.dims)):
                     continue  # not surjective
                 # with matching dimensions, exactness reduces to beta o alpha = 0
@@ -414,18 +409,3 @@ class HallAlgebra:
         brute = self.exact_sequence_count(m_key, n_key, r_key, caps)
         f = self.hall_number(r_key, m_key, n_key)
         return brute == reg.cls(m_key).aut_order * reg.cls(n_key).aut_order * f
-
-
-def _all_combinations(basis: list, q: int, zero: tuple):
-    """All linear combinations of hom-basis tuples, including zero."""
-    import itertools as it
-    if not basis:
-        yield zero
-        return
-    for combo in it.product(range(q), repeat=len(basis)):
-        f = zero
-        for c, b in zip(combo, basis):
-            if c:
-                part = tuple(bi.scale(c) for bi in b)
-                f = tuple(x + y for x, y in zip(f, part))
-        yield f

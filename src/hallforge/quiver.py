@@ -57,9 +57,6 @@ class Quiver:
     def arrows_from(self, i: int):
         return [a for a, (s, _) in enumerate(self.arrows) if s == i]
 
-    def arrows_into(self, i: int):
-        return [a for a, (_, t) in enumerate(self.arrows) if t == i]
-
     def is_sink(self, i: int) -> bool:
         return not self.arrows_from(i)
 

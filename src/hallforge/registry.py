@@ -230,6 +230,15 @@ class IsoRegistry:
         sl.bytes_cache[buf] = idx
         return (grade, idx)
 
+    def class_of_summands(self, grade: Sequence, counts: Dict[ClassKey, int]) -> ClassKey:
+        """Class of the direct sum with the given multiplicity per summand class."""
+        grade = self.quiver.check_dim(grade)
+        summands = tuple(sorted(counts.items()))
+        idx = self.slice(grade).by_summands.get(summands)
+        if idx is None:
+            raise CertificateError("class of summands", grade, summands, None)
+        return (grade, idx)
+
     def group_order(self, grade: tuple) -> int:
         out = 1
         for d in grade:
@@ -635,29 +644,20 @@ class IsoRegistry:
             cls = IsoClass(grade, idx, canon, aut, indec, (), nilp)
             if indec:
                 cls.res_degree = len(typ[0][0]) - 1
+                cls.summands = ((cls.key, 1),)
+            else:
+                # the pieces (poly, single part) of a decomposable type are
+                # indecomposables of lower grades
+                counts: Dict[ClassKey, int] = {}
+                for f, lam in typ:
+                    for part in lam:
+                        key = self.identify(self._one_loop_rep(((f, (part,)),)))
+                        counts[key] = counts.get(key, 0) + 1
+                cls.summands = tuple(sorted(counts.items()))
             sl.classes.append(cls)
             sl.fingerprint_to_class[typ] = idx
-        # summand keys: indecomposable pieces are (poly, single part) types
-        types = self._one_loop_types(n)
-        for idx, typ in enumerate(types):
-            counts: Dict[ClassKey, int] = {}
-            for f, lam in typ:
-                d = len(f) - 1
-                for part in lam:
-                    g = (d * part,)
-                    sub_sl = self.slice(g) if g != grade else sl
-                    j = (sub_sl.fingerprint_to_class.get(((f, (part,)),))
-                         if sub_sl.mode == "constructive"
-                         else self._orbit_index_of_type(sub_sl, ((f, (part,)),)))
-                    key = (g, j)
-                    counts[key] = counts.get(key, 0) + 1
-            sl.classes[idx].summands = tuple(sorted(counts.items()))
-            sl.by_summands[sl.classes[idx].summands] = idx
+            sl.by_summands[cls.summands] = idx
         return sl
-
-    def _orbit_index_of_type(self, sl: GradeSlice, typ: tuple) -> int:
-        rep = self._one_loop_rep(typ)
-        return int(sl.code_to_class[encode_rep(rep)])
 
     def _one_loop_identify(self, sl: GradeSlice, rep: Rep) -> int:
         typ = one_loop_fingerprint(rep)

@@ -189,6 +189,17 @@ def end_basis(m: Rep) -> list:
     return hom_space(m, m)[1]
 
 
+def hom_combinations(basis: list, q: int, zero: tuple):
+    """All linear combinations of hom-basis tuples, the zero one first."""
+    for combo in itertools.product(range(q), repeat=len(basis)):
+        f = None
+        for c, b in zip(combo, basis):
+            if c:
+                part = tuple(bi.scale(c) for bi in b)
+                f = part if f is None else tuple(x + y for x, y in zip(f, part))
+        yield zero if f is None else f
+
+
 # ---------------------------------------------------------------------------
 # nilpotency
 
@@ -287,51 +298,32 @@ def restrict_to_invariant(m: Rep, bases: Sequence[Mat]) -> Rep:
 # Fitting splits and Krull-Schmidt
 
 
-def _endo_power_blocks(m: Rep, f: Sequence[Mat]) -> list:
-    e = m.total_dim
-    return [fi.power(e) for fi in f]
+def _find_splitter(m: Rep, basis: list, caps: Caps) -> Optional[list]:
+    """Fitting power blocks of an endomorphism that is neither nilpotent nor
+    invertible, or None when m is certified indecomposable.
 
-
-def _split_rank(m: Rep, f: Sequence[Mat]) -> Tuple[int, list]:
-    g = _endo_power_blocks(m, f)
-    return sum(gi.rank() for gi in g), g
-
-
-def _find_splitter(m: Rep, basis: list, caps: Caps, certify: bool):
-    """An endomorphism whose Fitting power is neither zero nor invertible.
-
-    Returns (splitter_blocks, certified_local).  When no splitter is found
-    and `certify` is set, a full scan of End(m) proves locality (within
-    the end-scan cap).
+    The basis and its pairwise sums are tried first; when none splits, a
+    full scan of End(m) (within the end-scan cap) proves locality.
     """
     total = m.total_dim
-    h = len(basis)
-    candidates = list(basis)
-    candidates.extend(
-        tuple(a + b for a, b in zip(basis[i], basis[j]))
-        for i in range(h)
-        for j in range(i + 1, h)
-    )
-    for f in candidates:
-        rank, g = _split_rank(m, f)
-        if 0 < rank < total:
-            return g, False
-    if not certify:
-        return None, False
-    scan = m.ctx.q ** h
-    caps.check("end_scan", scan)
-    for combo in itertools.product(range(m.ctx.q), repeat=h):
-        if not any(combo):
-            continue
-        f = None
-        for c, b in zip(combo, basis):
-            if c:
-                part = tuple(bi.scale(c) for bi in b)
-                f = part if f is None else tuple(x + y for x, y in zip(f, part))
-        rank, g = _split_rank(m, f)
-        if 0 < rank < total:
-            return g, True
-    return None, True
+
+    def fitting_power(f):
+        g = [fi.power(total) for fi in f]
+        return g if 0 < sum(gi.rank() for gi in g) < total else None
+
+    pair_sums = (tuple(a + b for a, b in zip(basis[i], basis[j]))
+                 for i, j in itertools.combinations(range(len(basis)), 2))
+    for f in itertools.chain(basis, pair_sums):
+        g = fitting_power(f)
+        if g is not None:
+            return g
+    caps.check("end_scan", m.ctx.q ** len(basis))
+    zero = tuple(Mat.zeros(m.ctx, d, d) for d in m.dims)
+    for f in itertools.islice(hom_combinations(basis, m.ctx.q, zero), 1, None):
+        g = fitting_power(f)
+        if g is not None:
+            return g
+    return None
 
 
 def _image_kernel_bases(g: Sequence[Mat]):
@@ -355,7 +347,7 @@ def fitting_split(m: Rep, caps: Caps = DEFAULT_CAPS,
     basis = end_basis(m)
     if scan_order is not None:
         basis = [basis[i] for i in scan_order]
-    g, _ = _find_splitter(m, basis, caps, certify=True)
+    g = _find_splitter(m, basis, caps)
     if g is None:
         return None
     kers, ims = _image_kernel_bases(g)
@@ -379,9 +371,7 @@ def krull_schmidt(m: Rep, caps: Caps = DEFAULT_CAPS, scan_order: Optional[Sequen
 def is_indecomposable(m: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
     if m.total_dim == 0:
         raise ValueError("the zero representation is not indecomposable")
-    basis = end_basis(m)
-    g, _ = _find_splitter(m, basis, caps, certify=True)
-    return g is None
+    return _find_splitter(m, end_basis(m), caps) is None
 
 
 def iso_indecomposables(m: Rep, n: Rep) -> bool:

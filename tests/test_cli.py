@@ -134,6 +134,30 @@ def test_bad_input_is_a_structured_error(tmp_path):
             code, text = run_cli(cmd + ["--quiver", str(qfile), "--r", "1"], tmp_path)
             assert code == 2, (name, cmd)
             assert json.loads(text)["error"] == "HallforgeError"
+    # unknown names, unreadable or invalid quiver files, bad grades, no quiver
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    out_of_range = tmp_path / "range.json"
+    out_of_range.write_text(json.dumps({"vertices": ["1"], "arrows": [[0, 1]]}))
+    cases = [
+        ["--quiver", "nosuch", "--grade", "1,1"],
+        ["--quiver", str(tmp_path / "missing.json"), "--grade", "1,1"],
+        ["--quiver", str(bad_json), "--grade", "1,1"],
+        ["--quiver", str(out_of_range), "--grade", "1"],
+        ["--quiver", "cyclicx", "--grade", "1"],
+        ["--quiver", "kronecker", "--grade", "1,x"],
+        ["--quiver", "kronecker", "--grade", "1,-1"],
+        ["--quiver", "kronecker", "--r", "-1"],
+        ["--grade", "1,1"],
+    ]
+    for args in cases:
+        code, text = run_cli(["enumerate", "--p", "2"] + args, tmp_path)
+        assert code == 2, args
+        record = json.loads(text)
+        assert record["error"] == "HallforgeError" and record["message"], args
+    code, text = run_cli(["verify", "noyau", "--p", "2", "--r", "1"], tmp_path)
+    assert (code, json.loads(text)) == (2, {"error": "HallforgeError",
+                                            "message": "this command requires --quiver"})
 
 
 def test_structured_error_survives_optimize():

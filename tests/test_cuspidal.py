@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hallforge.errors import CertificateError, HallforgeError
+from hallforge.exact import kernel_basis_exact
 from hallforge.gf import GF, monic_irreducibles
 from hallforge.hall import HallAlgebra, QNum
 from hallforge.quiver import (Quiver, a4_square, affine_a2_acyclic, classify_type,
@@ -18,9 +19,10 @@ from hallforge.cuspidal import (CuspidalSpace, TubePermutation, cancellation_che
                                 cyclic_nilpotent_cuspidal, delta_evaluation_identity,
                                 isotropic_support_check, kronecker_embedding,
                                 linear_form, multiple_class, normalized_tube_cuspidal,
-                                one_loop_cuspidal_closed_form,
-                                regular_cuspidal_space, span_rows, subspace_contains,
-                                tube_decomposition, unique_indec_key,
+                                one_loop_cuspidal_closed_form, primitive_space,
+                                regular_cuspidal_space, regular_defect, span_rows,
+                                subspace_contains, subspace_equal, tube_decomposition,
+                                tube_support_keys, unique_indec_key,
                                 verify_kernel_theorem, verify_sigma_hopf, xi_value)
 
 F2, F3 = GF.of(2), GF.of(3)
@@ -110,6 +112,73 @@ def test_sum_of_periods_identity():
         tubes = tube_decomposition(h, 1)
         n0 = quiver.n - 1
         assert sum(t.period - 1 for t in tubes if t.period > 1) == n0 - 1
+
+
+def test_tube_levels_follow_grade_at(hall_kron2, tubes_kron2):
+    delta = (1, 1)
+    for t in tubes_kron2:
+        for level in range(1, 2 // t.degree + 1):
+            key = t.level_member(level, delta)
+            assert key[0] == t.grade_at(level, delta)
+            assert hall_kron2.registry.cls(key).tube_level == level
+        for keys in t.members.values():
+            for k in keys:
+                level = hall_kron2.registry.cls(k).tube_level
+                assert level is None or k[0] == t.grade_at(level, delta)
+
+
+# ---------------------------------------------------------------------------
+# primitive spaces against the coproduct defect, column by column
+
+
+def _defect_kernel_rows(hall, keys, defect):
+    """Rows over `keys` spanning the kernel of f -> defect(f), the defect
+    map assembled from the defects of the basis elements [k]."""
+    columns = [defect(hall.basis(k)).terms for k in keys]
+    rows = []
+    for pair in sorted({p for col in columns for p in col}):
+        row = [col.get(pair, hall.zero()) for col in columns]
+        lead = next(v for v in row if v)  # one power of nu per row: divide it out
+        rows.append([(v / lead).as_fraction() for v in row])
+    if not rows:
+        return [[Fraction(int(i == j)) for j in range(len(keys))] for i in range(len(keys))]
+    return kernel_basis_exact(rows, Fraction(0), Fraction(1))
+
+
+def test_primitive_space_matches_defect_kernel(hall_kron2, kron2, tubes_kron2):
+    h = hall_kron2
+    regular = {"regular_only": True}
+    cases = []  # (grade, primitive_space options, oracle columns, oracle defect)
+    for g in kron2.grades_below((2, 2)):
+        if any(g):
+            cases.append((g, {}, [c.key for c in kron2.classes(g)], h.coproduct_defect))
+            cases.append((g, regular, [c.key for c in kron2.classes(g)
+                                       if c.pri_class == "regular"],
+                          lambda f: regular_defect(h, f)))
+    for t in tubes_kron2:  # every tube at grade 2*delta: levels 2 and 1
+        keys = tube_support_keys(h, t, (2, 2))
+        cases.append(((2, 2), dict(regular, support_keys=keys), keys,
+                      lambda f: regular_defect(h, f)))
+    dims = []
+    for g, options, keys, defect in cases:
+        space = primitive_space(h, g, **options)
+        assert space.coords == keys, (g, options)
+        want = _defect_kernel_rows(h, keys, defect)
+        have = space.coefficient_rows(keys)
+        assert len(have) == len(want) and subspace_equal(have, want), (g, options)
+        dims.append((len(keys), space.dim))
+    # not vacuous: some spaces are proper, nonzero subspaces
+    assert any(0 < d < n for n, d in dims)
+
+
+def test_class_of_summands(kron2):
+    for g in kron2.grades_below((2, 2)):
+        for c in kron2.classes(g):
+            assert kron2.class_of_summands(g, dict(c.summands)) == c.key
+    s0 = next(c.key for c in kron2.classes((1, 0)))
+    with pytest.raises(CertificateError) as err:
+        kron2.class_of_summands((1, 1), {s0: 2})
+    assert err.value.what == "class of summands" and err.value.grade == (1, 1)
 
 
 # ---------------------------------------------------------------------------

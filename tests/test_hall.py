@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hallforge.errors import SizeMismatch
 from hallforge.gf import GF
 from hallforge.hall import HallAlgebra, QNum, TensorElement
 from hallforge.quiver import kronecker, single_vertex
@@ -38,6 +39,23 @@ def test_qnum_arithmetic():
     assert h2.nu_pow(2) == QNum(2)
     assert h2.nu_pow(-2) == QNum(Fraction(1, 2))
     assert h2.nu_pow(1) * h2.nu_pow(1) == QNum(2)
+
+
+def test_qnum_rational_operand_adopts_the_other_field():
+    one, two, r2 = QNum(1), QNum(2), QNum(0, 1, 2)  # r2 = sqrt(2)
+    for x, y in ((one, r2), (r2, one)):
+        assert x + y == QNum(1, 1, 2)
+        assert x * y == r2
+    assert one - r2 == QNum(1, -1, 2) and r2 - one == QNum(-1, 1, 2)
+    assert two / r2 == r2 and r2 / two == QNum(0, Fraction(1, 2), 2)
+    assert 1 - r2 == one - r2 and 2 / r2 == two / r2  # plain number on the left
+    assert one != r2 and r2 != one
+    assert QNum(2, 0, 2) == two and two == QNum(2, 0, 2)
+    assert one + QNum(0, 1, 3) == QNum(1, 1, 3)  # m = 1 takes either field
+    with pytest.raises(SizeMismatch):
+        r2 + QNum(0, 1, 3)
+    with pytest.raises(SizeMismatch):
+        QNum(0, 1, 3) * r2
 
 
 def test_a1_product_and_coproduct(a1):
