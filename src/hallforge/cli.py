@@ -101,8 +101,11 @@ def build_context(args):
         max_end_scan=args.cap_end_scan,
         max_subspace_enum=args.cap_subspaces,
     )
-    ctx = GF.of(args.p, args.k)
-    registry = IsoRegistry(quiver, ctx, caps, nilpotent_only=args.nilpotent)
+    try:
+        ctx = GF.of(args.p, args.k)
+        registry = IsoRegistry(quiver, ctx, caps, nilpotent_only=args.nilpotent)
+    except ValueError as err:  # no such field, or --nilpotent on another quiver
+        raise HallforgeError(str(err)) from err
     return quiver, HallAlgebra(registry)
 
 
@@ -140,6 +143,8 @@ def r_values(args, hall) -> list:
         if grade != tuple(r * d for d in delta):
             raise HallforgeError(f"grade {grade} is not a multiple of delta {delta}")
         out.append(r)
+    if 0 in out:
+        raise HallforgeError("this command needs positive multiples of delta, got 0")
     return sorted(set(out))
 
 

@@ -4,8 +4,9 @@ An element f is cuspidal when Delta(f) = f(x)1 + 1(x)f.  Writing
 g_R = f(R)/|Aut R|, primitivity in a fixed grade is the integer linear
 system  sum_R F^R_{U,V} g_R = 0, one row per pair (U, V) of positive
 grades that occurs in the census of some support class R, so cuspidal
-spaces are exact rational kernels of census matrices (the shared
-eliminator in `exact`); no tolerance appears anywhere.  Elements and
+spaces are exact rational kernels of integer census matrices, solved by
+the certified modular kernel `exact.kernel_basis_int`; other solves use the
+Fraction eliminator of `exact`.  No tolerance appears anywhere.  Elements and
 coproducts are the sparse vectors of `hall`, classes of direct sums come
 from `IsoRegistry.class_of_summands`, and failed solver invariants raise
 CertificateError.
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CertificateError, HallforgeError
-from .exact import kernel_basis_exact, matrix_rank, row_reduce
+from .exact import kernel_basis_exact, kernel_basis_int, matrix_rank, row_reduce
 from .gf import Mat
 from .hall import HallAlgebra, HallElement, QNum, TensorElement, _add_into
 from .quiver import (Quiver, classify_type, euler_form, restrict_dim, subquiver_on,
@@ -99,9 +100,9 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
         row = tuple(census.get(pair, 0) for census in censuses)
         if row not in seen:
             seen.add(row)
-            rows.append([Fraction(x) for x in row])
+            rows.append(row)
     if rows:
-        kernel = kernel_basis_exact(rows, Fraction(0), Fraction(1))
+        kernel = kernel_basis_int(rows)
     else:
         kernel = [[Fraction(1 if j == i else 0) for j in range(len(cols))]
                   for i in range(len(cols))]

@@ -459,14 +459,14 @@ class Mat:
 
     def power(self, e: int) -> "Mat":
         assert self.rows == self.cols
-        result = Mat.identity(self.ctx, self.rows)
-        base = self
+        result, base = None, self
         while e:
             if e & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             e >>= 1
-        return result
+            if e:
+                base = base @ base
+        return Mat.identity(self.ctx, self.rows) if result is None else result
 
     def row_space_contains(self, vectors: "Mat") -> bool:
         """True when every row of `vectors` lies in the row space of self (RREF rows)."""

@@ -33,6 +33,15 @@ modes feed it:
 Every slice, in either mode, must pass the exact mass identity
 sum over classes of |G| / |Aut| = #points of the ambient space, which
 certifies completeness and all automorphism orders at once.
+
+Submodule censuses generate the stable subspace tuples of a canonical
+representative rather than filtering every tuple.  The registry keeps one
+list of all subspaces per vertex dimension, in `subspaces_of_dim` order,
+and memoizes for each subspace W the positions of the subspaces that
+contain it (W plus the lifts of the subspaces of V/W).  Each census
+visits vertices in index order and takes U_v among the subspaces
+containing the images of the chosen U_s under the arrows s -> v with
+s < v; only loops and arrows into a lower vertex are tested.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from .gf import (GF, Mat, char_poly, gl_order, monic_irreducibles,
 from .quiver import Quiver, classify_type, euler_form
 from .reps import (Rep, aut_order_from_summands, direct_sum_all, fitting_split,
                    hom_dim, is_nilpotent_rep, iso_indecomposables, pri_of_defect,
-                   residue_degree, sub_quotient, zero_rep)
+                   residue_degree, rref_pivots, sub_quotient, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 
@@ -180,6 +189,8 @@ class IsoRegistry:
         self.caps = caps
         self.nilpotent_only = nilpotent_only
         self.slices: Dict[tuple, GradeSlice] = {}
+        self._subspace_lists: Dict[int, tuple] = {}
+        self._superset_memo: Dict[tuple, List[int]] = {}
         try:
             self.qtype = classify_type(quiver) if quiver.is_connected() else None
         except ValueError:
@@ -426,7 +437,8 @@ class IsoRegistry:
             v for v in supp
             if not any(s == v and t in supp and t != v for (s, t) in self.quiver.arrows)
         ]
-        assert sinks, "acyclic support must contain a sink"
+        if not sinks:
+            raise CertificateError("support sink", grade, "a sink in an acyclic support", "none")
         return sinks[-1]
 
     def _build_extension_chain(self, grade: tuple) -> GradeSlice:
@@ -574,7 +586,9 @@ class IsoRegistry:
             new_classes.append(c)
         sl.classes = new_classes
         sl.by_summands = {c.summands: c.index for c in new_classes}
-        sl.bytes_cache = {}
+        # a canonical representative identifies as its own class; the census
+        # meets it as the sub on the full tuple and the quotient by zero
+        sl.bytes_cache = {c.canon.tobytes(): c.index for c in new_classes}
         sl.indec_buckets = {}
         for c in new_classes:
             if c.indec:
@@ -680,12 +694,62 @@ class IsoRegistry:
 
     # -- submodule census
 
+    def _subspaces(self, n: int) -> tuple:
+        """Every subspace of GF(q)^n, cached per n.
+
+        Returns (bases, pivots, index): the RREF bases by dimension 0..n, each
+        dimension in `subspaces_of_dim` order, their pivot columns, and the
+        position of each basis by its bytes.
+        """
+        hit = self._subspace_lists.get(n)
+        if hit is None:
+            bases = [b for m in range(n + 1)
+                     for b in subspaces_of_dim(n, m, self.ctx, self.caps)]
+            pivots = [rref_pivots(b) for b in bases]
+            index = {b.a.tobytes(): i for i, b in enumerate(bases)}
+            hit = self._subspace_lists[n] = (bases, pivots, index)
+        return hit
+
+    def _supersets(self, w: Mat) -> List[int]:
+        """Positions in `_subspaces(w.cols)` of the subspaces containing the
+        row span of the RREF basis `w`, ascending (memoized per w).
+
+        Each one is W plus the lift of one subspace of V/W, taken on the
+        coordinates of the non-pivot columns of W, which span a complement.
+        """
+        n = w.cols
+        key = (n, w.a.tobytes())
+        hit = self._superset_memo.get(key)
+        if hit is None:
+            bases, _, index = self._subspaces(n)
+            if w.rows == 0:
+                hit = list(range(len(bases)))
+            else:
+                piv = rref_pivots(w)
+                free = [c for c in range(n) if c not in piv]
+                found = []
+                for b in self._subspaces(len(free))[0]:
+                    lift = np.zeros((b.rows, n), dtype=np.uint8)
+                    lift[:, free] = b.a
+                    red, rank, _ = Mat(self.ctx, np.concatenate([w.a, lift])).rref()
+                    found.append(index[red.a[:rank].tobytes()])
+                hit = sorted(found)
+            self._superset_memo[key] = hit
+        return hit
+
     def census(self, key: ClassKey) -> Dict[tuple, int]:
         """Counts of stable subspace tuples by (quotient class, sub class).
 
         census[((gq, iq), (gs, is_))] = number of subrepresentations of the
         canonical representative isomorphic to class (gs, is_) with
         quotient of class (gq, iq).
+
+        The stable tuples are generated, not filtered: vertices are chosen in
+        index order, and at vertex v the candidates for U_v are the subspaces
+        containing W_v, the sum of the images of the chosen U_s under the
+        arrows s -> v with s < v.  Only loops and arrows into a lower vertex
+        are tested.  Candidates come in `_subspaces` order, so tuples, and
+        the census keys, appear in the order of a walk over all tuples.
         """
         grade, idx = key
         sl = self.slice(grade)
@@ -693,56 +757,67 @@ class IsoRegistry:
         if hit is not None:
             return hit
         rep = sl.classes[idx].canon
-        ctx = self.ctx
         n = self.quiver.n
+        spaces = [self._subspaces(d) for d in grade]
         total_tuples = 1
-        sub_lists = []
-        for i in range(n):
-            opts = []
-            for m in range(grade[i] + 1):
-                for b in subspaces_of_dim(grade[i], m, ctx, self.caps):
-                    red, rank, piv = b.rref()
-                    opts.append((b, piv))
-            sub_lists.append(opts)
-            total_tuples *= len(opts)
+        for bases, _, _ in spaces:
+            total_tuples *= len(bases)
         self.caps.check("subspace_enum", total_tuples)
 
-        arrows_by_max = [[] for _ in range(n)]
+        forward = [[] for _ in range(n)]  # arrows s -> v with s < v
+        tested = [[] for _ in range(n)]   # loops and arrows v -> t with t < v
         for a_idx, (s, t) in enumerate(self.quiver.arrows):
-            arrows_by_max[max(s, t)].append((a_idx, s, t))
+            if s < t:
+                forward[t].append((a_idx, s))
+            else:
+                tested[s].append((a_idx, t))
+
+        def image(a_idx: int, s: int) -> np.ndarray:
+            """Rows spanning the image of the chosen U_s under arrow a_idx."""
+            return (rep.mats[a_idx] @ spaces[s][0][chosen[s]].transpose()).a.T
+
+        def candidates(v: int) -> List[int]:
+            src = tuple(chosen[s] for _, s in forward[v])
+            found = cand_memo[v].get(src)
+            if found is None:
+                rows = [image(a_idx, s) for a_idx, s in forward[v] if chosen[s]]
+                w = spaces[v][0][0]  # the zero subspace
+                if rows:
+                    red, rank, _ = Mat(self.ctx, np.concatenate(rows)).rref()
+                    w = Mat(self.ctx, red.a[:rank])
+                found = cand_memo[v][src] = self._supersets(w)
+            return found
+
+        def stable(v: int) -> bool:
+            if not chosen[v]:
+                return True  # the zero subspace maps into anything
+            for a_idx, t in tested[v]:
+                img = image(a_idx, v)
+                bt, piv_t = spaces[t][0][chosen[t]], spaces[t][1][chosen[t]]
+                if bt.rows == 0:
+                    if img.any():
+                        return False
+                    continue
+                recon = (Mat(self.ctx, img[:, list(piv_t)]) @ bt).a
+                if not np.array_equal(recon, img):
+                    return False
+            return True
 
         out: Dict[tuple, int] = {}
-        chosen: List[tuple] = [None] * n
+        chosen: List[int] = [0] * n  # positions; position 0 is the zero subspace
+        cand_memo: List[dict] = [{} for _ in range(n)]
 
         def assign(v: int):
             if v == n:
-                bases = [c[0] for c in chosen]
+                bases = [spaces[i][0][chosen[i]] for i in range(n)]
                 sub, quot = sub_quotient(rep, bases)
                 k = (self.identify(quot), self.identify(sub))
                 out[k] = out.get(k, 0) + 1
                 return
-            for opt in sub_lists[v]:
-                chosen[v] = opt
-                ok = True
-                for (a_idx, s, t) in arrows_by_max[v]:
-                    bs, _ = chosen[s]
-                    bt, piv_t = chosen[t]
-                    if bs.rows == 0:
-                        continue
-                    img = (rep.mats[a_idx] @ bs.transpose()).transpose()
-                    if bt.rows == 0:
-                        if img.a.any():
-                            ok = False
-                            break
-                        continue
-                    coords = img.a[:, list(piv_t)]
-                    recon = (Mat(ctx, coords) @ bt).a
-                    if not np.array_equal(recon, img.a):
-                        ok = False
-                        break
-                if ok:
+            for i in candidates(v):
+                chosen[v] = i
+                if stable(v):
                     assign(v + 1)
-            chosen[v] = None
 
         assign(0)
         sl.census_cache[idx] = out
@@ -814,7 +889,9 @@ def a_lambda(q: int, lam: Sequence) -> int:
     for m in mult.values():
         for j in range(1, m + 1):
             val *= 1 - Fraction(1, q ** j)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise CertificateError(f"automorphism count of type {lam} at q = {q}", None,
+                               "an integer", val)
     return int(val)
 
 
@@ -862,14 +939,18 @@ def one_loop_fingerprint(rep: Rep) -> tuple:
             blocks = []
             for j in range(1, len(ranks)):
                 diff = ranks[j - 1] - ranks[j]
-                assert diff % d == 0
+                if diff % d:
+                    raise CertificateError("one-loop rank chain", (n,),
+                                           f"rank drops divisible by {d}", ranks)
                 blocks.append(diff // d)
             lam: List[int] = []
             for j in range(len(blocks)):
                 nxt = blocks[j + 1] if j + 1 < len(blocks) else 0
                 lam.extend([j + 1] * (blocks[j] - nxt))
             lam_t = tuple(sorted(lam, reverse=True))
-            assert sum(lam_t) == expo
+            if sum(lam_t) != expo:
+                raise CertificateError("one-loop partition", (n,),
+                                       f"a partition of {expo}", lam_t)
             typ.append((tuple(f), lam_t))
     return tuple(sorted(typ))
 

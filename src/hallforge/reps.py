@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import SizeMismatch
+from .errors import CertificateError, HallforgeError, SizeMismatch
 from .gf import GF, Mat, min_poly, monic_irreducibles, poly_divmod
 from .quiver import Quiver, dual_quiver, euler_form
 
@@ -181,7 +181,9 @@ def hom_dim(m: Rep, n: Rep) -> int:
 def ext1_dim(m: Rep, n: Rep) -> int:
     """dim Ext^1 = hom(m, n) - <dim m, dim n>; nonnegative for path algebras."""
     val = hom_dim(m, n) - euler_form(m.quiver, m.dims, n.dims)
-    assert val >= 0, "negative ext dimension signals an internal bug"
+    if val < 0:
+        raise CertificateError(f"ext1 dimension from {m.dims} to {n.dims}", None,
+                               "a nonnegative value", val)
     return val
 
 
@@ -249,35 +251,49 @@ def is_stable(m: Rep, sub_bases: Sequence[Mat]) -> bool:
     return True
 
 
+def rref_pivots(b: Mat) -> List[int]:
+    """Pivot columns of a basis in reduced row echelon form.
+
+    Reads them off the leading entry of each row, and raises HallforgeError
+    when the rows are not an RREF basis: a zero row, a leading entry other
+    than 1, pivots not increasing, or another nonzero in a pivot column.
+    """
+    rows = b.a.tolist()
+    piv: List[int] = []
+    for row in rows:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if (c is None or row[c] != 1 or (piv and c <= piv[-1])
+                or sum(1 for r in rows if r[c]) != 1):
+            raise HallforgeError(f"expected an RREF basis, got {rows}")
+        piv.append(c)
+    return piv
+
+
 def sub_quotient(m: Rep, sub_bases: Sequence[Mat]) -> Tuple[Rep, Rep]:
     """Subrepresentation on the given RREF bases and the quotient by it.
 
     The quotient uses the canonical complement spanned by the non-pivot
-    coordinate vectors.
+    coordinate vectors.  Pivots are read off the bases (`rref_pivots`).
     """
     ctx = m.ctx
-    piv, free = [], []
-    for i, b in enumerate(sub_bases):
-        red, rank, pivots = b.rref()
-        assert rank == b.rows, "sub_quotient expects independent basis rows"
-        piv.append(list(pivots))
-        free.append([c for c in range(m.dims[i]) if c not in pivots])
-    sub_dims = tuple(b.rows for b in sub_bases)
-    quot_dims = tuple(len(f) for f in free)
+    piv = [rref_pivots(b) for b in sub_bases]
+    free = [[c for c in range(d) if c not in p] for d, p in zip(m.dims, piv)]
     sub_mats, quot_mats = [], []
     for idx, (s, t) in enumerate(m.quiver.arrows):
-        img = m.mats[idx] @ sub_bases[s].transpose()  # (d_t, sub_s)
-        coords = img.a[piv[t], :] if sub_dims[t] else np.zeros((0, sub_dims[s]), dtype=np.uint8)
-        sub_mats.append(Mat(ctx, coords.copy()))
+        a = m.mats[idx]
+        if piv[s]:
+            img = (a @ sub_bases[s].transpose()).a  # (d_t, sub_s)
+            sub_mats.append(Mat(ctx, img[piv[t], :]))
+        else:
+            sub_mats.append(Mat.zeros(ctx, len(piv[t]), 0))
         # quotient: push forward the free coordinate vectors and reduce mod the sub
-        w = m.mats[idx].a[:, free[s]] if quot_dims[s] else np.zeros((m.dims[t], 0), dtype=np.uint8)
-        if sub_dims[t]:
-            coeff = w[piv[t], :]  # coordinates along the sub basis
-            corr = (sub_bases[t].transpose() @ Mat(ctx, coeff)).a
+        w = a.a[:, free[s]]
+        if piv[t] and free[s]:
+            corr = (sub_bases[t].transpose() @ Mat(ctx, w[piv[t], :])).a
             w = ctx.ADD[w, ctx.NEG[corr]]
         quot_mats.append(Mat(ctx, w[free[t], :]))
-    sub = Rep(m.quiver, ctx, sub_dims, tuple(sub_mats))
-    quot = Rep(m.quiver, ctx, quot_dims, tuple(quot_mats))
+    sub = Rep(m.quiver, ctx, tuple(len(p) for p in piv), tuple(sub_mats))
+    quot = Rep(m.quiver, ctx, tuple(len(f) for f in free), tuple(quot_mats))
     return sub, quot
 
 
@@ -289,7 +305,9 @@ def restrict_to_invariant(m: Rep, bases: Sequence[Mat]) -> Rep:
     for idx, (s, t) in enumerate(m.quiver.arrows):
         img = m.mats[idx] @ bases[s].transpose()  # columns live in span of bases[t]
         sol = bases[t].transpose().solve(img)
-        assert sol is not None, "subspaces are not invariant"
+        if sol is None:
+            raise CertificateError("invariant subspaces", dims,
+                                   f"arrow {s}->{t} mapping into the subspace", "no solution")
         mats.append(sol)
     return Rep(m.quiver, ctx, dims, tuple(mats))
 
@@ -308,7 +326,9 @@ def _find_splitter(m: Rep, basis: list, caps: Caps) -> Optional[list]:
     total = m.total_dim
 
     def fitting_power(f):
-        g = [fi.power(total) for fi in f]
+        # on a d-dimensional space the kernel and image of f^k are stable
+        # from k = d on, so f_i^(d_i) is the Fitting power at vertex i
+        g = [fi.power(fi.rows) for fi in f]
         return g if 0 < sum(gi.rank() for gi in g) < total else None
 
     pair_sums = (tuple(a + b for a, b in zip(basis[i], basis[j]))

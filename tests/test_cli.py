@@ -158,6 +158,18 @@ def test_bad_input_is_a_structured_error(tmp_path):
     code, text = run_cli(["verify", "noyau", "--p", "2", "--r", "1"], tmp_path)
     assert (code, json.loads(text)) == (2, {"error": "HallforgeError",
                                             "message": "this command requires --quiver"})
+    # no such field, --nilpotent on a quiver that is not cyclic, level 0
+    for args, message in (
+        (["enumerate", "--quiver", "kronecker", "--p", "4", "--grade", "1,1"],
+         "4 is not prime"),
+        (["enumerate", "--quiver", "kronecker", "--nilpotent", "--grade", "1,1"],
+         "nilpotent-only registries are for cyclic/one-loop quivers"),
+        (["verify", "noyau", "--quiver", "kronecker", "--p", "2", "--r", "0"],
+         "this command needs positive multiples of delta, got 0"),
+    ):
+        code, text = run_cli(args, tmp_path)
+        assert (code, json.loads(text)) == (2, {"error": "HallforgeError",
+                                                "message": message}), args
 
 
 def test_structured_error_survives_optimize():

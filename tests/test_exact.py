@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import hallforge.cuspidal
 import hallforge.hall
 import hallforge.quiver
 from hallforge import exact
-from hallforge.exact import kernel_basis_exact, matrix_rank, row_reduce
+from hallforge.exact import kernel_basis_exact, kernel_basis_int, matrix_rank, row_reduce
 from hallforge.hall import QNum
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +92,47 @@ def test_row_reduce_edge_cases():
     assert matrix_rank([[F(1), F(2)], [F(3), F(4)]], F(0)) == 2
     rows, zero, _ = _qnum_rows()
     assert matrix_rank(rows, zero) == 2
+
+
+def _fraction_kernel(rows):
+    return kernel_basis_exact([[F(x) for x in r] for r in rows], F(0), F(1))
+
+
+def test_modular_kernel_matches_fraction_kernel():
+    rng = random.Random(5)
+    for _ in range(200):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        if m > 2 and rng.random() < 0.5:  # a dependent row lowers the rank
+            rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+        assert kernel_basis_int(rows) == _fraction_kernel(rows), rows
+    # census-sized counts: rank 2 with kernel entries that are not integers
+    rows = [[120, 35, 0, 7], [0, 14, 81, 1], [120, 49, 81, 8]]
+    assert kernel_basis_int(rows) == _fraction_kernel(rows)
+    assert any(x.denominator > 1 for vec in kernel_basis_int(rows) for x in vec)
+
+
+def test_modular_kernel_edge_cases():
+    assert kernel_basis_int([]) == [] == kernel_basis_exact([], F(0), F(1))
+    assert kernel_basis_int([[]]) == []
+    # zero matrix: every column is free
+    assert kernel_basis_int([[0, 0, 0], [0, 0, 0]]) == \
+        [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    # full column rank: empty kernel
+    assert kernel_basis_int([[1, 2], [3, 4], [5, 6]]) == []
+    assert kernel_basis_int([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == []
+
+
+def test_modular_kernel_needs_several_primes():
+    # coprime entries near 2^40: the kernel entry -b/a exceeds what one
+    # 31-bit prime can reconstruct
+    a, b = 2 ** 40 + 1, 2 ** 40 + 3
+    assert kernel_basis_int([[a, b]]) == [[F(-b, a), F(1)]] == _fraction_kernel([[a, b]])
+    # an entry equal to the first prime vanishes mod that prime, which puts the
+    # pivot in the wrong column; verification over Z rejects that basis
+    p = next(exact._primes_31())
+    for rows in ([[p, 1]], [[p, 1, 2], [1, 1, 1]], [[p, p], [1, 2]]):
+        assert kernel_basis_int(rows) == _fraction_kernel(rows), rows
 
 
 def test_one_eliminator_object():

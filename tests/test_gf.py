@@ -128,6 +128,18 @@ def test_solve_and_inverse():
             assert sol is not None and (m @ sol) == rhs
 
 
+def test_power_matches_repeated_products():
+    rng = random.Random(6)
+    for ctx in (GF.of(p, k) for p, k in FIELDS):
+        n = rng.randrange(0, 4)
+        m = Mat(ctx, np.array([rng.randrange(ctx.q) for _ in range(n * n)],
+                              dtype=np.uint8).reshape(n, n))
+        expected = Mat.identity(ctx, n)
+        for e in range(9):
+            assert m.power(e) == expected, (ctx.q, e)
+            expected = expected @ m
+
+
 def test_subspace_enumeration_counts():
     # oracle: the Gaussian binomial by its product formula, plus one direct
     # brute-force count of lines in F_2^3

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import subprocess
 import sys
@@ -6,14 +7,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hallforge.config import Caps
 from hallforge.errors import CapExceeded, CertificateError
-from hallforge.gf import GF, Mat, gl_order
-from hallforge.quiver import (affine_a2_acyclic, cyclic_quiver, d4_star_out,
-                              dual_quiver, jordan, kronecker)
+from hallforge.gf import GF, Mat, gl_order, subspaces_of_dim
+from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
+                              d4_star_out, dual_quiver, jordan, kronecker)
 from hallforge.registry import IsoRegistry, a_lambda, encode_rep
-from hallforge.reps import dualize_rep, krull_schmidt, rep_with_dims, simple_rep
+from hallforge.reps import (dualize_rep, is_stable, krull_schmidt, rep_with_dims,
+                            simple_rep, sub_quotient)
 
 F2, F3, F4 = GF.of(2), GF.of(3), GF.of(2, 2)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -163,17 +167,27 @@ def test_mass_check_survives_optimize():
         "    reg.identify(sl.classes[0].canon)\n"
         "except CertificateError as err:\n"
         "    print(err.what, err.grade, err.expected)\n"
+        "from hallforge.errors import HallforgeError\n"
+        "from hallforge.gf import Mat\n"
+        "from hallforge.reps import sub_quotient\n"
+        "rep = IsoRegistry(kronecker(), GF.of(2)).classes((1, 1))[0].canon\n"
+        "try:\n"
+        "    sub_quotient(rep, [Mat(GF.of(2), [[1]]), Mat(GF.of(2), [[0]])])\n"
+        "except HallforgeError as err:\n"
+        "    print(err)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
-    mass, ident = proc.stdout.strip().splitlines()
+    mass, ident, rref = proc.stdout.strip().splitlines()
     # 4 points at grade (1,1); doubling one |Aut| halves its share of the mass
     assert mass.startswith("mass identity (1, 1) 4 ")
     # a constructive Jordan slice whose class 0 lost its conjugacy-type entry
     assert ident == "identification (2,) a registered conjugacy type"
+    # sub_quotient reads pivots off RREF bases and rejects a zero basis row
+    assert rref == "expected an RREF basis, got [[0]]"
 
 
 def test_identify_constant_on_orbits(kron2):
@@ -272,6 +286,67 @@ def test_census_spec_examples(hall_kron2, kron2):
         else:
             assert census.get((s1, s2)) == 1
             assert census.get((s2, s1)) == 1
+
+
+def _census_by_filter(reg, key):
+    """The census as a walk over every subspace tuple, in index order, kept
+    when `reps.is_stable` accepts it."""
+    rep = reg.cls(key).canon
+    per_vertex = [[b for m in range(d + 1) for b in subspaces_of_dim(d, m, reg.ctx)]
+                  for d in key[0]]
+    out = {}
+    for bases in itertools.product(*per_vertex):
+        if is_stable(rep, bases):
+            sub, quot = sub_quotient(rep, bases)
+            k = (reg.identify(quot), reg.identify(sub))
+            out[k] = out.get(k, 0) + 1
+    return out
+
+
+def _assert_census_matches_filter(reg, grades):
+    for g in grades:
+        for c in reg.classes(g):
+            # same counts and the same key order: comultiply iterates the dict
+            assert list(reg.census(c.key).items()) == \
+                list(_census_by_filter(reg, c.key).items()), c.key
+
+
+def test_census_generator_matches_filter_walk(kron2, kron3):
+    reversed_kronecker = Quiver(("1", "2"), ((1, 0), (1, 0)))
+    cases = [
+        (kron2, [g for g in kron2.grades_below((3, 3)) if any(g)]),
+        (kron3, sorted(set(kron3.grades_below((2, 3))) | set(kron3.grades_below((3, 2))))),
+        (IsoRegistry(kronecker(), F4), IsoRegistry(kronecker(), F4).grades_below((2, 2))),
+        # arrows into a lower vertex and a cycle are tested, not generated
+        (IsoRegistry(reversed_kronecker, F2), [(1, 1), (2, 1), (1, 2), (2, 2)]),
+        (IsoRegistry(affine_a(2, (1,)), F2), [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]),
+        (IsoRegistry(jordan(), F3), [(1,), (2,), (3,)]),  # a loop
+        (IsoRegistry(cyclic_quiver(3), F2, nilpotent_only=True),
+         [(1, 1, 1), (2, 1, 1), (1, 1, 0)]),
+    ]
+    for reg, grades in cases:
+        _assert_census_matches_filter(reg, grades)
+
+
+@st.composite
+def _small_quiver_grade(draw):
+    n = draw(st.integers(1, 3))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=4))
+    quiver = Quiver(tuple(str(i) for i in range(n)), tuple(arrows))
+    q = draw(st.sampled_from((2, 3)))
+    grade = draw(st.tuples(*[st.integers(0, 2)] * n).filter(
+        lambda g: q ** sum(g[s] * g[t] for s, t in arrows) <= 729))
+    return quiver, q, grade
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_small_quiver_grade())
+def test_census_generator_property(case):
+    # loops, cycles and arrows in both directions, orbit-built at every grade
+    quiver, q, grade = case
+    _assert_census_matches_filter(IsoRegistry(quiver, GF.of(q)), [grade])
 
 
 def test_export_deterministic(kron2):
