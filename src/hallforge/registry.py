@@ -758,10 +758,11 @@ class IsoRegistry:
             return hit
         rep = sl.classes[idx].canon
         n = self.quiver.n
-        spaces = [self._subspaces(d) for d in grade]
+        bases = [self._subspaces(d)[0] for d in grade]
+        pivots = [self._subspaces(d)[1] for d in grade]
         total_tuples = 1
-        for bases, _, _ in spaces:
-            total_tuples *= len(bases)
+        for b in bases:
+            total_tuples *= len(b)
         self.caps.check("subspace_enum", total_tuples)
 
         forward = [[] for _ in range(n)]  # arrows s -> v with s < v
@@ -774,14 +775,14 @@ class IsoRegistry:
 
         def image(a_idx: int, s: int) -> np.ndarray:
             """Rows spanning the image of the chosen U_s under arrow a_idx."""
-            return (rep.mats[a_idx] @ spaces[s][0][chosen[s]].transpose()).a.T
+            return (rep.mats[a_idx] @ bases[s][chosen[s]].transpose()).a.T
 
         def candidates(v: int) -> List[int]:
             src = tuple(chosen[s] for _, s in forward[v])
             found = cand_memo[v].get(src)
             if found is None:
                 rows = [image(a_idx, s) for a_idx, s in forward[v] if chosen[s]]
-                w = spaces[v][0][0]  # the zero subspace
+                w = bases[v][0]  # the zero subspace
                 if rows:
                     red, rank, _ = Mat(self.ctx, np.concatenate(rows)).rref()
                     w = Mat(self.ctx, red.a[:rank])
@@ -792,14 +793,10 @@ class IsoRegistry:
             if not chosen[v]:
                 return True  # the zero subspace maps into anything
             for a_idx, t in tested[v]:
+                # the image lies in U_t iff it equals its pivot coordinates times U_t
                 img = image(a_idx, v)
-                bt, piv_t = spaces[t][0][chosen[t]], spaces[t][1][chosen[t]]
-                if bt.rows == 0:
-                    if img.any():
-                        return False
-                    continue
-                recon = (Mat(self.ctx, img[:, list(piv_t)]) @ bt).a
-                if not np.array_equal(recon, img):
+                coords = Mat(self.ctx, img[:, pivots[t][chosen[t]]])
+                if not np.array_equal((coords @ bases[t][chosen[t]]).a, img):
                     return False
             return True
 
@@ -809,8 +806,7 @@ class IsoRegistry:
 
         def assign(v: int):
             if v == n:
-                bases = [spaces[i][0][chosen[i]] for i in range(n)]
-                sub, quot = sub_quotient(rep, bases)
+                sub, quot = sub_quotient(rep, [bases[i][chosen[i]] for i in range(n)])
                 k = (self.identify(quot), self.identify(sub))
                 out[k] = out.get(k, 0) + 1
                 return
