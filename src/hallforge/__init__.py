@@ -27,7 +27,8 @@ from .hall import HallAlgebra, HallElement, QNum, TensorElement
 from .quiver import (Quiver, QuiverType, classify_type, defect, dual_quiver,
                      euler_form, jordan, kronecker, cyclic_quiver,
                      support, support_is_connected, symmetrized_form)
-from .registry import IsoClass, IsoRegistry, a_lambda, partitions_of
+from .oneloop import a_lambda, partitions_of
+from .registry import IsoClass, IsoRegistry
 from .reps import (Rep, direct_sum, dualize_rep, ext1_dim, hom_dim, hom_space,
                    is_indecomposable, is_nilpotent_rep, krull_schmidt,
                    simple_rep, zero_rep)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .errors import HallforgeError
+from .errors import CertificateError, HallforgeError
 
 # ---------------------------------------------------------------------------
 # exact polynomials in t
@@ -161,16 +161,20 @@ class TruncSeries:
     def __eq__(self, other):
         return self.order == other.order and self.coeffs == other.coeffs
 
+    def _check_order(self, other: "TruncSeries") -> None:
+        if self.order != other.order:
+            raise CertificateError("series order", None, self.order, other.order)
+
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        assert self.order == other.order
+        self._check_order(other)
         return TruncSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        assert self.order == other.order
+        self._check_order(other)
         return TruncSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        assert self.order == other.order
+        self._check_order(other)
         out = TruncSeries.zero(self.order)
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -195,7 +199,8 @@ class TruncSeries:
 
 def series_exp(s: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term."""
-    assert not s.coeffs[0], "exp needs zero constant term"
+    if s.coeffs[0]:
+        raise CertificateError("series exp", None, "zero constant term", s.coeffs[0])
     out = TruncSeries.one(s.order)
     power = TruncSeries.one(s.order)
     fact = 1
@@ -208,7 +213,8 @@ def series_exp(s: TruncSeries) -> TruncSeries:
 
 def series_log(s: TruncSeries) -> TruncSeries:
     """log of a series with constant term one."""
-    assert s.coeffs[0] == IntPolynomial([1]), "log needs constant term 1"
+    if s.coeffs[0] != IntPolynomial([1]):
+        raise CertificateError("series log", None, "constant term 1", s.coeffs[0])
     u = s - TruncSeries.one(s.order)
     out = TruncSeries.zero(s.order)
     power = TruncSeries.one(s.order)
@@ -263,12 +269,14 @@ def closed_points_p1(e: int, q: int) -> int:
 
     Moebius inversion of sum_{d | e} d * M(d) = q^e + 1.
     """
-    assert e >= 1
+    if e < 1:
+        raise CertificateError("closed points of P^1", None, "a degree >= 1", e)
     total = 0
     for d in range(1, e + 1):
         if e % d == 0:
             total += mobius(e // d) * (q ** d + 1)
-    assert total % e == 0
+    if total % e:
+        raise CertificateError("closed points of P^1", None, f"a multiple of {e}", total)
     return total // e
 
 
@@ -379,7 +387,8 @@ def solve_absolute_values(measured: Dict[int, Fraction],
     })
     left = series_log(plethystic_exp(series, twist_t=False))
     top = left.coeffs[r](0) if left.coeffs[r].degree <= 0 else None
-    assert top is not None, "numeric series expected"
+    if top is None:
+        raise CertificateError("absolute count", None, "a numeric series", left.coeffs[r])
     acc = Fraction(top)
     for k in range(2, r + 1):
         if r % k == 0:

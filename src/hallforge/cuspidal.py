@@ -37,9 +37,10 @@ from .errors import CertificateError, HallforgeError
 from .exact import kernel_basis_exact, kernel_basis_int, matrix_rank, row_reduce
 from .gf import Mat
 from .hall import HallAlgebra, HallElement, QNum, TensorElement, _add_into
+from .oneloop import a_lambda, one_loop_rep, partitions_of
 from .quiver import (Quiver, classify_type, euler_form, restrict_dim, subquiver_on,
                      support, support_is_connected, symmetrized_form)
-from .registry import ClassKey, a_lambda, partitions_of
+from .registry import ClassKey
 from .reps import Rep, hom_dim, simple_rep
 
 
@@ -701,8 +702,7 @@ def one_loop_cuspidal_closed_form(hall: HallAlgebra, r: int, point) -> HallEleme
     terms: Dict[ClassKey, QNum] = {}
     for lam in partitions_of(r):
         typ = ((tuple(point), tuple(lam)),)
-        rep = reg._one_loop_rep(typ)
-        key = reg.identify(rep)
+        key = reg.identify(one_loop_rep(reg.quiver, reg.ctx, typ))
         terms[key] = hall.scalar(phi_factor(qd, len(lam) - 1))
     return HallElement(terms)
 
@@ -781,16 +781,15 @@ class KroneckerEmbedding:
         seen_in = 0
         for idx, (s, t) in enumerate(quiver.arrows):
             if t == self.i0:
-                if self.wiring == "two-arrows":
-                    block = x if seen_in == 0 else y
-                    assert self.theta[s] == 1
-                    mats.append(Mat(ctx, block.a.copy()))
-                    seen_in += 1
+                weight = 1 if self.wiring == "two-arrows" else 2
+                if self.theta[s] != weight:
+                    raise CertificateError(f"theta at arrow {s}->{t}", None, weight,
+                                           self.theta[s])
+                if weight == 1:
+                    mats.append(Mat(ctx, (x if seen_in == 0 else y).a.copy()))
                 else:
-                    assert self.theta[s] == 2
-                    block = np.concatenate([x.a, y.a], axis=1)
-                    mats.append(Mat(ctx, block))
-                    seen_in += 1
+                    mats.append(Mat(ctx, np.concatenate([x.a, y.a], axis=1)))
+                seen_in += 1
             elif s == self.i0:
                 mats.append(Mat.zeros(ctx, dims[t], dims[s]))
             else:

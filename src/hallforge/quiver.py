@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import CertificateError, SizeMismatch
+from .errors import CertificateError, HallforgeError, SizeMismatch
 from .exact import kernel_basis_exact
 
 DimVector = tuple
@@ -292,7 +292,8 @@ def affine_a(n: int, flips: Sequence = ()) -> Quiver:
 
 def affine_d(n: int) -> Quiver:
     """D_n^(1) shape (n+1 vertices, n >= 4): a chain with forks at both ends."""
-    assert n >= 4
+    if n < 4:
+        raise HallforgeError(f"affine_d needs n >= 4, got {n}")
     # vertices: 0,1 fork into 2, chain 2..n-2, fork out to n-1, n
     arrows = [(0, 2), (1, 2)]
     arrows += [(i, i + 1) for i in range(2, n - 2)]
@@ -302,7 +303,8 @@ def affine_d(n: int) -> Quiver:
 
 def affine_e(n: int) -> Quiver:
     """E_n^(1) shape for n in {6, 7, 8}, some orientation."""
-    assert n in (6, 7, 8)
+    if n not in (6, 7, 8):
+        raise HallforgeError(f"affine_e needs n in (6, 7, 8), got {n}")
     arms = {6: (2, 2, 2), 7: (3, 3, 1), 8: (5, 2, 1)}[n]
     arrows = []
     verts = ["c"]

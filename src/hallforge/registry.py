@@ -2,37 +2,41 @@
 
 A registry holds, per (quiver, field, dimension vector), the ordered list
 of isomorphism classes together with automorphism orders, indecomposable
-flags, Krull-Schmidt summand data and structural flags.  Two enumeration
-modes feed it:
+flags, Krull-Schmidt summand data and structural flags.  Each grade slice
+is built in one of three ways and gets, when it is built, the one index
+that identifies its representations:
 
 * orbit mode: when the ambient tuple space q^(#matrix entries) fits under
   the cap, the base-change orbits are walked exactly (vectorized BFS over
   group generators).  The canonical representative is the
-  lexicographically least matrix tuple of the orbit, the automorphism
-  order is group order / orbit size, and identification of an arbitrary
-  representation is a single table lookup.
+  lexicographically least matrix tuple of the orbit and the automorphism
+  order is group order / orbit size.  `OrbitIndex` is the table from the
+  base-q code of every point to its class; the zero grade has the
+  one-entry table of the zero representation.
 
-* constructive mode: above the cap, classes are generated without
-  touching the ambient space: on acyclic quivers as iterated extensions
-  by a simple at a support sink, on the one-loop quiver by conjugacy-type
-  data (irreducible polynomial, partition).  Identification goes through
-  certified Krull-Schmidt decompositions or complete rank fingerprints,
-  and automorphism orders come from the endomorphism-ring structure.
+* constructive mode on the one-loop quiver: the classes are conjugacy
+  types (irreducible polynomial, partition) from `oneloop`, and
+  `oneloop.OneLoopIndex` reads the type of a matrix off the rank chains
+  of its characteristic-polynomial factors.
 
+* constructive mode on acyclic quivers: classes are iterated extensions
+  by a simple at a support sink, without touching the ambient space.
   Extension cocycles are enumerated one per F_q^* line: the zero cocycle
   and those whose first nonzero free entry is 1.  Rescaling the new basis
-  vector at the support sink by 1/c maps the middle term of c*xi onto that
-  of xi (arrows out of the sink vanish on the support), and the kept
-  cocycle is the first of its line in enumeration order, so the candidate
-  that first registers each class is unchanged.  A candidate, or any
-  representation of a constructive slice, is identified by one Fitting
-  split: each half whose grade is already built is identified there and
-  contributes its registered summands, and only halves of unbuilt grades
-  are split further.
+  vector at the support sink by 1/c maps the middle term of c*xi onto
+  that of xi (arrows out of the sink vanish on the support), and the kept
+  cocycle is the first of its line, so the candidate that first registers
+  each class is unchanged.  `SplitIndex` makes one Fitting split: a half
+  whose grade is built is identified there and contributes its registered
+  summands, only halves of unbuilt grades are split further, and an
+  indecomposable is compared with the registered ones of its (dim End,
+  arrow ranks).  The build registers each candidate through this index,
+  and automorphism orders come from the endomorphism ring.
 
-Every slice, in either mode, must pass the exact mass identity
-sum over classes of |G| / |Aut| = #points of the ambient space, which
-certifies completeness and all automorphism orders at once.
+Both constructive indexes remember what they identified by its bytes.
+Every slice must pass the exact mass identity sum over classes of
+|G| / |Aut| = #points of the ambient space, which certifies completeness
+and all automorphism orders at once.
 
 Submodule censuses generate the stable subspace tuples of a canonical
 representative rather than filtering every tuple.  The registry keeps one
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -56,8 +61,8 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, CertificateError
-from .gf import (GF, Mat, char_poly, gl_order, monic_irreducibles,
-                 poly_divmod, poly_mul, subspaces_of_dim)
+from .gf import GF, Mat, gl_order, subspaces_of_dim
+from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
 from .quiver import Quiver, classify_type, euler_form
 from .reps import (Rep, aut_order_from_summands, direct_sum_all, fitting_split,
                    hom_dim, is_nilpotent_rep, iso_indecomposables, pri_of_defect,
@@ -93,6 +98,15 @@ def _entry_count(quiver: Quiver, dims: Sequence) -> int:
     return sum(dims[s] * dims[t] for (s, t) in quiver.arrows)
 
 
+def _spans(quiver: Quiver, dims: Sequence) -> List[tuple]:
+    """(start, stop, rows, cols) of each arrow's block of the digit vector."""
+    out, pos = [], 0
+    for (s, t) in quiver.arrows:
+        out.append((pos, pos + dims[t] * dims[s], dims[t], dims[s]))
+        pos = out[-1][1]
+    return out
+
+
 def encode_rep(rep: Rep) -> int:
     code = 0
     q = rep.ctx.q
@@ -103,18 +117,11 @@ def encode_rep(rep: Rep) -> int:
 
 
 def decode_rep(quiver: Quiver, ctx: GF, dims: tuple, code: int) -> Rep:
-    e = _entry_count(quiver, dims)
-    digits = [0] * e
-    for t in range(e - 1, -1, -1):
-        digits[t] = code % ctx.q
-        code //= ctx.q
-    mats, pos = [], 0
-    for (s, t) in quiver.arrows:
-        size = dims[t] * dims[s]
-        block = np.array(digits[pos: pos + size], dtype=np.uint8).reshape(dims[t], dims[s])
-        mats.append(Mat(ctx, block))
-        pos += size
-    return Rep(quiver, ctx, dims, tuple(mats))
+    """The representation of a point of an orbit walk's table (code < 2^63)."""
+    digits = _decode_batch(np.array([code]), _entry_count(quiver, dims), ctx.q)[0]
+    return Rep(quiver, ctx, dims, tuple(
+        Mat(ctx, digits[lo:hi].reshape(r, c))
+        for lo, hi, r, c in _spans(quiver, dims)))
 
 
 def _decode_batch(codes: np.ndarray, e: int, q: int) -> np.ndarray:
@@ -154,23 +161,100 @@ def _gl_generators(ctx: GF, n: int) -> List[Mat]:
 
 
 # ---------------------------------------------------------------------------
-# grade slices
+# grade slices and their identification indexes
+
+
+class OrbitIndex:
+    """Orbit and zero slices: the class of every point of the ambient space,
+    read off a table by the point's base-q code."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    def identify(self, rep: Rep) -> int:
+        return int(self.table[encode_rep(rep)])
+
+
+class SplitIndex:
+    """Constructive acyclic slices: one Fitting split, then lookups.
+
+    A decomposable representation is found by its summands.  An
+    indecomposable one is compared, by `iso_indecomposables`, with the
+    registered indecomposables of its signature (dim End, arrow ranks).
+    Representations already identified are remembered by their bytes.
+    """
+
+    def __init__(self, reg: "IsoRegistry", sl: "GradeSlice"):
+        self.reg = reg
+        self.sl = sl
+        self.buckets: Dict[tuple, List[int]] = {}
+        self.bytes_cache: Dict[bytes, int] = {}
+
+    def identify(self, rep: Rep) -> int:
+        buf = rep.tobytes()
+        idx = self.bytes_cache.get(buf)
+        if idx is None:
+            idx = self.bytes_cache[buf] = self._classify(rep, register=False)
+        return idx
+
+    def register(self, rep: Rep) -> None:
+        """Add the class of a build candidate unless it is registered."""
+        self._classify(rep, register=True)
+
+    def renumber(self, remap: Dict[int, int]) -> None:
+        self.buckets = {sig: sorted(remap[i] for i in idxs)
+                        for sig, idxs in self.buckets.items()}
+        # a canonical representative identifies as its own class; the census
+        # meets it as the sub on the full tuple and the quotient by zero
+        self.bytes_cache = {c.canon.tobytes(): c.index for c in self.sl.classes}
+
+    def _classify(self, rep: Rep, register: bool) -> int:
+        reg, sl = self.reg, self.sl
+        counts: Dict[ClassKey, int] = {}
+        if not reg._summands(rep, counts):
+            h_end = hom_dim(rep, rep)
+            sig = (h_end, tuple(m.rank() for m in rep.mats))
+            bucket = self.buckets.get(sig, ())
+            idx = next((j for j in bucket if iso_indecomposables(rep, sl.classes[j].canon)), None)
+            if idx is None:
+                if not register:
+                    raise CertificateError("identification", sl.grade,
+                                           "a registered indecomposable",
+                                           f"none with signature {sig}")
+                t = residue_degree(rep, reg.caps)
+                aut = aut_order_from_summands(h_end, [(1, t)], reg.ctx.q)
+                idx = reg._add_class(sl, rep, aut, res_degree=t).index
+                self.buckets.setdefault(sig, []).append(idx)
+            counts[(sl.grade, idx)] = 1
+        key = tuple(sorted(counts.items()))
+        idx = sl.by_summands.get(key)
+        if idx is None:
+            if not register:
+                raise CertificateError("identification", sl.grade,
+                                       "a registered class", f"summands {key}")
+            parts, data = [], []
+            for part_key, mult in key:
+                piece = reg.cls(part_key)
+                parts.extend([piece.canon] * mult)
+                data.append((mult, piece.res_degree))
+            canon = direct_sum_all(parts, reg.quiver, reg.ctx)
+            aut = aut_order_from_summands(hom_dim(canon, canon), data, reg.ctx.q)
+            idx = reg._add_class(sl, canon, aut, key).index
+        return idx
 
 
 class GradeSlice:
-    def __init__(self, grade: tuple, mode: str):
+    """The classes of one grade, in a fixed order, and the one index that
+    identifies representations of the grade.  `mode` is "zero", "orbit" or
+    "constructive"."""
+
+    def __init__(self, grade: tuple, mode: str, index=None):
         self.grade = grade
         self.mode = mode
+        self.index = index
         self.classes: List[IsoClass] = []
         self.by_summands: Dict[tuple, int] = {}
-        self.code_to_class: Optional[np.ndarray] = None  # orbit mode
-        self.fingerprint_to_class: Dict[tuple, int] = {}  # one-loop constructive mode
-        self.indec_buckets: Dict[tuple, list] = {}
-        self.bytes_cache: Dict[bytes, int] = {}
         self.census_cache: Dict[int, dict] = {}
-
-    def __len__(self):
-        return len(self.classes)
 
 
 class IsoRegistry:
@@ -196,11 +280,9 @@ class IsoRegistry:
         except ValueError:
             self.qtype = None
         self._is_one_loop = quiver.n == 1 and quiver.arrows == ((0, 0),)
-        self._is_cyclic = (
-            quiver.n >= 2
-            and sorted(quiver.arrows) == sorted(((i, (i + 1) % quiver.n) for i in range(quiver.n)))
-        )
-        if nilpotent_only and not (self._is_cyclic or self._is_one_loop):
+        cyclic = quiver.n >= 2 and sorted(quiver.arrows) == sorted(
+            (i, (i + 1) % quiver.n) for i in range(quiver.n))
+        if nilpotent_only and not (cyclic or self._is_one_loop):
             raise ValueError("nilpotent-only registries are for cyclic/one-loop quivers")
 
     # -- public API
@@ -224,22 +306,7 @@ class IsoRegistry:
 
     def identify(self, rep: Rep) -> ClassKey:
         """Class of an arbitrary representation of a built (or buildable) grade."""
-        grade = rep.dims
-        sl = self.slice(grade)
-        if sl.mode == "zero":
-            return (grade, 0)
-        if sl.mode == "orbit":
-            return (grade, int(sl.code_to_class[encode_rep(rep)]))
-        buf = rep.tobytes()
-        hit = sl.bytes_cache.get(buf)
-        if hit is not None:
-            return (grade, hit)
-        if self._is_one_loop:
-            idx = self._one_loop_identify(sl, rep)
-        else:
-            idx = self._ks_identify(sl, rep, register_new=False)
-        sl.bytes_cache[buf] = idx
-        return (grade, idx)
+        return (rep.dims, self.slice(rep.dims).index.identify(rep))
 
     def class_of_summands(self, grade: Sequence, counts: Dict[ClassKey, int]) -> ClassKey:
         """Class of the direct sum with the given multiplicity per summand class."""
@@ -257,18 +324,20 @@ class IsoRegistry:
         return out
 
     def ambient_count(self, grade: tuple) -> int:
+        """#points of the ambient space: the nilpotent ones if `nilpotent_only`."""
+        e = _entry_count(self.quiver, grade)
+        ambient = self.ctx.q ** e
         if not self.nilpotent_only:
-            return self.ctx.q ** _entry_count(self.quiver, grade)
-        return self._count_nilpotent_ambient(grade)
+            return ambient
+        self.caps.check("tuple_count", ambient)
+        return int(self._nilpotent_mask(grade, e, ambient).sum()) if e else 1
 
     # -- construction dispatch; every built slice must pass the mass identity
 
     def _build(self, grade: tuple) -> GradeSlice:
         if all(x == 0 for x in grade):
-            sl = GradeSlice(grade, "zero")
-            z = zero_rep(self.quiver, self.ctx)
-            sl.classes.append(IsoClass(grade, 0, z, 1, False, (), True))
-            sl.by_summands[()] = 0
+            sl = GradeSlice(grade, "zero", OrbitIndex(np.zeros(1, dtype=np.int64)))
+            self._add_class(sl, zero_rep(self.quiver, self.ctx), 1, ())
             return sl
         e = _entry_count(self.quiver, grade)
         ambient = self.ctx.q ** e
@@ -283,6 +352,20 @@ class IsoRegistry:
         self._annotate(sl)
         self._mass_check(sl)
         return sl
+
+    def _add_class(self, sl: GradeSlice, canon: Rep, aut: int,
+                   summands: Optional[tuple] = None,
+                   res_degree: Optional[int] = None) -> IsoClass:
+        """Append a class to `sl`; no `summands` marks an indecomposable."""
+        idx = len(sl.classes)
+        indec = summands is None
+        if indec:
+            summands = (((sl.grade, idx), 1),)
+        cls = IsoClass(sl.grade, idx, canon, aut, indec, summands,
+                       is_nilpotent_rep(canon), res_degree=res_degree)
+        sl.classes.append(cls)
+        sl.by_summands[summands] = idx
+        return cls
 
     def _mass_check(self, sl: GradeSlice) -> None:
         total = Fraction(0)
@@ -312,6 +395,31 @@ class IsoRegistry:
             kinds = {pri_of_defect(d) for d in defects}
             c.pri_class = kinds.pop() if len(kinds) == 1 else "mixed"
 
+    def _summands(self, rep: Rep, counts: Dict[ClassKey, int], top: bool = True) -> bool:
+        """Add the Krull-Schmidt summands of `rep` to `counts` by class key.
+
+        Makes one Fitting split; a half whose grade is built is looked up and
+        adds its registered summands, any other half is split further, so
+        no slice is built that a full decomposition would not build.  Returns
+        False, adding nothing, when `rep` is indecomposable and `top`: an
+        indecomposable of the grade being built or identified has no class
+        to look up yet.
+        """
+        halves = fitting_split(rep, self.caps)
+        if halves is None:
+            if top:
+                return False
+            key = self.identify(rep)  # builds the slice, as a full decomposition does
+            counts[key] = counts.get(key, 0) + 1
+            return True
+        for half in halves:
+            if half.dims in self.slices:
+                for key, mult in self.cls(self.identify(half)).summands:
+                    counts[key] = counts.get(key, 0) + mult
+            else:
+                self._summands(half, counts, top=False)
+        return True
+
     # -- orbit mode
 
     def _build_orbit(self, grade: tuple) -> GradeSlice:
@@ -320,29 +428,15 @@ class IsoRegistry:
         q = ctx.q
         ambient = q ** e
         self.caps.check_memory(ambient * 10)
-        sl = GradeSlice(grade, "orbit")
-
-        # slices of the digit vector per arrow
-        spans = []
-        pos = 0
-        for (s, t) in quiver.arrows:
-            size = grade[t] * grade[s]
-            spans.append((pos, pos + size, grade[t], grade[s]))
-            pos += size
-
+        spans = _spans(quiver, grade)
         gens = []  # (vertex, g, g_inv)
         for v in range(quiver.n):
             for g in _gl_generators(ctx, grade[v]):
                 gens.append((v, g.a, g.inverse().a))
 
-        if self.nilpotent_only:
-            allowed = self._nilpotent_mask(grade, e, ambient)
-        else:
-            allowed = None
-
         class_of = np.full(ambient, -1, dtype=np.int64)
-        if allowed is not None:
-            class_of[~allowed] = -2  # excluded from this registry
+        if self.nilpotent_only:
+            class_of[~self._nilpotent_mask(grade, e, ambient)] = -2  # excluded from this registry
         group = self.group_order(grade)
         seeds = []
         next_code = 0
@@ -378,15 +472,17 @@ class IsoRegistry:
                 frontier = new
             seeds.append((next_code, size))
 
-        for idx, (seed, size) in enumerate(seeds):
-            canon = decode_rep(quiver, ctx, grade, seed)
+        sl = GradeSlice(grade, "orbit", OrbitIndex(class_of))
+        for seed, size in seeds:
             if group % size:
                 raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
-            sl.classes.append(
-                IsoClass(grade, idx, canon, group // size, False, (), False)
-            )
-        sl.code_to_class = class_of
-        self._fill_structure(sl)
+            canon = decode_rep(quiver, ctx, grade, seed)
+            counts: Dict[ClassKey, int] = {}
+            if self._summands(canon, counts):
+                self._add_class(sl, canon, group // size, tuple(sorted(counts.items())))
+            else:
+                self._add_class(sl, canon, group // size,
+                                res_degree=residue_degree(canon, self.caps))
         return sl
 
     def _nilpotent_mask(self, grade: tuple, e: int, ambient: int) -> np.ndarray:
@@ -396,15 +492,9 @@ class IsoRegistry:
         codes = np.arange(ambient, dtype=np.int64)
         digs = _decode_batch(codes, e, q)
         # composite map around the cycle, starting at vertex 0
-        n = quiver.n
-        arr_of = {}
-        pos = 0
-        for (s, t) in quiver.arrows:
-            size = grade[t] * grade[s]
-            arr_of[s] = (pos, pos + size, grade[t], grade[s])
-            pos += size
+        arr_of = {s: span for (s, _), span in zip(quiver.arrows, _spans(quiver, grade))}
         comp = None
-        for v in range(n):
+        for v in range(quiver.n):
             lo, hi, r, c = arr_of[v]
             block = digs[:, lo:hi].reshape(ambient, r, c)
             comp = block if comp is None else ctx.matmul(block, comp)
@@ -415,19 +505,6 @@ class IsoRegistry:
             power = ctx.matmul(power, power)
             steps *= 2
         return ~power.reshape(power.shape[0], -1).any(axis=1)
-
-    def _fill_structure(self, sl: GradeSlice) -> None:
-        """Krull-Schmidt data, flags and summand keys for every class."""
-        for c in sl.classes:
-            counts: Dict[ClassKey, int] = {}
-            if self._summands(c.canon, counts):
-                c.summands = tuple(sorted(counts.items()))
-            else:
-                c.indec = True
-                c.res_degree = residue_degree(c.canon, self.caps)
-                c.summands = (((c.grade, c.index), 1),)
-            c.nilpotent = is_nilpotent_rep(c.canon)
-            sl.by_summands[c.summands] = c.index
 
     # -- constructive mode: acyclic quivers, extensions by a sink simple
 
@@ -447,6 +524,7 @@ class IsoRegistry:
         lower = tuple(x - (1 if i == v else 0) for i, x in enumerate(grade))
         base = self.slice(lower)
         sl = GradeSlice(grade, "constructive")
+        sl.index = SplitIndex(self, sl)
         into_v = [idx for idx, (s, t) in enumerate(quiver.arrows) if t == v]
         cocycle_shape = [(idx, lower[quiver.arrows[idx][0]]) for idx in into_v]
         cocycle_dim = sum(w for _, w in cocycle_shape)
@@ -480,217 +558,45 @@ class IsoRegistry:
                 for idx, (s, t) in enumerate(quiver.arrows):
                     if s == v:  # sink of the support: targets have dimension zero
                         mats[idx] = Mat.zeros(ctx, grade[t], grade[s])
-                cand = Rep(quiver, ctx, grade, tuple(mats))
-                self._ks_identify(sl, cand, register_new=True)
+                sl.index.register(Rep(quiver, ctx, grade, tuple(mats)))
         self._order_constructive(sl)
         return sl
-
-    @staticmethod
-    def _indec_signature(rep: Rep, h_end: int) -> tuple:
-        return (h_end, tuple(m.rank() for m in rep.mats))
-
-    def _ks_identify(self, sl: GradeSlice, rep: Rep, register_new: bool) -> int:
-        buf = rep.tobytes()
-        hit = sl.bytes_cache.get(buf)
-        if hit is not None:
-            return hit
-        counts: Dict[ClassKey, int] = {}
-        if not self._summands(rep, counts):
-            sig = self._indec_signature(rep, hom_dim(rep, rep))
-            idx = None
-            for j in sl.indec_buckets.get(sig, ()):
-                if iso_indecomposables(rep, sl.classes[j].canon):
-                    idx = j
-                    break
-            if idx is None:
-                if not register_new:
-                    raise CertificateError("identification", sl.grade,
-                                           "a registered indecomposable",
-                                           f"none with signature {sig}")
-                idx = self._register_constructive(sl, rep, indec=True)
-                sl.indec_buckets.setdefault(sig, []).append(idx)
-            counts[(sl.grade, idx)] = 1
-        key = tuple(sorted(counts.items()))
-        found = sl.by_summands.get(key)
-        if found is None:
-            if not register_new:
-                raise CertificateError("identification", sl.grade,
-                                       "a registered class", f"summands {key}")
-            found = self._register_constructive(sl, None, indec=False, summands=key)
-        sl.bytes_cache[buf] = found
-        return found
-
-    def _summands(self, rep: Rep, counts: Dict[ClassKey, int], top: bool = True) -> bool:
-        """Add the Krull-Schmidt summands of `rep` to `counts` by class key.
-
-        Makes one Fitting split; a half whose grade is built is looked up and
-        adds its registered summands, any other half is split further, so
-        no slice is built that a full decomposition would not build.  Returns
-        False, adding nothing, when `rep` is indecomposable and `top`: an
-        indecomposable of the grade being built or identified has no class
-        to look up yet.
-        """
-        halves = fitting_split(rep, self.caps)
-        if halves is None:
-            if top:
-                return False
-            key = self.identify(rep)  # builds the slice, as a full decomposition does
-            counts[key] = counts.get(key, 0) + 1
-            return True
-        for half in halves:
-            if half.dims in self.slices:
-                for key, mult in self.cls(self.identify(half)).summands:
-                    counts[key] = counts.get(key, 0) + mult
-            else:
-                self._summands(half, counts, top=False)
-        return True
-
-    def _register_constructive(self, sl: GradeSlice, rep: Optional[Rep],
-                               indec: bool, summands: Optional[tuple] = None) -> int:
-        idx = len(sl.classes)
-        if indec:
-            canon = rep
-            summands = (((sl.grade, idx), 1),)
-            t = residue_degree(canon, self.caps)
-            h_end = hom_dim(canon, canon)
-            aut = aut_order_from_summands(h_end, [(1, t)], self.ctx.q)
-            cls = IsoClass(sl.grade, idx, canon, aut, True, summands,
-                           is_nilpotent_rep(canon), res_degree=t)
-        else:
-            parts, data = [], []
-            for (g, i), mult in summands:
-                piece = sl.classes[i] if g == sl.grade else self.cls((g, i))
-                parts.extend([piece.canon] * mult)
-                data.append((mult, piece.res_degree))
-            canon = direct_sum_all(parts, self.quiver, self.ctx)
-            h_end = hom_dim(canon, canon)
-            aut = aut_order_from_summands(h_end, data, self.ctx.q)
-            cls = IsoClass(sl.grade, idx, canon, aut, False, summands,
-                           is_nilpotent_rep(canon))
-        sl.classes.append(cls)
-        sl.by_summands[summands] = idx
-        return idx
 
     def _order_constructive(self, sl: GradeSlice) -> None:
         """Stable deterministic order: indecomposables first by byte string."""
         order = sorted(range(len(sl.classes)),
                        key=lambda i: (not sl.classes[i].indec, sl.classes[i].canon.tobytes()))
         remap = {old: new for new, old in enumerate(order)}
-        new_classes = []
-        for new, old in enumerate(order):
-            c = sl.classes[old]
+        sl.classes = [sl.classes[old] for old in order]
+        for new, c in enumerate(sl.classes):
             c.index = new
             c.summands = tuple(sorted(
                 (((g, remap[i] if g == sl.grade else i), m) for (g, i), m in c.summands)
             ))
-            new_classes.append(c)
-        sl.classes = new_classes
-        sl.by_summands = {c.summands: c.index for c in new_classes}
-        # a canonical representative identifies as its own class; the census
-        # meets it as the sub on the full tuple and the quotient by zero
-        sl.bytes_cache = {c.canon.tobytes(): c.index for c in new_classes}
-        sl.indec_buckets = {}
-        for c in new_classes:
-            if c.indec:
-                sig = self._indec_signature(c.canon, hom_dim(c.canon, c.canon))
-                sl.indec_buckets.setdefault(sig, []).append(c.index)
+        sl.by_summands = {c.summands: c.index for c in sl.classes}
+        sl.index.renumber(remap)
 
     # -- constructive mode: one-loop quiver, conjugacy-type data
 
-    def _one_loop_types(self, n: int) -> List[tuple]:
-        """All multisets of (irreducible poly, partition) with total weight n."""
-        ctx = self.ctx
-        irr = monic_irreducibles(ctx, n)
-        polys = []
-        for d in range(1, n + 1):
-            for f in irr[d]:
-                if self.nilpotent_only and (d > 1 or f[0] != 0):
-                    continue
-                polys.append((d, tuple(f)))
-        out = []
-
-        def rec(i: int, budget: int, acc: list):
-            if budget == 0:
-                out.append(tuple(sorted(acc)))
-                return
-            if i == len(polys):
-                return
-            d, f = polys[i]
-            rec(i + 1, budget, acc)
-            for lam in _partitions_up_to(budget // d):
-                if lam and sum(lam) * d <= budget:
-                    acc.append((f, lam))
-                    rec(i + 1, budget - sum(lam) * d, acc)
-                    acc.pop()
-
-        rec(0, n, [])
-        return sorted(out)
-
-    def _companion(self, poly: tuple) -> Mat:
-        ctx = self.ctx
-        m = len(poly) - 1
-        a = np.zeros((m, m), dtype=np.uint8)
-        for i in range(m - 1):
-            a[i + 1, i] = 1
-        for i in range(m):
-            a[i, m - 1] = ctx.neg(poly[i])
-        return Mat(ctx, a)
-
-    def _one_loop_rep(self, typ: tuple) -> Rep:
-        ctx = self.ctx
-        blocks = None
-        for f, lam in typ:
-            for part in lam:
-                comp = self._companion(tuple(_poly_pow_full(ctx, f, part)))
-                blocks = comp if blocks is None else blocks.block_diag(comp)
-        return Rep(self.quiver, ctx, (blocks.rows,), (blocks,))
-
     def _build_one_loop(self, grade: tuple) -> GradeSlice:
-        n = grade[0]
-        sl = GradeSlice(grade, "constructive")
-        for idx, typ in enumerate(self._one_loop_types(n)):
-            canon = self._one_loop_rep(typ)
-            aut = 1
+        quiver, ctx = self.quiver, self.ctx
+        sl = GradeSlice(grade, "constructive", OneLoopIndex(grade))
+        for typ in one_loop_types(ctx, grade[0], self.nilpotent_only):
+            sl.index.register(typ)
+            canon = one_loop_rep(quiver, ctx, typ)
+            aut = math.prod(a_lambda(ctx.q ** (len(f) - 1), lam) for f, lam in typ)
+            if len(typ) == 1 and len(typ[0][1]) == 1:
+                self._add_class(sl, canon, aut, res_degree=len(typ[0][0]) - 1)
+                continue
+            # the pieces (poly, single part) of a decomposable type are
+            # indecomposables of lower grades
+            counts: Dict[ClassKey, int] = {}
             for f, lam in typ:
-                aut *= a_lambda(self.ctx.q ** (len(f) - 1), lam)
-            indec = len(typ) == 1 and len(typ[0][1]) == 1
-            nilp = all(len(f) == 2 and f[0] == 0 for f, _ in typ)
-            cls = IsoClass(grade, idx, canon, aut, indec, (), nilp)
-            if indec:
-                cls.res_degree = len(typ[0][0]) - 1
-                cls.summands = ((cls.key, 1),)
-            else:
-                # the pieces (poly, single part) of a decomposable type are
-                # indecomposables of lower grades
-                counts: Dict[ClassKey, int] = {}
-                for f, lam in typ:
-                    for part in lam:
-                        key = self.identify(self._one_loop_rep(((f, (part,)),)))
-                        counts[key] = counts.get(key, 0) + 1
-                cls.summands = tuple(sorted(counts.items()))
-            sl.classes.append(cls)
-            sl.fingerprint_to_class[typ] = idx
-            sl.by_summands[cls.summands] = idx
+                for part in lam:
+                    key = self.identify(one_loop_rep(quiver, ctx, ((f, (part,)),)))
+                    counts[key] = counts.get(key, 0) + 1
+            self._add_class(sl, canon, aut, tuple(sorted(counts.items())))
         return sl
-
-    def _one_loop_identify(self, sl: GradeSlice, rep: Rep) -> int:
-        typ = one_loop_fingerprint(rep)
-        idx = sl.fingerprint_to_class.get(typ)
-        if idx is None:
-            raise CertificateError("identification", sl.grade,
-                                   "a registered conjugacy type", typ)
-        return idx
-
-    # -- nilpotent ambient count (mass identity in nilpotent-only mode)
-
-    def _count_nilpotent_ambient(self, grade: tuple) -> int:
-        e = _entry_count(self.quiver, grade)
-        ambient = self.ctx.q ** e
-        self.caps.check("tuple_count", ambient)
-        if e == 0:
-            return 1
-        mask = self._nilpotent_mask(grade, e, ambient)
-        return int(mask.sum())
 
     # -- submodule census
 
@@ -839,122 +745,3 @@ class IsoRegistry:
                 }, sort_keys=True))
         return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# partitions and automorphism counts
-
-
-def _partitions_up_to(n: int) -> List[tuple]:
-    """All nonempty partitions of 1..n, each as a weakly decreasing tuple."""
-    out = []
-    for total in range(1, n + 1):
-        out.extend(partitions_of(total))
-    return out
-
-
-def partitions_of(n: int) -> List[tuple]:
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining: int, max_part: int, acc: list):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return out
-
-
-def n_weight(lam: Sequence) -> int:
-    """n(lambda) = sum (i-1) * lambda_i."""
-    return sum(i * part for i, part in enumerate(lam))
-
-
-def a_lambda(q: int, lam: Sequence) -> int:
-    """Automorphism count of the nilpotent one-loop module of type lambda."""
-    lam = tuple(sorted(lam, reverse=True))
-    mult: Dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    val = Fraction(q) ** (sum(lam) + 2 * n_weight(lam))
-    for m in mult.values():
-        for j in range(1, m + 1):
-            val *= 1 - Fraction(1, q ** j)
-    if val.denominator != 1:
-        raise CertificateError(f"automorphism count of type {lam} at q = {q}", None,
-                               "an integer", val)
-    return int(val)
-
-
-def _poly_pow_full(ctx: GF, f: Sequence, e: int) -> list:
-    out = [1]
-    for _ in range(e):
-        out = poly_mul(ctx, out, list(f))
-    return out
-
-
-def one_loop_fingerprint(rep: Rep) -> tuple:
-    """Complete invariant of a one-loop representation.
-
-    Factors the characteristic polynomial and reads off the partition at
-    each irreducible factor from the rank chain of its matrix powers.
-    """
-    ctx = rep.ctx
-    a = rep.mats[0]
-    n = a.rows
-    cp = char_poly(a)
-    irr = monic_irreducibles(ctx, n)
-    typ = []
-    rest = cp
-    for d in range(1, n + 1):
-        for f in irr[d]:
-            expo = 0
-            while len(rest) > 1:
-                quot, rem = poly_divmod(ctx, rest, f)
-                if rem:
-                    break
-                rest = quot
-                expo += 1
-            if expo == 0:
-                continue
-            # partition from rank chain of phi(A)^j
-            b = _eval_poly_at_matrix(ctx, f, a)
-            ranks = [n]
-            power = Mat.identity(ctx, n)
-            while True:
-                power = power @ b
-                r = power.rank()
-                ranks.append(r)
-                if r == ranks[-2]:
-                    break
-            blocks = []
-            for j in range(1, len(ranks)):
-                diff = ranks[j - 1] - ranks[j]
-                if diff % d:
-                    raise CertificateError("one-loop rank chain", (n,),
-                                           f"rank drops divisible by {d}", ranks)
-                blocks.append(diff // d)
-            lam: List[int] = []
-            for j in range(len(blocks)):
-                nxt = blocks[j + 1] if j + 1 < len(blocks) else 0
-                lam.extend([j + 1] * (blocks[j] - nxt))
-            lam_t = tuple(sorted(lam, reverse=True))
-            if sum(lam_t) != expo:
-                raise CertificateError("one-loop partition", (n,),
-                                       f"a partition of {expo}", lam_t)
-            typ.append((tuple(f), lam_t))
-    return tuple(sorted(typ))
-
-
-def _eval_poly_at_matrix(ctx: GF, poly: Sequence, a: Mat) -> Mat:
-    acc = Mat.zeros(ctx, a.rows, a.cols)
-    for c in reversed(list(poly)):
-        acc = acc @ a
-        if c:
-            acc = acc + Mat.identity(ctx, a.rows).scale(int(c))
-    return acc

@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from hallforge.gf import GF
 from hallforge.hall import HallAlgebra
 from hallforge.quiver import kronecker
 from hallforge.registry import IsoRegistry
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_mobius():
@@ -171,3 +176,45 @@ def test_element_to_json(hall_kron2, kron2):
     assert {t["class_id"] for t in data["terms"]} == {keys[0][1], keys[1][1]}
     bs = {t["class_id"]: t["b"] for t in data["terms"]}
     assert bs[keys[1][1]] == "1"  # the sqrt(2) coefficient
+
+
+def test_series_guards_survive_optimize():
+    code = (
+        "from fractions import Fraction\n"
+        "from hallforge import counting as c\n"
+        "from hallforge.errors import CertificateError\n"
+        "assert False, 'asserts are live'\n"
+        "a, b = c.TruncSeries.zero(1), c.TruncSeries.zero(2)\n"
+        "def broken_log(s):\n"
+        "    return c.TruncSeries.from_dict(s.order, {s.order: c.IntPolynomial.t()})\n"
+        "cases = [\n"
+        "    lambda: a + b, lambda: a - b, lambda: a * b,\n"
+        "    lambda: c.series_exp(c.TruncSeries.one(2)),\n"
+        "    lambda: c.series_log(c.TruncSeries.zero(2)),\n"
+        "    lambda: c.closed_points_p1(0, 2),\n"
+        "    lambda: setattr(c, 'mobius', lambda n: 1) or c.closed_points_p1(3, 3),\n"
+        "    lambda: setattr(c, 'series_log', broken_log)\n"
+        "    or c.solve_absolute_values({1: Fraction(3)}, lambda r, q: 0, 1, 2),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "    except CertificateError as err:\n"
+        "        print(err)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "series order: expected 1, got 2",
+        "series order: expected 1, got 2",
+        "series order: expected 1, got 2",
+        "series exp: expected zero constant term, got 1",
+        "series log: expected constant term 1, got 0",
+        "closed points of P^1: expected a degree >= 1, got 0",
+        # with mobius broken to 1: (3 + 1) + (27 + 1) is not a multiple of 3
+        "closed points of P^1: expected a multiple of 3, got 32",
+        "absolute count: expected a numeric series, got t",
+    ]

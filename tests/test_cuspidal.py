@@ -501,6 +501,18 @@ def test_guards_survive_optimize():
         "    QNum(0, 1, 2).as_fraction()\n"
         "except CertificateError as err:\n"
         "    print(err)\n"
+        "from dataclasses import replace\n"
+        "from hallforge.cuspidal import kronecker_embedding\n"
+        "from hallforge.quiver import affine_a2_acyclic, d4_star_out\n"
+        "from hallforge.reps import simple_rep\n"
+        "s1 = simple_rep(kronecker(), GF.of(2), 0)\n"
+        "for quiver in (d4_star_out(), affine_a2_acyclic()):\n"
+        "    emb = kronecker_embedding(HallAlgebra(IsoRegistry(quiver, GF.of(2))))\n"
+        "    other = {'one-vertex': 'two-arrows', 'two-arrows': 'one-vertex'}\n"
+        "    try:\n"
+        "        replace(emb, wiring=other[emb.wiring]).apply(s1)\n"
+        "    except CertificateError as err:\n"
+        "        print(err.what, err.expected, err.got)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
@@ -510,6 +522,9 @@ def test_guards_survive_optimize():
     assert proc.stdout.splitlines() == [
         "grade (1, 0) is not isotropic",
         "rational value: expected no sqrt part, got (0 + 1*sqrt(2))",
+        # the theta weight of the arrows into the extending vertex
+        "theta at arrow 0->1 1 2",
+        "theta at arrow 1->2 2 1",
     ]
 
 

@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +154,24 @@ def test_jordan_like_vertex_inside_larger_quiver():
     sub = subquiver_on(q, [0])
     t = classify_type(sub)
     assert t.tag == "affine" and t.delta == (1,)
+
+
+def test_shape_checks_survive_optimize():
+    code = (
+        "from hallforge.errors import HallforgeError\n"
+        "from hallforge.quiver import affine_d, affine_e\n"
+        "assert False, 'asserts are live'\n"
+        "for make, n in ((affine_d, 3), (affine_e, 5)):\n"
+        "    try:\n"
+        "        make(n)\n"
+        "    except HallforgeError as err:\n"
+        "        print(err)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["affine_d needs n >= 4, got 3",
+                                        "affine_e needs n in (6, 7, 8), got 5"]

@@ -1,22 +1,26 @@
 import hashlib
 import itertools
+import json
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hallforge import a_lambda
 from hallforge.config import Caps
 from hallforge.errors import CapExceeded, CertificateError
 from hallforge.gf import GF, Mat, gl_order, subspaces_of_dim
+from hallforge.oneloop import OneLoopIndex
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
                               d4_star_out, dual_quiver, jordan, kronecker)
-from hallforge.registry import IsoRegistry, a_lambda, encode_rep
-from hallforge.reps import (dualize_rep, is_stable, krull_schmidt, rep_with_dims,
+from hallforge.registry import IsoRegistry, OrbitIndex, SplitIndex, encode_rep
+from hallforge.reps import (Rep, dualize_rep, is_stable, krull_schmidt, rep_with_dims,
                             simple_rep, sub_quotient)
 
 F2, F3, F4 = GF.of(2), GF.of(3), GF.of(2, 2)
@@ -84,7 +88,7 @@ def test_aut_orders_spec_values(kron2, jordan2):
     # orbit-stabilizer oracle: J_2 over F_2 sits in a 16-point ambient space
     j2 = rep_with_dims(jordan(), F2, (2,), [[[0, 1], [0, 0]]])
     key = jordan2.identify(j2)
-    orbit = int((jordan2.slice((2,)).code_to_class == key[1]).sum())
+    orbit = int((jordan2.slice((2,)).index.table == key[1]).sum())
     assert jordan2.cls(key).aut_order == gl_order(2, 2) // orbit == 2
     # regular Kronecker aut orders are a_lambda(q^deg): S_t bricks have q-1
     for c in kron2.classes((1, 1)):
@@ -161,8 +165,18 @@ def test_mass_check_survives_optimize():
         "    print(err.what, err.grade, err.expected, err.got)\n"
         "reg = IsoRegistry(jordan(), GF.of(2), Caps(max_tuple_count=3))\n"
         "sl = reg.slice((2,))\n"
-        "typ = next(t for t, i in sl.fingerprint_to_class.items() if i == 0)\n"
-        "del sl.fingerprint_to_class[typ]\n"
+        "typ = next(t for t, i in sl.index.types.items() if i == 0)\n"
+        "del sl.index.types[typ]\n"
+        "try:\n"
+        "    reg.identify(sl.classes[0].canon)\n"
+        "except CertificateError as err:\n"
+        "    print(err.what, err.grade, err.expected)\n"
+        "reg = IsoRegistry(kronecker(), GF.of(3), Caps(max_tuple_count=3))\n"
+        "sl = reg.slice((1, 1))\n"
+        "for bucket in sl.index.buckets.values():\n"
+        "    if 0 in bucket:\n"
+        "        bucket.remove(0)\n"
+        "sl.index.bytes_cache.clear()\n"
         "try:\n"
         "    reg.identify(sl.classes[0].canon)\n"
         "except CertificateError as err:\n"
@@ -181,11 +195,13 @@ def test_mass_check_survives_optimize():
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
-    mass, ident, rref = proc.stdout.strip().splitlines()
+    mass, ident, split, rref = proc.stdout.strip().splitlines()
     # 4 points at grade (1,1); doubling one |Aut| halves its share of the mass
     assert mass.startswith("mass identity (1, 1) 4 ")
     # a constructive Jordan slice whose class 0 lost its conjugacy-type entry
     assert ident == "identification (2,) a registered conjugacy type"
+    # a constructive Kronecker slice whose split index lost indecomposable 0
+    assert split == "identification (1, 1) a registered indecomposable"
     # sub_quotient reads pivots off RREF bases and rejects a zero basis row
     assert rref == "expected an RREF basis, got [[0]]"
 
@@ -203,14 +219,56 @@ def test_identify_constant_on_orbits(kron2):
             (Mat(F2, m.tolist()) @ g1.inverse()).tolist() for m in x.mats
         ])
         assert kron2.identify(moved) == key
-    assert sl.code_to_class is not None
+    assert isinstance(sl.index, OrbitIndex)
+
+
+def _base_change(rep, rng):
+    """g . rep for a random g in the product of the GL(d_v) over the vertices."""
+    ctx, gs = rep.ctx, []
+    for d in rep.dims:
+        g = Mat.zeros(ctx, d, d)
+        while g.rank() < d:
+            g = Mat(ctx, np.array([rng.randrange(ctx.q) for _ in range(d * d)],
+                                  dtype=np.uint8).reshape(d, d))
+        gs.append(g)
+    return Rep(rep.quiver, ctx, rep.dims, tuple(
+        gs[t] @ m @ gs[s].inverse() for m, (s, t) in zip(rep.mats, rep.quiver.arrows)))
+
+
+def _export_line(reg, key):
+    return json.loads(reg.export_jsonl([key[0]]).splitlines()[key[1]])
+
+
+def test_identify_constant_on_orbits_constructive(constructive_regs):
+    # the split and one-loop indexes; the orbit registry of the same quiver
+    # and field is the oracle that each moved copy stays in its orbit
+    rng = random.Random(5)
+    kron3 = constructive_regs["kronecker-q3"]
+    jordans = [IsoRegistry(jordan(), ctx, TINY) for ctx in (F2, F3)]
+    cases = [(kron3, kron3.grades_below((2, 2))),
+             (constructive_regs["a2-acyclic-q3"], [(1, 1, 1)])]
+    cases += [(reg, reg.grades_below((3,))) for reg in jordans]
+    kinds = set()
+    for reg, grades in cases:
+        orbit = IsoRegistry(reg.quiver, reg.ctx)
+        for g in grades:
+            kinds.add(type(reg.slice(g).index))
+            for c in reg.classes(g):
+                line = _export_line(orbit, orbit.identify(c.canon))
+                for _ in range(3):
+                    moved = _base_change(c.canon, rng)
+                    assert reg.identify(moved) == c.key
+                    assert _export_line(orbit, orbit.identify(moved)) == line
+                # the two registries agree on the class apart from its canon
+                assert {**_export_line(reg, c.key), "canon": None} == {**line, "canon": None}
+    assert kinds == {OrbitIndex, SplitIndex, OneLoopIndex}
 
 
 def test_canonical_is_lex_min_in_orbit_mode(kron2):
     sl = kron2.slice((1, 1))
     for c in sl.classes:
         code = encode_rep(c.canon)
-        orbit_codes = [i for i, v in enumerate(sl.code_to_class) if v == c.index]
+        orbit_codes = [i for i, v in enumerate(sl.index.table) if v == c.index]
         assert code == min(orbit_codes)
 
 
