@@ -87,6 +87,7 @@ def add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-tuples", type=int, default=Caps.max_tuple_count)
     p.add_argument("--cap-end-scan", type=int, default=Caps.max_end_scan)
     p.add_argument("--cap-subspaces", type=int, default=Caps.max_subspace_enum)
+    p.add_argument("--cap-candidates", type=int, default=Caps.max_candidates)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -100,6 +101,7 @@ def build_context(args):
         max_tuple_count=args.cap_tuples,
         max_end_scan=args.cap_end_scan,
         max_subspace_enum=args.cap_subspaces,
+        max_candidates=args.cap_candidates,
     )
     try:
         ctx = GF.of(args.p, args.k)

@@ -19,6 +19,7 @@ class Caps:
     max_tuple_count: int = 2_000_000      # ambient points an orbit walk may touch
     max_end_scan: int = 2 ** 16           # full scans of End(M) / Hom(M,N)
     max_subspace_enum: int = 200_000      # subspace tuples per submodule census
+    max_candidates: int = 200_000         # extension lines per constructive level
     max_field_size: int = DEFAULT_FIELD_SIZE_CAP
 
     def check(self, what: str, estimate) -> None:
@@ -26,6 +27,7 @@ class Caps:
             "tuple_count": self.max_tuple_count,
             "end_scan": self.max_end_scan,
             "subspace_enum": self.max_subspace_enum,
+            "candidates": self.max_candidates,
             "field_size": self.max_field_size,
         }[what]
         if estimate > cap:

@@ -26,12 +26,26 @@ that identifies its representations:
   vector at the support sink by 1/c maps the middle term of c*xi onto
   that of xi (arrows out of the sink vanish on the support), and the kept
   cocycle is the first of its line, so the candidate that first registers
-  each class is unchanged.  `SplitIndex` makes one Fitting split: a half
-  whose grade is built is identified there and contributes its registered
-  summands, only halves of unbuilt grades are split further, and an
-  indecomposable is compared with the registered ones of its (dim End,
-  arrow ranks).  The build registers each candidate through this index,
-  and automorphism orders come from the endomorphism ring.
+  each class is unchanged.
+
+  Of the lines of one base class A, the build registers only the first
+  of each orbit of a subgroup H of Aut(A), generated by the invertible
+  elements b and 1 + c*b (c in F_q^*) of the basis of End(A).  For phi in
+  Aut(A), phi_s at s != v and diag(1, phi_v) at v map the middle term of
+  xi.phi, where (xi.phi)_alpha = xi_alpha phi_s, isomorphically onto that
+  of xi, so the lines of one orbit have isomorphic middle terms.  The
+  first candidate of any class is the first line of its own orbit, so it
+  is still registered and canonical representatives and class order do
+  not change; a smaller H would only skip less.  The line count of a
+  level, the sum over A of (q^free - 1)/(q - 1) + 1, is checked against
+  the `candidates` cap before any line is enumerated.
+
+  `SplitIndex` makes one Fitting split: a half whose grade is built is
+  identified there and contributes its registered summands, only halves
+  of unbuilt grades are split further, and an indecomposable is compared
+  with the registered ones of its (dim End, arrow ranks).  The build
+  registers each kept candidate through this index, and automorphism
+  orders come from the endomorphism ring.
 
 Both constructive indexes remember what they identified by its bytes.
 Every slice must pass the exact mass identity sum over classes of
@@ -60,13 +74,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceeded, CertificateError
+from .errors import CapExceeded, CertificateError, HallforgeError
 from .gf import GF, Mat, gl_order, subspaces_of_dim
 from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
 from .quiver import Quiver, classify_type, euler_form
-from .reps import (Rep, aut_order_from_summands, direct_sum_all, fitting_split,
-                   hom_dim, is_nilpotent_rep, iso_indecomposables, pri_of_defect,
-                   residue_degree, rref_pivots, sub_quotient, zero_rep)
+from .reps import (Rep, aut_order_from_summands, direct_sum_all, end_basis,
+                   fitting_split, hom_dim, is_nilpotent_rep, iso_indecomposables,
+                   pri_of_defect, residue_degree, rref_pivots, sub_quotient, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 
@@ -161,6 +175,127 @@ def _gl_generators(ctx: GF, n: int) -> List[Mat]:
 
 
 # ---------------------------------------------------------------------------
+# extensions by the simple at a support sink (constructive mode)
+
+
+def _leading(rows: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of the last axis (0 for a zero row)."""
+    if rows.shape[-1] == 0:
+        return np.zeros(rows.shape[:-1], dtype=rows.dtype)
+    return np.take_along_axis(rows, np.argmax(rows != 0, axis=-1)[..., None], -1)[..., 0]
+
+
+class SinkExtensions:
+    """The candidate extensions 0 -> S_v -> E -> A -> 0 of one base class A
+    at a sink v of the support of A + e_v.
+
+    A cocycle is a row xi = (xi_alpha) over the arrows alpha: s -> v, with
+    xi_alpha of width dim A_s.  The middle term E_xi is A_s at s != v and
+    F_q + A_v at v, where arrow alpha acts by the stacked matrix
+    [xi_alpha; a_alpha].  The candidates are one cocycle per F_q^* line of a
+    transversal of the coboundaries, `count` of them.
+    """
+
+    def __init__(self, a: Rep, v: int):
+        self.a, self.v = a, v
+        arrows = a.quiver.arrows
+        self.into_v = [idx for idx, (_, t) in enumerate(arrows) if t == v]
+        self.widths = [a.dims[arrows[idx][0]] for idx in self.into_v]
+        self.dim = dim = sum(self.widths)
+        # two cocycles differing by a coboundary phi |-> (phi a_alpha) have
+        # isomorphic middle terms, so enumerate a transversal of the
+        # coboundary row space: entries at its pivots stay zero
+        self.cobound, self.pivots = np.zeros((0, dim), dtype=np.uint8), []
+        if dim and a.dims[v]:
+            stacked = np.concatenate([a.mats[idx].a for idx in self.into_v], axis=1)
+            red, rank, piv = Mat(a.ctx, stacked).rref()
+            self.cobound, self.pivots = red.a[:rank], list(piv)
+        self.free = [t for t in range(dim) if t not in self.pivots]
+        q = a.ctx.q
+        self.count = (q ** len(self.free) - 1) // (q - 1) + 1
+
+    def orbits(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The candidate cocycles, one row each, and for each the position of
+        the first candidate of its orbit under a subgroup H of Aut(A).
+
+        Candidates come in lexicographic order of their free entries: zero,
+        then those whose leading free entry is 1 (xi and c*xi have
+        isomorphic middle terms).  The middle terms of one orbit are
+        isomorphic (see `_aut_generators`).
+        """
+        ctx, q, n = self.a.ctx, self.a.ctx.q, len(self.free)
+        digits = _decode_batch(np.arange(q ** n, dtype=np.int64), n, q)
+        codes = np.flatnonzero(_leading(digits) <= 1)
+        cocycles = np.zeros((self.count, self.dim), dtype=np.uint8)
+        cocycles[:, self.free] = digits[codes]
+        # the zero line is fixed, so with one other line there is nothing to skip
+        gens = self._aut_generators() if self.count > 2 else []
+        if not gens:
+            return cocycles, np.arange(self.count)
+        # the image of every candidate under every generator, as a candidate:
+        # reduced mod coboundaries, rescaled to leading free entry 1, looked up
+        images = ctx.matmul(cocycles, np.stack(gens))
+        if self.pivots:
+            images = ctx.ADD[images, ctx.NEG[ctx.matmul(images[..., self.pivots], self.cobound)]]
+        images = images[..., self.free]
+        images = ctx.MUL[images, ctx.INV[np.maximum(_leading(images), 1)][..., None]]
+        perms = np.searchsorted(codes, _encode_batch(images.reshape(-1, n), q))
+        perms = perms.reshape(len(gens), self.count)
+        first = np.full(self.count, -1, dtype=np.int64)
+        for i in range(self.count):
+            if first[i] >= 0:
+                continue
+            first[i] = i
+            frontier = np.array([i])
+            while frontier.size:
+                allim = perms[:, frontier].ravel()
+                frontier = np.unique(allim[first[allim] < 0])
+                first[frontier] = i
+        return cocycles, first
+
+    def _aut_generators(self) -> List[np.ndarray]:
+        """Generators of H, the invertible elements b and 1 + c*b (c in F_q^*)
+        of the basis of End(A), each as the block-diagonal matrix of its phi_s
+        over the arrows alpha: s -> v, which acts on cocycles from the right.
+
+        For phi in Aut(A), phi_s at s != v and diag(1, phi_v) at v form an
+        isomorphism E_{xi.phi} -> E_xi, where (xi.phi)_alpha = xi_alpha phi_s,
+        because phi_v a_alpha = a_alpha phi_s.
+        """
+        a, ctx, dim = self.a, self.a.ctx, self.dim
+        arrows = a.quiver.arrows
+        ident = [Mat.identity(ctx, d) for d in a.dims]
+        out: Dict[bytes, np.ndarray] = {}
+        for b in end_basis(a):
+            for phi in [b] + [[i + bi.scale(c) for i, bi in zip(ident, b)]
+                              for c in range(1, ctx.q)]:
+                if any(f.rank() < f.rows for f in phi):
+                    continue
+                block = np.zeros((dim, dim), dtype=np.uint8)
+                pos = 0
+                for idx, w in zip(self.into_v, self.widths):
+                    block[pos: pos + w, pos: pos + w] = phi[arrows[idx][0]].a
+                    pos += w
+                out.setdefault(block.tobytes(), block)
+        out.pop(np.eye(dim, dtype=np.uint8).tobytes(), None)
+        return list(out.values())
+
+    def middle_term(self, xi: np.ndarray) -> Rep:
+        """E_xi for one cocycle row xi."""
+        a, v, ctx = self.a, self.v, self.a.ctx
+        grade = tuple(d + (i == v) for i, d in enumerate(a.dims))
+        mats = list(a.mats)
+        pos = 0
+        for idx, w in zip(self.into_v, self.widths):
+            mats[idx] = Mat(ctx, np.concatenate([xi[None, pos: pos + w], a.mats[idx].a]))
+            pos += w
+        for idx, (s, t) in enumerate(a.quiver.arrows):
+            if s == v:  # sink of the support: targets have dimension zero
+                mats[idx] = Mat.zeros(ctx, grade[t], grade[s])
+        return Rep(a.quiver, ctx, grade, tuple(mats))
+
+
+# ---------------------------------------------------------------------------
 # grade slices and their identification indexes
 
 
@@ -172,7 +307,11 @@ class OrbitIndex:
         self.table = table
 
     def identify(self, rep: Rep) -> int:
-        return int(self.table[encode_rep(rep)])
+        idx = int(self.table[encode_rep(rep)])
+        if idx < 0:  # a point the walk excluded: not nilpotent in a nilpotent-only registry
+            raise HallforgeError(f"the representation of grade {rep.dims} is not in this "
+                                 "registry (a nilpotent-only registry excludes it)")
+        return idx
 
 
 class SplitIndex:
@@ -465,8 +604,8 @@ class IsoRegistry:
                             block = ctx.matmul(block, ginv)
                         nd[:, lo:hi] = block.reshape(-1, hi - lo)
                     images.append(_encode_batch(nd, q))
-                allim = np.unique(np.concatenate(images))
-                new = allim[class_of[allim] == -1]
+                allim = np.concatenate(images)
+                new = np.unique(allim[class_of[allim] == -1])
                 class_of[new] = cid
                 size += new.size
                 frontier = new
@@ -519,46 +658,17 @@ class IsoRegistry:
         return sinks[-1]
 
     def _build_extension_chain(self, grade: tuple) -> GradeSlice:
-        quiver, ctx = self.quiver, self.ctx
         v = self._support_sink(grade)
         lower = tuple(x - (1 if i == v else 0) for i, x in enumerate(grade))
         base = self.slice(lower)
         sl = GradeSlice(grade, "constructive")
         sl.index = SplitIndex(self, sl)
-        into_v = [idx for idx, (s, t) in enumerate(quiver.arrows) if t == v]
-        cocycle_shape = [(idx, lower[quiver.arrows[idx][0]]) for idx in into_v]
-        cocycle_dim = sum(w for _, w in cocycle_shape)
-        for a_cls in base.classes:
-            a = a_cls.canon
-            # two cocycles differing by a coboundary phi |-> (phi a_alpha)
-            # have isomorphic middle terms, so enumerate a transversal of
-            # the coboundary row space: entries at its pivots stay zero
-            if cocycle_dim and lower[v]:
-                stacked = np.concatenate(
-                    [a.mats[idx].a for idx, _ in cocycle_shape], axis=1
-                )
-                _, _, piv = Mat(ctx, stacked).rref()
-            else:
-                piv = ()
-            free_pos = [t for t in range(cocycle_dim) if t not in piv]
-            for free_vals in itertools.product(range(ctx.q), repeat=len(free_pos)):
-                # xi and c*xi have isomorphic middle terms, so keep the first
-                # cocycle of each line: zero, or leading free entry 1
-                if next(filter(None, free_vals), 1) != 1:
-                    continue
-                combo = [0] * cocycle_dim
-                for t, val in zip(free_pos, free_vals):
-                    combo[t] = val
-                mats = list(a.mats)
-                pos = 0
-                for idx, width in cocycle_shape:
-                    row = np.array(combo[pos: pos + width], dtype=np.uint8).reshape(1, width)
-                    mats[idx] = Mat(ctx, np.concatenate([row, a.mats[idx].a], axis=0))
-                    pos += width
-                for idx, (s, t) in enumerate(quiver.arrows):
-                    if s == v:  # sink of the support: targets have dimension zero
-                        mats[idx] = Mat.zeros(ctx, grade[t], grade[s])
-                sl.index.register(Rep(quiver, ctx, grade, tuple(mats)))
+        exts = [SinkExtensions(a_cls.canon, v) for a_cls in base.classes]
+        self.caps.check("candidates", sum(ext.count for ext in exts))
+        for ext in exts:
+            cocycles, first = ext.orbits()
+            for i in np.flatnonzero(first == np.arange(ext.count)):
+                sl.index.register(ext.middle_term(cocycles[i]))
         self._order_constructive(sl)
         return sl
 

@@ -172,6 +172,13 @@ def test_bad_input_is_a_structured_error(tmp_path):
                                                 "message": message}), args
 
 
+def test_candidate_cap_is_a_structured_error(tmp_path):
+    code, text = run_cli(["enumerate", "--quiver", "kronecker", "--p", "2", "--grade", "3,3",
+                          "--cap-tuples", "3", "--cap-candidates", "10"], tmp_path)
+    assert (code, json.loads(text)) == (2, {"error": "CapExceeded", "message":
+                                            "candidates: estimated 11 exceeds cap 10"})
+
+
 def test_structured_error_survives_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "hallforge.cli", "verify", "noyau",

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 
 from hallforge import a_lambda
 from hallforge.config import Caps
-from hallforge.errors import CapExceeded, CertificateError
+from hallforge.errors import CapExceeded, CertificateError, HallforgeError
 from hallforge.gf import GF, Mat, gl_order, subspaces_of_dim
 from hallforge.oneloop import OneLoopIndex
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
                               d4_star_out, dual_quiver, jordan, kronecker)
-from hallforge.registry import IsoRegistry, OrbitIndex, SplitIndex, encode_rep
+from hallforge.registry import (IsoRegistry, OrbitIndex, SinkExtensions, SplitIndex,
+                                encode_rep)
 from hallforge.reps import (Rep, dualize_rep, is_stable, krull_schmidt, rep_with_dims,
                             simple_rep, sub_quotient)
 
@@ -126,6 +128,85 @@ def test_orbit_vs_constructive_cross_validation(constructive_regs):
                 sorted(c.nilpotent for c in b.classes)
             assert sorted(_summand_grades(c) for c in a.classes) == \
                 sorted(_summand_grades(c) for c in b.classes)
+
+
+def _ks_counts(reg, rep):
+    """Summand classes of `rep` by a full Krull-Schmidt decomposition."""
+    return collections.Counter(reg.identify(part) for part in krull_schmidt(rep, reg.caps))
+
+
+def test_skipped_extensions_match_their_orbit_first(constructive_regs):
+    # the build registers only the first cocycle line of each Aut(A)-orbit;
+    # every skipped line's middle term decomposes like the kept one's
+    for name, reg in constructive_regs.items():
+        skipped = 0
+        for grade, sl in sorted(reg.slices.items()):
+            if sl.mode != "constructive":
+                continue
+            v = reg._support_sink(grade)
+            lower = tuple(x - (i == v) for i, x in enumerate(grade))
+            for a_cls in reg.classes(lower):
+                ext = SinkExtensions(a_cls.canon, v)
+                cocycles, first = ext.orbits()
+                assert len(first) == ext.count and all(first <= np.arange(ext.count))
+                for i in np.flatnonzero(first != np.arange(ext.count)):
+                    kept = ext.middle_term(cocycles[first[i]])
+                    assert first[first[i]] == first[i]
+                    assert _ks_counts(reg, ext.middle_term(cocycles[i])) == \
+                        _ks_counts(reg, kept), (name, grade, a_cls.index, i)
+                    skipped += 1
+        assert skipped, name
+
+
+def test_register_calls_one_per_orbit(monkeypatch):
+    calls = collections.Counter()
+    register = SplitIndex.register
+
+    def counted(self, rep):
+        calls[rep.dims] += 1
+        register(self, rep)
+
+    monkeypatch.setattr(SplitIndex, "register", counted)
+    # 1,918 and 380 candidates with one per F_q^* line; 318 and 152 distinct
+    # (base class, class) pairs, the least one per orbit can reach
+    for ctx, grade, most in ((F3, (3, 3), 330), (F4, (2, 3), 160)):
+        reg = IsoRegistry(kronecker(), ctx)
+        reg.slice(grade)
+        assert 0 < calls[grade] <= most, (ctx.q, grade, calls[grade])
+        assert reg.slice(grade).mode == "constructive"
+
+
+@st.composite
+def _acyclic_quiver_grade(draw):
+    """An acyclic quiver with <= 3 vertices, <= 4 arrows and two arrows into
+    one vertex, a field size and a grade with at most 10^5 points."""
+    n = draw(st.integers(2, 3))
+    arrow = st.integers(0, n - 2).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(s + 1, n - 1)))
+    t = draw(st.integers(1, n - 1))
+    into_t = st.tuples(st.integers(0, t - 1), st.just(t))
+    arrows = draw(st.lists(into_t, min_size=2, max_size=2)) + \
+        draw(st.lists(arrow, max_size=2))
+    label = draw(st.permutations(range(n)))  # acyclic in any vertex order
+    quiver = Quiver(tuple(str(i) for i in range(n)),
+                    tuple((label[s], label[t]) for s, t in arrows))
+    q = draw(st.sampled_from((2, 3)))
+    grade = draw(st.tuples(*[st.integers(1, 3)] * n).filter(
+        lambda g: q ** sum(g[s] * g[t] for s, t in quiver.arrows) <= 10 ** 5))
+    return quiver, q, grade
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_acyclic_quiver_grade())
+def test_orbit_and_constructive_builds_agree_property(case):
+    quiver, q, grade = case
+    orbit, built = (IsoRegistry(quiver, GF.of(q), caps) for caps in (Caps(), TINY))
+    a, b = orbit.slice(grade), built.slice(grade)
+    assert (a.mode, b.mode) == ("orbit", "constructive")
+    assert len(a.classes) == len(b.classes)
+    for data in (lambda c: c.aut_order, lambda c: c.indec, _summand_grades):
+        assert sorted(map(data, a.classes)) == sorted(map(data, b.classes))
 
 
 def test_constructive_exports_golden(constructive_regs):
@@ -329,6 +410,38 @@ def test_cap_errors():
     reg = IsoRegistry(cyclic_quiver(3), F2, Caps(max_tuple_count=5))
     with pytest.raises(CapExceeded):
         reg.slice((1, 1, 1))  # not acyclic, no constructive fallback
+
+
+def test_candidate_cap(monkeypatch):
+    # Kronecker (3,3) over GF(2) forced constructive: a level with more
+    # extension lines than the cap raises before any line is enumerated
+    enumerated = set()
+    orbits = SinkExtensions.orbits
+
+    def recorded(self):
+        enumerated.add(tuple(d + (i == self.v) for i, d in enumerate(self.a.dims)))
+        return orbits(self)
+
+    monkeypatch.setattr(SinkExtensions, "orbits", recorded)
+    for cap in (10, 64):
+        enumerated.clear()
+        reg = IsoRegistry(kronecker(), F2, Caps(max_tuple_count=3, max_candidates=cap))
+        with pytest.raises(CapExceeded) as err:
+            reg.slice((3, 3))
+        assert (err.value.what, err.value.cap) == ("candidates", cap)
+        assert err.value.estimate > cap
+        # lines were enumerated only on levels that were built in full
+        assert enumerated <= set(reg.slices)
+        assert (3, 3) not in reg.slices
+    assert (3, 1) in enumerated  # 64 lines: under the larger cap
+
+
+def test_orbit_index_rejects_excluded_point():
+    cyc = cyclic_quiver(2)
+    reg = IsoRegistry(cyc, F2, nilpotent_only=True)
+    with pytest.raises(HallforgeError):
+        reg.identify(rep_with_dims(cyc, F2, (1, 1), [[[1]], [[1]]]))
+    assert reg.identify(rep_with_dims(cyc, F2, (1, 1), [[[1]], [[0]]]))[0] == (1, 1)
 
 
 def test_census_spec_examples(hall_kron2, kron2):
