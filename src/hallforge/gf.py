@@ -369,16 +369,11 @@ class Mat:
 
     # -- elimination
 
-    def rref(self, with_transform: bool = False):
-        """Reduced row echelon form.
-
-        Returns (R, rank, pivots) or, with `with_transform`, additionally
-        the invertible T with T @ self == R.
-        """
+    def rref(self):
+        """Reduced row echelon form: (R, rank, pivots)."""
         ctx = self.ctx
         work = self.a.copy()
         rows, cols = work.shape
-        trans = np.eye(rows, dtype=np.uint8) if with_transform else None
         pivots = []
         r = 0
         for c in range(cols):
@@ -390,28 +385,18 @@ class Mat:
             piv = r + int(nz[0])
             if piv != r:
                 work[[r, piv]] = work[[piv, r]]
-                if trans is not None:
-                    trans[[r, piv]] = trans[[piv, r]]
             pv = int(work[r, c])
             if pv != 1:
-                factor = ctx.inv(pv)
-                work[r] = ctx.MUL[factor, work[r]]
-                if trans is not None:
-                    trans[r] = ctx.MUL[factor, trans[r]]
+                work[r] = ctx.MUL[ctx.inv(pv), work[r]]
             mask = np.nonzero(work[:, c])[0]
             for i in mask:
                 if i == r:
                     continue
                 f = ctx.NEG[work[i, c]]  # row i -= work[i, c] * row r
                 work[i] = ctx.ADD[work[i], ctx.MUL[f, work[r]]]
-                if trans is not None:
-                    trans[i] = ctx.ADD[trans[i], ctx.MUL[f, trans[r]]]
             pivots.append(c)
             r += 1
-        res = Mat(ctx, work)
-        if with_transform:
-            return res, r, tuple(pivots), Mat(ctx, trans)
-        return res, r, tuple(pivots)
+        return Mat(ctx, work), r, tuple(pivots)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -443,10 +428,10 @@ class Mat:
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise SizeMismatch("inverse of non-square matrix")
-        red, rank, pivots, trans = self.rref(with_transform=True)
-        if rank != self.rows:
+        inv = self.solve(Mat.identity(self.ctx, self.rows))
+        if inv is None:
             raise SingularMatrix("matrix is singular")
-        return trans
+        return inv
 
     def transpose(self) -> "Mat":
         return Mat(self.ctx, self.a.T.copy())
@@ -637,26 +622,3 @@ def char_poly(m: Mat) -> list:
             new[s] = acc
         v = new
     return list(reversed(v))  # constant first
-
-
-def min_poly(m: Mat) -> list:
-    """Minimal polynomial (monic, constant term first) via Krylov dependence."""
-    ctx = m.ctx
-    n = m.rows
-    powers = [Mat.identity(ctx, n)]
-    flat = [powers[0].a.reshape(-1)]
-    for _ in range(n):
-        powers.append(powers[-1] @ m)
-        flat.append(powers[-1].a.reshape(-1))
-        stacked = Mat(ctx, np.stack(flat))
-        red, rank, pivots = stacked.transpose().rref()
-        if rank < len(flat):
-            ker = stacked.transpose().kernel_basis()
-            # last power participates in some dependence; take the one with
-            # the highest degree coefficient normalized
-            for row in ker.a:
-                if row[len(flat) - 1]:
-                    coeffs = [int(x) for x in row]
-                    lead = ctx.inv(coeffs[len(flat) - 1])
-                    return poly_trim([ctx.mul(lead, c) for c in coeffs])
-    raise AssertionError("minimal polynomial search failed")

@@ -7,12 +7,14 @@ is built in one of three ways and gets, when it is built, the one index
 that identifies its representations:
 
 * orbit mode: when the ambient tuple space q^(#matrix entries) fits under
-  the cap, the base-change orbits are walked exactly (vectorized BFS over
-  group generators).  The canonical representative is the
+  the cap, the base-change orbits are walked exactly by `_walk_orbits`,
+  the one breadth-first walk of this module (it also groups extension
+  cocycles below).  The canonical representative is the
   lexicographically least matrix tuple of the orbit and the automorphism
   order is group order / orbit size.  `OrbitIndex` is the table from the
   base-q code of every point to its class; the zero grade has the
-  one-entry table of the zero representation.
+  one-entry table of the zero representation.  A nilpotent-only walk
+  skips the points its one nilpotency mask excludes.
 
 * constructive mode on the one-loop quiver: the classes are conjugacy
   types (irreducible polynomial, partition) from `oneloop`, and
@@ -50,7 +52,10 @@ that identifies its representations:
 Both constructive indexes remember what they identified by its bytes.
 Every slice must pass the exact mass identity sum over classes of
 |G| / |Aut| = #points of the ambient space, which certifies completeness
-and all automorphism orders at once.
+and all automorphism orders at once.  In a nilpotent-only registry the
+points are the nilpotent ones: q^(n(n-1)) on the one-loop quiver
+(Fine-Herstein), in either mode, and on a cyclic quiver the points the
+orbit walk's mask kept.
 
 Submodule censuses generate the stable subspace tuples of a canonical
 representative rather than filtering every tuple.  The registry keeps one
@@ -69,7 +74,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +157,33 @@ def _encode_batch(digits: np.ndarray, q: int) -> np.ndarray:
     for t in range(digits.shape[1]):
         c = c * q + digits[:, t]
     return c
+
+
+def _walk_orbits(labels: np.ndarray, images: Callable[[np.ndarray], np.ndarray]
+                 ) -> Tuple[List[int], List[int]]:
+    """Label the unlabeled points (-1) of `labels` by orbit number, in order
+    of first point, and return the first point and size of each orbit.
+
+    `images(points)` returns the images of `points` under every generator,
+    as one array; the walk is breadth-first from each orbit's first point.
+    Points with another negative label are excluded and stay as they are.
+    """
+    firsts, sizes = [], []
+    start = 0
+    while True:
+        while start < labels.size and labels[start] != -1:
+            start += 1
+        if start == labels.size:
+            return firsts, sizes
+        labels[start] = len(firsts)
+        frontier, size = np.array([start]), 1
+        while frontier.size:
+            found = images(frontier)
+            frontier = np.unique(found[labels[found] == -1])
+            labels[frontier] = len(firsts)
+            size += frontier.size
+        firsts.append(start)
+        sizes.append(size)
 
 
 def _gl_generators(ctx: GF, n: int) -> List[Mat]:
@@ -241,16 +273,9 @@ class SinkExtensions:
         images = ctx.MUL[images, ctx.INV[np.maximum(_leading(images), 1)][..., None]]
         perms = np.searchsorted(codes, _encode_batch(images.reshape(-1, n), q))
         perms = perms.reshape(len(gens), self.count)
-        first = np.full(self.count, -1, dtype=np.int64)
-        for i in range(self.count):
-            if first[i] >= 0:
-                continue
-            first[i] = i
-            frontier = np.array([i])
-            while frontier.size:
-                allim = perms[:, frontier].ravel()
-                frontier = np.unique(allim[first[allim] < 0])
-                first[frontier] = i
+        labels = np.full(self.count, -1, dtype=np.int64)
+        firsts, _ = _walk_orbits(labels, lambda points: perms[:, points].ravel())
+        first = np.array(firsts)[labels]
         return cocycles, first
 
     def _aut_generators(self) -> List[np.ndarray]:
@@ -468,6 +493,8 @@ class IsoRegistry:
         ambient = self.ctx.q ** e
         if not self.nilpotent_only:
             return ambient
+        if self._is_one_loop:  # Fine-Herstein: q^(n(n-1)) nilpotent n x n matrices
+            return self.ctx.q ** (grade[0] * (grade[0] - 1))
         self.caps.check("tuple_count", ambient)
         return int(self._nilpotent_mask(grade, e, ambient).sum()) if e else 1
 
@@ -481,15 +508,15 @@ class IsoRegistry:
         e = _entry_count(self.quiver, grade)
         ambient = self.ctx.q ** e
         if ambient <= self.caps.max_tuple_count:
-            sl = self._build_orbit(grade)
+            sl, points = self._build_orbit(grade)
         elif self._is_one_loop:
-            sl = self._build_one_loop(grade)
+            sl, points = self._build_one_loop(grade), self.ambient_count(grade)
         elif self.quiver.is_acyclic():
-            sl = self._build_extension_chain(grade)
+            sl, points = self._build_extension_chain(grade), ambient
         else:
             raise CapExceeded("tuple_count", ambient, self.caps.max_tuple_count)
         self._annotate(sl)
-        self._mass_check(sl)
+        self._mass_check(sl, points)
         return sl
 
     def _add_class(self, sl: GradeSlice, canon: Rep, aut: int,
@@ -506,14 +533,14 @@ class IsoRegistry:
         sl.by_summands[summands] = idx
         return cls
 
-    def _mass_check(self, sl: GradeSlice) -> None:
+    def _mass_check(self, sl: GradeSlice, points: int) -> None:
+        """Sum over classes of |G| / |Aut| must be the slice's number of points."""
         total = Fraction(0)
         g = self.group_order(sl.grade)
         for c in sl.classes:
             total += Fraction(g, c.aut_order)
-        expected = self.ambient_count(sl.grade)
-        if total != expected:
-            raise CertificateError("mass identity", sl.grade, expected, total)
+        if total != points:
+            raise CertificateError("mass identity", sl.grade, points, total)
 
     def _annotate(self, sl: GradeSlice) -> None:
         affine_acyclic = (
@@ -561,7 +588,8 @@ class IsoRegistry:
 
     # -- orbit mode
 
-    def _build_orbit(self, grade: tuple) -> GradeSlice:
+    def _build_orbit(self, grade: tuple) -> Tuple[GradeSlice, int]:
+        """The orbit slice of `grade` and its number of points."""
         quiver, ctx = self.quiver, self.ctx
         e = _entry_count(quiver, grade)
         q = ctx.q
@@ -573,46 +601,33 @@ class IsoRegistry:
             for g in _gl_generators(ctx, grade[v]):
                 gens.append((v, g.a, g.inverse().a))
 
-        class_of = np.full(ambient, -1, dtype=np.int64)
-        if self.nilpotent_only:
-            class_of[~self._nilpotent_mask(grade, e, ambient)] = -2  # excluded from this registry
-        group = self.group_order(grade)
-        seeds = []
-        next_code = 0
-        while True:
-            while next_code < ambient and class_of[next_code] != -1:
-                next_code += 1
-            if next_code == ambient:
-                break
-            cid = len(seeds)
-            class_of[next_code] = cid
-            frontier = np.array([next_code], dtype=np.int64)
-            size = 1
-            while frontier.size and gens:
-                digs = _decode_batch(frontier, e, q)
-                images = []
-                for (v, g, ginv) in gens:
-                    nd = digs.copy()
-                    for span, (s, t) in zip(spans, quiver.arrows):
-                        lo, hi, r, c = span
-                        if hi == lo:
-                            continue
-                        block = nd[:, lo:hi].reshape(-1, r, c)
-                        if t == v:
-                            block = ctx.matmul(g, block)
-                        if s == v:
-                            block = ctx.matmul(block, ginv)
-                        nd[:, lo:hi] = block.reshape(-1, hi - lo)
-                    images.append(_encode_batch(nd, q))
-                allim = np.concatenate(images)
-                new = np.unique(allim[class_of[allim] == -1])
-                class_of[new] = cid
-                size += new.size
-                frontier = new
-            seeds.append((next_code, size))
+        def images(codes: np.ndarray) -> np.ndarray:
+            digs = _decode_batch(codes, e, q)
+            out = [codes[:0]]  # a grade without generators has no images
+            for (v, g, ginv) in gens:
+                nd = digs.copy()
+                for span, (s, t) in zip(spans, quiver.arrows):
+                    lo, hi, r, c = span
+                    if hi == lo:
+                        continue
+                    block = nd[:, lo:hi].reshape(-1, r, c)
+                    if t == v:
+                        block = ctx.matmul(g, block)
+                    if s == v:
+                        block = ctx.matmul(block, ginv)
+                    nd[:, lo:hi] = block.reshape(-1, hi - lo)
+                out.append(_encode_batch(nd, q))
+            return np.concatenate(out)
 
+        class_of = np.full(ambient, -1, dtype=np.int64)
+        points = ambient
+        if self.nilpotent_only:
+            nilpotent = self._nilpotent_mask(grade, e, ambient)
+            class_of[~nilpotent] = -2  # excluded from this registry
+            points = self.ambient_count(grade) if self._is_one_loop else int(nilpotent.sum())
+        group = self.group_order(grade)
         sl = GradeSlice(grade, "orbit", OrbitIndex(class_of))
-        for seed, size in seeds:
+        for seed, size in zip(*_walk_orbits(class_of, images)):
             if group % size:
                 raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
             canon = decode_rep(quiver, ctx, grade, seed)
@@ -622,7 +637,7 @@ class IsoRegistry:
             else:
                 self._add_class(sl, canon, group // size,
                                 res_degree=residue_degree(canon, self.caps))
-        return sl
+        return sl, points
 
     def _nilpotent_mask(self, grade: tuple, e: int, ambient: int) -> np.ndarray:
         """Boolean mask of nilpotent points (cyclic and one-loop quivers)."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CertificateError, HallforgeError, SizeMismatch
-from .gf import GF, Mat, min_poly, monic_irreducibles, poly_divmod
+from .gf import GF, Mat
 from .quiver import Quiver, dual_quiver, euler_form
 
 
@@ -413,43 +413,27 @@ def iso_indecomposables(m: Rep, n: Rep) -> bool:
 
 
 def residue_degree(m: Rep, caps: Caps = DEFAULT_CAPS) -> int:
-    """Degree over GF(q) of the residue field End(m)/rad for indecomposable m.
+    """Degree t over GF(q) of the residue field End(m)/rad for indecomposable m.
 
-    End(m) being local, each endomorphism has a minimal polynomial that is
-    a power of a single irreducible; the residue field is generated by the
-    images of any spanning set, so the lcm of those irreducible degrees is
-    the residue degree.
+    End(m) being local, an endomorphism is nilpotent exactly when its image
+    in the residue field F_{q^t} is zero, so the image of f lies in F_{q^d}
+    exactly when f^(q^d) - f is nilpotent.  The least such d (at most
+    dim m, as m / rad(End m) m is a nonzero F_{q^t}-space) is the degree of
+    that image, and the images of a basis generate the residue field, so t
+    is the lcm of these degrees.
     """
-    basis = end_basis(m)
+    q, n = m.ctx.q, m.total_dim
     t = 1
-    for f in basis:
-        block = None
-        for fi in f:
-            block = fi if block is None else block.block_diag(fi)
-        mp = min_poly(block)
-        deg = _prime_power_degree(m.ctx, mp)
-        t = t * deg // math.gcd(t, deg)
+    for f in end_basis(m):
+        frob = f
+        for d in range(1, n + 1):
+            frob = [gi.power(q) for gi in frob]
+            if all((gi - fi).power(fi.rows).is_zero() for gi, fi in zip(frob, f)):
+                break
+        else:
+            raise CertificateError("residue degree", m.dims, f"a degree <= {n}", "none")
+        t = math.lcm(t, d)
     return t
-
-
-def _prime_power_degree(ctx: GF, poly: list) -> int:
-    """poly must be phi^k with phi irreducible; returns deg phi."""
-    deg = len(poly) - 1
-    for d in range(1, deg + 1):
-        if deg % d:
-            continue
-        for cand in monic_irreducibles(ctx, d)[d]:
-            q, r = poly_divmod(ctx, poly, cand)
-            if not r:
-                # check the full factorization is a power of cand
-                rest = q
-                while len(rest) > 1:
-                    rest, rem = poly_divmod(ctx, rest, cand)
-                    if rem:
-                        raise AssertionError("minimal polynomial of a local endomorphism "
-                                             "is not a prime power")
-                return d
-    raise AssertionError("irreducible factor search failed")
 
 
 def aut_order_from_summands(h_end: int, summands: Sequence[Tuple[int, int]], q: int) -> int:

@@ -22,8 +22,8 @@ from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver
                               d4_star_out, dual_quiver, jordan, kronecker)
 from hallforge.registry import (IsoRegistry, OrbitIndex, SinkExtensions, SplitIndex,
                                 encode_rep)
-from hallforge.reps import (Rep, dualize_rep, is_stable, krull_schmidt, rep_with_dims,
-                            simple_rep, sub_quotient)
+from hallforge.reps import (Rep, aut_order_from_summands, dualize_rep, hom_dim, is_stable,
+                            krull_schmidt, rep_with_dims, simple_rep, sub_quotient)
 
 F2, F3, F4 = GF.of(2), GF.of(3), GF.of(2, 2)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -101,6 +101,23 @@ def test_aut_orders_spec_values(kron2, jordan2):
 def test_jordan_dim1_aut(jordan3):
     for c in jordan3.classes((1,)):
         assert c.aut_order == 2  # |F_q^*| = q - 1
+
+
+def test_residue_degrees_match_orbit_aut_orders(kron2, kron3, jordan2, jordan3):
+    # an orbit-mode |Aut| is |G| / orbit size; for an indecomposable with
+    # End/rad = F_{q^t} it must also be q^(dim End - t) (q^t - 1)
+    degrees = set()
+    for reg, top in ((kron2, (3, 3)), (kron3, (2, 2)), (IsoRegistry(kronecker(), F4), (2, 2)),
+                     (jordan2, (4,)), (jordan3, (3,))):
+        for g in reg.grades_below(top):
+            assert reg.slice(g).mode in ("zero", "orbit")
+            for c in reg.classes(g):
+                if c.indec:
+                    h_end = hom_dim(c.canon, c.canon)
+                    assert c.aut_order == aut_order_from_summands(
+                        h_end, [(1, c.res_degree)], reg.ctx.q), (g, c.index)
+                    degrees.add(c.res_degree)
+    assert degrees == {1, 2, 3, 4}
 
 
 def _summand_grades(c):
@@ -241,7 +258,7 @@ def test_mass_check_survives_optimize():
         "sl = reg.slice((1, 1))\n"
         "sl.classes[0].aut_order *= 2\n"
         "try:\n"
-        "    reg._mass_check(sl)\n"
+        "    reg._mass_check(sl, reg.ambient_count(sl.grade))\n"
         "except CertificateError as err:\n"
         "    print(err.what, err.grade, err.expected, err.got)\n"
         "reg = IsoRegistry(jordan(), GF.of(2), Caps(max_tuple_count=3))\n"
@@ -399,6 +416,34 @@ def test_cyclic_nilpotent_registry():
     assert len(regC3.slice((1, 1)).classes) == 3
     full = IsoRegistry(cyclic_quiver(2), F2, nilpotent_only=False)
     assert len(full.slice((1, 1)).classes) == 4  # one invertible class extra at q=2
+
+
+def test_nilpotent_one_loop_builds_above_tuple_cap():
+    # q^(n(n-1)) nilpotent n x n matrices (Fine-Herstein): the mass check of
+    # a constructive nilpotent one-loop slice needs no ambient space
+    reg = IsoRegistry(jordan(), F2, Caps(max_tuple_count=3), nilpotent_only=True)
+    assert [len(reg.classes((n,))) for n in (2, 3, 4)] == [2, 3, 5]  # partitions of n
+    assert {reg.slice((n,)).mode for n in (2, 3, 4)} == {"constructive"}
+    # orbit mode: the points the walk keeps are counted by the closed form too
+    for ctx in (F2, F3):
+        reg = IsoRegistry(jordan(), ctx, nilpotent_only=True)
+        assert [len(reg.classes((n,))) for n in (1, 2, 3)] == [1, 2, 3]
+        assert reg.ambient_count((3,)) == ctx.q ** 6
+
+
+def test_nilpotent_orbit_slice_computes_its_mask_once(monkeypatch):
+    calls = []
+    mask = IsoRegistry._nilpotent_mask
+
+    def counted(self, grade, e, ambient):
+        calls.append(grade)
+        return mask(self, grade, e, ambient)
+
+    monkeypatch.setattr(IsoRegistry, "_nilpotent_mask", counted)
+    reg = IsoRegistry(cyclic_quiver(3), F2, nilpotent_only=True)
+    reg.slice((2, 2, 2))
+    orbit = [g for g, sl in reg.slices.items() if sl.mode == "orbit"]
+    assert len(orbit) > 1 and sorted(calls) == sorted(orbit)
 
 
 def test_nilpotent_only_guard():
