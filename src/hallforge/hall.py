@@ -15,6 +15,14 @@ and the pairing is a Hopf pairing: (fg, h) = (f (x) g, Delta h).  The
 tensor square multiplies with the usual twist
 (x (x) y)(z (x) w) = nu^{(dim y, dim z)} xz (x) yw.
 
+Each structure constant is computed once per `HallAlgebra`.  The first
+product into a grade reads that grade's censuses into a table
+{(M, N): [(S, nu^<M,N> F^S_{M,N})]}; the first coproduct of a class R
+reads its census into a row [((Q, S), nu^<Q,S> F^R_{Q,S} a_Q a_S / a_R)].
+`multiply` and `comultiply` then only scale and add table entries.  A
+product's terms come grade by grade in first-seen order, classes in
+registry order within a grade; a coproduct's in census order.
+
 HallElement and TensorElement are one sparse vector (`_SparseElement`,
 with `_add_into` as its only accumulate-and-drop-zero step); exact solves
 over Q(sqrt(q)) use the shared eliminator in `exact`.
@@ -43,8 +51,11 @@ class QNum:
     __slots__ = ("a", "b", "m")
 
     def __init__(self, a, b=0, m: int = 1):
-        a, b = Fraction(a), Fraction(b)
-        if m == 1:
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
+        if m == 1 and b:
             a, b = a + b, Fraction(0)
         self.a, self.b, self.m = a, b, m
 
@@ -80,6 +91,13 @@ class QNum:
         return -(self - other)
 
     def __mul__(self, other):
+        if not isinstance(other, QNum):
+            r = other if isinstance(other, (int, Fraction)) else Fraction(other)
+            return QNum(self.a * r, self.b * r, self.m)
+        if not other.b:
+            return QNum(self.a * other.a, self.b * other.a, self.m)
+        if not self.b:
+            return QNum(other.a * self.a, other.b * self.a, other.m)
         x, y = self._common(other)
         return QNum(x.a * y.a + x.b * y.b * x.m, x.a * y.b + x.b * y.a, x.m)
 
@@ -201,6 +219,9 @@ class HallAlgebra:
         self.q = registry.ctx.q
         spec = registry.ctx.spec  # q = s^2 * m with m squarefree: m is 1 or p
         self.s, self.m = spec.p ** (spec.k // 2), (spec.p if spec.k % 2 else 1)
+        self._products: Dict[tuple, Dict[tuple, list]] = {}  # grade -> {(M, N): [(S, c)]}
+        self._coproducts: Dict[ClassKey, list] = {}          # R -> [((Q, S), c)]
+        self._consts: Dict[tuple, QNum] = {}                 # (e, x) -> nu^e * x
 
     # -- scalars
 
@@ -245,22 +266,54 @@ class HallAlgebra:
             return 0
         return self.registry.census(s_key).get((m_key, n_key), 0)
 
+    def _const(self, pair: tuple, x) -> QNum:
+        """nu^<M,N> * x for the pair (M, N) and rational x; one object per
+        distinct value, shared by every table entry that holds it."""
+        e = euler_form(self.quiver, pair[0][0], pair[1][0])
+        c = self._consts.get((e, x))
+        if c is None:
+            c = self._consts[(e, x)] = self.nu_pow(e) * x
+        return c
+
+    def _product_table(self, grade: tuple) -> Dict[tuple, list]:
+        """{(M, N): [(S, nu^<M,N> F^S_{M,N})]} over the classes S of `grade`,
+        each list in registry order; read off the censuses on first use."""
+        table = self._products.get(grade)
+        if table is None:
+            table = {}
+            for cls in self.registry.classes(grade):
+                sk = cls.key
+                for pair, count in self.registry.census(sk).items():
+                    table.setdefault(pair, []).append((sk, self._const(pair, count)))
+            self._products[grade] = table
+        return table
+
+    def _coproduct_row(self, r_key: ClassKey) -> list:
+        """[((Q, S), nu^<Q,S> F^R_{Q,S} a_Q a_S / a_R)] in census order;
+        read off the census of R on first use."""
+        row = self._coproducts.get(r_key)
+        if row is None:
+            a_r = self.aut(r_key)
+            row = [(pair, self._const(pair, Fraction(
+                        count * self.aut(pair[0]) * self.aut(pair[1]), a_r)))
+                   for pair, count in self.registry.census(r_key).items()]
+            self._coproducts[r_key] = row
+        return row
+
     def multiply(self, f: HallElement, g: HallElement) -> HallElement:
         out: Dict[ClassKey, QNum] = {}
         by_grade: Dict[tuple, list] = {}
         for (mk, cm) in f.terms.items():
             for (nk, cn) in g.terms.items():
                 tgt = tuple(a + b for a, b in zip(mk[0], nk[0]))
-                by_grade.setdefault(tgt, []).append((mk, nk, cm * cn))
+                by_grade.setdefault(tgt, []).append(((mk, nk), cm * cn))
         for tgt, pairs in by_grade.items():
-            for cls in self.registry.classes(tgt):
-                census = self.registry.census(cls.key)
-                acc = self.zero()
-                for mk, nk, c in pairs:
-                    count = census.get((mk, nk))
-                    if count:
-                        acc = acc + c * self.nu_pow(euler_form(self.quiver, mk[0], nk[0])) * self.scalar(count)
-                _add_into(out, cls.key, acc)
+            table = self._product_table(tgt)
+            acc: Dict[ClassKey, QNum] = {}
+            for pair, c in pairs:
+                for sk, t in table.get(pair, ()):
+                    _add_into(acc, sk, c * t)
+            out.update(sorted(acc.items()))  # registry order within the grade
         return HallElement(out)
 
     def multiply_all(self, factors: Sequence[HallElement]) -> HallElement:
@@ -272,11 +325,8 @@ class HallAlgebra:
     def comultiply(self, f: HallElement) -> TensorElement:
         out: Dict[tuple, QNum] = {}
         for rk, cr in f.terms.items():
-            a_r = self.aut(rk)
-            for (qk, sk), count in self.registry.census(rk).items():
-                coeff = (cr * self.nu_pow(euler_form(self.quiver, qk[0], sk[0]))
-                         * self.scalar(Fraction(count * self.aut(qk) * self.aut(sk), a_r)))
-                _add_into(out, (qk, sk), coeff)
+            for key, c in self._coproduct_row(rk):
+                _add_into(out, key, cr * c)
         return TensorElement(out)
 
     def coproduct_defect(self, f: HallElement) -> TensorElement:
@@ -294,15 +344,15 @@ class HallAlgebra:
         for k, v in f.terms.items():
             w = g.terms.get(k)
             if w:
-                acc = acc + v * w / self.scalar(self.aut(k))
+                acc = acc + v * w * Fraction(1, self.aut(k))
         return acc
 
     def tensor(self, f: HallElement, g: HallElement) -> TensorElement:
         return TensorElement({
-            (k1, k2): v1 * v2
+            (k1, k2): v
             for k1, v1 in f.terms.items()
             for k2, v2 in g.terms.items()
-            if v1 * v2
+            if (v := v1 * v2)
         })
 
     def tensor_pairing(self, s: TensorElement, t: TensorElement) -> QNum:
@@ -310,7 +360,7 @@ class HallAlgebra:
         for k, v in s.terms.items():
             w = t.terms.get(k)
             if w:
-                acc = acc + v * w / self.scalar(self.aut(k[0]) * self.aut(k[1]))
+                acc = acc + v * w * Fraction(1, self.aut(k[0]) * self.aut(k[1]))
         return acc
 
     def hopf_pairing_check(self, f: HallElement, g: HallElement, h: HallElement) -> bool:

@@ -385,7 +385,7 @@ class SplitIndex:
                     raise CertificateError("identification", sl.grade,
                                            "a registered indecomposable",
                                            f"none with signature {sig}")
-                t = residue_degree(rep, reg.caps)
+                t = residue_degree(rep)
                 aut = aut_order_from_summands(h_end, [(1, t)], reg.ctx.q)
                 idx = reg._add_class(sl, rep, aut, res_degree=t).index
                 self.buckets.setdefault(sig, []).append(idx)
@@ -636,7 +636,7 @@ class IsoRegistry:
                 self._add_class(sl, canon, group // size, tuple(sorted(counts.items())))
             else:
                 self._add_class(sl, canon, group // size,
-                                res_degree=residue_degree(canon, self.caps))
+                                res_degree=residue_degree(canon))
         return sl, points
 
     def _nilpotent_mask(self, grade: tuple, e: int, ambient: int) -> np.ndarray:

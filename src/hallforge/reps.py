@@ -412,7 +412,7 @@ def iso_indecomposables(m: Rep, n: Rep) -> bool:
     return False
 
 
-def residue_degree(m: Rep, caps: Caps = DEFAULT_CAPS) -> int:
+def residue_degree(m: Rep) -> int:
     """Degree t over GF(q) of the residue field End(m)/rad for indecomposable m.
 
     End(m) being local, an endomorphism is nilpotent exactly when its image

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallforge.errors import SizeMismatch
 from hallforge.gf import GF
-from hallforge.hall import HallAlgebra, QNum, TensorElement
-from hallforge.quiver import kronecker, single_vertex
+from hallforge.hall import HallAlgebra, HallElement, QNum, TensorElement
+from hallforge.quiver import euler_form, kronecker, single_vertex
 from hallforge.registry import IsoRegistry
 from hallforge.reps import simple_rep
 
@@ -56,6 +58,30 @@ def test_qnum_rational_operand_adopts_the_other_field():
         r2 + QNum(0, 1, 3)
     with pytest.raises(SizeMismatch):
         QNum(0, 1, 3) * r2
+
+
+_fracs = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(a=_fracs, b=_fracs, c=_fracs, d=_fracs, m=st.sampled_from((1, 2, 3)),
+       form=st.sampled_from(("int", "fraction", "rational", "in_field")))
+def test_qnum_product_paths_match_generic_formula(a, b, c, d, m, form):
+    def generic(c, d):
+        return QNum(a * c + b * d * m, a * d + b * c, m)
+
+    x = QNum(a, b, m)
+    assert x * QNum(c, d, m) == generic(c, d)
+    r = {"int": int(c), "fraction": c, "rational": QNum(c), "in_field": QNum(c, 0, m)}[form]
+    want = generic(Fraction(int(c)) if form == "int" else c, 0)
+    for got in (x * r, r * x):
+        assert got == want and hash(got) == hash(want)
+        assert got.m == m or not got.b
+        # a rational value equals and hashes as itself in any field
+        if not got.b:
+            for other in (QNum(got.a), QNum(got.a, 0, 2), got.a):
+                assert got == other and other == got
+            assert hash(got) == hash(QNum(got.a)) == hash(QNum(got.a, 0, 3))
 
 
 def test_a1_product_and_coproduct(a1):
@@ -115,6 +141,101 @@ def _keys_upto(reg, top):
     for g in reg.grades_below(top):
         out.extend(c.key for c in reg.classes(g))
     return out
+
+
+def _census_product(h, f, g):
+    """f * g read straight off the censuses: grades in first-seen order,
+    classes in registry order within a grade."""
+    reg = h.registry
+    by_grade = {}
+    for mk, cm in f.terms.items():
+        for nk, cn in g.terms.items():
+            tgt = tuple(a + b for a, b in zip(mk[0], nk[0]))
+            by_grade.setdefault(tgt, []).append((mk, nk, cm * cn))
+    out = {}
+    for tgt, pairs in by_grade.items():
+        for cls in reg.classes(tgt):
+            census = reg.census(cls.key)
+            v = QNum(0)
+            for mk, nk, c in pairs:
+                if (mk, nk) in census:
+                    v = v + c * h.nu_pow(euler_form(reg.quiver, mk[0], nk[0])) * census[(mk, nk)]
+            if v:
+                out[cls.key] = v
+    return out
+
+
+def _census_coproduct(h, rk):
+    reg = h.registry
+    return {(qk, sk): h.nu_pow(euler_form(reg.quiver, qk[0], sk[0]))
+            * Fraction(n * reg.cls(qk).aut_order * reg.cls(sk).aut_order, reg.cls(rk).aut_order)
+            for (qk, sk), n in reg.census(rk).items()}
+
+
+@pytest.mark.parametrize("p,top", [(2, (2, 2)), (3, (1, 2))])
+def test_tables_match_census_formulas(p, top, kron2, kron3):
+    reg = {2: kron2, 3: kron3}[p]
+    h = HallAlgebra(reg)
+    keys = _keys_upto(reg, top)
+    for a, b in itertools.product(keys, repeat=2):
+        if all(x + y <= t for x, y, t in zip(a[0], b[0], top)):
+            fa, fb = h.basis(a), h.basis(b)
+            want = _census_product(h, fa, fb)
+            got = h.multiply(fa, fb).terms
+            assert got == want and list(got) == list(want)
+    for k in keys:
+        assert h.comultiply(h.basis(k)).terms == _census_coproduct(h, k)
+    # a whole grade, its terms in reverse registry order, times each basis
+    # class on either side: accumulation and key order of whole elements
+    low = [k for k in keys if sum(k[0]) == 1] + [h.unit_key()]
+    f = HallElement({k: h.nu_pow(e) for e, k in enumerate(low, -1)})
+    f_top = tuple(max(col) for col in zip(*(k[0] for k in low)))
+    for grade in reg.grades_below(top):
+        g = HallElement({c.key: h.scalar(e) for e, c in enumerate(reversed(reg.classes(grade)), 1)})
+        for b, b_top in [(f, f_top)] + [(h.basis(k), k[0]) for k in keys]:
+            if all(x + y <= t for x, y, t in zip(grade, b_top, top)):
+                for x, y in ((g, b), (b, g)):
+                    got = h.multiply(x, y).terms
+                    want = _census_product(h, x, y)
+                    assert got == want and list(got) == list(want)
+
+
+def test_tables_are_built_once(monkeypatch):
+    calls = []
+    census = IsoRegistry.census
+
+    def counted(reg, key):
+        calls.append(reg)
+        return census(reg, key)
+
+    monkeypatch.setattr(IsoRegistry, "census", counted)
+    reg = IsoRegistry(kronecker(), F2)
+    h = HallAlgebra(reg)
+    keys = _keys_upto(reg, (1, 1))
+    pairs = [(a, b) for a, b in itertools.product(keys, repeat=2)
+             if all(x + y <= 1 for x, y in zip(a[0], b[0]))]
+
+    def run(alg, key_pairs, key_list):
+        return ([alg.multiply(alg.basis(a), alg.basis(b)).terms for a, b in key_pairs],
+                [alg.comultiply(alg.basis(k)).terms for k in key_list])
+
+    first = run(h, pairs, keys)
+    assert calls
+    calls.clear()
+    assert run(h, pairs, keys) == first
+    assert calls == []
+    # the dual algebra keeps its own tables over its own registry
+    hd = h.dual_algebra()
+    dual_pairs = [(next(iter(h.dualize(h.basis(b), hd).terms)),
+                   next(iter(h.dualize(h.basis(a), hd).terms))) for a, b in pairs]
+    dual_products, _ = run(hd, dual_pairs, [])
+    assert calls and all(r is hd.registry for r in calls)
+    for (a, b), got in zip(pairs, dual_products):
+        assert h.dualize(h.multiply(h.basis(a), h.basis(b)), hd).terms == got
+    calls.clear()
+    run(h, pairs, keys)
+    run(hd, dual_pairs, [])
+    assert calls == []
 
 
 def test_associativity_exhaustive_q2(hall_kron2, kron2):
