@@ -88,6 +88,7 @@ def add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-end-scan", type=int, default=Caps.max_end_scan)
     p.add_argument("--cap-subspaces", type=int, default=Caps.max_subspace_enum)
     p.add_argument("--cap-candidates", type=int, default=Caps.max_candidates)
+    p.add_argument("--cap-candidates-total", type=int, default=Caps.max_total_candidates)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -102,6 +103,7 @@ def build_context(args):
         max_end_scan=args.cap_end_scan,
         max_subspace_enum=args.cap_subspaces,
         max_candidates=args.cap_candidates,
+        max_total_candidates=args.cap_candidates_total,
     )
     try:
         ctx = GF.of(args.p, args.k)

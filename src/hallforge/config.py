@@ -20,6 +20,7 @@ class Caps:
     max_end_scan: int = 2 ** 16           # full scans of End(M) / Hom(M,N)
     max_subspace_enum: int = 200_000      # subspace tuples per submodule census
     max_candidates: int = 200_000         # extension lines per constructive level
+    max_total_candidates: int = 2_000_000  # extension lines over all levels of a registry
     max_field_size: int = DEFAULT_FIELD_SIZE_CAP
 
     def check(self, what: str, estimate) -> None:
@@ -28,6 +29,7 @@ class Caps:
             "end_scan": self.max_end_scan,
             "subspace_enum": self.max_subspace_enum,
             "candidates": self.max_candidates,
+            "total_candidates": self.max_total_candidates,
             "field_size": self.max_field_size,
         }[what]
         if estimate > cap:

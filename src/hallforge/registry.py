@@ -11,10 +11,18 @@ that identifies its representations:
   the one breadth-first walk of this module (it also groups extension
   cocycles below).  The canonical representative is the
   lexicographically least matrix tuple of the orbit and the automorphism
-  order is group order / orbit size.  `OrbitIndex` is the table from the
+  order is group order / orbit size.  The walk works on base-q codes: a
+  generator (v, g) of prod_v GL(d_v) acts on each arrow block on its own
+  (M -> gM into v, M -> Mg^-1 out of v, both on a loop), so one table per
+  (generator, arrow at v), built once per grade, maps each block code to
+  the shift of the point's code, and an image is the code plus one table
+  entry per block at v (`_base_change_images`).  The tables, each no
+  larger than the ambient space, are counted with the walk's dense arrays
+  against the memory cap.  `OrbitIndex` is the table from the
   base-q code of every point to its class; the zero grade has the
   one-entry table of the zero representation.  A nilpotent-only walk
-  skips the points its one nilpotency mask excludes.
+  skips the points its one nilpotency mask excludes; the mask is
+  computed over blocks of a fixed number of points.
 
 * constructive mode on the one-loop quiver: the classes are conjugacy
   types (irreducible polynomial, partition) from `oneloop`, and
@@ -40,7 +48,8 @@ that identifies its representations:
   is still registered and canonical representatives and class order do
   not change; a smaller H would only skip less.  The line count of a
   level, the sum over A of (q^free - 1)/(q - 1) + 1, is checked against
-  the `candidates` cap before any line is enumerated.
+  the `candidates` cap, and the registry's running sum of line counts
+  against the `total_candidates` budget, before any line is enumerated.
 
   `SplitIndex` makes one Fitting split: a half whose grade is built is
   identified there and contributes its registered summands, only halves
@@ -88,6 +97,7 @@ from .reps import (Rep, aut_order_from_summands, direct_sum_all, end_basis,
                    pri_of_defect, residue_degree, rref_pivots, sub_quotient, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
+_MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
 
 
 @dataclass
@@ -204,6 +214,48 @@ def _gl_generators(ctx: GF, n: int) -> List[Mat]:
         tv[0, 1] = 1
         gens.append(Mat(ctx, tv))
     return gens
+
+
+def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps
+                        ) -> Callable[[np.ndarray], np.ndarray]:
+    """The `images` of an orbit walk over the point codes of `grade`.  The
+    table of a generator (v, g) at an arrow at v maps each block code to
+    (image block code - block code) * the place value of the block."""
+    q = ctx.q
+    spans = _spans(quiver, grade)
+    e = _entry_count(quiver, grade)
+    gens = [(v, g.a, g.inverse().a) for v in range(quiver.n)
+            for g in _gl_generators(ctx, grade[v])]
+    at = [[i for i, (s, t) in enumerate(quiver.arrows)
+           if v in (s, t) and spans[i][1] > spans[i][0]] for v, _, _ in gens]
+    caps.check_memory(q ** e * 10 + 8 * sum(q ** (spans[i][1] - spans[i][0])
+                                            for arrows in at for i in arrows))
+    radix: Dict[int, Tuple[int, int]] = {}  # arrow -> (place value, code count) of its block
+    tables = []
+    for (v, g, ginv), arrows in zip(gens, at):
+        tables.append([])
+        for i in arrows:
+            (lo, hi, r, c), (s, t) = spans[i], quiver.arrows[i]
+            codes = np.arange(q ** (hi - lo), dtype=np.int64)
+            block = _decode_batch(codes, hi - lo, q).reshape(-1, r, c)
+            if t == v:
+                block = ctx.matmul(g, block)
+            if s == v:
+                block = ctx.matmul(block, ginv)
+            image = _encode_batch(block.reshape(codes.size, -1), q)
+            radix[i] = (q ** (e - hi), codes.size)
+            tables[-1].append((i, (image - codes) * radix[i][0]))
+
+    def images(codes: np.ndarray) -> np.ndarray:
+        blocks = {i: codes // scale % size for i, (scale, size) in radix.items()}
+        out = np.tile(codes, len(tables))  # a grade without generators has no images
+        for k, acts in enumerate(tables):
+            image = out[k * codes.size: (k + 1) * codes.size]
+            for i, delta in acts:
+                image += delta[blocks[i]]
+        return out
+
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +489,7 @@ class IsoRegistry:
         self.caps = caps
         self.nilpotent_only = nilpotent_only
         self.slices: Dict[tuple, GradeSlice] = {}
+        self.candidates_enumerated = 0  # extension lines over all constructive levels
         self._subspace_lists: Dict[int, tuple] = {}
         self._superset_memo: Dict[tuple, List[int]] = {}
         try:
@@ -592,33 +645,8 @@ class IsoRegistry:
         """The orbit slice of `grade` and its number of points."""
         quiver, ctx = self.quiver, self.ctx
         e = _entry_count(quiver, grade)
-        q = ctx.q
-        ambient = q ** e
-        self.caps.check_memory(ambient * 10)
-        spans = _spans(quiver, grade)
-        gens = []  # (vertex, g, g_inv)
-        for v in range(quiver.n):
-            for g in _gl_generators(ctx, grade[v]):
-                gens.append((v, g.a, g.inverse().a))
-
-        def images(codes: np.ndarray) -> np.ndarray:
-            digs = _decode_batch(codes, e, q)
-            out = [codes[:0]]  # a grade without generators has no images
-            for (v, g, ginv) in gens:
-                nd = digs.copy()
-                for span, (s, t) in zip(spans, quiver.arrows):
-                    lo, hi, r, c = span
-                    if hi == lo:
-                        continue
-                    block = nd[:, lo:hi].reshape(-1, r, c)
-                    if t == v:
-                        block = ctx.matmul(g, block)
-                    if s == v:
-                        block = ctx.matmul(block, ginv)
-                    nd[:, lo:hi] = block.reshape(-1, hi - lo)
-                out.append(_encode_batch(nd, q))
-            return np.concatenate(out)
-
+        ambient = ctx.q ** e
+        images = _base_change_images(quiver, ctx, grade, self.caps)
         class_of = np.full(ambient, -1, dtype=np.int64)
         points = ambient
         if self.nilpotent_only:
@@ -640,25 +668,27 @@ class IsoRegistry:
         return sl, points
 
     def _nilpotent_mask(self, grade: tuple, e: int, ambient: int) -> np.ndarray:
-        """Boolean mask of nilpotent points (cyclic and one-loop quivers)."""
+        """Boolean mask of nilpotent points (cyclic and one-loop quivers),
+        computed over blocks of at most `_MASK_BLOCK` points."""
         quiver, ctx = self.quiver, self.ctx
-        q = ctx.q
-        codes = np.arange(ambient, dtype=np.int64)
-        digs = _decode_batch(codes, e, q)
         # composite map around the cycle, starting at vertex 0
         arr_of = {s: span for (s, _), span in zip(quiver.arrows, _spans(quiver, grade))}
-        comp = None
-        for v in range(quiver.n):
-            lo, hi, r, c = arr_of[v]
-            block = digs[:, lo:hi].reshape(ambient, r, c)
-            comp = block if comp is None else ctx.matmul(block, comp)
         total = sum(grade)
-        power = comp
-        steps = 1
-        while steps < total:
-            power = ctx.matmul(power, power)
-            steps *= 2
-        return ~power.reshape(power.shape[0], -1).any(axis=1)
+        mask = np.empty(ambient, dtype=bool)
+        for start in range(0, ambient, _MASK_BLOCK):
+            codes = np.arange(start, min(start + _MASK_BLOCK, ambient), dtype=np.int64)
+            digs = _decode_batch(codes, e, ctx.q)
+            comp = None
+            for v in range(quiver.n):
+                lo, hi, r, c = arr_of[v]
+                block = digs[:, lo:hi].reshape(codes.size, r, c)
+                comp = block if comp is None else ctx.matmul(block, comp)
+            steps = 1
+            while steps < total:
+                comp = ctx.matmul(comp, comp)
+                steps *= 2
+            mask[start: start + codes.size] = ~comp.reshape(codes.size, -1).any(axis=1)
+        return mask
 
     # -- constructive mode: acyclic quivers, extensions by a sink simple
 
@@ -679,7 +709,10 @@ class IsoRegistry:
         sl = GradeSlice(grade, "constructive")
         sl.index = SplitIndex(self, sl)
         exts = [SinkExtensions(a_cls.canon, v) for a_cls in base.classes]
-        self.caps.check("candidates", sum(ext.count for ext in exts))
+        lines = sum(ext.count for ext in exts)
+        self.caps.check("candidates", lines)
+        self.caps.check("total_candidates", self.candidates_enumerated + lines)
+        self.candidates_enumerated += lines
         for ext in exts:
             cocycles, first = ext.orbits()
             for i in np.flatnonzero(first == np.arange(ext.count)):

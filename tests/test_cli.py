@@ -179,6 +179,21 @@ def test_candidate_cap_is_a_structured_error(tmp_path):
                                             "candidates: estimated 11 exceeds cap 10"})
 
 
+def test_total_candidate_budget_ends_a_long_request():
+    # tube_decomposition up to 9 delta builds every grade <= (9,9), each level
+    # under the per-level cap; the budget over all levels ends the request
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallforge.cli", "enumerate", "--quiver", "kronecker",
+         "--p", "2", "--grade", "9,9", "--cap-tuples", "10", "--cap-candidates-total", "300"],
+        capture_output=True, text=True, timeout=30,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["error"] == "CapExceeded"
+    assert record["message"].startswith("total_candidates: ") and "cap 300" in record["message"]
+
+
 def test_structured_error_survives_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "hallforge.cli", "verify", "noyau",

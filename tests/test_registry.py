@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import itertools
 import json
@@ -20,8 +21,9 @@ from hallforge.gf import GF, Mat, gl_order, subspaces_of_dim
 from hallforge.oneloop import OneLoopIndex
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
                               d4_star_out, dual_quiver, jordan, kronecker)
+from hallforge import registry
 from hallforge.registry import (IsoRegistry, OrbitIndex, SinkExtensions, SplitIndex,
-                                encode_rep)
+                                _base_change_images, _gl_generators, encode_rep)
 from hallforge.reps import (Rep, aut_order_from_summands, dualize_rep, hom_dim, is_stable,
                             krull_schmidt, rep_with_dims, simple_rep, sub_quotient)
 
@@ -41,6 +43,19 @@ CONSTRUCTIVE_CASES = {
                       "dbda8291126efdbc4fada875219e225dd3dc44bfed6544618a7bdac13c6eef57"),
     "d4-star-q3": (d4_star_out(), F3, [(2, 1, 1, 1, 1)],
                    "1956329e13afbb83dc384adab59ec755219cb4f9cd8b343261282a67031276e0"),
+}
+
+
+# Orbit-built registries of slices no other golden covers (nilpotent-only
+# for cyclic3), with the sha256 of export_jsonl(sorted(reg.slices)) as
+# recorded before the orbit walk moved to per-arrow action tables.
+ORBIT_CASES = {
+    "one-loop-q3": (jordan(), F3, False, [(1,), (2,), (3,)],
+                    "2c97aa9fb1d5fd8ac2f7bcc12886571b9c5500f6348faab12ae7adb8d0c216de"),
+    "kronecker-q4": (kronecker(), F4, False, [(1, 1), (2, 1), (1, 2), (2, 2)],
+                     "c95faa0fca2ca11004dbaf9b584ef847c6e7a452a439430fe319123776d9f8f7"),
+    "cyclic3-nilpotent-q3": (cyclic_quiver(3), F3, True, [(2, 2, 2)],
+                             "398173d14fc84e660d4808c6bc3db46c85dce63dba2289d59aa1b0b5d2bf7367"),
 }
 
 
@@ -229,6 +244,16 @@ def test_orbit_and_constructive_builds_agree_property(case):
 def test_constructive_exports_golden(constructive_regs):
     for name, (_, _, _, digest) in CONSTRUCTIVE_CASES.items():
         reg = constructive_regs[name]
+        text = reg.export_jsonl(sorted(reg.slices))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_orbit_exports_golden():
+    for name, (quiver, ctx, nilpotent, grades, digest) in ORBIT_CASES.items():
+        reg = IsoRegistry(quiver, ctx, nilpotent_only=nilpotent)
+        for g in grades:
+            reg.slice(g)
+        assert {sl.mode for sl in reg.slices.values()} == {"orbit"}, name
         text = reg.export_jsonl(sorted(reg.slices))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
@@ -479,6 +504,115 @@ def test_candidate_cap(monkeypatch):
         assert enumerated <= set(reg.slices)
         assert (3, 3) not in reg.slices
     assert (3, 1) in enumerated  # 64 lines: under the larger cap
+
+
+def test_total_candidate_budget():
+    # Kronecker (3,2) over GF(2) forced constructive: six levels, each under
+    # the per-level cap; a budget one line short of their sum stops the last
+    # level checked before any of its lines is enumerated
+    reg = IsoRegistry(kronecker(), F2, TINY)
+    reg.slice((3, 2))
+    total = reg.candidates_enumerated
+    reg = IsoRegistry(kronecker(), F2, Caps(max_tuple_count=3, max_total_candidates=total - 1))
+    with pytest.raises(CapExceeded) as err:
+        reg.slice((3, 2))
+    assert (err.value.what, err.value.estimate, err.value.cap) == (
+        "total_candidates", total, total - 1)
+    assert (3, 2) not in reg.slices and reg.candidates_enumerated < total
+    reg = IsoRegistry(kronecker(), F2, Caps(max_tuple_count=3, max_total_candidates=total))
+    assert reg.slice((3, 2)).classes and reg.candidates_enumerated == total
+
+
+@st.composite
+def _quiver_grade_codes(draw):
+    """A quiver with <= 3 vertices and <= 4 arrows, loops included, a field
+    size, a grade with at most 4^6 points and some codes of its points."""
+    n = draw(st.integers(1, 3))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           min_size=1, max_size=4))
+    quiver = Quiver(tuple(str(i) for i in range(n)), tuple(arrows))
+    q = draw(st.sampled_from((2, 3, 4)))
+    grade = draw(st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda g: q ** sum(g[s] * g[t] for s, t in arrows) <= 4 ** 6))
+    points = q ** sum(grade[s] * grade[t] for s, t in arrows)
+    codes = draw(st.lists(st.integers(0, points - 1), min_size=1, max_size=12))
+    return quiver, q, grade, codes
+
+
+def _base_change_oracle(quiver, ctx, grade, code):
+    """The image codes of one point under each generator (v, g), in the order
+    of the walk: digits by divmod, M -> gM into v and M -> Mg^-1 out of v by
+    `ctx.matmul`, then Horner's rule."""
+    q = ctx.q
+    e = sum(grade[s] * grade[t] for s, t in quiver.arrows)
+    digits = []
+    for _ in range(e):
+        code, d = divmod(code, q)
+        digits.append(d)
+    digits = np.array(digits[::-1], dtype=np.uint8)
+    out = []
+    for v in range(quiver.n):
+        for g in _gl_generators(ctx, grade[v]):
+            ginv, image, pos = g.inverse().a, [], 0
+            for s, t in quiver.arrows:
+                size = grade[t] * grade[s]
+                block = digits[pos: pos + size].reshape(grade[t], grade[s])
+                pos += size
+                if t == v:
+                    block = ctx.matmul(g.a, block)
+                if s == v:
+                    block = ctx.matmul(block, ginv)
+                image.extend(int(x) for x in block.reshape(-1))
+            out.append(functools.reduce(lambda c, d: c * q + d, image, 0))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_quiver_grade_codes())
+def test_base_change_tables_match_matmul_property(case):
+    quiver, q, grade, codes = case
+    ctx = GF.of_q(q)
+    images = _base_change_images(quiver, ctx, grade, Caps())(np.array(codes, dtype=np.int64))
+    expect = [_base_change_oracle(quiver, ctx, grade, c) for c in codes]
+    # images come generator by generator, each over all the codes
+    assert images.tolist() == [row[k] for k in range(len(expect[0])) for row in expect]
+
+
+def test_memory_cap_counts_action_tables(monkeypatch):
+    # jordan (4,) over GF(2): 10 bytes per point of 2^16 fit in 1 MB, the
+    # two generators' 8-byte tables of 2^16 loop codes on top do not
+    monkeypatch.setenv("HALLFORGE_CAP_MB", "1")
+    reg = IsoRegistry(jordan(), F2)
+    assert reg.slice((3,)).mode == "orbit"
+    with pytest.raises(CapExceeded) as err:
+        reg.slice((4,))
+    assert err.value.what == "memory_mb"
+
+
+def test_orbit_walk_images_do_not_decode(monkeypatch):
+    # the tables are built before the walk and the first points decoded
+    # after it; the walk's images read the tables only
+    walking, walks, decoded = [False], [], []
+    decode, walk = registry._decode_batch, registry._walk_orbits
+
+    def counted(codes, e, q):
+        decoded.append(walking[0])
+        return decode(codes, e, q)
+
+    def flagged(labels, images):
+        walking[0] = True
+        walks.append(labels.size)
+        try:
+            return walk(labels, images)
+        finally:
+            walking[0] = False
+
+    monkeypatch.setattr(registry, "_decode_batch", counted)
+    monkeypatch.setattr(registry, "_walk_orbits", flagged)
+    reg = IsoRegistry(kronecker(), F3)
+    assert reg.slice((2, 2)).mode == "orbit"
+    assert 3 ** 8 in walks and decoded and not any(decoded)
 
 
 def test_orbit_index_rejects_excluded_point():
