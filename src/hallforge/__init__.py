@@ -21,8 +21,8 @@ from .cuspidal import (CuspidalSpace, LinearFormL, NormalizedTubeCuspidal, Tube,
                        xi_value)
 from .errors import (CapExceeded, CertificateError, HallforgeError, SingularMatrix,
                      SizeMismatch)
-from .gf import (GF, FieldSpec, Mat, gaussian_binomial, gl_order,
-                 monic_irreducibles, subspaces_of_dim)
+from .gf import (GF, Mat, gaussian_binomial, gl_order, monic_irreducibles,
+                 subspaces_of_dim)
 from .hall import HallAlgebra, HallElement, QNum, TensorElement
 from .quiver import (Quiver, QuiverType, classify_type, defect, dual_quiver,
                      euler_form, jordan, kronecker, cyclic_quiver,

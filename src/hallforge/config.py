@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded
 
-DEFAULT_FIELD_SIZE_CAP = 64
-
 
 @dataclass(frozen=True)
 class Caps:
@@ -21,7 +19,6 @@ class Caps:
     max_subspace_enum: int = 200_000      # subspace tuples per submodule census
     max_candidates: int = 200_000         # extension lines per constructive level
     max_total_candidates: int = 2_000_000  # extension lines over all levels of a registry
-    max_field_size: int = DEFAULT_FIELD_SIZE_CAP
 
     def check(self, what: str, estimate) -> None:
         cap = {
@@ -30,7 +27,6 @@ class Caps:
             "subspace_enum": self.max_subspace_enum,
             "candidates": self.max_candidates,
             "total_candidates": self.max_total_candidates,
-            "field_size": self.max_field_size,
         }[what]
         if estimate > cap:
             raise CapExceeded(what, estimate, cap)

@@ -1,35 +1,43 @@
 """Exact arithmetic and linear algebra over GF(p^k) for small prime powers.
 
+`GF` is the one field type: `GF.of(p, k)` and `GF.of_q(q)` return the
+cached context of a field, which checks p, k and the size cap
+q <= MAX_FIELD_SIZE before it builds anything.
+
 Field elements are integer codes 0..q-1: the code of an element with
 coefficient vector (c_0, ..., c_{k-1}) (c_0 = constant term) is
 sum c_i p^i.  Codes 0..p-1 are the prime field.  Increasing code order is
 the canonical total order used everywhere downstream (registry canonical
 forms, subspace enumeration, orbit minima).
 
-The modulus for each (p, k) is fixed by MODULUS_TABLE below so that runs
-are reproducible across machines; every entry is a monic irreducible
-polynomial over GF(p), checked by the test suite.
+The modulus for each (p, k) with k > 1 is fixed by MODULUS_TABLE below so
+that runs are reproducible across machines; every entry is a monic
+irreducible polynomial over GF(p), checked by the test suite.  Every field,
+prime or not, builds its q x q ADD/MUL tables by the same loop over
+coefficient vectors, and its q-entry NEG/INV tables from them.
 
 Matrices are thin immutable wrappers over numpy uint8 code arrays.  Every
 elementwise operation (sum, difference, negation, scaling, the row
-operations of elimination) is a lookup in the q x q ADD/MUL and q-entry NEG
-tables, which every field builds.  Matrix products all go through
-`GF.matmul`, the one place that chooses between the two product paths: an
-integer matmul reduced mod p for prime fields, and an accumulation of table
-lookups over the inner index for extension fields.  Everything is exact;
-there is no floating point anywhere in this package.
+operations of elimination) is a table lookup.  Matrix products all go
+through `GF.matmul`, the one place that chooses between the two product
+paths: an integer matmul reduced mod p for prime fields, and an
+accumulation of table lookups over the inner index for extension fields.
+Everything is exact; there is no floating point anywhere in this package,
+and every precondition is a raised error, never an `assert`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
-from .errors import SingularMatrix, SizeMismatch
+from .errors import CapExceeded, CertificateError, SingularMatrix, SizeMismatch
+
+MAX_FIELD_SIZE = 64  # largest q a field may have
 
 # monic irreducible moduli: (p, k) -> coefficients of x^0..x^{k-1}; leading 1 implicit
 MODULUS_TABLE = {
@@ -58,46 +66,6 @@ def is_prime(n: int) -> bool:
     return n < 61 * 61  # fields are capped way below this
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    p: int
-    k: int = 1
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.k < 1:
-            raise ValueError("extension degree must be >= 1")
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.k
-
-    @property
-    def modulus(self) -> tuple:
-        if self.k == 1:
-            return ()
-        try:
-            return MODULUS_TABLE[(self.p, self.k)]
-        except KeyError:
-            raise ValueError(f"no fixed modulus for GF({self.p}^{self.k})") from None
-
-
-def spec_for_q(q: int) -> FieldSpec:
-    """FieldSpec for a prime power q, factoring out the prime."""
-    for p in _SMALL_PRIMES:
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                break
-            return FieldSpec(p, k)
-    raise ValueError(f"{q} is not a small prime power")
-
-
 # ---------------------------------------------------------------------------
 # field context
 
@@ -107,23 +75,38 @@ class GF:
 
     _cache: dict = {}
 
-    def __init__(self, spec: FieldSpec, caps: Caps = DEFAULT_CAPS):
-        caps.check("field_size", spec.q)
-        self.spec = spec
-        self.p, self.k, self.q = spec.p, spec.k, spec.q
+    def __init__(self, p: int, k: int = 1):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if k < 1:
+            raise ValueError("extension degree must be >= 1")
+        q = p ** k
+        if q > MAX_FIELD_SIZE:
+            raise CapExceeded("field_size", q, MAX_FIELD_SIZE)
+        if k > 1 and (p, k) not in MODULUS_TABLE:
+            raise ValueError(f"no fixed modulus for GF({p}^{k})")
+        self.p, self.k, self.q = p, k, q
+        self.modulus = MODULUS_TABLE.get((p, k), ())
         self._build_tables()
 
     @classmethod
     def of(cls, p: int, k: int = 1) -> "GF":
         key = (p, k)
         if key not in cls._cache:
-            cls._cache[key] = cls(FieldSpec(p, k))
+            cls._cache[key] = cls(p, k)
         return cls._cache[key]
 
     @classmethod
     def of_q(cls, q: int) -> "GF":
-        s = spec_for_q(q)
-        return cls.of(s.p, s.k)
+        """GF(q) for a prime power q, factoring out the prime."""
+        p = next((p for p in _SMALL_PRIMES if q % p == 0), None) if q else None
+        k, m = 0, q
+        while p is not None and m % p == 0:
+            m //= p
+            k += 1
+        if p is None or m != 1:
+            raise ValueError(f"{q} is not a small prime power")
+        return cls.of(p, k)
 
     # -- scalar arithmetic on codes
 
@@ -151,30 +134,23 @@ class GF:
             if ai:
                 for j, bj in enumerate(b):
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-        mod = self.spec.modulus
         for deg in range(2 * k - 2, k - 1, -1):
             c = prod[deg]
             if c:
                 prod[deg] = 0
-                for j, mj in enumerate(mod):
+                for j, mj in enumerate(self.modulus):
                     prod[deg - k + j] = (prod[deg - k + j] - c * mj) % p
         return prod[:k]
 
     def _build_tables(self):
-        q, p, k = self.q, self.p, self.k
-        if k == 1:
-            add = (np.arange(q)[:, None] + np.arange(q)[None, :]) % p
-            mul = (np.arange(q)[:, None] * np.arange(q)[None, :]) % p
-        else:
-            add = np.zeros((q, q), dtype=np.uint8)
-            mul = np.zeros((q, q), dtype=np.uint8)
-            vecs = [self._vec(c) for c in range(q)]
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = self._code([(x + y) % p for x, y in zip(vecs[a], vecs[b])])
-                    mul[a, b] = self._code(self._poly_mul_mod(vecs[a], vecs[b]))
-        self.ADD = add.astype(np.uint8)
-        self.MUL = mul.astype(np.uint8)
+        q, p = self.q, self.p
+        self.ADD = np.zeros((q, q), dtype=np.uint8)
+        self.MUL = np.zeros((q, q), dtype=np.uint8)
+        vecs = [self._vec(c) for c in range(q)]
+        for a in range(q):
+            for b in range(q):
+                self.ADD[a, b] = self._code([(x + y) % p for x, y in zip(vecs[a], vecs[b])])
+                self.MUL[a, b] = self._code(self._poly_mul_mod(vecs[a], vecs[b]))
         self.NEG = np.array([self.ADD[a].tolist().index(0) for a in range(q)], dtype=np.uint8)
         inv = np.zeros(q, dtype=np.uint8)
         for a in range(1, q):
@@ -209,21 +185,6 @@ class GF:
             raise SingularMatrix("inversion of zero")
         return int(self.INV[a])
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        r, x = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return r
-
-    def elements(self) -> list:
-        """All element codes in the canonical order."""
-        return list(range(self.q))
-
     # -- matrix product on code arrays
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,55 +196,6 @@ class GF:
         for t in range(a.shape[-1]):
             acc = self.ADD[acc, self.MUL[a[..., :, t, None], b[..., t, None, :]]]
         return acc
-
-    # -- embedding into an extension of the same characteristic
-
-    def embed_into(self, big: "GF") -> np.ndarray:
-        """Code map GF(p^k) -> GF(p^(k*m)) sending x to x^((Q-1)/(q-1))-compatible image.
-
-        Computed as the unique field embedding fixing the prime field and
-        sending our generator to an element of matching multiplicative
-        order whose minimal polynomial matches.
-        """
-        assert big.p == self.p and big.k % self.k == 0
-        if big.k == self.k:
-            return np.arange(self.q, dtype=np.uint8)
-        minpoly = self.minimal_polynomial_of(self.generator)
-        root = next(
-            x for x in range(1, big.q) if _poly_eval(big, minpoly, x) == 0
-        )
-        table = np.zeros(self.q, dtype=np.uint8)
-        # generator powers cover nonzero elements
-        x_small, x_big = 1, 1
-        table[1] = 1
-        for _ in range(self.q - 2):
-            x_small = self.mul(x_small, self.generator)
-            x_big = big.mul(x_big, root)
-            table[x_small] = x_big
-        return table
-
-    def minimal_polynomial_of(self, a: int) -> list:
-        """Coefficients (constant first, monic) of the minimal polynomial over GF(p)."""
-        # multiply out (x - conj) over the Frobenius orbit of a
-        conj, seen = a, []
-        while conj not in seen:
-            seen.append(conj)
-            conj = self.pow(conj, self.p)
-        poly = [1]
-        for c in seen:
-            new = [0] * (len(poly) + 1)
-            for i, pi in enumerate(poly):
-                new[i + 1] = self.add(new[i + 1], pi)
-                new[i] = self.sub(new[i], self.mul(c, pi))
-            poly = new
-        return poly
-
-
-def _poly_eval(ctx: GF, coeffs: Sequence, x: int) -> int:
-    acc = 0
-    for c in reversed(list(coeffs)):
-        acc = ctx.add(ctx.mul(acc, x), int(c))
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +355,8 @@ class Mat:
         return Mat(self.ctx, out)
 
     def power(self, e: int) -> "Mat":
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise SizeMismatch("power of non-square matrix")
         result, base = None, self
         while e:
             if e & 1:
@@ -469,7 +382,8 @@ class Mat:
 
 def gl_order(n: int, q: int) -> int:
     """Number of invertible n x n matrices over GF(q)."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"negative matrix size {n}")
     out = 1
     for i in range(n):
         out *= q ** n - q ** i
@@ -484,7 +398,9 @@ def gaussian_binomial(n: int, m: int, q: int) -> int:
     for i in range(m):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise CertificateError(f"Gaussian binomial [{n} choose {m}] at q = {q}", None,
+                               "an integer", Fraction(num, den))
     return num // den
 
 
@@ -539,11 +455,9 @@ def poly_mul(ctx: GF, a: Sequence, b: Sequence) -> list:
 
 
 def poly_divmod(ctx: GF, a: Sequence, b: Sequence) -> tuple:
-    a, b = list(a), list(b)
-    poly_trim(b)
-    assert b, "division by zero polynomial"
-    a = list(a)
-    poly_trim(a)
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
     inv_lead = ctx.inv(b[-1])
     quot = [0] * max(0, len(a) - len(b) + 1)
     while len(a) >= len(b):
@@ -595,7 +509,8 @@ def char_poly(m: Mat) -> list:
     """
     ctx = m.ctx
     n = m.rows
-    assert n == m.cols
+    if n != m.cols:
+        raise SizeMismatch("characteristic polynomial of non-square matrix")
     # vectors of coefficients, leading coefficient first
     v = [1]
     for i in range(1, n + 1):

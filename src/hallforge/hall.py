@@ -217,8 +217,8 @@ class HallAlgebra:
         self.registry = registry
         self.quiver = registry.quiver
         self.q = registry.ctx.q
-        spec = registry.ctx.spec  # q = s^2 * m with m squarefree: m is 1 or p
-        self.s, self.m = spec.p ** (spec.k // 2), (spec.p if spec.k % 2 else 1)
+        p, k = registry.ctx.p, registry.ctx.k  # q = s^2 * m with m squarefree: m is 1 or p
+        self.s, self.m = p ** (k // 2), (p if k % 2 else 1)
         self._products: Dict[tuple, Dict[tuple, list]] = {}  # grade -> {(M, N): [(S, c)]}
         self._coproducts: Dict[ClassKey, list] = {}          # R -> [((Q, S), c)]
         self._consts: Dict[tuple, QNum] = {}                 # (e, x) -> nu^e * x

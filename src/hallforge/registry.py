@@ -427,8 +427,9 @@ class SplitIndex:
     def _classify(self, rep: Rep, register: bool) -> int:
         reg, sl = self.reg, self.sl
         counts: Dict[ClassKey, int] = {}
-        if not reg._summands(rep, counts):
-            h_end = hom_dim(rep, rep)
+        basis = reg._summands(rep, counts)
+        if basis is not None:
+            h_end = len(basis)
             sig = (h_end, tuple(m.rank() for m in rep.mats))
             bucket = self.buckets.get(sig, ())
             idx = next((j for j in bucket if iso_indecomposables(rep, sl.classes[j].canon)), None)
@@ -437,7 +438,7 @@ class SplitIndex:
                     raise CertificateError("identification", sl.grade,
                                            "a registered indecomposable",
                                            f"none with signature {sig}")
-                t = residue_degree(rep)
+                t = residue_degree(rep, basis)
                 aut = aut_order_from_summands(h_end, [(1, t)], reg.ctx.q)
                 idx = reg._add_class(sl, rep, aut, res_degree=t).index
                 self.buckets.setdefault(sig, []).append(idx)
@@ -614,30 +615,32 @@ class IsoRegistry:
             kinds = {pri_of_defect(d) for d in defects}
             c.pri_class = kinds.pop() if len(kinds) == 1 else "mixed"
 
-    def _summands(self, rep: Rep, counts: Dict[ClassKey, int], top: bool = True) -> bool:
+    def _summands(self, rep: Rep, counts: Dict[ClassKey, int],
+                  top: bool = True) -> Optional[list]:
         """Add the Krull-Schmidt summands of `rep` to `counts` by class key.
 
         Makes one Fitting split; a half whose grade is built is looked up and
         adds its registered summands, any other half is split further, so
-        no slice is built that a full decomposition would not build.  Returns
-        False, adding nothing, when `rep` is indecomposable and `top`: an
-        indecomposable of the grade being built or identified has no class
-        to look up yet.
+        no slice is built that a full decomposition would not build.  When
+        `rep` is indecomposable and `top`, adds nothing and returns the End
+        basis the split searched: an indecomposable of the grade being built
+        or identified has no class to look up yet.  Returns None otherwise.
         """
-        halves = fitting_split(rep, self.caps)
+        basis = end_basis(rep)
+        halves = fitting_split(rep, basis, self.caps)
         if halves is None:
             if top:
-                return False
+                return basis
             key = self.identify(rep)  # builds the slice, as a full decomposition does
             counts[key] = counts.get(key, 0) + 1
-            return True
+            return None
         for half in halves:
             if half.dims in self.slices:
                 for key, mult in self.cls(self.identify(half)).summands:
                     counts[key] = counts.get(key, 0) + mult
             else:
                 self._summands(half, counts, top=False)
-        return True
+        return None
 
     # -- orbit mode
 
@@ -660,11 +663,12 @@ class IsoRegistry:
                 raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
             canon = decode_rep(quiver, ctx, grade, seed)
             counts: Dict[ClassKey, int] = {}
-            if self._summands(canon, counts):
+            basis = self._summands(canon, counts)
+            if basis is None:
                 self._add_class(sl, canon, group // size, tuple(sorted(counts.items())))
             else:
                 self._add_class(sl, canon, group // size,
-                                res_degree=residue_degree(canon))
+                                res_degree=residue_degree(canon, basis))
         return sl, points
 
     def _nilpotent_mask(self, grade: tuple, e: int, ambient: int) -> np.ndarray:

@@ -356,17 +356,13 @@ def _image_kernel_bases(g: Sequence[Mat]):
     return kers, ims
 
 
-def fitting_split(m: Rep, caps: Caps = DEFAULT_CAPS,
-                  scan_order: Optional[Sequence[int]] = None) -> Optional[Tuple[Rep, Rep]]:
+def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tuple[Rep, Rep]]:
     """Split m once by the Fitting power of a splitter endomorphism.
 
-    Returns (kernel part, image part), both nonzero, or None when m is
-    certified indecomposable.  `scan_order` permutes the endomorphism basis
-    before the splitter search.
+    `basis` is a basis of End(m), searched in its order.  Returns (kernel
+    part, image part), both nonzero, or None when m is certified
+    indecomposable.
     """
-    basis = end_basis(m)
-    if scan_order is not None:
-        basis = [basis[i] for i in scan_order]
     g = _find_splitter(m, basis, caps)
     if g is None:
         return None
@@ -382,7 +378,10 @@ def krull_schmidt(m: Rep, caps: Caps = DEFAULT_CAPS, scan_order: Optional[Sequen
     """
     if m.total_dim == 0:
         return []
-    halves = fitting_split(m, caps, scan_order)
+    basis = end_basis(m)
+    if scan_order is not None:
+        basis = [basis[i] for i in scan_order]
+    halves = fitting_split(m, basis, caps)
     if halves is None:
         return [m]
     return krull_schmidt(halves[0], caps) + krull_schmidt(halves[1], caps)
@@ -412,8 +411,9 @@ def iso_indecomposables(m: Rep, n: Rep) -> bool:
     return False
 
 
-def residue_degree(m: Rep) -> int:
-    """Degree t over GF(q) of the residue field End(m)/rad for indecomposable m.
+def residue_degree(m: Rep, basis: list) -> int:
+    """Degree t over GF(q) of the residue field End(m)/rad for indecomposable
+    m, given a basis of End(m).
 
     End(m) being local, an endomorphism is nilpotent exactly when its image
     in the residue field F_{q^t} is zero, so the image of f lies in F_{q^d}
@@ -424,7 +424,7 @@ def residue_degree(m: Rep) -> int:
     """
     q, n = m.ctx.q, m.total_dim
     t = 1
-    for f in end_basis(m):
+    for f in basis:
         frob = f
         for d in range(1, n + 1):
             frob = [gi.power(q) for gi in frob]

@@ -1,15 +1,29 @@
+import hashlib
 import itertools
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hallforge.errors import SingularMatrix
+from hallforge.errors import CertificateError, SingularMatrix, SizeMismatch
 from hallforge.gf import (GF, MODULUS_TABLE, Mat, char_poly, gaussian_binomial,
                           gl_order, monic_irreducibles, poly_divmod,
                           poly_mul, subspaces_of_dim)
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+
+# Every field GF.of accepts (primes to 61, and each MODULUS_TABLE entry),
+# fields it rejects, and the sha256 of their tables, generators and errors
+# as recorded before the two field types were folded into one.
+ACCEPTED_FIELDS = [(p, 1) for p in range(2, 65) if all(p % d for d in range(2, p))] + sorted(
+    MODULUS_TABLE)
+REJECTED_FIELDS = [(4, 1), (2, 7), (5, 3), (67, 1), (2, 0), (1, 1)]
+FIELD_LAYER_DIGEST = "716f2a25b22062ba198690f89837d62fb856875c406125cb2efaae9ce37aa357"
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -35,9 +49,58 @@ def test_specific_values():
     assert GF.of(2).add(1, 1) == 0
     # GF(4) with modulus x^2+x+1: x*x = x+1, i.e. codes 2*2 = 3
     assert GF.of(2, 2).mul(2, 2) == 3
-    assert GF.of(3).elements() == [0, 1, 2]
     with pytest.raises(SingularMatrix):
         GF.of(3).inv(0)
+
+
+def test_field_layer_golden():
+    digest = hashlib.sha256()
+    for p, k in ACCEPTED_FIELDS:
+        ctx = GF.of(p, k)
+        digest.update(f"GF({p},{k}) generator {ctx.generator}\n".encode())
+        for table in (ctx.ADD, ctx.MUL, ctx.NEG, ctx.INV):
+            digest.update(f"{table.dtype.str} {table.shape}".encode() + table.tobytes())
+    for p, k in REJECTED_FIELDS:
+        with pytest.raises(Exception) as err:
+            GF.of(p, k)
+        digest.update(f"GF({p},{k}) {type(err.value).__name__}: {err.value}\n".encode())
+    assert digest.hexdigest() == FIELD_LAYER_DIGEST
+
+
+def test_of_q_factors_prime_powers():
+    assert GF.of_q(2) is GF.of(2) and GF.of_q(64) is GF.of(2, 6) and GF.of_q(49) is GF.of(7, 2)
+    # q = 0 once looped forever (0 % 2 == 0 and 0 // 2 == 0), so it runs in a
+    # subprocess that a hang fails by its timeout
+    code = (
+        "from hallforge.gf import GF\n"
+        "for q in (0, 1, 6, 12, 67, -2):\n"
+        "    try:\n"
+        "        GF.of_q(q)\n"
+        "    except ValueError as err:\n"
+        "        print(err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{q} is not a small prime power" for q in (0, 1, 6, 12, 67, -2)]
+
+
+def test_preconditions_raise_errors():
+    f2 = GF.of(2)
+    wide = Mat(f2, [[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(SizeMismatch):
+        wide.power(2)
+    with pytest.raises(SizeMismatch):
+        char_poly(wide)
+    with pytest.raises(ValueError):
+        gl_order(-1, 2)
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(f2, [1, 1], [0, 0])
+    # [2 choose 1] at q = 1/2 is (q^2 - 1) / (q - 1) = 3/2, not an integer
+    with pytest.raises(CertificateError) as err:
+        gaussian_binomial(2, 1, Fraction(1, 2))
+    assert err.value.got == Fraction(3, 2)
 
 
 def test_moduli_irreducible():
@@ -187,14 +250,3 @@ def test_monic_irreducible_counts():
     assert [len(x) for x in monic_irreducibles(GF.of(2), 4)] == [0, 2, 1, 2, 3]
     # q=3: 3, 3, 8, 18
     assert [len(x) for x in monic_irreducibles(GF.of(3), 4)] == [0, 3, 3, 8, 18]
-
-
-def test_embeddings_are_field_maps():
-    for (small, big) in [((2, 1), (2, 2)), ((3, 1), (3, 2)), ((2, 2), (2, 4))]:
-        a = GF.of(*small)
-        b = GF.of(*big)
-        emb = a.embed_into(b)
-        for x in range(a.q):
-            for y in range(a.q):
-                assert emb[a.add(x, y)] == b.add(emb[x], emb[y])
-                assert emb[a.mul(x, y)] == b.mul(emb[x], emb[y])

@@ -23,9 +23,10 @@ from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver
                               d4_star_out, dual_quiver, jordan, kronecker)
 from hallforge import registry
 from hallforge.registry import (IsoRegistry, OrbitIndex, SinkExtensions, SplitIndex,
-                                _base_change_images, _gl_generators, encode_rep)
-from hallforge.reps import (Rep, aut_order_from_summands, dualize_rep, hom_dim, is_stable,
-                            krull_schmidt, rep_with_dims, simple_rep, sub_quotient)
+                                _base_change_images, _gl_generators, decode_rep, encode_rep)
+from hallforge.reps import (Rep, aut_order_from_summands, dualize_rep, hom_dim,
+                            is_nilpotent_rep, is_stable, krull_schmidt, rep_with_dims,
+                            simple_rep, sub_quotient)
 
 F2, F3, F4 = GF.of(2), GF.of(3), GF.of(2, 2)
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -88,12 +89,33 @@ def test_census_jordan(jordan2):
 
 def test_mass_identity_explicit(kron2, jordan2):
     # the registry asserts this internally; recompute here as a test oracle
-    for reg, grades in ((kron2, [(1, 1), (2, 1), (2, 2)]), (jordan2, [(2,), (3,)])):
+    cyc2, cyc3 = cyclic_quiver(2), cyclic_quiver(3)
+    nilpotent_regs = [
+        (IsoRegistry(cyc2, F2, nilpotent_only=True), [(1, 1), (2, 1), (1, 2), (2, 2)]),
+        (IsoRegistry(cyc2, F3, nilpotent_only=True), [(1, 1), (2, 1), (1, 2), (2, 2)]),
+        (IsoRegistry(cyc3, F2, nilpotent_only=True),
+         [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)]),
+    ]
+    for reg, grades in [(kron2, [(1, 1), (2, 1), (2, 2)]), (jordan2, [(2,), (3,)])] + nilpotent_regs:
         for g in grades:
             total = sum(
                 Fraction(reg.group_order(g), c.aut_order) for c in reg.classes(g)
             )
             assert total == reg.ambient_count(g)
+    # a nilpotent cyclic count is the sum of the orbit walk's mask; at the
+    # small grades count the nilpotent points one by one instead
+    for reg, grades in nilpotent_regs:
+        for g in grades:
+            points = reg.ctx.q ** registry._entry_count(reg.quiver, g)
+            if points <= 1024:
+                assert reg.ambient_count(g) == sum(
+                    is_nilpotent_rep(decode_rep(reg.quiver, reg.ctx, g, code))
+                    for code in range(points)), (reg.quiver, reg.ctx.q, g)
+    small = IsoRegistry(cyc3, F2, Caps(max_tuple_count=8), nilpotent_only=True)
+    assert small.ambient_count((1, 1, 1)) == 7
+    with pytest.raises(CapExceeded) as err:
+        small.ambient_count((2, 1, 1))
+    assert (err.value.what, err.value.estimate, err.value.cap) == ("tuple_count", 32, 8)
 
 
 def test_aut_orders_spec_values(kron2, jordan2):

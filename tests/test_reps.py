@@ -5,7 +5,7 @@ import numpy as np
 from hallforge.gf import GF, Mat, gl_order
 from hallforge.quiver import euler_form, jordan, kronecker
 from hallforge.reps import (Rep, aut_order_from_summands, direct_sum, dualize_rep,
-                            ext1_dim, hom_dim, hom_space, is_indecomposable,
+                            end_basis, ext1_dim, hom_dim, hom_space, is_indecomposable,
                             is_nilpotent_rep, is_stable, iso_indecomposables,
                             krull_schmidt, rep_with_dims, residue_degree,
                             simple_rep, sub_quotient)
@@ -143,10 +143,11 @@ def test_residue_degree():
     # companion matrix of x^2+x+1 over F2 has End = GF(4)
     comp = rep_with_dims(J, F2, (2,), [[[0, 1], [1, 1]]])
     assert is_indecomposable(comp)
-    assert residue_degree(comp) == 2
+    assert residue_degree(comp, end_basis(comp)) == 2
     j2 = rep_with_dims(J, F2, (2,), [[[0, 1], [0, 0]]])
-    assert residue_degree(j2) == 1
-    assert residue_degree(kron_rep(F3, 1, 1)) == 1
+    assert residue_degree(j2, end_basis(j2)) == 1
+    brick = kron_rep(F3, 1, 1)
+    assert residue_degree(brick, end_basis(brick)) == 1
 
 
 def test_aut_order_formula():

@@ -1,5 +1,9 @@
+import argparse
 import ast
+import dataclasses
 from pathlib import Path
+
+from hallforge import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hallforge"
 
@@ -11,11 +15,11 @@ def _nodes():
             yield path.name, node
 
 
-def test_no_assert_outside_gf():
-    # `python -O` strips asserts, so results are guarded by raised errors;
-    # gf.py keeps its internal preconditions
+def test_no_assert():
+    # `python -O` strips asserts, so results and preconditions are guarded
+    # by raised errors
     found = [f"{name}:{node.lineno}" for name, node in _nodes()
-             if isinstance(node, ast.Assert) and name != "gf.py"]
+             if isinstance(node, ast.Assert)]
     assert found == []
 
 
@@ -28,3 +32,17 @@ def test_no_raised_assertion_error():
             if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_every_caps_field_has_a_cli_flag():
+    # a cap no user can set is dead configuration: with each --cap-* option
+    # set to its own value, the registry's Caps holds exactly those values
+    parser = argparse.ArgumentParser()
+    cli.add_common(parser)
+    flags = sorted(opt for action in parser._actions for opt in action.option_strings
+                   if opt.startswith("--cap-"))
+    values = {flag: 1000 + i for i, flag in enumerate(flags)}
+    argv = ["--quiver", "kronecker"] + [str(x) for kv in values.items() for x in kv]
+    _, hall = cli.build_context(parser.parse_args(argv))
+    caps = dataclasses.asdict(hall.registry.caps)
+    assert sorted(caps.values()) == sorted(values.values())
