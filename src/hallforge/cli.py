@@ -105,12 +105,20 @@ def build_context(args):
         max_candidates=args.cap_candidates,
         max_total_candidates=args.cap_candidates_total,
     )
+    ctx = field_of(args)
     try:
-        ctx = GF.of(args.p, args.k)
         registry = IsoRegistry(quiver, ctx, caps, nilpotent_only=args.nilpotent)
-    except ValueError as err:  # no such field, or --nilpotent on another quiver
+    except ValueError as err:  # --nilpotent on a quiver that is not cyclic
         raise HallforgeError(str(err)) from err
     return quiver, HallAlgebra(registry)
+
+
+def field_of(args) -> GF:
+    """GF(p^k) from --p and --k; no such field is a HallforgeError."""
+    try:
+        return GF.of(args.p, args.k)
+    except ValueError as err:
+        raise HallforgeError(str(err)) from err
 
 
 def emit(args, text: str) -> None:
@@ -193,7 +201,7 @@ def cmd_kac(args) -> int:
 
 
 def cmd_xi(args) -> int:
-    q = args.p ** args.k
+    q = field_of(args).q
     rows = [{"d": d, "q": q, "xi": str(xi_value(d, q))} for d in args.d]
     if args.format == "csv":
         text = "d;q;xi\n" + "\n".join(f"{r['d']};{r['q']};{r['xi']}" for r in rows) + "\n"

@@ -56,14 +56,15 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 
 def is_prime(n: int) -> bool:
+    """Exact, by trial division up to the square root of n."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
             return False
-    return n < 61 * 61  # fields are capped way below this
+        f += 1
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,12 @@ and memoizes for each subspace W the positions of the subspaces that
 contain it (W plus the lifts of the subspaces of V/W).  Each census
 visits vertices in index order and takes U_v among the subspaces
 containing the images of the chosen U_s under the arrows s -> v with
-s < v; only loops and arrows into a lower vertex are tested.
+s < v; only loops and arrows into a lower vertex are tested.  The walk
+only collects the positions of the stable tuples.  Their subs and
+quotients are then read off in one stacked `GF.matmul` pair per arrow and
+rank vector, as diagonal blocks of the arrow in bases adapted to the
+tuple, and identified in bulk: on an orbit grade by one gather from the
+`OrbitIndex` table.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
 from .quiver import Quiver, classify_type, euler_form
 from .reps import (Rep, aut_order_from_summands, direct_sum_all, end_basis,
                    fitting_split, hom_dim, is_nilpotent_rep, iso_indecomposables,
-                   pri_of_defect, residue_degree, rref_pivots, sub_quotient, zero_rep)
+                   pri_of_defect, residue_degree, rref_pivots, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 _MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
@@ -384,9 +389,14 @@ class OrbitIndex:
         self.table = table
 
     def identify(self, rep: Rep) -> int:
-        idx = int(self.table[encode_rep(rep)])
-        if idx < 0:  # a point the walk excluded: not nilpotent in a nilpotent-only registry
-            raise HallforgeError(f"the representation of grade {rep.dims} is not in this "
+        return int(self.lookup(encode_rep(rep), rep.dims))
+
+    def lookup(self, codes, grade: tuple):
+        """The classes of the points of `grade` with base-q `codes` (an int or
+        an int64 array), by one table gather."""
+        idx = self.table[codes]
+        if (idx < 0).any():  # a point the walk excluded: not nilpotent in a nilpotent-only registry
+            raise HallforgeError(f"the representation of grade {grade} is not in this "
                                  "registry (a nilpotent-only registry excludes it)")
         return idx
 
@@ -493,6 +503,7 @@ class IsoRegistry:
         self.candidates_enumerated = 0  # extension lines over all constructive levels
         self._subspace_lists: Dict[int, tuple] = {}
         self._superset_memo: Dict[tuple, List[int]] = {}
+        self._adapted_lists: Dict[int, tuple] = {}
         try:
             self.qtype = classify_type(quiver) if quiver.is_connected() else None
         except ValueError:
@@ -778,6 +789,34 @@ class IsoRegistry:
             hit = self._subspace_lists[n] = (bases, pivots, index)
         return hit
 
+    def _adapted_bases(self, d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A basis of GF(q)^d adapted to each subspace U, in `_subspaces(d)`
+        order; cached per d and built on first use.
+
+        Returns (rank, L, R): the dimension k of each U, and the stacks of
+        R = [B^T | F^T] and L = R^-1 = [P; F(I - B^T P)] (each d x d), where
+        B is the RREF basis of U, P selects its pivot coordinates and F the
+        free ones.  The first k columns of R span U and the others the
+        canonical complement, so for an arrow A of a stable tuple L A R is
+        block upper triangular, with the sub and the quotient on its diagonal.
+        """
+        hit = self._adapted_lists.get(d)
+        if hit is None:
+            ctx = self.ctx
+            bases, pivots, _ = self._subspaces(d)
+            rank = np.array([len(piv) for piv in pivots], dtype=np.intp)
+            left = np.zeros((len(bases), d, d), dtype=np.uint8)
+            right = np.zeros((len(bases), d, d), dtype=np.uint8)
+            for i, (b, piv, k) in enumerate(zip(bases, pivots, rank.tolist())):
+                free = [c for c in range(d) if c not in piv]
+                right[i, :, :k] = b.a.T
+                right[i, free, range(k, d)] = 1
+                left[i, range(k), piv] = 1
+                left[i, range(k, d), free] = 1
+                left[i, k:][:, piv] = ctx.NEG[b.a[:, free].T]  # w - B^T w[piv] on the free rows
+            hit = self._adapted_lists[d] = (rank, left, right)
+        return hit
+
     def _supersets(self, w: Mat) -> List[int]:
         """Positions in `_subspaces(w.cols)` of the subspaces containing the
         row span of the RREF basis `w`, ascending (memoized per w).
@@ -868,15 +907,13 @@ class IsoRegistry:
                     return False
             return True
 
-        out: Dict[tuple, int] = {}
+        positions: List[tuple] = []
         chosen: List[int] = [0] * n  # positions; position 0 is the zero subspace
         cand_memo: List[dict] = [{} for _ in range(n)]
 
         def assign(v: int):
             if v == n:
-                sub, quot = sub_quotient(rep, [bases[i][chosen[i]] for i in range(n)])
-                k = (self.identify(quot), self.identify(sub))
-                out[k] = out.get(k, 0) + 1
+                positions.append(tuple(chosen))
                 return
             for i in candidates(v):
                 chosen[v] = i
@@ -884,8 +921,73 @@ class IsoRegistry:
                     assign(v + 1)
 
         assign(0)
-        sl.census_cache[idx] = out
+        out = sl.census_cache[idx] = self._count_tuples(rep, np.array(positions, dtype=np.intp))
         return out
+
+    def _count_tuples(self, rep: Rep, tuples: np.ndarray) -> Dict[tuple, int]:
+        """The census of `rep` over its stable tuples (rows of subspace
+        positions, in walk order).
+
+        The tuples are grouped by rank vector; each group's subs and
+        quotients are stacked (`_sub_quotient_stacks`) and identified in bulk
+        (`_identify_stack`).  Groups go in order of first tuple, quotient
+        before sub, so grades are first met, and built, as by a walk that
+        identifies tuple by tuple; keys appear in order of first tuple.
+        """
+        ranks = np.stack([self._adapted_bases(d)[0][tuples[:, v]]
+                          for v, d in enumerate(rep.dims)], axis=1)
+        groups: Dict[tuple, List[int]] = {}  # rank vector -> rows of its tuples
+        for i, row in enumerate(ranks.tolist()):
+            groups.setdefault(tuple(row), []).append(i)
+        keys: List[tuple] = [()] * len(tuples)
+        for sub_grade, members in groups.items():
+            quot_grade = tuple(d - k for d, k in zip(rep.dims, sub_grade))
+            subs, quots = self._sub_quotient_stacks(rep, tuples[members], sub_grade)
+            quot_of = self._identify_stack(quot_grade, quots, len(members)).tolist()
+            sub_of = self._identify_stack(sub_grade, subs, len(members)).tolist()
+            for i, iq, is_ in zip(members, quot_of, sub_of):
+                keys[i] = ((quot_grade, iq), (sub_grade, is_))
+        out: Dict[tuple, int] = {}
+        for k in keys:
+            out[k] = out.get(k, 0) + 1
+        return out
+
+    def _sub_quotient_stacks(self, rep: Rep, tuples: np.ndarray, ranks: tuple
+                             ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """The subs and quotients of `rep` on tuples of subspace positions (the
+        rows of `tuples`), all of rank vector `ranks`: per arrow s -> t, the
+        stacks of sub blocks P_t A B_s^T and of quotient blocks
+        F_t (I - B_t^T P_t) A F_s^T, the diagonal blocks of L_t A R_s.
+
+        These are `reps.sub_quotient`'s img[piv_t] and w - B_t^T w[piv_t] on
+        the free rows of t, for img = A B_s^T and w = A F_s^T.
+        """
+        ctx = self.ctx
+        left, right = [], []  # per vertex, L and R of each tuple
+        for v, d in enumerate(rep.dims):
+            _, ls, rs = self._adapted_bases(d)
+            left.append(ls[tuples[:, v]])
+            right.append(rs[tuples[:, v]])
+        subs, quots = [], []
+        for a, (s, t) in zip(rep.mats, self.quiver.arrows):
+            block = ctx.matmul(left[t], ctx.matmul(a.a, right[s]))
+            subs.append(block[:, :ranks[t], :ranks[s]])
+            quots.append(block[:, ranks[t]:, ranks[s]:])
+        return subs, quots
+
+    def _identify_stack(self, grade: tuple, blocks: List[np.ndarray], count: int
+                        ) -> np.ndarray:
+        """The class of each of `count` representations of `grade`, given by
+        one stack of matrices per arrow: one table gather on an orbit grade,
+        one `identify` per representation on any other."""
+        index = self.slice(grade).index
+        if isinstance(index, OrbitIndex):
+            digits = np.concatenate([np.zeros((count, 0), dtype=np.uint8)]
+                                    + [b.reshape(count, -1) for b in blocks], axis=1)
+            return index.lookup(_encode_batch(digits, self.ctx.q), grade)
+        return np.array([index.identify(Rep(self.quiver, self.ctx, grade,
+                                            tuple(Mat(self.ctx, b[i]) for b in blocks)))
+                         for i in range(count)], dtype=np.int64)
 
     # -- export
 

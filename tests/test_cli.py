@@ -172,6 +172,19 @@ def test_bad_input_is_a_structured_error(tmp_path):
                                                 "message": message}), args
 
 
+def test_xi_rejects_what_is_not_a_field(tmp_path):
+    # xi builds no registry but checks the field as every other command does
+    for args, record in (
+        (["--p", "6", "1", "2"], {"error": "HallforgeError", "message": "6 is not prime"}),
+        (["--p", "2", "--k", "7", "1"],
+         {"error": "CapExceeded", "message": "field_size: estimated 128 exceeds cap 64"}),
+    ):
+        code, text = run_cli(["xi"] + args, tmp_path)
+        assert (code, json.loads(text)) == (2, record), args
+    code, text = run_cli(["xi", "--p", "2", "--k", "2", "1"], tmp_path)
+    assert code == 0 and json.loads(text) == [{"d": 1, "q": 4, "xi": "1/3"}]
+
+
 def test_candidate_cap_is_a_structured_error(tmp_path):
     code, text = run_cli(["enumerate", "--quiver", "kronecker", "--p", "2", "--grade", "3,3",
                           "--cap-tuples", "3", "--cap-candidates", "10"], tmp_path)

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hallforge.errors import CertificateError, SingularMatrix, SizeMismatch
+from hallforge.errors import CapExceeded, CertificateError, SingularMatrix, SizeMismatch
 from hallforge.gf import (GF, MODULUS_TABLE, Mat, char_poly, gaussian_binomial,
-                          gl_order, monic_irreducibles, poly_divmod,
+                          gl_order, is_prime, monic_irreducibles, poly_divmod,
                           poly_mul, subspaces_of_dim)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -84,6 +84,20 @@ def test_of_q_factors_prime_powers():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"{q} is not a small prime power" for q in (0, 1, 6, 12, 67, -2)]
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10 ** 4
+    sieve = [False, False] + [True] * (n - 1)
+    for m in range(2, 101):
+        if sieve[m]:
+            sieve[m * m::m] = [False] * len(range(m * m, n + 1, m))
+    assert [is_prime(m) for m in range(n + 1)] == sieve
+    assert not any(is_prime(m) for m in range(-5, 0))
+    # 3727 is prime and above 61^2: the size cap rejects GF(3727), not primality
+    with pytest.raises(CapExceeded) as err:
+        GF.of(3727)
+    assert (err.value.what, err.value.estimate, err.value.cap) == ("field_size", 3727, 64)
 
 
 def test_preconditions_raise_errors():

@@ -21,7 +21,7 @@ from hallforge.gf import GF, Mat, gl_order, subspaces_of_dim
 from hallforge.oneloop import OneLoopIndex
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
                               d4_star_out, dual_quiver, jordan, kronecker)
-from hallforge import registry
+from hallforge import registry, reps
 from hallforge.registry import (IsoRegistry, OrbitIndex, SinkExtensions, SplitIndex,
                                 _base_change_images, _gl_generators, decode_rep, encode_rep)
 from hallforge.reps import (Rep, aut_order_from_summands, dualize_rep, hom_dim,
@@ -334,13 +334,22 @@ def test_mass_check_survives_optimize():
         "    sub_quotient(rep, [Mat(GF.of(2), [[1]]), Mat(GF.of(2), [[0]])])\n"
         "except HallforgeError as err:\n"
         "    print(err)\n"
+        "from hallforge.quiver import cyclic_quiver\n"
+        "from hallforge.registry import encode_rep\n"
+        "reg = IsoRegistry(cyclic_quiver(3), GF.of(2), nilpotent_only=True)\n"
+        "cls = reg.classes((1, 1, 1))[0]\n"
+        "reg.slice((1, 1, 1)).index.table[encode_rep(cls.canon)] = -2\n"
+        "try:\n"
+        "    reg.census(cls.key)\n"
+        "except HallforgeError as err:\n"
+        "    print(err)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
-    mass, ident, split, rref = proc.stdout.strip().splitlines()
+    mass, ident, split, rref, census = proc.stdout.strip().splitlines()
     # 4 points at grade (1,1); doubling one |Aut| halves its share of the mass
     assert mass.startswith("mass identity (1, 1) 4 ")
     # a constructive Jordan slice whose class 0 lost its conjugacy-type entry
@@ -349,6 +358,9 @@ def test_mass_check_survives_optimize():
     assert split == "identification (1, 1) a registered indecomposable"
     # sub_quotient reads pivots off RREF bases and rejects a zero basis row
     assert rref == "expected an RREF basis, got [[0]]"
+    # a census whose sub on the full tuple hits an excluded orbit-table entry
+    assert census == ("the representation of grade (1, 1, 1) is not in this registry "
+                      "(a nilpotent-only registry excludes it)")
 
 
 def test_identify_constant_on_orbits(kron2):
@@ -720,6 +732,76 @@ def test_census_generator_property(case):
     # loops, cycles and arrows in both directions, orbit-built at every grade
     quiver, q, grade = case
     _assert_census_matches_filter(IsoRegistry(quiver, GF.of(q)), [grade])
+
+
+@st.composite
+def _rep_and_stable_tuples(draw):
+    n = draw(st.integers(1, 3))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           min_size=1, max_size=4))
+    quiver = Quiver(tuple(str(i) for i in range(n)), tuple(arrows))
+    ctx = GF.of_q(draw(st.sampled_from((2, 3, 4))))
+    per_vertex = {d: [b for m in range(d + 1) for b in subspaces_of_dim(d, m, ctx)]
+                  for d in range(4)}
+    grade = draw(st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda g: np.prod([len(per_vertex[d]) for d in g]) <= 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from((0.3, 1.0)))  # sparse maps have more stable tuples
+    rep = Rep(quiver, ctx, grade, tuple(
+        Mat(ctx, rng.integers(0, ctx.q, (grade[t], grade[s]))
+            * (rng.random((grade[t], grade[s])) < density)) for s, t in arrows))
+    stable = [pos for pos in itertools.product(*[range(len(per_vertex[d])) for d in grade])
+              if is_stable(rep, [per_vertex[d][i] for d, i in zip(grade, pos)])]
+    picks = draw(st.lists(st.integers(0, len(stable) - 1), min_size=1, max_size=12))
+    return rep, [stable[i] for i in picks], per_vertex
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_rep_and_stable_tuples())
+def test_stacked_sub_quotient_matches_oracle_property(case):
+    # loops, cycles and arrows both ways, q = 2, 3, 4: each stacked sub and
+    # quotient block equals `reps.sub_quotient` on that tuple
+    rep, tuples, per_vertex = case
+    reg = IsoRegistry(rep.quiver, rep.ctx)
+    by_ranks = collections.defaultdict(list)
+    for pos in tuples:
+        by_ranks[tuple(per_vertex[d][i].rows for d, i in zip(rep.dims, pos))].append(pos)
+    for ranks, group in by_ranks.items():
+        subs, quots = reg._sub_quotient_stacks(rep, np.array(group), ranks)
+        for row, pos in enumerate(group):
+            sub, quot = sub_quotient(rep, [per_vertex[d][i] for d, i in zip(rep.dims, pos)])
+            assert sub.dims == ranks
+            assert [m.a.tolist() for m in sub.mats] == [b[row].tolist() for b in subs], pos
+            assert [m.a.tolist() for m in quot.mats] == [b[row].tolist() for b in quots], pos
+
+
+def test_census_makes_no_per_tuple_calls(monkeypatch):
+    # every Kronecker GF(3) class up to (3,3), slices prebuilt: subs and
+    # quotients come from the stacks and orbit grades from table gathers
+    reg = IsoRegistry(kronecker(), F3)
+    grades = reg.grades_below((3, 3))
+    for g in grades:
+        reg.slice(g)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    oracle = counted("sub_quotient", reps.sub_quotient)
+    for module in (reps, registry):  # called through either name
+        monkeypatch.setattr(module, "sub_quotient", oracle, raising=False)
+    for name in ("identify", "lookup"):
+        monkeypatch.setattr(OrbitIndex, name, counted(name, getattr(OrbitIndex, name)))
+    tuples = 0
+    for g in grades:
+        for c in reg.classes(g):
+            tuples += sum(reg.census(c.key).values())
+    assert calls["sub_quotient"] == 0 and calls["identify"] == 0
+    assert 0 < calls["lookup"] < tuples / 4
 
 
 def test_export_deterministic(kron2):
