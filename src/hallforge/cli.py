@@ -136,7 +136,7 @@ def affine_delta(hall) -> tuple:
 
 
 def grades_of(args, quiver, hall) -> list:
-    grades = [parse_ints(g) for g in args.grade]
+    grades = [quiver.check_dim(parse_ints(g)) for g in args.grade]
     if args.r:
         delta = affine_delta(hall)
         for r in parse_ints(args.r):

@@ -9,7 +9,7 @@ dense bookkeeping arrays used by orbit enumeration.
 import os
 from dataclasses import dataclass
 
-from .errors import CapExceeded
+from .errors import CapExceeded, HallforgeError
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,12 @@ class Caps:
             raise CapExceeded(what, estimate, cap)
 
     def check_memory(self, nbytes: int) -> None:
-        cap_mb = int(os.environ.get("HALLFORGE_CAP_MB", "4096"))
+        raw = os.environ.get("HALLFORGE_CAP_MB", "4096")
+        try:
+            cap_mb = int(raw)
+        except ValueError:
+            raise HallforgeError(f"HALLFORGE_CAP_MB must be a whole number of megabytes, "
+                                 f"got {raw!r}") from None
         if nbytes > cap_mb * 1024 * 1024:
             raise CapExceeded("memory_mb", nbytes // (1024 * 1024), cap_mb)
 

@@ -15,6 +15,9 @@ verified vectors, each with its unit on a mod-p free column and zeros right
 of it, span the rational kernel; and each one writes its free column as a
 combination of earlier columns, so the mod-p pivots are the pivots over Q
 and the basis is the one `kernel_basis_exact` returns.
+
+`is_prime` is the package's one primality test: deterministic Miller-Rabin,
+exact below PRIME_BOUND; it picks those primes and checks field sizes in `gf`.
 """
 
 from __future__ import annotations
@@ -77,20 +80,29 @@ def kernel_basis_exact(rows: List[list], zero, one) -> List[list]:
 
 
 # ---------------------------------------------------------------------------
-# certified modular kernel of integer matrices
+# primality, and the certified modular kernel of integer matrices
 
 
-def _is_prime_31(n: int) -> bool:
-    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 suffice below 3.2e9."""
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson and Webster,
+# Math. Comp. 86, 2017); bases 2..37 alone already fail at 318665857834031151167461
+PRIME_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality below PRIME_BOUND (about 3.3e24), by Miller-Rabin
+    with the first 13 prime bases; a larger n is a ValueError."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -107,7 +119,7 @@ def _primes_31() -> Iterator[int]:
     """The primes below 2^31, descending."""
     n = 2 ** 31 - 1
     while True:
-        if _is_prime_31(n):
+        if is_prime(n):
             yield n
         n -= 2
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, CertificateError, SingularMatrix, SizeMismatch
+from .exact import PRIME_BOUND, is_prime
 
 MAX_FIELD_SIZE = 64  # largest q a field may have
 
@@ -55,18 +56,6 @@ MODULUS_TABLE = {
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
-def is_prime(n: int) -> bool:
-    """Exact, by trial division up to the square root of n."""
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # field context
 
@@ -77,6 +66,8 @@ class GF:
     _cache: dict = {}
 
     def __init__(self, p: int, k: int = 1):
+        if p >= PRIME_BOUND and k >= 1:  # primality is not decided there, and q > the cap
+            raise CapExceeded("field_size", p ** k, MAX_FIELD_SIZE)
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:

@@ -103,6 +103,7 @@ from .reps import (Rep, aut_order_from_summands, direct_sum_all, end_basis,
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 _MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
+_SCAN_BLOCK = 1 << 12  # labels per block of the orbit walk's first-point scan
 
 
 @dataclass
@@ -182,19 +183,30 @@ def _walk_orbits(labels: np.ndarray, images: Callable[[np.ndarray], np.ndarray]
     `images(points)` returns the images of `points` under every generator,
     as one array; the walk is breadth-first from each orbit's first point.
     Points with another negative label are excluded and stay as they are.
+    Every step is an array pass: the next first point is found by scanning
+    blocks of `_SCAN_BLOCK` labels, and each frontier is deduplicated by
+    writing a distinct tag (-3, -4, ...) per unlabeled image and keeping the
+    one image per point whose tag survived.
     """
     firsts, sizes = [], []
     start = 0
     while True:
-        while start < labels.size and labels[start] != -1:
-            start += 1
-        if start == labels.size:
+        while start < labels.size:
+            hit = np.flatnonzero(labels[start:start + _SCAN_BLOCK] == -1)
+            if hit.size:
+                start += int(hit[0])
+                break
+            start += _SCAN_BLOCK
+        if start >= labels.size:
             return firsts, sizes
         labels[start] = len(firsts)
         frontier, size = np.array([start]), 1
         while frontier.size:
             found = images(frontier)
-            frontier = np.unique(found[labels[found] == -1])
+            found = found[labels[found] == -1]
+            tags = -3 - np.arange(found.size)
+            labels[found] = tags
+            frontier = found[labels[found] == tags]
             labels[frontier] = len(firsts)
             size += frontier.size
         firsts.append(start)

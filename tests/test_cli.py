@@ -172,6 +172,25 @@ def test_bad_input_is_a_structured_error(tmp_path):
                                                 "message": message}), args
 
 
+def test_grade_of_the_wrong_length_is_a_structured_error(tmp_path):
+    for grade in ("1", "1,2,3"):
+        code, text = run_cli(["enumerate", "--quiver", "kronecker", "--p", "2",
+                              "--grade", grade], tmp_path)
+        dims = tuple(int(x) for x in grade.split(","))
+        assert (code, json.loads(text)) == (2, {
+            "error": "SizeMismatch",
+            "message": f"dimension vector {dims} does not fit 2 vertices"}), grade
+
+
+def test_bad_memory_cap_variable_is_a_structured_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("HALLFORGE_CAP_MB", "abc")
+    code, text = run_cli(["enumerate", "--quiver", "kronecker", "--p", "2",
+                          "--grade", "1,1"], tmp_path)
+    assert (code, json.loads(text)) == (2, {
+        "error": "HallforgeError",
+        "message": "HALLFORGE_CAP_MB must be a whole number of megabytes, got 'abc'"})
+
+
 def test_xi_rejects_what_is_not_a_field(tmp_path):
     # xi builds no registry but checks the field as every other command does
     for args, record in (

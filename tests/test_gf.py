@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hallforge.errors import CapExceeded, CertificateError, SingularMatrix, SizeMismatch
+from hallforge.exact import PRIME_BOUND
 from hallforge.gf import (GF, MODULUS_TABLE, Mat, char_poly, gaussian_binomial,
                           gl_order, is_prime, monic_irreducibles, poly_divmod,
                           poly_mul, subspaces_of_dim)
@@ -98,6 +99,35 @@ def test_is_prime_matches_a_sieve():
     with pytest.raises(CapExceeded) as err:
         GF.of(3727)
     assert (err.value.what, err.value.estimate, err.value.cap) == ("field_size", 3727, 64)
+
+
+def test_large_prime_meets_the_size_cap_at_once():
+    # trial division to sqrt(2^61 - 1) would take minutes, so a hang fails
+    # this subprocess by its timeout
+    code = (
+        "from hallforge.gf import GF\n"
+        "from hallforge.errors import CapExceeded\n"
+        "for p in (2 ** 61 - 1, 100000000000031, 10 ** 30):\n"
+        "    try:\n"
+        "        GF.of(p)\n"
+        "    except CapExceeded as err:\n"
+        "        print(err.what, err.estimate == p, err.cap)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["field_size True 64"] * 3
+
+
+def test_is_prime_past_strong_pseudoprimes():
+    # 561 is a Carmichael number, and the others past 2^67 - 1 are the least
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases (2..37); the
+    # base 41 rejects the last
+    assert all(is_prime(2 ** e - 1) for e in (31, 61))
+    assert not any(is_prime(n) for n in (561, 2 ** 67 - 1, 3215031751, 3825123056546413051,
+                                         318665857834031151167461))
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
 
 
 def test_preconditions_raise_errors():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hallforge import a_lambda
@@ -647,6 +647,84 @@ def test_orbit_walk_images_do_not_decode(monkeypatch):
     reg = IsoRegistry(kronecker(), F3)
     assert reg.slice((2, 2)).mode == "orbit"
     assert 3 ** 8 in walks and decoded and not any(decoded)
+
+
+def test_orbit_walk_makes_no_sort(monkeypatch):
+    # seeds come from block scans and frontiers from tag writes, not np.unique
+    walking, walks, sorts = [False], [], []
+    unique, walk = np.unique, registry._walk_orbits
+
+    def counted(*args, **kwargs):
+        sorts.append(walking[0])
+        return unique(*args, **kwargs)
+
+    def flagged(labels, images):
+        walking[0] = True
+        walks.append(labels.size)
+        try:
+            return walk(labels, images)
+        finally:
+            walking[0] = False
+
+    monkeypatch.setattr(np, "unique", counted)
+    monkeypatch.setattr(registry, "_walk_orbits", flagged)
+    reg = IsoRegistry(kronecker(), F3)
+    assert reg.slice((2, 2)).mode == "orbit"
+    assert 3 ** 8 in walks and not any(sorts)
+
+
+@st.composite
+def _permutation_orbits(draw):
+    """Points, generator permutations and labels (-2 on a union of orbits):
+    each generator moves some points within fixed random blocks, so orbits
+    are finer than blocks and whole blocks can be excluded.  Blocks that are
+    runs of points let a first-point scan pass whole labeled runs."""
+    n = draw(st.one_of(st.integers(1, 80), st.integers(4000, 5000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.one_of(st.integers(1, 3), st.integers(1, n)))
+    if draw(st.booleans()):  # runs between k - 1 random cuts
+        blocks = np.searchsorted(np.sort(rng.integers(0, n, k - 1)), np.arange(n), side="right")
+    else:
+        blocks = rng.integers(0, k, n)
+    perms = []
+    for _ in range(draw(st.integers(0, 3))):
+        perm = np.arange(n)
+        moving = np.flatnonzero(rng.random(n) < draw(st.sampled_from((0.05, 0.5, 1.0))))
+        moving = moving[np.argsort(blocks[moving], kind="stable")]
+        for members in np.split(moving, np.flatnonzero(np.diff(blocks[moving])) + 1):
+            perm[members] = rng.permutation(members)
+        perms.append(perm)
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[np.isin(blocks, np.flatnonzero(rng.random(blocks.max() + 1) < 0.3))] = -2
+    return np.array(perms, dtype=np.int64).reshape(len(perms), n), labels
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_permutation_orbits())
+@example((np.zeros((0, 5000), dtype=np.int64), np.repeat([-2, -1], [4500, 500])))
+@example((np.r_[np.roll(np.arange(4500), 1), np.arange(4500, 5000)][None],
+          np.full(5000, -1, dtype=np.int64)))
+def test_orbit_walk_matches_set_bfs_property(case):
+    # up to 5,000 points, so the first-point scan crosses a block boundary;
+    # the examples pass a whole block of excluded or already walked points
+    perms, labels = case[0], case[1].copy()
+    expect, firsts, sizes = labels.tolist(), [], []
+    for start in range(labels.size):
+        if expect[start] != -1:
+            continue
+        expect[start], seen, frontier = len(firsts), {start}, [start]
+        while frontier:
+            found = {int(p[x]) for x in frontier for p in perms} - seen
+            for x in found:
+                expect[x] = len(firsts)
+            seen |= found
+            frontier = list(found)
+        firsts.append(start)
+        sizes.append(len(seen))
+    got = registry._walk_orbits(labels, lambda points: perms[:, points].ravel())
+    assert got == (firsts, sizes)
+    assert labels.tolist() == expect
 
 
 def test_orbit_index_rejects_excluded_point():
