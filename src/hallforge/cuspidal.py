@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CertificateError, HallforgeError
-from .exact import kernel_basis_exact, kernel_basis_int, matrix_rank, row_reduce
+from .exact import kernel_basis_exact, kernel_basis_int, matrix_rank, row_reduce  # noqa: F401
 from .gf import Mat
 from .hall import HallAlgebra, HallElement, QNum, TensorElement, _add_into
 from .oneloop import a_lambda, one_loop_rep, partitions_of
@@ -156,11 +156,19 @@ def span_rows(space: CuspidalSpace, coords: List[ClassKey]) -> List[list]:
 
 
 def subspace_contains(big_rows: List[list], small_rows: List[list]) -> bool:
+    """Whether the big rows span every small row: each small row, reduced
+    against the pivot rows of the RREF of `big_rows`, leaves nothing."""
     if not small_rows:
         return True
-    zero = Fraction(0)
-    base_rank = matrix_rank(big_rows, zero)
-    return matrix_rank(big_rows + small_rows, zero) == base_rank
+    red, pivots = row_reduce(big_rows, Fraction(0))
+    for row in small_rows:
+        for basis_row, c in zip(red, pivots):
+            f = row[c]
+            if f:
+                row = [x - f * y for x, y in zip(row, basis_row)]
+        if any(row):
+            return False
+    return True
 
 
 def subspace_equal(a_rows: List[list], b_rows: List[list]) -> bool:

@@ -46,7 +46,8 @@ def row_reduce(rows: List[list], zero) -> Tuple[List[list], List[int]]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        if inv != 1:
+            rows[r] = [x / inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]

@@ -39,6 +39,7 @@ from .errors import CapExceeded, CertificateError, SingularMatrix, SizeMismatch
 from .exact import PRIME_BOUND, is_prime
 
 MAX_FIELD_SIZE = 64  # largest q a field may have
+MAX_DEGREE = 64  # p^k > MAX_FIELD_SIZE for every p >= 2 and k > MAX_DEGREE
 
 # monic irreducible moduli: (p, k) -> coefficients of x^0..x^{k-1}; leading 1 implicit
 MODULUS_TABLE = {
@@ -66,6 +67,8 @@ class GF:
     _cache: dict = {}
 
     def __init__(self, p: int, k: int = 1):
+        if k > MAX_DEGREE and p >= 2:  # p ** k could be too large to form or print
+            raise CapExceeded("field_size", f"{p}^{k}", MAX_FIELD_SIZE)
         if p >= PRIME_BOUND and k >= 1:  # primality is not decided there, and q > the cap
             raise CapExceeded("field_size", p ** k, MAX_FIELD_SIZE)
         if not is_prime(p):

@@ -67,18 +67,11 @@ points are the nilpotent ones: q^(n(n-1)) on the one-loop quiver
 orbit walk's mask kept.
 
 Submodule censuses generate the stable subspace tuples of a canonical
-representative rather than filtering every tuple.  The registry keeps one
-list of all subspaces per vertex dimension, in `subspaces_of_dim` order,
-and memoizes for each subspace W the positions of the subspaces that
-contain it (W plus the lifts of the subspaces of V/W).  Each census
-visits vertices in index order and takes U_v among the subspaces
-containing the images of the chosen U_s under the arrows s -> v with
-s < v; only loops and arrows into a lower vertex are tested.  The walk
-only collects the positions of the stable tuples.  Their subs and
-quotients are then read off in one stacked `GF.matmul` pair per arrow and
-rank vector, as diagonal blocks of the arrow in bases adapted to the
-tuple, and identified in bulk: on an orbit grade by one gather from the
-`OrbitIndex` table.
+representative rather than filtering every tuple, one vertex at a time
+on stacks of partial tuples (`census`).  The registry keeps one list of
+all subspaces per vertex dimension, in `subspaces_of_dim` order, the
+positions of the subspaces containing each subspace W (W plus the lifts
+of the subspaces of V/W), and bases adapted to each subspace.
 """
 
 from __future__ import annotations
@@ -104,6 +97,7 @@ from .reps import (Rep, aut_order_from_summands, direct_sum_all, end_basis,
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 _MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
 _SCAN_BLOCK = 1 << 12  # labels per block of the orbit walk's first-point scan
+_STACK_BLOCK = 1 << 14  # census rows per stacked stability test
 
 
 @dataclass
@@ -863,12 +857,13 @@ class IsoRegistry:
         canonical representative isomorphic to class (gs, is_) with
         quotient of class (gq, iq).
 
-        The stable tuples are generated, not filtered: vertices are chosen in
-        index order, and at vertex v the candidates for U_v are the subspaces
-        containing W_v, the sum of the images of the chosen U_s under the
-        arrows s -> v with s < v.  Only loops and arrows into a lower vertex
-        are tested.  Candidates come in `_subspaces` order, so tuples, and
-        the census keys, appear in the order of a walk over all tuples.
+        The stable tuples are generated, not filtered, one vertex v at a
+        time on a stack of partial tuples of positions: each row is followed
+        by each subspace containing the images of its U_s under the arrows
+        s -> v with s < v (`_extend_stack`), then the rows whose U_v fails a
+        loop or an arrow into a lower vertex are dropped (`_stable_rows`).
+        Candidates come in `_subspaces` order and rows expand in place, so
+        tuples, and the census keys, appear in the order of a full walk.
         """
         grade, idx = key
         sl = self.slice(grade)
@@ -876,72 +871,72 @@ class IsoRegistry:
         if hit is not None:
             return hit
         rep = sl.classes[idx].canon
-        n = self.quiver.n
-        bases = [self._subspaces(d)[0] for d in grade]
-        pivots = [self._subspaces(d)[1] for d in grade]
-        total_tuples = 1
-        for b in bases:
-            total_tuples *= len(b)
-        self.caps.check("subspace_enum", total_tuples)
-
-        forward = [[] for _ in range(n)]  # arrows s -> v with s < v
-        tested = [[] for _ in range(n)]   # loops and arrows v -> t with t < v
+        self.caps.check("subspace_enum", math.prod(len(self._subspaces(d)[0]) for d in grade))
+        forward = [[] for _ in grade]  # arrows s -> v with s < v
+        tested = [[] for _ in grade]   # loops and arrows v -> t with t < v
         for a_idx, (s, t) in enumerate(self.quiver.arrows):
             if s < t:
                 forward[t].append((a_idx, s))
             else:
                 tested[s].append((a_idx, t))
-
-        def image(a_idx: int, s: int) -> np.ndarray:
-            """Rows spanning the image of the chosen U_s under arrow a_idx."""
-            return (rep.mats[a_idx] @ bases[s][chosen[s]].transpose()).a.T
-
-        def candidates(v: int) -> List[int]:
-            src = tuple(chosen[s] for _, s in forward[v])
-            found = cand_memo[v].get(src)
-            if found is None:
-                rows = [image(a_idx, s) for a_idx, s in forward[v] if chosen[s]]
-                w = bases[v][0]  # the zero subspace
-                if rows:
-                    red, rank, _ = Mat(self.ctx, np.concatenate(rows)).rref()
-                    w = Mat(self.ctx, red.a[:rank])
-                found = cand_memo[v][src] = self._supersets(w)
-            return found
-
-        def stable(v: int) -> bool:
-            if not chosen[v]:
-                return True  # the zero subspace maps into anything
-            for a_idx, t in tested[v]:
-                # the image lies in U_t iff it equals its pivot coordinates times U_t
-                img = image(a_idx, v)
-                coords = Mat(self.ctx, img[:, pivots[t][chosen[t]]])
-                if not np.array_equal((coords @ bases[t][chosen[t]]).a, img):
-                    return False
-            return True
-
-        positions: List[tuple] = []
-        chosen: List[int] = [0] * n  # positions; position 0 is the zero subspace
-        cand_memo: List[dict] = [{} for _ in range(n)]
-
-        def assign(v: int):
-            if v == n:
-                positions.append(tuple(chosen))
-                return
-            for i in candidates(v):
-                chosen[v] = i
-                if stable(v):
-                    assign(v + 1)
-
-        assign(0)
-        out = sl.census_cache[idx] = self._count_tuples(rep, np.array(positions, dtype=np.intp))
+        stack = np.zeros((1, 0), dtype=np.intp)  # position 0 is the zero subspace
+        for v in range(len(grade)):
+            stack = self._extend_stack(rep, stack, v, forward[v])
+            if tested[v]:
+                stack = stack[np.concatenate([
+                    self._stable_rows(rep, stack[i:i + _STACK_BLOCK], v, tested[v])
+                    for i in range(0, len(stack), _STACK_BLOCK)])]
+        out = sl.census_cache[idx] = self._count_tuples(rep, stack)
         return out
+
+    def _extend_stack(self, rep: Rep, stack: np.ndarray, v: int, forward: list) -> np.ndarray:
+        """Each row of `stack` followed by each of its candidates for U_v,
+        found once per distinct choice of the U_s of the arrows `forward`."""
+        bases = [self._subspaces(d)[0] for d in rep.dims]
+        code = np.zeros(len(stack), dtype=np.intp)  # the choice of those U_s, mixed radix
+        for _, s in forward:
+            code = code * len(bases[s]) + stack[:, s]
+        _, first_row, inverse = np.unique(code, return_index=True, return_inverse=True)
+        lists = []
+        for pos in stack[first_row].tolist():
+            rows = [(rep.mats[a_idx] @ bases[s][pos[s]].transpose()).a.T
+                    for a_idx, s in forward if pos[s]]
+            w = bases[v][0]  # the zero subspace
+            if rows:
+                red, rank, _ = Mat(self.ctx, np.concatenate(rows)).rref()
+                w = Mat(self.ctx, red.a[:rank])
+            lists.append(self._supersets(w))
+        lengths = np.array([len(c) for c in lists], dtype=np.intp)
+        counts = lengths[inverse]
+        parent = np.repeat(np.arange(len(stack)), counts)
+        within = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        start = np.cumsum(lengths) - lengths  # of each list in `flat`
+        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp)
+        chosen = flat[start[inverse][parent] + within]
+        return np.concatenate([stack[parent], chosen[:, None]], axis=1)
+
+    def _stable_rows(self, rep: Rep, stack: np.ndarray, v: int, tested: list) -> np.ndarray:
+        """Which rows of `stack` have A U_v inside U_t for every arrow
+        (a_idx, t) of `tested`: exactly when the block of L_t A R_v with rows
+        >= rank(U_t) and columns < rank(U_v) is zero (`_adapted_bases`)."""
+        ctx = self.ctx
+        rank_v, _, right_v = self._adapted_bases(rep.dims[v])
+        right = right_v[stack[:, v]]
+        cols = np.arange(rep.dims[v]) < rank_v[stack[:, v]][:, None, None]
+        keep = np.ones(len(stack), dtype=bool)
+        for a_idx, t in tested:
+            rank_t, left_t, _ = self._adapted_bases(rep.dims[t])
+            block = ctx.matmul(left_t[stack[:, t]], ctx.matmul(rep.mats[a_idx].a, right))
+            rows = np.arange(rep.dims[t])[:, None] >= rank_t[stack[:, t]][:, None, None]
+            keep &= ~((block != 0) & rows & cols).any(axis=(1, 2))
+        return keep
 
     def _count_tuples(self, rep: Rep, tuples: np.ndarray) -> Dict[tuple, int]:
         """The census of `rep` over its stable tuples (rows of subspace
         positions, in walk order).
 
         The tuples are grouped by rank vector; each group's subs and
-        quotients are stacked (`_sub_quotient_stacks`) and identified in bulk
+        quotients (`_sub_quotient_stacks`) are identified in bulk
         (`_identify_stack`).  Groups go in order of first tuple, quotient
         before sub, so grades are first met, and built, as by a walk that
         identifies tuple by tuple; keys appear in order of first tuple.
@@ -951,10 +946,11 @@ class IsoRegistry:
         groups: Dict[tuple, List[int]] = {}  # rank vector -> rows of its tuples
         for i, row in enumerate(ranks.tolist()):
             groups.setdefault(tuple(row), []).append(i)
+        blocks = self._arrow_blocks(rep, tuples)
         keys: List[tuple] = [()] * len(tuples)
         for sub_grade, members in groups.items():
             quot_grade = tuple(d - k for d, k in zip(rep.dims, sub_grade))
-            subs, quots = self._sub_quotient_stacks(rep, tuples[members], sub_grade)
+            subs, quots = self._sub_quotient_stacks([b[members] for b in blocks], sub_grade)
             quot_of = self._identify_stack(quot_grade, quots, len(members)).tolist()
             sub_of = self._identify_stack(sub_grade, subs, len(members)).tolist()
             for i, iq, is_ in zip(members, quot_of, sub_of):
@@ -964,28 +960,31 @@ class IsoRegistry:
             out[k] = out.get(k, 0) + 1
         return out
 
-    def _sub_quotient_stacks(self, rep: Rep, tuples: np.ndarray, ranks: tuple
-                             ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """The subs and quotients of `rep` on tuples of subspace positions (the
-        rows of `tuples`), all of rank vector `ranks`: per arrow s -> t, the
-        stacks of sub blocks P_t A B_s^T and of quotient blocks
-        F_t (I - B_t^T P_t) A F_s^T, the diagonal blocks of L_t A R_s.
-
-        These are `reps.sub_quotient`'s img[piv_t] and w - B_t^T w[piv_t] on
-        the free rows of t, for img = A B_s^T and w = A F_s^T.
-        """
+    def _arrow_blocks(self, rep: Rep, tuples: np.ndarray) -> List[np.ndarray]:
+        """Per arrow s -> t, the stack of L_t A R_s over the tuples of
+        subspace positions (the rows of `tuples`)."""
         ctx = self.ctx
         left, right = [], []  # per vertex, L and R of each tuple
         for v, d in enumerate(rep.dims):
             _, ls, rs = self._adapted_bases(d)
             left.append(ls[tuples[:, v]])
             right.append(rs[tuples[:, v]])
-        subs, quots = [], []
-        for a, (s, t) in zip(rep.mats, self.quiver.arrows):
-            block = ctx.matmul(left[t], ctx.matmul(a.a, right[s]))
-            subs.append(block[:, :ranks[t], :ranks[s]])
-            quots.append(block[:, ranks[t]:, ranks[s]:])
-        return subs, quots
+        return [ctx.matmul(left[t], ctx.matmul(a.a, right[s]))
+                for a, (s, t) in zip(rep.mats, self.quiver.arrows)]
+
+    def _sub_quotient_stacks(self, blocks: List[np.ndarray], ranks: tuple
+                             ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """The subs and quotients on stable tuples of rank vector `ranks`,
+        given their `_arrow_blocks`: per arrow s -> t, the stacks of sub
+        blocks P_t A B_s^T and of quotient blocks F_t (I - B_t^T P_t) A F_s^T,
+        the diagonal blocks of L_t A R_s.
+
+        These are `reps.sub_quotient`'s img[piv_t] and w - B_t^T w[piv_t] on
+        the free rows of t, for img = A B_s^T and w = A F_s^T.
+        """
+        arrows = self.quiver.arrows
+        return ([b[:, :ranks[t], :ranks[s]] for b, (s, t) in zip(blocks, arrows)],
+                [b[:, ranks[t]:, ranks[s]:] for b, (s, t) in zip(blocks, arrows)])
 
     def _identify_stack(self, grade: tuple, blocks: List[np.ndarray], count: int
                         ) -> np.ndarray:

@@ -204,6 +204,21 @@ def test_xi_rejects_what_is_not_a_field(tmp_path):
     assert code == 0 and json.loads(text) == [{"d": 1, "q": 4, "xi": "1/3"}]
 
 
+def test_xi_rejects_a_large_extension_degree_before_forming_q(tmp_path):
+    # p^k is not formed above MAX_DEGREE: 2^20000 has more digits than an
+    # int may print, and 2^1000000000 would take 125 MB
+    for k in ("65", "20000", "1000000000"):
+        code, text = run_cli(["xi", "--p", "2", "--k", k, "1"], tmp_path)
+        assert (code, json.loads(text)) == (2, {
+            "error": "CapExceeded",
+            "message": f"field_size: estimated 2^{k} exceeds cap 64"}), k
+    # up to MAX_DEGREE the message still shows q itself
+    code, text = run_cli(["xi", "--p", "2", "--k", "64", "1"], tmp_path)
+    assert (code, json.loads(text)) == (2, {
+        "error": "CapExceeded",
+        "message": "field_size: estimated 18446744073709551616 exceeds cap 64"})
+
+
 def test_candidate_cap_is_a_structured_error(tmp_path):
     code, text = run_cli(["enumerate", "--quiver", "kronecker", "--p", "2", "--grade", "3,3",
                           "--cap-tuples", "3", "--cap-candidates", "10"], tmp_path)

@@ -5,9 +5,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hallforge.errors import CertificateError, HallforgeError
-from hallforge.exact import kernel_basis_exact
+from hallforge.exact import kernel_basis_exact, matrix_rank, row_reduce
 from hallforge.gf import GF, monic_irreducibles
 from hallforge.hall import HallAlgebra, QNum
 from hallforge.quiver import (Quiver, a4_square, affine_a2_acyclic, classify_type,
@@ -169,6 +171,43 @@ def test_primitive_space_matches_defect_kernel(hall_kron2, kron2, tubes_kron2):
         dims.append((len(keys), space.dim))
     # not vacuous: some spaces are proper, nonzero subspaces
     assert any(0 < d < n for n, d in dims)
+
+
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _membership_case(draw):
+    cols = draw(st.integers(1, 5))
+    row = st.lists(_SMALL_FRACTIONS, min_size=cols, max_size=cols)
+
+    def combination(rows):
+        coeffs = draw(st.lists(_SMALL_FRACTIONS, min_size=len(rows), max_size=len(rows)))
+        return [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                for j in range(cols)]
+
+    big = []
+    for _ in range(draw(st.integers(0, 4))):
+        # a combination of earlier rows makes `big` rank-deficient
+        big.append(combination(big) if big and draw(st.booleans()) else draw(row))
+    if draw(st.booleans()):
+        big = row_reduce(big, Fraction(0))[0]  # RREF, zero rows kept as `span_rows` does
+    small = [combination(big) if big and draw(st.booleans()) else draw(row)
+             for _ in range(draw(st.integers(0, 3)))]
+    return big, small
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_membership_case())
+@example(([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+          [[Fraction(-1), Fraction(-2)]]))  # rank-deficient, inside
+@example(([[Fraction(1), Fraction(0)]], [[Fraction(0), Fraction(1)]]))  # RREF, outside
+@example(([], [[Fraction(0), Fraction(0)]]))  # the zero row is in the zero span
+def test_subspace_contains_matches_rank_property(case):
+    big, small = case
+    zero = Fraction(0)
+    assert subspace_contains(big, small) == \
+        (matrix_rank(big + small, zero) == matrix_rank(big, zero))
 
 
 def test_class_of_summands(kron2):

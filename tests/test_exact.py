@@ -94,6 +94,55 @@ def test_row_reduce_edge_cases():
     assert matrix_rank(rows, zero) == 2
 
 
+def _row_reduce_dividing(rows, zero):
+    """`row_reduce` as it was before it skipped dividing by a unit pivot."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    cols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r] + [[zero] * cols for _ in range(len(rows) - r)], pivots
+
+
+def _exact_entries(rows):
+    # type and value, and the field of a QNum, which == does not compare
+    return [[(type(x), x, getattr(x, "m", None)) for x in r] for r in rows]
+
+
+def test_row_reduce_unit_pivots_match_dividing_reduction():
+    rng = random.Random(11)
+    qrows, qzero, qone = _qnum_rows()
+    cases = [(FRACTION_ROWS, F(0)), (qrows, qzero),
+             (row_reduce(FRACTION_ROWS, F(0))[0], F(0)),  # RREF input: every pivot is 1
+             ([[qone, QNum(0, 1, 2)], [QNum(0, 1, 2), qone]], qzero)]
+    for _ in range(60):
+        cols = rng.randint(1, 5)
+        # leading ones and small entries: many pivots are 1, some are not
+        rows = [[F(rng.choice((0, 1, 1, 2, -1)), rng.choice((1, 1, 2))) for _ in range(cols)]
+                for _ in range(rng.randint(1, 4))]
+        cases.append((rows, F(0)))
+    for rows, zero in cases:
+        have, want = row_reduce(rows, zero), _row_reduce_dividing(rows, zero)
+        assert have[1] == want[1], rows
+        assert _exact_entries(have[0]) == _exact_entries(want[0]), rows
+
+
 def _fraction_kernel(rows):
     return kernel_basis_exact([[F(x) for x in r] for r in rows], F(0), F(1))
 

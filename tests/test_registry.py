@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -812,6 +813,40 @@ def test_census_generator_property(case):
     _assert_census_matches_filter(IsoRegistry(quiver, GF.of(q)), [grade])
 
 
+def _subspace_count(q, d):
+    # the sum over m of the Gaussian binomials [d, m]_q
+    return sum(math.prod(q ** (d - i) - 1 for i in range(m))
+               // math.prod(q ** (i + 1) - 1 for i in range(m)) for m in range(d + 1))
+
+
+@st.composite
+def _tested_arrow_case(draw):
+    # loops and arrows into a lower vertex are the arrows the census tests
+    n = draw(st.integers(1, 3))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           min_size=1, max_size=4))
+    quiver = Quiver(tuple(str(i) for i in range(n)), tuple(arrows))
+    q = draw(st.sampled_from((2, 3, 4)))
+    grade = draw(st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda g: q ** sum(g[s] * g[t] for s, t in arrows) <= 1024
+        and np.prod([_subspace_count(q, d) for d in g]) <= 400))
+    return quiver, q, grade
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_tested_arrow_case())
+@example((Quiver(("0", "1"), ((0, 0), (1, 0), (1, 1), (1, 0))), 2, (1, 2)))
+@example((Quiver(("0", "1", "2"), ((2, 0), (1, 1), (2, 1), (0, 2))), 3, (1, 0, 2)))
+def test_stacked_stability_matches_filter_property(case):
+    # the per-vertex stacked stability test against `reps.is_stable` on every
+    # tuple: q = 2, 3, 4, zero dimensions, several tested arrows at a vertex;
+    # it fails when the row or column rank mask is dropped, or when only the
+    # first tested arrow of a vertex is tested
+    quiver, q, grade = case
+    _assert_census_matches_filter(IsoRegistry(quiver, GF.of_q(q)), [grade])
+
+
 @st.composite
 def _rep_and_stable_tuples(draw):
     n = draw(st.integers(1, 3))
@@ -846,7 +881,7 @@ def test_stacked_sub_quotient_matches_oracle_property(case):
     for pos in tuples:
         by_ranks[tuple(per_vertex[d][i].rows for d, i in zip(rep.dims, pos))].append(pos)
     for ranks, group in by_ranks.items():
-        subs, quots = reg._sub_quotient_stacks(rep, np.array(group), ranks)
+        subs, quots = reg._sub_quotient_stacks(reg._arrow_blocks(rep, np.array(group)), ranks)
         for row, pos in enumerate(group):
             sub, quot = sub_quotient(rep, [per_vertex[d][i] for d, i in zip(rep.dims, pos)])
             assert sub.dims == ranks
@@ -880,6 +915,34 @@ def test_census_makes_no_per_tuple_calls(monkeypatch):
             tuples += sum(reg.census(c.key).values())
     assert calls["sub_quotient"] == 0 and calls["identify"] == 0
     assert 0 < calls["lookup"] < tuples / 4
+
+
+def test_loop_census_makes_no_per_tuple_calls(monkeypatch):
+    # every Jordan GF(3) class up to (4,), slices prebuilt and each canonical
+    # representative identified once: the loop is tested on stacks, so the
+    # matrix products do not grow with the tuples tested
+    reg = IsoRegistry(jordan(), F3)
+    grades = reg.grades_below((4,))
+    for g in grades:
+        for c in reg.classes(g):
+            reg.identify(c.canon)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GF, "matmul", counted("GF.matmul", GF.matmul))
+    monkeypatch.setattr(Mat, "__matmul__", counted("Mat.__matmul__", Mat.__matmul__))
+    tested = stable = 0
+    for g in grades:
+        for c in reg.classes(g):
+            tested += _subspace_count(3, g[0])  # no forward arrows: every subspace
+            stable += sum(reg.census(c.key).values())
+    assert (tested, stable) == (28519, 2536)
+    assert 0 < calls["GF.matmul"] + calls["Mat.__matmul__"] < tested / 10
 
 
 def test_export_deterministic(kron2):
