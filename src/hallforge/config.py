@@ -3,7 +3,8 @@
 All enumerators check against a `Caps` instance before allocating, so a
 runaway request fails fast with a structured `CapExceeded` instead of
 exhausting memory.  The environment variable HALLFORGE_CAP_MB bounds the
-dense bookkeeping arrays used by orbit enumeration.
+dense bookkeeping arrays used by orbit enumeration and the block tables of
+a submodule census.
 """
 
 import os

@@ -70,7 +70,7 @@ class GF:
         if k > MAX_DEGREE and p >= 2:  # p ** k could be too large to form or print
             raise CapExceeded("field_size", f"{p}^{k}", MAX_FIELD_SIZE)
         if p >= PRIME_BOUND and k >= 1:  # primality is not decided there, and q > the cap
-            raise CapExceeded("field_size", p ** k, MAX_FIELD_SIZE)
+            raise CapExceeded("field_size", p if k == 1 else f"{p}^{k}", MAX_FIELD_SIZE)
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 1:

@@ -66,12 +66,13 @@ points are the nilpotent ones: q^(n(n-1)) on the one-loop quiver
 (Fine-Herstein), in either mode, and on a cyclic quiver the points the
 orbit walk's mask kept.
 
-Submodule censuses generate the stable subspace tuples of a canonical
-representative rather than filtering every tuple, one vertex at a time
-on stacks of partial tuples (`census`).  The registry keeps one list of
-all subspaces per vertex dimension, in `subspaces_of_dim` order, the
-positions of the subspaces containing each subspace W (W plus the lifts
-of the subspaces of V/W), and bases adapted to each subspace.
+A submodule census finds the stable subspace tuples of a canonical
+representative one vertex at a time on stacks of partial tuples
+(`census`).  The registry keeps, per vertex dimension, a basis adapted
+to each subspace, in `subspaces_of_dim` order.  In those bases every
+arrow is tested the same way, on one block table per arrow built at the
+start of the census and counted against the memory cap; the subs and
+quotients are diagonal blocks gathered from the same tables.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ from .reps import (Rep, aut_order_from_summands, direct_sum_all, end_basis,
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 _MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
 _SCAN_BLOCK = 1 << 12  # labels per block of the orbit walk's first-point scan
-_STACK_BLOCK = 1 << 14  # census rows per stacked stability test
 
 
 @dataclass
@@ -507,8 +507,6 @@ class IsoRegistry:
         self.nilpotent_only = nilpotent_only
         self.slices: Dict[tuple, GradeSlice] = {}
         self.candidates_enumerated = 0  # extension lines over all constructive levels
-        self._subspace_lists: Dict[int, tuple] = {}
-        self._superset_memo: Dict[tuple, List[int]] = {}
         self._adapted_lists: Dict[int, tuple] = {}
         try:
             self.qtype = classify_type(quiver) if quiver.is_connected() else None
@@ -779,25 +777,11 @@ class IsoRegistry:
 
     # -- submodule census
 
-    def _subspaces(self, n: int) -> tuple:
-        """Every subspace of GF(q)^n, cached per n.
-
-        Returns (bases, pivots, index): the RREF bases by dimension 0..n, each
-        dimension in `subspaces_of_dim` order, their pivot columns, and the
-        position of each basis by its bytes.
-        """
-        hit = self._subspace_lists.get(n)
-        if hit is None:
-            bases = [b for m in range(n + 1)
-                     for b in subspaces_of_dim(n, m, self.ctx, self.caps)]
-            pivots = [rref_pivots(b) for b in bases]
-            index = {b.a.tobytes(): i for i, b in enumerate(bases)}
-            hit = self._subspace_lists[n] = (bases, pivots, index)
-        return hit
-
     def _adapted_bases(self, d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A basis of GF(q)^d adapted to each subspace U, in `_subspaces(d)`
-        order; cached per d and built on first use.
+        """Every subspace U of GF(q)^d, as a basis of GF(q)^d adapted to it;
+        cached per d and built on first use.  The positions of the subspaces
+        run by dimension 0..d, each dimension in `subspaces_of_dim` order, so
+        position 0 is the zero subspace.
 
         Returns (rank, L, R): the dimension k of each U, and the stacks of
         R = [B^T | F^T] and L = R^-1 = [P; F(I - B^T P)] (each d x d), where
@@ -809,11 +793,12 @@ class IsoRegistry:
         hit = self._adapted_lists.get(d)
         if hit is None:
             ctx = self.ctx
-            bases, pivots, _ = self._subspaces(d)
-            rank = np.array([len(piv) for piv in pivots], dtype=np.intp)
+            bases = [b for m in range(d + 1) for b in subspaces_of_dim(d, m, ctx, self.caps)]
+            rank = np.array([b.rows for b in bases], dtype=np.intp)
             left = np.zeros((len(bases), d, d), dtype=np.uint8)
             right = np.zeros((len(bases), d, d), dtype=np.uint8)
-            for i, (b, piv, k) in enumerate(zip(bases, pivots, rank.tolist())):
+            for i, (b, k) in enumerate(zip(bases, rank.tolist())):
+                piv = rref_pivots(b)
                 free = [c for c in range(d) if c not in piv]
                 right[i, :, :k] = b.a.T
                 right[i, free, range(k, d)] = 1
@@ -823,33 +808,6 @@ class IsoRegistry:
             hit = self._adapted_lists[d] = (rank, left, right)
         return hit
 
-    def _supersets(self, w: Mat) -> List[int]:
-        """Positions in `_subspaces(w.cols)` of the subspaces containing the
-        row span of the RREF basis `w`, ascending (memoized per w).
-
-        Each one is W plus the lift of one subspace of V/W, taken on the
-        coordinates of the non-pivot columns of W, which span a complement.
-        """
-        n = w.cols
-        key = (n, w.a.tobytes())
-        hit = self._superset_memo.get(key)
-        if hit is None:
-            bases, _, index = self._subspaces(n)
-            if w.rows == 0:
-                hit = list(range(len(bases)))
-            else:
-                piv = rref_pivots(w)
-                free = [c for c in range(n) if c not in piv]
-                found = []
-                for b in self._subspaces(len(free))[0]:
-                    lift = np.zeros((b.rows, n), dtype=np.uint8)
-                    lift[:, free] = b.a
-                    red, rank, _ = Mat(self.ctx, np.concatenate([w.a, lift])).rref()
-                    found.append(index[red.a[:rank].tobytes()])
-                hit = sorted(found)
-            self._superset_memo[key] = hit
-        return hit
-
     def census(self, key: ClassKey) -> Dict[tuple, int]:
         """Counts of stable subspace tuples by (quotient class, sub class).
 
@@ -857,13 +815,14 @@ class IsoRegistry:
         canonical representative isomorphic to class (gs, is_) with
         quotient of class (gq, iq).
 
-        The stable tuples are generated, not filtered, one vertex v at a
-        time on a stack of partial tuples of positions: each row is followed
-        by each subspace containing the images of its U_s under the arrows
-        s -> v with s < v (`_extend_stack`), then the rows whose U_v fails a
-        loop or an arrow into a lower vertex are dropped (`_stable_rows`).
-        Candidates come in `_subspaces` order and rows expand in place, so
-        tuples, and the census keys, appear in the order of a full walk.
+        Every arrow is tested the same way, on the block tables of
+        `_block_tables`.  The stable tuples are found one vertex v at a time
+        on a stack of partial tuples of positions: the tests of the arrows
+        between v and the vertices <= v, gathered at each row's positions,
+        give one mask of the rows by the positions of U_v, and each row is
+        followed by the positions it passes.  Rows expand in place, in
+        position order, so tuples, and the census keys, appear in the order
+        of a full walk.
         """
         grade, idx = key
         sl = self.slice(grade)
@@ -871,69 +830,53 @@ class IsoRegistry:
         if hit is not None:
             return hit
         rep = sl.classes[idx].canon
-        self.caps.check("subspace_enum", math.prod(len(self._subspaces(d)[0]) for d in grade))
-        forward = [[] for _ in grade]  # arrows s -> v with s < v
-        tested = [[] for _ in grade]   # loops and arrows v -> t with t < v
-        for a_idx, (s, t) in enumerate(self.quiver.arrows):
-            if s < t:
-                forward[t].append((a_idx, s))
-            else:
-                tested[s].append((a_idx, t))
-        stack = np.zeros((1, 0), dtype=np.intp)  # position 0 is the zero subspace
-        for v in range(len(grade)):
-            stack = self._extend_stack(rep, stack, v, forward[v])
-            if tested[v]:
-                stack = stack[np.concatenate([
-                    self._stable_rows(rep, stack[i:i + _STACK_BLOCK], v, tested[v])
-                    for i in range(0, len(stack), _STACK_BLOCK)])]
-        out = sl.census_cache[idx] = self._count_tuples(rep, stack)
+        self.caps.check("subspace_enum", math.prod(len(self._adapted_bases(d)[0]) for d in grade))
+        tables = self._block_tables(rep)
+        stack = np.zeros((1, 0), dtype=np.intp)
+        for v, d in enumerate(grade):
+            mask = np.ones((len(stack), len(self._adapted_bases(d)[0])), dtype=bool)
+            for (_, ok), (s, t) in zip(tables, self.quiver.arrows):
+                if s == t == v:
+                    mask &= ok
+                elif t == v and s < v:
+                    mask &= ok[:, stack[:, s]].T
+                elif s == v and t < v:
+                    mask &= ok[stack[:, t]]
+            rows, cols = np.nonzero(mask)
+            stack = np.concatenate([stack[rows], cols[:, None]], axis=1)
+        out = sl.census_cache[idx] = self._count_tuples(rep, tables, stack)
         return out
 
-    def _extend_stack(self, rep: Rep, stack: np.ndarray, v: int, forward: list) -> np.ndarray:
-        """Each row of `stack` followed by each of its candidates for U_v,
-        found once per distinct choice of the U_s of the arrows `forward`."""
-        bases = [self._subspaces(d)[0] for d in rep.dims]
-        code = np.zeros(len(stack), dtype=np.intp)  # the choice of those U_s, mixed radix
-        for _, s in forward:
-            code = code * len(bases[s]) + stack[:, s]
-        _, first_row, inverse = np.unique(code, return_index=True, return_inverse=True)
-        lists = []
-        for pos in stack[first_row].tolist():
-            rows = [(rep.mats[a_idx] @ bases[s][pos[s]].transpose()).a.T
-                    for a_idx, s in forward if pos[s]]
-            w = bases[v][0]  # the zero subspace
-            if rows:
-                red, rank, _ = Mat(self.ctx, np.concatenate(rows)).rref()
-                w = Mat(self.ctx, red.a[:rank])
-            lists.append(self._supersets(w))
-        lengths = np.array([len(c) for c in lists], dtype=np.intp)
-        counts = lengths[inverse]
-        parent = np.repeat(np.arange(len(stack)), counts)
-        within = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        start = np.cumsum(lengths) - lengths  # of each list in `flat`
-        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.intp)
-        chosen = flat[start[inverse][parent] + within]
-        return np.concatenate([stack[parent], chosen[:, None]], axis=1)
+    def _block_tables(self, rep: Rep) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per arrow A: s -> t of `rep`, the blocks L_t A R_s in the adapted
+        bases of every pair of positions (j of U_t, i of U_s), at [j, i], and
+        whether A maps U_s into U_t: exactly when the block with rows
+        >= rank(U_t) and columns < rank(U_s) is zero.  A loop gets only the
+        pairs (i, i), at [i].
 
-    def _stable_rows(self, rep: Rep, stack: np.ndarray, v: int, tested: list) -> np.ndarray:
-        """Which rows of `stack` have A U_v inside U_t for every arrow
-        (a_idx, t) of `tested`: exactly when the block of L_t A R_v with rows
-        >= rank(U_t) and columns < rank(U_v) is zero (`_adapted_bases`)."""
-        ctx = self.ctx
-        rank_v, _, right_v = self._adapted_bases(rep.dims[v])
-        right = right_v[stack[:, v]]
-        cols = np.arange(rep.dims[v]) < rank_v[stack[:, v]][:, None, None]
-        keep = np.ones(len(stack), dtype=bool)
-        for a_idx, t in tested:
-            rank_t, left_t, _ = self._adapted_bases(rep.dims[t])
-            block = ctx.matmul(left_t[stack[:, t]], ctx.matmul(rep.mats[a_idx].a, right))
-            rows = np.arange(rep.dims[t])[:, None] >= rank_t[stack[:, t]][:, None, None]
-            keep &= ~((block != 0) & rows & cols).any(axis=(1, 2))
-        return keep
+        The tables are counted against the memory cap first, at 16 bytes per
+        block entry (the int64 product and remainder of a prime-field
+        `GF.matmul`) and one per test.
+        """
+        ctx, arrows = self.ctx, self.quiver.arrows
+        counts = [len(self._adapted_bases(d)[0]) for d in rep.dims]
+        pairs = [counts[s] if s == t else counts[t] * counts[s] for s, t in arrows]
+        self.caps.check_memory(sum(n * (16 * rep.dims[s] * rep.dims[t] + 1)
+                                   for n, (s, t) in zip(pairs, arrows)))
+        out = []
+        for a, (s, t) in zip(rep.mats, arrows):
+            rank_s, _, right = self._adapted_bases(rep.dims[s])
+            rank_t, left, _ = self._adapted_bases(rep.dims[t])
+            lead = left if s == t else left[:, None]  # a loop pairs each position with itself
+            blocks = ctx.matmul(lead, ctx.matmul(a.a, right))
+            rows = np.arange(rep.dims[t])[:, None] >= rank_t.reshape(lead.shape[:-2] + (1, 1))
+            cols = np.arange(rep.dims[s]) < rank_s[:, None, None]
+            out.append((blocks, ~((blocks != 0) & rows & cols).any(axis=(-2, -1))))
+        return out
 
-    def _count_tuples(self, rep: Rep, tuples: np.ndarray) -> Dict[tuple, int]:
+    def _count_tuples(self, rep: Rep, tables: list, tuples: np.ndarray) -> Dict[tuple, int]:
         """The census of `rep` over its stable tuples (rows of subspace
-        positions, in walk order).
+        positions, in walk order), given its `_block_tables`.
 
         The tuples are grouped by rank vector; each group's subs and
         quotients (`_sub_quotient_stacks`) are identified in bulk
@@ -946,11 +889,10 @@ class IsoRegistry:
         groups: Dict[tuple, List[int]] = {}  # rank vector -> rows of its tuples
         for i, row in enumerate(ranks.tolist()):
             groups.setdefault(tuple(row), []).append(i)
-        blocks = self._arrow_blocks(rep, tuples)
         keys: List[tuple] = [()] * len(tuples)
         for sub_grade, members in groups.items():
             quot_grade = tuple(d - k for d, k in zip(rep.dims, sub_grade))
-            subs, quots = self._sub_quotient_stacks([b[members] for b in blocks], sub_grade)
+            subs, quots = self._sub_quotient_stacks(tables, tuples[members], sub_grade)
             quot_of = self._identify_stack(quot_grade, quots, len(members)).tolist()
             sub_of = self._identify_stack(sub_grade, subs, len(members)).tolist()
             for i, iq, is_ in zip(members, quot_of, sub_of):
@@ -960,31 +902,22 @@ class IsoRegistry:
             out[k] = out.get(k, 0) + 1
         return out
 
-    def _arrow_blocks(self, rep: Rep, tuples: np.ndarray) -> List[np.ndarray]:
-        """Per arrow s -> t, the stack of L_t A R_s over the tuples of
-        subspace positions (the rows of `tuples`)."""
-        ctx = self.ctx
-        left, right = [], []  # per vertex, L and R of each tuple
-        for v, d in enumerate(rep.dims):
-            _, ls, rs = self._adapted_bases(d)
-            left.append(ls[tuples[:, v]])
-            right.append(rs[tuples[:, v]])
-        return [ctx.matmul(left[t], ctx.matmul(a.a, right[s]))
-                for a, (s, t) in zip(rep.mats, self.quiver.arrows)]
-
-    def _sub_quotient_stacks(self, blocks: List[np.ndarray], ranks: tuple
+    def _sub_quotient_stacks(self, tables: list, tuples: np.ndarray, ranks: tuple
                              ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """The subs and quotients on stable tuples of rank vector `ranks`,
-        given their `_arrow_blocks`: per arrow s -> t, the stacks of sub
-        blocks P_t A B_s^T and of quotient blocks F_t (I - B_t^T P_t) A F_s^T,
-        the diagonal blocks of L_t A R_s.
+        """The subs and quotients on the stable `tuples` of rank vector
+        `ranks`: per arrow s -> t, the stacks of sub blocks P_t A B_s^T and of
+        quotient blocks F_t (I - B_t^T P_t) A F_s^T, the diagonal blocks of
+        L_t A R_s, gathered from the `_block_tables`.
 
         These are `reps.sub_quotient`'s img[piv_t] and w - B_t^T w[piv_t] on
         the free rows of t, for img = A B_s^T and w = A F_s^T.
         """
-        arrows = self.quiver.arrows
-        return ([b[:, :ranks[t], :ranks[s]] for b, (s, t) in zip(blocks, arrows)],
-                [b[:, ranks[t]:, ranks[s]:] for b, (s, t) in zip(blocks, arrows)])
+        subs, quots = [], []
+        for (blocks, _), (s, t) in zip(tables, self.quiver.arrows):
+            b = blocks[tuples[:, t]] if s == t else blocks[tuples[:, t], tuples[:, s]]
+            subs.append(b[:, :ranks[t], :ranks[s]])
+            quots.append(b[:, ranks[t]:, ranks[s]:])
+        return subs, quots
 
     def _identify_stack(self, grade: tuple, blocks: List[np.ndarray], count: int
                         ) -> np.ndarray:

@@ -212,6 +212,12 @@ def test_xi_rejects_a_large_extension_degree_before_forming_q(tmp_path):
         assert (code, json.loads(text)) == (2, {
             "error": "CapExceeded",
             "message": f"field_size: estimated 2^{k} exceeds cap 64"}), k
+    # nor above PRIME_BOUND: (10^3000 - 1)^2 has more digits than an int may print
+    nines = "9" * 3000
+    code, text = run_cli(["xi", "--p", nines, "--k", "2", "1"], tmp_path)
+    assert (code, json.loads(text)) == (2, {
+        "error": "CapExceeded",
+        "message": f"field_size: estimated {nines}^2 exceeds cap 64"})
     # up to MAX_DEGREE the message still shows q itself
     code, text = run_cli(["xi", "--p", "2", "--k", "64", "1"], tmp_path)
     assert (code, json.loads(text)) == (2, {

@@ -881,7 +881,7 @@ def test_stacked_sub_quotient_matches_oracle_property(case):
     for pos in tuples:
         by_ranks[tuple(per_vertex[d][i].rows for d, i in zip(rep.dims, pos))].append(pos)
     for ranks, group in by_ranks.items():
-        subs, quots = reg._sub_quotient_stacks(reg._arrow_blocks(rep, np.array(group)), ranks)
+        subs, quots = reg._sub_quotient_stacks(reg._block_tables(rep), np.array(group), ranks)
         for row, pos in enumerate(group):
             sub, quot = sub_quotient(rep, [per_vertex[d][i] for d, i in zip(rep.dims, pos)])
             assert sub.dims == ranks
@@ -909,12 +909,42 @@ def test_census_makes_no_per_tuple_calls(monkeypatch):
         monkeypatch.setattr(module, "sub_quotient", oracle, raising=False)
     for name in ("identify", "lookup"):
         monkeypatch.setattr(OrbitIndex, name, counted(name, getattr(OrbitIndex, name)))
+    monkeypatch.setattr(Mat, "rref", counted("rref", Mat.rref))
     tuples = 0
     for g in grades:
         for c in reg.classes(g):
             tuples += sum(reg.census(c.key).values())
     assert calls["sub_quotient"] == 0 and calls["identify"] == 0
+    assert calls["rref"] == 0  # stability is read off the block tables
     assert 0 < calls["lookup"] < tuples / 4
+
+
+def test_memory_cap_counts_census_tables(monkeypatch):
+    # a loop, arrows both ways and a zero dimension, q = 2 and 4: the estimate
+    # checked against the memory cap covers the bytes of the block tables
+    estimates = []
+    check = Caps.check_memory
+    monkeypatch.setattr(Caps, "check_memory",
+                        lambda caps, nbytes: (estimates.append(nbytes), check(caps, nbytes))[1])
+    quiver = Quiver(("0", "1", "2"), ((2, 0), (1, 1), (2, 1), (0, 2)))
+    for reg, grade in ((IsoRegistry(quiver, F2), (1, 0, 2)), (IsoRegistry(quiver, F2), (1, 1, 2)),
+                       (IsoRegistry(kronecker(), F4), (2, 2))):
+        for g in reg.grades_below(grade):  # the slice builds check their own tables
+            reg.slice(g)
+        for c in reg.classes(grade):
+            estimates.clear()
+            reg.census(c.key)
+            tables = reg._block_tables(c.canon)
+            assert estimates[0] == estimates[1]  # the census's check, then this call's
+            assert estimates[0] >= sum(b.nbytes + ok.nbytes for b, ok in tables) > 0
+    # slices built, a cap below the estimate ends the census before its tables
+    reg = IsoRegistry(kronecker(), F2)
+    for g in reg.grades_below((1, 1)):
+        reg.slice(g)
+    monkeypatch.setenv("HALLFORGE_CAP_MB", "0")
+    with pytest.raises(CapExceeded) as err:
+        reg.census(((1, 1), 0))
+    assert err.value.what == "memory_mb"
 
 
 def test_loop_census_makes_no_per_tuple_calls(monkeypatch):
