@@ -12,8 +12,10 @@ from `IsoRegistry.class_of_summands`, and failed solver invariants raise
 CertificateError.
 
 On an affine acyclic quiver the regular classes decompose into tubes
-(blocks of the regular subcategory, detected here by the transitive
-closure of hom/ext nonvanishing between regular indecomposables).  A
+(blocks of the regular subcategory).  Distinct tubes are Hom-orthogonal,
+so a regular indecomposable lies in the tube of every regular
+indecomposable summand of its subs and quotients, and these links,
+read off the submodule census, join each tube.  A
 non-homogeneous tube has degree 1 (checked), so level n of any tube lives
 in grade `Tube.grade_at(n) = n * degree * delta`.  Each tube carries, per
 level, a one-dimensional space of primitives for the regular-corestricted
@@ -41,7 +43,7 @@ from .oneloop import a_lambda, one_loop_rep, partitions_of
 from .quiver import (Quiver, classify_type, euler_form, restrict_dim, subquiver_on,
                      support, support_is_connected, symmetrized_form)
 from .registry import ClassKey
-from .reps import Rep, hom_dim, simple_rep
+from .reps import Rep, simple_rep
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +209,14 @@ class Tube:
 def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
     """Blocks of regular indecomposables with dimensions <= up_to * delta.
 
-    Two indecomposables are joined when hom or ext^1 is nonzero in either
-    direction; the blocks of the regular subcategory are the connected
-    components.  Degree = least m with a member of dimension m*delta, which
-    must be 1 for a non-homogeneous tube (checked), so level n of every tube
+    Each member is joined with every regular indecomposable summand of
+    each sub and each quotient in its census: the inclusion or the
+    projection restricts to a nonzero map between the two, and distinct
+    tubes are Hom-orthogonal, so both lie in one tube.  A tube of period p
+    has members of every quasi-length up to p within delta, whose socles
+    and tops link all of its regular simples, so these links join each
+    tube.  Degree = least m with a member of dimension m*delta, which must
+    be 1 for a non-homogeneous tube (checked), so level n of every tube
     has dimension n*degree*delta; period = number of members without a
     proper nonzero regular subrepresentation (the regular simples).
     """
@@ -227,7 +233,6 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
         for c in reg.classes(g):
             if c.indec and c.pri_class == "regular":
                 members.append(c.key)
-    # union-find over hom/ext adjacency
     parent = {k: k for k in members}
 
     def find(x):
@@ -236,24 +241,16 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i, a in enumerate(members):
-        ca = reg.cls(a).canon
-        for b in members[i + 1:]:
-            cb = reg.cls(b).canon
-            h1 = hom_dim(ca, cb)
-            h2 = hom_dim(cb, ca)
-            if h1 or h2:
-                union(a, b)
-                continue
-            if h1 - euler_form(hall.quiver, a[0], b[0]) > 0:
-                union(a, b)
-            elif h2 - euler_form(hall.quiver, b[0], a[0]) > 0:
-                union(a, b)
+    regular_simples = set()
+    for k in members:
+        census = reg.census(k)
+        for part in {part for pair in census for part in pair}:
+            for j, _m in reg.cls(part).summands:
+                if reg.cls(j).pri_class == "regular":
+                    parent[find(j)] = find(k)
+        if not any(any(sk[0]) and sk != k and reg.cls(sk).pri_class == "regular"
+                   for (_qk, sk) in census):
+            regular_simples.add(k)
 
     blocks: Dict[ClassKey, list] = {}
     for k in members:
@@ -261,15 +258,7 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
 
     tubes = []
     for block in blocks.values():
-        simples = []
-        for k in block:
-            census = reg.census(k)
-            has_regular_sub = any(
-                any(sk[0]) and sk != k and reg.cls(sk).pri_class == "regular"
-                for (_qk, sk) in census
-            )
-            if not has_regular_sub:
-                simples.append(k)
+        simples = [k for k in block if k in regular_simples]
         member_map: Dict[tuple, List[ClassKey]] = {}
         for k in sorted(block):
             member_map.setdefault(k[0], []).append(k)

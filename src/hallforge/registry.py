@@ -51,12 +51,16 @@ that identifies its representations:
   the `candidates` cap, and the registry's running sum of line counts
   against the `total_candidates` budget, before any line is enumerated.
 
-  `SplitIndex` makes one Fitting split: a half whose grade is built is
-  identified there and contributes its registered summands, only halves
-  of unbuilt grades are split further, and an indecomposable is compared
-  with the registered ones of its (dim End, arrow ranks).  The build
-  registers each kept candidate through this index, and automorphism
-  orders come from the endomorphism ring.
+  `SplitIndex` makes one Fitting split, into the sub ker g and the
+  quotient m / ker g: a half whose grade is built is identified there and
+  contributes its registered summands, and only halves of unbuilt grades
+  are split further.  A representation is indecomposable exactly when
+  the split adds no summand; it is then compared with the registered
+  indecomposables of its (dim End, arrow ranks).  The build registers
+  each kept candidate through this index.  Automorphism orders come from
+  the End basis the split searched: a new decomposable class is
+  isomorphic to the candidate that registers it, so dim End of its
+  canonical representative is the length of that basis.
 
 Both constructive indexes remember what they identified by its bytes.
 Every slice must pass the exact mass identity sum over classes of
@@ -92,7 +96,7 @@ from .gf import GF, Mat, gl_order, subspaces_of_dim
 from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
 from .quiver import Quiver, classify_type, euler_form
 from .reps import (Rep, aut_order_from_summands, direct_sum_all, end_basis,
-                   fitting_split, hom_dim, is_nilpotent_rep, iso_indecomposables,
+                   fitting_split, is_nilpotent_rep, iso_indecomposables,
                    pri_of_defect, residue_degree, rref_pivots, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
@@ -444,8 +448,8 @@ class SplitIndex:
         reg, sl = self.reg, self.sl
         counts: Dict[ClassKey, int] = {}
         basis = reg._summands(rep, counts)
-        if basis is not None:
-            h_end = len(basis)
+        h_end = len(basis)
+        if not counts:
             sig = (h_end, tuple(m.rank() for m in rep.mats))
             bucket = self.buckets.get(sig, ())
             idx = next((j for j in bucket if iso_indecomposables(rep, sl.classes[j].canon)), None)
@@ -471,7 +475,8 @@ class SplitIndex:
                 parts.extend([piece.canon] * mult)
                 data.append((mult, piece.res_degree))
             canon = direct_sum_all(parts, reg.quiver, reg.ctx)
-            aut = aut_order_from_summands(hom_dim(canon, canon), data, reg.ctx.q)
+            # rep is isomorphic to canon, so dim End(canon) = dim End(rep)
+            aut = aut_order_from_summands(h_end, data, reg.ctx.q)
             idx = reg._add_class(sl, canon, aut, key).index
         return idx
 
@@ -630,32 +635,30 @@ class IsoRegistry:
             kinds = {pri_of_defect(d) for d in defects}
             c.pri_class = kinds.pop() if len(kinds) == 1 else "mixed"
 
-    def _summands(self, rep: Rep, counts: Dict[ClassKey, int],
-                  top: bool = True) -> Optional[list]:
-        """Add the Krull-Schmidt summands of `rep` to `counts` by class key.
+    def _summands(self, rep: Rep, counts: Dict[ClassKey, int], top: bool = True) -> list:
+        """Add the Krull-Schmidt summands of `rep` to `counts` by class key,
+        and return the End basis the split searched.
 
         Makes one Fitting split; a half whose grade is built is looked up and
         adds its registered summands, any other half is split further, so
         no slice is built that a full decomposition would not build.  When
-        `rep` is indecomposable and `top`, adds nothing and returns the End
-        basis the split searched: an indecomposable of the grade being built
-        or identified has no class to look up yet.  Returns None otherwise.
+        `rep` is indecomposable and `top`, adds nothing: an indecomposable of
+        the grade being built or identified has no class to look up yet.
         """
         basis = end_basis(rep)
         halves = fitting_split(rep, basis, self.caps)
         if halves is None:
-            if top:
-                return basis
-            key = self.identify(rep)  # builds the slice, as a full decomposition does
-            counts[key] = counts.get(key, 0) + 1
-            return None
+            if not top:
+                key = self.identify(rep)  # builds the slice, as a full decomposition does
+                counts[key] = counts.get(key, 0) + 1
+            return basis
         for half in halves:
             if half.dims in self.slices:
                 for key, mult in self.cls(self.identify(half)).summands:
                     counts[key] = counts.get(key, 0) + mult
             else:
                 self._summands(half, counts, top=False)
-        return None
+        return basis
 
     # -- orbit mode
 
@@ -679,7 +682,7 @@ class IsoRegistry:
             canon = decode_rep(quiver, ctx, grade, seed)
             counts: Dict[ClassKey, int] = {}
             basis = self._summands(canon, counts)
-            if basis is None:
+            if counts:
                 self._add_class(sl, canon, group // size, tuple(sorted(counts.items())))
             else:
                 self._add_class(sl, canon, group // size,

@@ -4,9 +4,11 @@ A representation assigns GF(q)-spaces to vertices and one matrix per
 arrow; the matrix of an arrow i -> j has shape (dim_j, dim_i) and acts on
 column vectors.  This module provides the exact linear algebra on
 representations: intertwiner (Hom) spaces, Ext^1 dimensions through the
-Euler form, direct sums, dualization, the Fitting-lemma machinery for
-Krull-Schmidt decompositions, and sub/quotient representations cut out by
-stable subspace tuples.
+Euler form, direct sums, dualization, sub/quotient representations cut
+out by stable subspace tuples, and the Fitting-lemma machinery for
+Krull-Schmidt decompositions: the Fitting power g of a splitter
+endomorphism splits m into the sub ker g and the quotient m / ker g,
+which is isomorphic to the image part.
 
 Indecomposability is certified, not guessed: a representation is
 indecomposable iff its endomorphism ring is local, which is detected by a
@@ -297,21 +299,6 @@ def sub_quotient(m: Rep, sub_bases: Sequence[Mat]) -> Tuple[Rep, Rep]:
     return sub, quot
 
 
-def restrict_to_invariant(m: Rep, bases: Sequence[Mat]) -> Rep:
-    """Subrepresentation on arbitrary invariant row bases (not assumed RREF)."""
-    ctx = m.ctx
-    dims = tuple(b.rows for b in bases)
-    mats = []
-    for idx, (s, t) in enumerate(m.quiver.arrows):
-        img = m.mats[idx] @ bases[s].transpose()  # columns live in span of bases[t]
-        sol = bases[t].transpose().solve(img)
-        if sol is None:
-            raise CertificateError("invariant subspaces", dims,
-                                   f"arrow {s}->{t} mapping into the subspace", "no solution")
-        mats.append(sol)
-    return Rep(m.quiver, ctx, dims, tuple(mats))
-
-
 # ---------------------------------------------------------------------------
 # Fitting splits and Krull-Schmidt
 
@@ -346,28 +333,22 @@ def _find_splitter(m: Rep, basis: list, caps: Caps) -> Optional[list]:
     return None
 
 
-def _image_kernel_bases(g: Sequence[Mat]):
-    kers, ims = [], []
-    for gi in g:
-        kb = gi.kernel_basis()
-        kers.append(kb)
-        red, rank, _ = gi.transpose().rref()
-        ims.append(Mat(gi.ctx, red.a[:rank]))
-    return kers, ims
-
-
 def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tuple[Rep, Rep]]:
-    """Split m once by the Fitting power of a splitter endomorphism.
+    """Split m once by the Fitting power g of a splitter endomorphism.
 
-    `basis` is a basis of End(m), searched in its order.  Returns (kernel
-    part, image part), both nonzero, or None when m is certified
-    indecomposable.
+    `basis` is a basis of End(m), searched in its order.  Returns the sub
+    ker g and the quotient m / ker g, both nonzero, or None when m is
+    certified indecomposable.  As m = ker g (+) im g with both summands
+    stable, the quotient is isomorphic to the image part.
     """
     g = _find_splitter(m, basis, caps)
     if g is None:
         return None
-    kers, ims = _image_kernel_bases(g)
-    return restrict_to_invariant(m, kers), restrict_to_invariant(m, ims)
+    kers = []
+    for gi in g:
+        red, rank, _ = gi.kernel_basis().rref()
+        kers.append(Mat(m.ctx, red.a[:rank]))
+    return sub_quotient(m, kers)
 
 
 def krull_schmidt(m: Rep, caps: Caps = DEFAULT_CAPS, scan_order: Optional[Sequence[int]] = None) -> List[Rep]:

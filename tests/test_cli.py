@@ -53,6 +53,7 @@ def test_verify_suites_pass(tmp_path):
         ["verify", "hopf", "--quiver", "kronecker", "--p", "2",
          "--grade", "1,1", "--grade", "0,1", "--grade", "1,0"],
         ["verify", "pbw", "--quiver", "kronecker", "--p", "2", "--grade", "1,1"],
+        ["verify", "pbw", "--quiver", "kronecker", "--p", "2", "--r", "1"],
         ["verify", "isotropic", "--quiver", "jordan", "--p", "2", "--grade", "1"],
         ["verify", "cuspCycl", "--quiver", "cyclic2", "--p", "2",
          "--nilpotent", "--grade", "1,1"],
@@ -64,6 +65,13 @@ def test_verify_suites_pass(tmp_path):
         reports = json.loads(text)
         assert code == 0, (args, text)
         assert reports and all(r["status"] == "pass" for r in reports), args
+
+
+def test_delta_multiples_select_grades(tmp_path):
+    base = ["enumerate", "--quiver", "kronecker", "--p", "2"]
+    _, by_r = run_cli(base + ["--r", "1,2"], tmp_path, "r.json")
+    _, by_grade = run_cli(base + ["--grade", "1,1", "--grade", "2,2"], tmp_path, "g.json")
+    assert by_r == by_grade
 
 
 def test_verify_reports_schema(tmp_path):

@@ -116,6 +116,63 @@ def test_sum_of_periods_identity():
         assert sum(t.period - 1 for t in tubes if t.period > 1) == n0 - 1
 
 
+def _tubes_by_hom_ext(hall, up_to):
+    """Reference tubes: regular indecomposables with dimensions <= up_to *
+    delta, joined when hom or ext^1 is nonzero in either direction and
+    closed transitively.  Returns (tid, degree, period, simples, members)
+    per tube in the order of `tube_decomposition`."""
+    reg = hall.registry
+    delta = reg.qtype.delta
+    top = tuple(up_to * d for d in delta)
+    members = [c.key for g in reg.grades_below(top) if any(g) for c in reg.classes(g)
+               if c.indec and c.pri_class == "regular"]
+    parent = {k: k for k in members}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, a in enumerate(members):
+        ca = reg.cls(a).canon
+        for b in members[i + 1:]:
+            cb = reg.cls(b).canon
+            if (hom_dim(ca, cb) or hom_dim(cb, ca) or ext1_dim(ca, cb)
+                    or ext1_dim(cb, ca)):
+                parent[find(a)] = find(b)
+    blocks = {}
+    for k in members:
+        blocks.setdefault(find(k), []).append(k)
+    out = []
+    for block in blocks.values():
+        simples = sorted(k for k in block if not any(
+            any(sk[0]) and sk != k and reg.cls(sk).pri_class == "regular"
+            for (_qk, sk) in reg.census(k)))
+        member_map = {}
+        for k in sorted(block):
+            member_map.setdefault(k[0], []).append(k)
+        degree = min(m for m in range(1, up_to + 1)
+                     if tuple(m * d for d in delta) in member_map)
+        out.append((degree, len(simples), simples, member_map))
+    out.sort(key=lambda t: (t[0], t[1], t[2][0]))
+    return [(tid,) + t for tid, t in enumerate(out)]
+
+
+def test_tubes_from_census_links_match_hom_ext_closure(hall_kron2, hall_kron3):
+    F4 = GF.of(2, 2)
+    cases = ((hall_kron2, 2), (hall_kron3, 2),
+             (HallAlgebra(IsoRegistry(kronecker(), F4)), 2),
+             (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F2)), 2),
+             (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F3)), 1),
+             (HallAlgebra(IsoRegistry(d4_star_out(), F2)), 1))
+    for h, up_to in cases:
+        tubes = tube_decomposition(h, up_to)
+        got = [(t.tid, t.degree, t.period, t.simples, t.members) for t in tubes]
+        assert got == _tubes_by_hom_ext(h, up_to), (h.quiver, h.q, up_to)
+    # d4-star, the last case, has three tubes of period 2
+    assert sorted(t.period for t in tubes) == [2, 2, 2]
+
+
 def test_tube_levels_follow_grade_at(hall_kron2, tubes_kron2):
     delta = (1, 1)
     for t in tubes_kron2:

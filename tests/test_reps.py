@@ -4,8 +4,11 @@ import numpy as np
 
 from hallforge.gf import GF, Mat, gl_order
 from hallforge.quiver import euler_form, jordan, kronecker
+from hallforge.quiver import affine_a2_acyclic
+from hallforge.registry import IsoRegistry
 from hallforge.reps import (Rep, aut_order_from_summands, direct_sum, dualize_rep,
-                            end_basis, ext1_dim, hom_dim, hom_space, is_indecomposable,
+                            end_basis, ext1_dim, fitting_split, hom_dim, hom_space,
+                            is_indecomposable,
                             is_nilpotent_rep, is_stable, iso_indecomposables,
                             krull_schmidt, rep_with_dims, residue_degree,
                             simple_rep, sub_quotient)
@@ -100,6 +103,30 @@ def test_krull_schmidt_multiset_and_order_independence():
         if reference is None:
             reference = multiset
         assert multiset == reference
+
+
+def test_fitting_split_is_a_decomposition(kron2, kron3):
+    # Auslander's criterion: m = K + Q exactly when hom(X, m) = hom(X, K) +
+    # hom(X, Q) for every indecomposable X; checked against every class of
+    # grade <= m.dims, which shares no code with the split
+    cases = ((kron2, (2, 2)), (kron3, (2, 2)),
+             (IsoRegistry(K, GF.of(2, 2)), (2, 2)),
+             (IsoRegistry(affine_a2_acyclic(), F2), (1, 1, 1)))
+    for reg, top in cases:
+        for grade in filter(any, reg.grades_below(top)):
+            for c in reg.classes(grade):
+                m = c.canon
+                halves = fitting_split(m, end_basis(m))
+                assert (halves is None) == c.indec, c.key
+                if halves is None:
+                    continue
+                sub, quot = halves
+                assert sub.total_dim and quot.total_dim, c.key
+                assert tuple(a + b for a, b in zip(sub.dims, quot.dims)) == m.dims
+                for below in reg.grades_below(m.dims):
+                    for x in reg.classes(below):
+                        assert hom_dim(x.canon, m) == (hom_dim(x.canon, sub)
+                                                       + hom_dim(x.canon, quot)), (c.key, x.key)
 
 
 def test_dualize():
