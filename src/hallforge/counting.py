@@ -378,21 +378,14 @@ def solve_absolute_values(measured: Dict[int, Fraction],
 
     Solves the plethystic identity
       Exp_z(sum c_r(q) z^r) = Exp_{t,z}(sum a_r(t) z^r)|_{t=q}
-    for the top coefficient: both logs agree coefficientwise, so
-      a_r(q) = [z^r] log Exp_z(C) - sum_{k | r, k > 1} a_{r/k}(q^k)/k.
+    for the top coefficient: both logs agree coefficientwise, and
+    [z^r] log Exp_z(C) = sum_{k | r} c_{r/k}(q)/k, so
+      a_r(q) = sum_{k | r} c_{r/k}(q)/k - sum_{k | r, k > 1} a_{r/k}(q^k)/k.
     """
-    order = r
-    series = TruncSeries.from_dict(order, {
-        i: IntPolynomial.constant(measured[i]) for i in range(1, order + 1)
-    })
-    left = series_log(plethystic_exp(series, twist_t=False))
-    top = left.coeffs[r](0) if left.coeffs[r].degree <= 0 else None
-    if top is None:
-        raise CertificateError("absolute count", None, "a numeric series", left.coeffs[r])
-    acc = Fraction(top)
+    acc = Fraction(measured[r])
     for k in range(2, r + 1):
         if r % k == 0:
-            acc -= Fraction(lower_absolute(r // k, q ** k), k)
+            acc += Fraction(measured[r // k], k) - Fraction(lower_absolute(r // k, q ** k), k)
     return acc
 
 

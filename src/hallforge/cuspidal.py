@@ -509,6 +509,8 @@ class TubePermutation:
     def __init__(self, hall: HallAlgebra, tubes: List[Tube], mapping: Dict[int, int]):
         self.hall = hall
         self.tubes = {t.tid: t for t in tubes}
+        if set(mapping.values()) != set(mapping):
+            raise HallforgeError("the tube map must be a permutation of its tubes")
         for a, b in mapping.items():
             ta, tb = self.tubes[a], self.tubes[b]
             if not (ta.homogeneous and tb.homogeneous and ta.degree == tb.degree):

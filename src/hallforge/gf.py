@@ -309,16 +309,21 @@ class Mat:
         return self.rref()[1]
 
     def kernel_basis(self) -> "Mat":
-        """Basis of the right kernel, rows in canonical (RREF-style) form."""
+        """The RREF basis of the right kernel, from one elimination.
+
+        The column-reversed matrix is eliminated: its kernel vector of a free
+        column f has a unit at f and its other entries at pivot columns
+        before f.  Read back with columns and rows reversed, the vectors have
+        their leading unit at a column where every other vector is zero, in
+        increasing order: the unique RREF basis of the kernel.
+        """
         ctx = self.ctx
-        red, rank, pivots = self.rref()
+        red, rank, pivots = Mat(ctx, self.a[:, ::-1]).rref()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = np.zeros((len(free), self.cols), dtype=np.uint8)
-        for i, fc in enumerate(free):
-            basis[i, fc] = 1
-            for r, pc in enumerate(pivots):
-                basis[i, pc] = ctx.neg(int(red.a[r, fc]))
-        return Mat(ctx, basis)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, list(pivots)] = ctx.NEG[red.a[:rank, free]].T
+        return Mat(ctx, basis[::-1, ::-1])
 
     def solve(self, rhs: "Mat") -> Optional["Mat"]:
         """X with self @ X = rhs, or None when inconsistent."""

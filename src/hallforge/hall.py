@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
-from .config import DEFAULT_CAPS
 from .errors import CertificateError, SizeMismatch
 # bound here too: bench/tracing.py wraps the eliminator by its hallforge.hall path
 from .exact import kernel_basis_exact, matrix_rank, row_reduce  # noqa: F401
@@ -425,9 +424,9 @@ class HallAlgebra:
             total += term
         return total == self.q ** ext1_dim(cm, cn)
 
-    def exact_sequence_count(self, m_key: ClassKey, n_key: ClassKey,
-                             r_key: ClassKey, caps=DEFAULT_CAPS) -> int:
-        """Brute count of pairs (injection N -> R, surjection R -> M) that are exact."""
+    def exact_sequence_count(self, m_key: ClassKey, n_key: ClassKey, r_key: ClassKey) -> int:
+        """Brute count of pairs (injection N -> R, surjection R -> M) that are
+        exact, within the registry's end-scan cap."""
         reg = self.registry
         cm = reg.cls(m_key).canon
         cn = reg.cls(n_key).canon
@@ -436,7 +435,7 @@ class HallAlgebra:
             return 0
         da, alphas = hom_space(cn, cr)
         db, betas = hom_space(cr, cm)
-        caps.check("end_scan", (self.q ** da) * (self.q ** db))
+        reg.caps.check("end_scan", (self.q ** da) * (self.q ** db))
         zero_a = tuple(Mat.zeros(self.registry.ctx, cr.dims[i], cn.dims[i])
                        for i in range(self.quiver.n))
         zero_b = tuple(Mat.zeros(self.registry.ctx, cm.dims[i], cr.dims[i])
@@ -453,9 +452,9 @@ class HallAlgebra:
                     count += 1
         return count
 
-    def exact_sequence_count_check(self, m_key, n_key, r_key, caps=DEFAULT_CAPS) -> bool:
+    def exact_sequence_count_check(self, m_key, n_key, r_key) -> bool:
         """F'^R_{M,N} = a_M a_N F^R_{M,N} against the brute-force pair count."""
         reg = self.registry
-        brute = self.exact_sequence_count(m_key, n_key, r_key, caps)
+        brute = self.exact_sequence_count(m_key, n_key, r_key)
         f = self.hall_number(r_key, m_key, n_key)
         return brute == reg.cls(m_key).aut_order * reg.cls(n_key).aut_order * f

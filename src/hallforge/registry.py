@@ -112,7 +112,6 @@ class IsoClass:
     aut_order: int
     indec: bool
     summands: tuple  # sorted tuple of (ClassKey, multiplicity)
-    nilpotent: bool
     res_degree: Optional[int] = None  # residue field degree, indecomposables only
     pri_class: Optional[str] = None   # affine acyclic quivers only
     tube_id: Optional[int] = None
@@ -121,6 +120,11 @@ class IsoClass:
     @property
     def key(self) -> ClassKey:
         return (self.grade, self.index)
+
+    @property
+    def nilpotent(self) -> bool:
+        """Computed when asked: no build or census reads it."""
+        return is_nilpotent_rep(self.canon)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +605,7 @@ class IsoRegistry:
         indec = summands is None
         if indec:
             summands = (((sl.grade, idx), 1),)
-        cls = IsoClass(sl.grade, idx, canon, aut, indec, summands,
-                       is_nilpotent_rep(canon), res_degree=res_degree)
+        cls = IsoClass(sl.grade, idx, canon, aut, indec, summands, res_degree=res_degree)
         sl.classes.append(cls)
         sl.by_summands[summands] = idx
         return cls

@@ -8,7 +8,10 @@ Euler form, direct sums, dualization, sub/quotient representations cut
 out by stable subspace tuples, and the Fitting-lemma machinery for
 Krull-Schmidt decompositions: the Fitting power g of a splitter
 endomorphism splits m into the sub ker g and the quotient m / ker g,
-which is isomorphic to the image part.
+which is isomorphic to the image part.  A splitter candidate costs one
+elimination per vertex, `Mat.kernel_basis` of its Fitting power, whose
+RREF bases both decide the split and cut out the sub.  Hom bases are the
+RREF bases of the intertwiner systems' kernels.
 
 Indecomposability is certified, not guessed: a representation is
 indecomposable iff its endomorphism ring is local, which is detected by a
@@ -303,33 +306,36 @@ def sub_quotient(m: Rep, sub_bases: Sequence[Mat]) -> Tuple[Rep, Rep]:
 # Fitting splits and Krull-Schmidt
 
 
-def _find_splitter(m: Rep, basis: list, caps: Caps) -> Optional[list]:
-    """Fitting power blocks of an endomorphism that is neither nilpotent nor
-    invertible, or None when m is certified indecomposable.
+def _find_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
+    """The RREF kernel bases of the Fitting power g of an endomorphism that
+    is neither nilpotent nor invertible, one per vertex, or None when m is
+    certified indecomposable.
 
     The basis and its pairwise sums are tried first; when none splits, a
-    full scan of End(m) (within the end-scan cap) proves locality.
+    full scan of End(m) (within the end-scan cap) proves locality.  Each
+    candidate costs one elimination per vertex: g splits m exactly when
+    its total nullity lies strictly between 0 and dim m.
     """
     total = m.total_dim
 
     def fitting_power(f):
         # on a d-dimensional space the kernel and image of f^k are stable
         # from k = d on, so f_i^(d_i) is the Fitting power at vertex i
-        g = [fi.power(fi.rows) for fi in f]
-        return g if 0 < sum(gi.rank() for gi in g) < total else None
+        kers = [fi.power(fi.rows).kernel_basis() for fi in f]
+        return kers if 0 < sum(k.rows for k in kers) < total else None
 
     pair_sums = (tuple(a + b for a, b in zip(basis[i], basis[j]))
                  for i, j in itertools.combinations(range(len(basis)), 2))
     for f in itertools.chain(basis, pair_sums):
-        g = fitting_power(f)
-        if g is not None:
-            return g
+        kers = fitting_power(f)
+        if kers is not None:
+            return kers
     caps.check("end_scan", m.ctx.q ** len(basis))
     zero = tuple(Mat.zeros(m.ctx, d, d) for d in m.dims)
     for f in itertools.islice(hom_combinations(basis, m.ctx.q, zero), 1, None):
-        g = fitting_power(f)
-        if g is not None:
-            return g
+        kers = fitting_power(f)
+        if kers is not None:
+            return kers
     return None
 
 
@@ -338,31 +344,20 @@ def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tu
 
     `basis` is a basis of End(m), searched in its order.  Returns the sub
     ker g and the quotient m / ker g, both nonzero, or None when m is
-    certified indecomposable.  As m = ker g (+) im g with both summands
-    stable, the quotient is isomorphic to the image part.
+    certified indecomposable.  The splitter search already holds the RREF
+    bases of ker g, so the split makes no elimination of its own.  As
+    m = ker g (+) im g with both summands stable, the quotient is
+    isomorphic to the image part.
     """
-    g = _find_splitter(m, basis, caps)
-    if g is None:
-        return None
-    kers = []
-    for gi in g:
-        red, rank, _ = gi.kernel_basis().rref()
-        kers.append(Mat(m.ctx, red.a[:rank]))
-    return sub_quotient(m, kers)
+    kers = _find_splitter(m, basis, caps)
+    return None if kers is None else sub_quotient(m, kers)
 
 
-def krull_schmidt(m: Rep, caps: Caps = DEFAULT_CAPS, scan_order: Optional[Sequence[int]] = None) -> List[Rep]:
-    """Indecomposable direct summands, with multiplicity, via Fitting splits.
-
-    `scan_order` applies to the first split only; the resulting multiset of
-    summand classes is independent of it, which the test suite checks.
-    """
+def krull_schmidt(m: Rep, caps: Caps = DEFAULT_CAPS) -> List[Rep]:
+    """Indecomposable direct summands, with multiplicity, via Fitting splits."""
     if m.total_dim == 0:
         return []
-    basis = end_basis(m)
-    if scan_order is not None:
-        basis = [basis[i] for i in scan_order]
-    halves = fitting_split(m, basis, caps)
+    halves = fitting_split(m, end_basis(m), caps)
     if halves is None:
         return [m]
     return krull_schmidt(halves[0], caps) + krull_schmidt(halves[1], caps)

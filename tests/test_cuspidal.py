@@ -416,6 +416,16 @@ def test_sigma_rejects_degree_mixing(hall_kron2, tubes_kron2):
         TubePermutation(hall_kron2, tubes_kron2, {deg1: deg2, deg2: deg1})
 
 
+def test_sigma_rejects_a_map_that_is_not_a_permutation(hall_kron2, tubes_kron2):
+    a, b, c = [t.tid for t in tubes_kron2 if t.homogeneous and t.degree == 1]
+    for mapping in ({a: b}, {a: b, b: c}, {a: b, c: a}):
+        with pytest.raises(HallforgeError, match="permutation"):
+            TubePermutation(hall_kron2, tubes_kron2, mapping)
+    sigma = TubePermutation(hall_kron2, tubes_kron2, {a: b, b: c, c: a})
+    keys = [sigma.map_key(k.key) for k in hall_kron2.registry.classes((1, 1))]
+    assert len(set(keys)) == len(keys)
+
+
 def test_conjecture1(hall_kron2, tubes_kron2, hall_kron3, tubes_kron3):
     for h, tubes in ((hall_kron2, tubes_kron2), (hall_kron3, tubes_kron3)):
         assert conjecture1_check(h, tubes, 1, 1)

@@ -213,6 +213,22 @@ def test_rref_and_kernel():
             assert rank + m.kernel_basis().rows == cols  # rank-nullity
 
 
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_kernel_basis_is_the_rref_basis_of_the_kernel(p, k):
+    ctx = GF.of(p, k)
+    rng = np.random.default_rng(ctx.q)
+    shapes = [(0, 3), (3, 0), (0, 0)] + [tuple(rng.integers(1, 7, size=2)) for _ in range(60)]
+    for rows, cols in shapes:
+        # sparse entries, so that ranks below min(rows, cols) are common
+        a = rng.integers(0, ctx.q, size=(rows, cols), dtype=np.uint8)
+        m = Mat(ctx, a * (rng.random((rows, cols)) < 0.5))
+        kb = m.kernel_basis()
+        red, rank, _ = kb.rref()
+        assert rank == kb.rows and Mat(ctx, red.a[:rank]) == kb, (m, kb)  # its own RREF
+        assert (m @ kb.transpose()).is_zero(), (m, kb)
+        assert kb.shape == (cols - m.rank(), cols), (m, kb)
+
+
 def test_solve_and_inverse():
     rng = random.Random(4)
     for ctx in (GF.of(p, k) for p, k in FIELDS):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallforge.errors import SizeMismatch
+from hallforge.config import Caps
+from hallforge.errors import CapExceeded, SizeMismatch
 from hallforge.gf import GF
 from hallforge.hall import HallAlgebra, HallElement, QNum, TensorElement
 from hallforge.quiver import euler_form, kronecker, single_vertex
@@ -315,6 +316,20 @@ def test_exact_sequence_counts(a1, hall_kron2, kron2):
     # dimension mismatch: F' = F = 0
     assert h.exact_sequence_count(s1, s1, st) == 0
     assert h.hall_number(st, s1, s1) == 0
+
+
+def test_exact_sequence_count_obeys_the_registry_caps():
+    # Hom(S2, S_t) and Hom(S_t, S1) are lines: a brute count scans 3 * 3 pairs
+    reg = IsoRegistry(kronecker(), F3, Caps(max_end_scan=8))
+    h = HallAlgebra(reg)
+    s1, s2 = skey(reg, 0), skey(reg, 1)
+    st = next(c.key for c in reg.classes((1, 1)) if c.indec)
+    with pytest.raises(CapExceeded) as err:
+        h.exact_sequence_count(s1, s2, st)
+    assert (err.value.what, err.value.estimate, err.value.cap) == ("end_scan", 9, 8)
+    with pytest.raises(CapExceeded):
+        h.exact_sequence_count_check(s1, s2, st)
+    assert HallAlgebra(IsoRegistry(kronecker(), F3)).exact_sequence_count(s1, s2, st) == 4
 
 
 def test_ext_total_sums(hall_kron2, kron2, hall_kron3, kron3):

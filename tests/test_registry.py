@@ -506,6 +506,36 @@ def test_nilpotent_orbit_slice_computes_its_mask_once(monkeypatch):
     assert len(orbit) > 1 and sorted(calls) == sorted(orbit)
 
 
+def test_slice_builds_compute_no_nilpotency(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.dims)
+        return is_nilpotent_rep(m)
+
+    monkeypatch.setattr(registry, "is_nilpotent_rep", counted)
+    monkeypatch.setattr(reps, "is_nilpotent_rep", counted)
+    cases = [(IsoRegistry(kronecker(), F3, TINY), (2, 2)),          # constructive
+             (IsoRegistry(affine_a2_acyclic(), F2), (1, 1, 1)),      # orbit
+             (IsoRegistry(cyclic_quiver(2), F2), (2, 2)),
+             (IsoRegistry(cyclic_quiver(3), F2, nilpotent_only=True), (1, 1, 1)),
+             (IsoRegistry(jordan(), F2, TINY), (3,))]               # one-loop types
+    for reg, top in cases:
+        reg.slice(top)
+    assert {sl.mode for reg, _ in cases for sl in reg.slices.values()} >= {"orbit", "constructive"}
+    assert calls == []
+    # asked for, the flag is computed from the canonical representative
+    c = next(c for c in cases[2][0].classes((1, 1)) if not is_nilpotent_rep(c.canon))
+    assert not c.nilpotent and calls == [(1, 1)]
+
+
+def test_nilpotent_flag_on_the_full_cyclic2_registry():
+    reg = IsoRegistry(cyclic_quiver(2), F2)
+    classes = [c for g in reg.grades_below((2, 2)) for c in reg.classes(g)]
+    assert all(c.nilpotent == is_nilpotent_rep(c.canon) for c in classes)
+    assert {c.nilpotent for c in classes} == {False, True}
+
+
 def test_nilpotent_only_guard():
     with pytest.raises(ValueError):
         IsoRegistry(kronecker(), F2, nilpotent_only=True)

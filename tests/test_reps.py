@@ -90,19 +90,51 @@ def test_krull_schmidt_multiset_and_order_independence():
     m = direct_sum(direct_sum(st, st2), direct_sum(st, simple_rep(K, F2, 0)))
     parts = krull_schmidt(m)
     assert sorted(p.dims for p in parts) == [(1, 0), (1, 1), (1, 1), (1, 1)]
-    dim_end = hom_dim(m, m)
+    basis = end_basis(m)
     rng = random.Random(0)
     reference = None
     for _ in range(4):
-        order = list(range(dim_end))
-        rng.shuffle(order)
-        parts = krull_schmidt(m, scan_order=order)
+        # the first split searches End(m) in a shuffled order
+        permuted = list(basis)
+        rng.shuffle(permuted)
+        parts = [p for half in fitting_split(m, permuted) for p in krull_schmidt(half)]
         multiset = sorted(
             (p.dims, hom_dim(p, p), is_nilpotent_rep(p)) for p in parts
         )
         if reference is None:
             reference = multiset
         assert multiset == reference
+
+
+def test_fitting_split_eliminates_once_per_vertex_per_candidate(kron2, kron3, monkeypatch):
+    # each splitter candidate raises one block per vertex to its Fitting
+    # power and eliminates it once; the split reuses those kernels
+    calls = {"rref": 0, "power": 0}
+    rref, power = Mat.rref, Mat.power
+
+    def counted_rref(self):
+        calls["rref"] += 1
+        return rref(self)
+
+    def counted_power(self, e):
+        calls["power"] += 1
+        return power(self, e)
+
+    splits = 0
+    for reg in (kron2, kron3):
+        for grade in filter(any, reg.grades_below((2, 2))):
+            for c in reg.classes(grade):
+                basis = end_basis(c.canon)
+                monkeypatch.setattr(Mat, "rref", counted_rref)
+                monkeypatch.setattr(Mat, "power", counted_power)
+                calls.update(rref=0, power=0)
+                halves = fitting_split(c.canon, basis)
+                monkeypatch.undo()
+                splits += halves is not None
+                # one power per vertex per candidate, and one rref per power
+                assert calls["power"] % K.n == 0 and calls["power"] > 0, c.key
+                assert calls["rref"] == calls["power"], (c.key, calls)
+    assert splits > 0
 
 
 def test_fitting_split_is_a_decomposition(kron2, kron3):
