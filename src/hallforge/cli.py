@@ -144,6 +144,14 @@ def grades_of(args, quiver, hall) -> list:
     return grades
 
 
+def suite_grades(args, quiver, hall) -> list:
+    """`grades_of` for a suite that checks nothing without a grade."""
+    grades = grades_of(args, quiver, hall)
+    if not grades:
+        raise HallforgeError(f"verify {args.suite} needs --grade or --r")
+    return grades
+
+
 def r_values(args, hall) -> list:
     delta = affine_delta(hall)
     out = []
@@ -309,7 +317,7 @@ def _suite_cancellation(args, quiver, hall):
 
 def _suite_isotropic(args, quiver, hall):
     out = []
-    for g in (parse_ints(x) for x in args.grade):
+    for g in suite_grades(args, quiver, hall):
         rep = isotropic_support_check(hall, g)
         rep["check"] = "isotropic"
         out.append(rep)
@@ -317,7 +325,7 @@ def _suite_isotropic(args, quiver, hall):
 
 
 def _suite_hopf(args, quiver, hall):
-    grades = grades_of(args, quiver, hall)
+    grades = suite_grades(args, quiver, hall)
     rng = random.Random(args.seed)
     keys = [c.key for g in grades for c in hall.registry.classes(g)]
     ok = True
@@ -331,7 +339,7 @@ def _suite_hopf(args, quiver, hall):
 
 def _suite_pbw(args, quiver, hall):
     out = []
-    for grade in grades_of(args, quiver, hall):
+    for grade in suite_grades(args, quiver, hall):
         rank, dim = pbw_rank(hall, grade)
         out.append({"check": "pbw", "grade": list(grade), "rank": rank, "dim": dim,
                     "status": "pass" if rank == dim else "fail"})
@@ -361,7 +369,7 @@ def _suite_jordan_closed_form(args, quiver, hall):
                 continue
             for pt in irr[d]:
                 f = one_loop_cuspidal_closed_form(hall, r // d, pt)
-                frows = CuspidalSpace((r,), "full", coords, [f]).coefficient_rows(coords)
+                frows = CuspidalSpace((r,), coords, [f]).coefficient_rows(coords)
                 if not (subspace_contains(rows, frows) and hall.is_primitive(f)):
                     ok = False
         out.append({"check": "jordanClosedForm", "level": r, "dim": space.dim,

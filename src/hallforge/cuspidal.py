@@ -53,7 +53,6 @@ from .reps import Rep, simple_rep
 @dataclass
 class CuspidalSpace:
     grade: tuple
-    kind: str                 # "full" | "regular" | "nilpotent"
     coords: List[ClassKey]    # ambient ordered class keys of the grade
     basis: List[HallElement]
 
@@ -116,8 +115,7 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
             if g:
                 terms[k] = hall.scalar(g * reg.cls(k).aut_order)
         basis.append(HallElement(terms))
-    kind = "regular" if regular_only else ("nilpotent" if reg.nilpotent_only else "full")
-    return CuspidalSpace(grade, kind, cols, basis)
+    return CuspidalSpace(grade, cols, basis)
 
 
 def cuspidal_space(hall: HallAlgebra, grade: Sequence) -> CuspidalSpace:
@@ -350,7 +348,7 @@ def regular_cuspidal_space(hall: HallAlgebra, tubes: List[Tube], r: int,
     if space.dim != len(normalized):
         raise CertificateError("regular cuspidal dimension", grade, len(normalized), space.dim)
     basis = [n.element for n in normalized]
-    return CuspidalSpace(grade, "regular", space.coords, basis), normalized
+    return CuspidalSpace(grade, space.coords, basis), normalized
 
 
 def xi_value(d: int, q: int) -> Fraction:
@@ -436,8 +434,7 @@ def verify_kernel_theorem(hall: HallAlgebra, tubes: List[Tube], r: int) -> dict:
             if c:
                 f = f + n.element.scaled(c)
         kernel_rows.append(f)
-    kernel_space = CuspidalSpace(grade, "regular", coords,
-                                 kernel_rows)
+    kernel_space = CuspidalSpace(grade, coords, kernel_rows)
     kr = span_rows(kernel_space, coords)
     kernel_ok = subspace_equal(kr, full_rows)
     report["checks"]["kernel_equals_cuspidal"] = kernel_ok
@@ -509,6 +506,9 @@ class TubePermutation:
     def __init__(self, hall: HallAlgebra, tubes: List[Tube], mapping: Dict[int, int]):
         self.hall = hall
         self.tubes = {t.tid: t for t in tubes}
+        unknown = sorted(set(mapping) - set(self.tubes))
+        if unknown:
+            raise HallforgeError(f"the tube map names ids {unknown} that are not tubes")
         if set(mapping.values()) != set(mapping):
             raise HallforgeError("the tube map must be a permutation of its tubes")
         for a, b in mapping.items():

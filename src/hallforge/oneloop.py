@@ -172,28 +172,20 @@ def _eval_poly_at_matrix(ctx: GF, poly: Sequence, a: Mat) -> Mat:
 
 
 class OneLoopIndex:
-    """Identification on a constructive one-loop slice: conjugacy type -> class.
-
-    Matrices already met are remembered by their bytes, so each distinct
-    matrix is fingerprinted once.
-    """
+    """Identification on a constructive one-loop slice: conjugacy type -> class."""
 
     def __init__(self, grade: tuple):
         self.grade = grade
         self.types: Dict[tuple, int] = {}
-        self.bytes_cache: Dict[bytes, int] = {}
 
     def register(self, typ: tuple) -> None:
         self.types[typ] = len(self.types)
 
-    def identify(self, rep: Rep) -> int:
-        buf = rep.tobytes()
-        idx = self.bytes_cache.get(buf)
+    def classify(self, rep: Rep) -> int:
+        """The class of `rep`: its fingerprint looked up in the type table."""
+        typ = one_loop_fingerprint(rep)
+        idx = self.types.get(typ)
         if idx is None:
-            typ = one_loop_fingerprint(rep)
-            idx = self.types.get(typ)
-            if idx is None:
-                raise CertificateError("identification", self.grade,
-                                       "a registered conjugacy type", typ)
-            self.bytes_cache[buf] = idx
+            raise CertificateError("identification", self.grade,
+                                   "a registered conjugacy type", typ)
         return idx

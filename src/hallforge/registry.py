@@ -3,8 +3,8 @@
 A registry holds, per (quiver, field, dimension vector), the ordered list
 of isomorphism classes together with automorphism orders, indecomposable
 flags, Krull-Schmidt summand data and structural flags.  Each grade slice
-is built in one of three ways and gets, when it is built, the one index
-that identifies its representations:
+is built in one of three ways, and the build leaves on it what identifies
+its representations:
 
 * orbit mode: when the ambient tuple space q^(#matrix entries) fits under
   the cap, the base-change orbits are walked exactly by `_walk_orbits`,
@@ -18,9 +18,9 @@ that identifies its representations:
   the shift of the point's code, and an image is the code plus one table
   entry per block at v (`_base_change_images`).  The tables, each no
   larger than the ambient space, are counted with the walk's dense arrays
-  against the memory cap.  `OrbitIndex` is the table from the
-  base-q code of every point to its class; the zero grade has the
-  one-entry table of the zero representation.  A nilpotent-only walk
+  against the memory cap.  The slice's `table` maps the base-q code of
+  every point to its class; the zero grade has the one-entry table of the
+  zero representation.  A nilpotent-only walk
   skips the points its one nilpotency mask excludes; the mask is
   computed over blocks of a fixed number of points.
 
@@ -62,7 +62,11 @@ that identifies its representations:
   isomorphic to the candidate that registers it, so dim End of its
   canonical representative is the length of that basis.
 
-Both constructive indexes remember what they identified by its bytes.
+Every grade identifies a stack of representations by their digit rows
+(`_identify_stack`; `identify` is a stack of one): a zero or orbit slice
+gathers the rows' codes from its `table`, a constructive slice looks the
+rows up in `known` and has its index `classify` only the rows not met yet.
+
 Every slice must pass the exact mass identity sum over classes of
 |G| / |Aut| = #points of the ambient space, which certifies completeness
 and all automorphism orders at once.  In a nilpotent-only registry the
@@ -144,21 +148,25 @@ def _spans(quiver: Quiver, dims: Sequence) -> List[tuple]:
     return out
 
 
-def encode_rep(rep: Rep) -> int:
-    code = 0
-    q = rep.ctx.q
-    for m in rep.mats:
-        for x in m.a.reshape(-1):
-            code = code * q + int(x)
-    return code
+def _digit_rows(blocks: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """The digit rows of `count` representations given by one matrix stack
+    per arrow: each row holds the entries of its arrow blocks, in arrow
+    order, row-major."""
+    return np.concatenate([np.zeros((count, 0), dtype=np.uint8)]
+                          + [b.reshape(count, -1) for b in blocks], axis=1)
+
+
+def _rep_of(quiver: Quiver, ctx: GF, grade: tuple, digits: np.ndarray) -> Rep:
+    """The representation of `grade` with one digit row."""
+    return Rep(quiver, ctx, grade, tuple(
+        Mat(ctx, digits[lo:hi].reshape(r, c))
+        for lo, hi, r, c in _spans(quiver, grade)))
 
 
 def decode_rep(quiver: Quiver, ctx: GF, dims: tuple, code: int) -> Rep:
     """The representation of a point of an orbit walk's table (code < 2^63)."""
     digits = _decode_batch(np.array([code]), _entry_count(quiver, dims), ctx.q)[0]
-    return Rep(quiver, ctx, dims, tuple(
-        Mat(ctx, digits[lo:hi].reshape(r, c))
-        for lo, hi, r, c in _spans(quiver, dims)))
+    return _rep_of(quiver, ctx, dims, digits)
 
 
 def _decode_batch(codes: np.ndarray, e: int, q: int) -> np.ndarray:
@@ -395,47 +403,22 @@ class SinkExtensions:
 # grade slices and their identification indexes
 
 
-class OrbitIndex:
-    """Orbit and zero slices: the class of every point of the ambient space,
-    read off a table by the point's base-q code."""
-
-    def __init__(self, table: np.ndarray):
-        self.table = table
-
-    def identify(self, rep: Rep) -> int:
-        return int(self.lookup(encode_rep(rep), rep.dims))
-
-    def lookup(self, codes, grade: tuple):
-        """The classes of the points of `grade` with base-q `codes` (an int or
-        an int64 array), by one table gather."""
-        idx = self.table[codes]
-        if (idx < 0).any():  # a point the walk excluded: not nilpotent in a nilpotent-only registry
-            raise HallforgeError(f"the representation of grade {grade} is not in this "
-                                 "registry (a nilpotent-only registry excludes it)")
-        return idx
-
-
 class SplitIndex:
     """Constructive acyclic slices: one Fitting split, then lookups.
 
     A decomposable representation is found by its summands.  An
     indecomposable one is compared, by `iso_indecomposables`, with the
     registered indecomposables of its signature (dim End, arrow ranks).
-    Representations already identified are remembered by their bytes.
     """
 
     def __init__(self, reg: "IsoRegistry", sl: "GradeSlice"):
         self.reg = reg
         self.sl = sl
         self.buckets: Dict[tuple, List[int]] = {}
-        self.bytes_cache: Dict[bytes, int] = {}
 
-    def identify(self, rep: Rep) -> int:
-        buf = rep.tobytes()
-        idx = self.bytes_cache.get(buf)
-        if idx is None:
-            idx = self.bytes_cache[buf] = self._classify(rep, register=False)
-        return idx
+    def classify(self, rep: Rep) -> int:
+        """The class of `rep`, which must be registered."""
+        return self._classify(rep, register=False)
 
     def register(self, rep: Rep) -> None:
         """Add the class of a build candidate unless it is registered."""
@@ -446,7 +429,8 @@ class SplitIndex:
                         for sig, idxs in self.buckets.items()}
         # a canonical representative identifies as its own class; the census
         # meets it as the sub on the full tuple and the quotient by zero
-        self.bytes_cache = {c.canon.tobytes(): c.index for c in self.sl.classes}
+        self.sl.known = {_digit_rows([m.a[None] for m in c.canon.mats], 1).tobytes(): c.index
+                         for c in self.sl.classes}
 
     def _classify(self, rep: Rep, register: bool) -> int:
         reg, sl = self.reg, self.sl
@@ -486,14 +470,18 @@ class SplitIndex:
 
 
 class GradeSlice:
-    """The classes of one grade, in a fixed order, and the one index that
-    identifies representations of the grade.  `mode` is "zero", "orbit" or
-    "constructive"."""
+    """The classes of one grade, in a fixed order.  `mode` is "zero", "orbit"
+    or "constructive".  A zero or orbit slice has the `table` of the class
+    of every point code (negative if excluded); a constructive slice has an
+    `index` to `classify` a representation and the classes `known` by the
+    bytes of digit rows."""
 
-    def __init__(self, grade: tuple, mode: str, index=None):
+    def __init__(self, grade: tuple, mode: str, index=None, table=None):
         self.grade = grade
         self.mode = mode
         self.index = index
+        self.table = table
+        self.known: Dict[bytes, int] = {}
         self.classes: List[IsoClass] = []
         self.by_summands: Dict[tuple, int] = {}
         self.census_cache: Dict[int, dict] = {}
@@ -548,7 +536,8 @@ class IsoRegistry:
 
     def identify(self, rep: Rep) -> ClassKey:
         """Class of an arbitrary representation of a built (or buildable) grade."""
-        return (rep.dims, self.slice(rep.dims).index.identify(rep))
+        idx = self._identify_stack(rep.dims, [m.a[None] for m in rep.mats], 1)
+        return (rep.dims, int(idx[0]))
 
     def class_of_summands(self, grade: Sequence, counts: Dict[ClassKey, int]) -> ClassKey:
         """Class of the direct sum with the given multiplicity per summand class."""
@@ -580,7 +569,7 @@ class IsoRegistry:
 
     def _build(self, grade: tuple) -> GradeSlice:
         if all(x == 0 for x in grade):
-            sl = GradeSlice(grade, "zero", OrbitIndex(np.zeros(1, dtype=np.int64)))
+            sl = GradeSlice(grade, "zero", table=np.zeros(1, dtype=np.int64))
             self._add_class(sl, zero_rep(self.quiver, self.ctx), 1, ())
             return sl
         e = _entry_count(self.quiver, grade)
@@ -678,7 +667,7 @@ class IsoRegistry:
             class_of[~nilpotent] = -2  # excluded from this registry
             points = self.ambient_count(grade) if self._is_one_loop else int(nilpotent.sum())
         group = self.group_order(grade)
-        sl = GradeSlice(grade, "orbit", OrbitIndex(class_of))
+        sl = GradeSlice(grade, "orbit", table=class_of)
         for seed, size in zip(*_walk_orbits(class_of, images)):
             if group % size:
                 raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
@@ -928,16 +917,25 @@ class IsoRegistry:
     def _identify_stack(self, grade: tuple, blocks: List[np.ndarray], count: int
                         ) -> np.ndarray:
         """The class of each of `count` representations of `grade`, given by
-        one stack of matrices per arrow: one table gather on an orbit grade,
-        one `identify` per representation on any other."""
-        index = self.slice(grade).index
-        if isinstance(index, OrbitIndex):
-            digits = np.concatenate([np.zeros((count, 0), dtype=np.uint8)]
-                                    + [b.reshape(count, -1) for b in blocks], axis=1)
-            return index.lookup(_encode_batch(digits, self.ctx.q), grade)
-        return np.array([index.identify(Rep(self.quiver, self.ctx, grade,
-                                            tuple(Mat(self.ctx, b[i]) for b in blocks)))
-                         for i in range(count)], dtype=np.int64)
+        one stack of matrices per arrow, from their digit rows: one table
+        gather on a zero or orbit slice; on a constructive slice one lookup
+        in `known` per row and one `classify` per row not known yet."""
+        sl = self.slice(grade)
+        digits = _digit_rows(blocks, count)
+        if sl.table is not None:
+            idx = sl.table[_encode_batch(digits, self.ctx.q)]
+            if (idx < 0).any():  # excluded by a nilpotent-only walk
+                raise HallforgeError(f"the representation of grade {grade} is not in this "
+                                     "registry (a nilpotent-only registry excludes it)")
+            return idx
+        out = np.empty(count, dtype=np.int64)
+        for i, row in enumerate(digits):
+            buf = row.tobytes()
+            idx = sl.known.get(buf)
+            if idx is None:
+                idx = sl.known[buf] = sl.index.classify(_rep_of(self.quiver, self.ctx, grade, row))
+            out[i] = idx
+        return out
 
     # -- export
 

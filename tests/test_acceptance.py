@@ -177,7 +177,7 @@ def test_criterion_6_closed_forms(hall_jordan2, hall_jordan3):
                     continue
                 for pt in irr[d]:
                     f = one_loop_cuspidal_closed_form(h, r // d, pt)
-                    frows = CuspidalSpace((r,), "full", coords, [f]) \
+                    frows = CuspidalSpace((r,), coords, [f]) \
                         .coefficient_rows(coords)
                     assert subspace_contains(rows, frows), (ctx.q, r, pt)
     for n in (2, 3):

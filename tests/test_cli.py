@@ -1,11 +1,9 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
+from childenv import child_env
 from hallforge.cli import main
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -122,10 +120,26 @@ def test_subprocess_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "hallforge.cli", "xi", "1", "--p", "3"],
         capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["xi"] == "1/2"
+
+
+def test_grade_suites_without_grades_are_errors(tmp_path):
+    # hopf, pbw and isotropic check nothing without a grade: a structured
+    # error, not a traceback or an empty pass
+    for suite in ("hopf", "pbw", "isotropic"):
+        code, text = run_cli(["verify", suite, "--quiver", "kronecker", "--p", "2"], tmp_path)
+        assert code == 2, suite
+        assert json.loads(text) == {"error": "HallforgeError",
+                                    "message": f"verify {suite} needs --grade or --r"}
+    # isotropic reads --r like the other suites: delta is checked
+    code, text = run_cli(["verify", "isotropic", "--quiver", "kronecker", "--p", "2",
+                          "--r", "1"], tmp_path)
+    reports = json.loads(text)
+    assert code == 0
+    assert [(r["grade"], r["status"]) for r in reports] == [([1, 1], "pass")]
 
 
 def test_bad_input_is_a_structured_error(tmp_path):
@@ -247,7 +261,7 @@ def test_total_candidate_budget_ends_a_long_request():
         [sys.executable, "-m", "hallforge.cli", "enumerate", "--quiver", "kronecker",
          "--p", "2", "--grade", "9,9", "--cap-tuples", "10", "--cap-candidates-total", "300"],
         capture_output=True, text=True, timeout=30,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     record = json.loads(proc.stdout)
@@ -260,7 +274,7 @@ def test_structured_error_survives_optimize():
         [sys.executable, "-O", "-m", "hallforge.cli", "verify", "noyau",
          "--quiver", "kronecker", "--p", "2", "--grade", "1,2"],
         capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["error"] == "HallforgeError"

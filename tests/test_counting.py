@@ -2,10 +2,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from childenv import child_env
 from hallforge.counting import (IntPolynomial, PointCountTable, TruncSeries,
                                 absolute_cuspidal_polys, closed_points_p1,
                                 count_absolutely_indecomposable,
@@ -19,8 +19,6 @@ from hallforge.gf import GF
 from hallforge.hall import HallAlgebra
 from hallforge.quiver import kronecker
 from hallforge.registry import IsoRegistry
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_mobius():
@@ -218,7 +216,7 @@ def test_series_guards_survive_optimize():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [

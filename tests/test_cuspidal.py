@@ -2,12 +2,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from childenv import child_env
 from hallforge.errors import CertificateError, HallforgeError
 from hallforge.exact import kernel_basis_exact, matrix_rank, row_reduce
 from hallforge.gf import GF, monic_irreducibles
@@ -28,7 +28,6 @@ from hallforge.cuspidal import (CuspidalSpace, TubePermutation, cancellation_che
                                 verify_kernel_theorem, verify_sigma_hopf, xi_value)
 
 F2, F3 = GF.of(2), GF.of(3)
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +425,15 @@ def test_sigma_rejects_a_map_that_is_not_a_permutation(hall_kron2, tubes_kron2):
     assert len(set(keys)) == len(keys)
 
 
+def test_sigma_rejects_ids_that_are_not_tubes(hall_kron2):
+    # {99: 99} is a permutation of its ids, but 99 names no tube
+    tubes = tube_decomposition(hall_kron2, 1)
+    a = next(t.tid for t in tubes if t.homogeneous)
+    for mapping in ({99: 99}, {a: 99, 99: a}):
+        with pytest.raises(HallforgeError, match=r"ids \[99\] that are not tubes"):
+            TubePermutation(hall_kron2, tubes, mapping)
+
+
 def test_conjecture1(hall_kron2, tubes_kron2, hall_kron3, tubes_kron3):
     for h, tubes in ((hall_kron2, tubes_kron2), (hall_kron3, tubes_kron3)):
         assert conjecture1_check(h, tubes, 1, 1)
@@ -501,7 +509,7 @@ def test_one_loop_closed_form_membership(hall_jordan2, hall_jordan3):
                     continue
                 for pt in irr[d]:
                     f = one_loop_cuspidal_closed_form(h, r // d, pt)
-                    frows = CuspidalSpace((r,), "full", coords, [f]).coefficient_rows(coords)
+                    frows = CuspidalSpace((r,), coords, [f]).coefficient_rows(coords)
                     assert subspace_contains(rows, frows)
                     assert h.is_primitive(f)
 
@@ -622,7 +630,7 @@ def test_guards_survive_optimize():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [

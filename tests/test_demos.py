@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from childenv import child_env
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -18,7 +20,7 @@ def test_demos_exist():
 def test_demo_runs(script):
     proc = subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, timeout=300,
-        env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip()

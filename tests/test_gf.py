@@ -4,18 +4,17 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from childenv import child_env
 from hallforge.errors import CapExceeded, CertificateError, SingularMatrix, SizeMismatch
 from hallforge.exact import PRIME_BOUND
 from hallforge.gf import (GF, MODULUS_TABLE, Mat, char_poly, gaussian_binomial,
                           gl_order, is_prime, monic_irreducibles, poly_divmod,
                           poly_mul, subspaces_of_dim)
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
 
 # Every field GF.of accepts (primes to 61, and each MODULUS_TABLE entry),
@@ -81,7 +80,7 @@ def test_of_q_factors_prime_powers():
         "        print(err)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=30, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+                          timeout=30, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"{q} is not a small prime power" for q in (0, 1, 6, 12, 67, -2)]
@@ -114,7 +113,7 @@ def test_large_prime_meets_the_size_cap_at_once():
         "        print(err.what, err.estimate == p, err.cap)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=30, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+                          timeout=30, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["field_size True 64"] * 3
 

@@ -2,10 +2,10 @@ import json
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from childenv import child_env
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, affine_d,
                               affine_e, cartan_matrix, classify_type,
                               defect, dual_quiver, euler_form, jordan, kronecker,
@@ -169,8 +169,7 @@ def test_shape_checks_survive_optimize():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-             "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["affine_d needs n >= 4, got 3",

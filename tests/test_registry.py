@@ -8,13 +8,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from childenv import child_env
 from hallforge import a_lambda
 from hallforge.config import Caps
 from hallforge.errors import CapExceeded, CertificateError, HallforgeError
@@ -23,14 +23,13 @@ from hallforge.oneloop import OneLoopIndex
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
                               d4_star_out, dual_quiver, jordan, kronecker)
 from hallforge import registry, reps
-from hallforge.registry import (IsoRegistry, OrbitIndex, SinkExtensions, SplitIndex,
-                                _base_change_images, _gl_generators, decode_rep, encode_rep)
+from hallforge.registry import (IsoRegistry, SinkExtensions, SplitIndex,
+                                _base_change_images, _gl_generators, decode_rep)
 from hallforge.reps import (Rep, aut_order_from_summands, dualize_rep, hom_dim,
                             is_nilpotent_rep, is_stable, krull_schmidt, rep_with_dims,
                             simple_rep, sub_quotient)
 
 F2, F3, F4 = GF.of(2), GF.of(3), GF.of(2, 2)
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 TINY = Caps(max_tuple_count=3)  # forces constructive builds at every grade
 
 # Forced-constructive registries over fields with q > 2, where keeping one
@@ -128,7 +127,7 @@ def test_aut_orders_spec_values(kron2, jordan2):
     # orbit-stabilizer oracle: J_2 over F_2 sits in a 16-point ambient space
     j2 = rep_with_dims(jordan(), F2, (2,), [[[0, 1], [0, 0]]])
     key = jordan2.identify(j2)
-    orbit = int((jordan2.slice((2,)).index.table == key[1]).sum())
+    orbit = int((jordan2.slice((2,)).table == key[1]).sum())
     assert jordan2.cls(key).aut_order == gl_order(2, 2) // orbit == 2
     # regular Kronecker aut orders are a_lambda(q^deg): S_t bricks have q-1
     for c in kron2.classes((1, 1)):
@@ -322,7 +321,7 @@ def test_mass_check_survives_optimize():
         "for bucket in sl.index.buckets.values():\n"
         "    if 0 in bucket:\n"
         "        bucket.remove(0)\n"
-        "sl.index.bytes_cache.clear()\n"
+        "sl.known.clear()\n"
         "try:\n"
         "    reg.identify(sl.classes[0].canon)\n"
         "except CertificateError as err:\n"
@@ -336,10 +335,10 @@ def test_mass_check_survives_optimize():
         "except HallforgeError as err:\n"
         "    print(err)\n"
         "from hallforge.quiver import cyclic_quiver\n"
-        "from hallforge.registry import encode_rep\n"
         "reg = IsoRegistry(cyclic_quiver(3), GF.of(2), nilpotent_only=True)\n"
         "cls = reg.classes((1, 1, 1))[0]\n"
-        "reg.slice((1, 1, 1)).index.table[encode_rep(cls.canon)] = -2\n"
+        "table = reg.slice((1, 1, 1)).table\n"
+        "table[table == cls.index] = -2\n"
         "try:\n"
         "    reg.census(cls.key)\n"
         "except HallforgeError as err:\n"
@@ -347,7 +346,7 @@ def test_mass_check_survives_optimize():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     mass, ident, split, rref, census = proc.stdout.strip().splitlines()
@@ -377,7 +376,7 @@ def test_identify_constant_on_orbits(kron2):
             (Mat(F2, m.tolist()) @ g1.inverse()).tolist() for m in x.mats
         ])
         assert kron2.identify(moved) == key
-    assert isinstance(sl.index, OrbitIndex)
+    assert sl.mode == "orbit"
 
 
 def _base_change(rep, rng):
@@ -410,7 +409,8 @@ def test_identify_constant_on_orbits_constructive(constructive_regs):
     for reg, grades in cases:
         orbit = IsoRegistry(reg.quiver, reg.ctx)
         for g in grades:
-            kinds.add(type(reg.slice(g).index))
+            sl = reg.slice(g)
+            kinds.add(sl.mode if sl.table is not None else type(sl.index))
             for c in reg.classes(g):
                 line = _export_line(orbit, orbit.identify(c.canon))
                 for _ in range(3):
@@ -419,15 +419,14 @@ def test_identify_constant_on_orbits_constructive(constructive_regs):
                     assert _export_line(orbit, orbit.identify(moved)) == line
                 # the two registries agree on the class apart from its canon
                 assert {**_export_line(reg, c.key), "canon": None} == {**line, "canon": None}
-    assert kinds == {OrbitIndex, SplitIndex, OneLoopIndex}
+    assert kinds == {"zero", "orbit", SplitIndex, OneLoopIndex}
 
 
 def test_canonical_is_lex_min_in_orbit_mode(kron2):
     sl = kron2.slice((1, 1))
     for c in sl.classes:
-        code = encode_rep(c.canon)
-        orbit_codes = [i for i, v in enumerate(sl.index.table) if v == c.index]
-        assert code == min(orbit_codes)
+        orbit_codes = [i for i, v in enumerate(sl.table) if v == c.index]
+        assert decode_rep(kronecker(), F2, (1, 1), min(orbit_codes)) == c.canon
 
 
 def test_summands_and_pri(kron2):
@@ -937,8 +936,16 @@ def test_census_makes_no_per_tuple_calls(monkeypatch):
     oracle = counted("sub_quotient", reps.sub_quotient)
     for module in (reps, registry):  # called through either name
         monkeypatch.setattr(module, "sub_quotient", oracle, raising=False)
-    for name in ("identify", "lookup"):
-        monkeypatch.setattr(OrbitIndex, name, counted(name, getattr(OrbitIndex, name)))
+    stack = IsoRegistry._identify_stack
+
+    def gathers(reg, grade, blocks, count):
+        if reg.slice(grade).table is not None:
+            calls["gather"] += 1
+        return stack(reg, grade, blocks, count)
+
+    monkeypatch.setattr(IsoRegistry, "_identify_stack", gathers)
+    monkeypatch.setattr(IsoRegistry, "identify", counted("identify", IsoRegistry.identify))
+    monkeypatch.setattr(SplitIndex, "classify", counted("classify", SplitIndex.classify))
     monkeypatch.setattr(Mat, "rref", counted("rref", Mat.rref))
     tuples = 0
     for g in grades:
@@ -946,7 +953,50 @@ def test_census_makes_no_per_tuple_calls(monkeypatch):
             tuples += sum(reg.census(c.key).values())
     assert calls["sub_quotient"] == 0 and calls["identify"] == 0
     assert calls["rref"] == 0  # stability is read off the block tables
-    assert 0 < calls["lookup"] < tuples / 4
+    assert 0 < calls["gather"] < tuples / 4
+    # the constructive (3,3) meets only its canonical representatives
+    assert reg.slice((3, 3)).mode == "constructive" and calls["classify"] == 0
+
+
+def test_census_second_pass_reads_known_rows(constructive_regs, monkeypatch):
+    # forced-constructive Kronecker GF(3) up to (2,2): once every census has
+    # been taken, taking them again finds every sub and quotient among the
+    # known digit rows, so it classifies nothing and builds no
+    # representation of a constructive grade
+    reg = constructive_regs["kronecker-q3"]
+    keys = [c.key for g in reg.grades_below((2, 2)) for c in reg.classes(g)]
+    first = {key: reg.census(key) for key in keys}
+    constructive = {g for g, sl in reg.slices.items() if sl.mode == "constructive"}
+    assert (2, 2) in constructive
+    for sl in reg.slices.values():
+        sl.census_cache.clear()
+    classified, built = [], []
+    classify, post_init = SplitIndex.classify, Rep.__post_init__
+    monkeypatch.setattr(SplitIndex, "classify",
+                        lambda index, rep: (classified.append(rep.dims), classify(index, rep))[1])
+    monkeypatch.setattr(Rep, "__post_init__",
+                        lambda rep: (built.append(rep.dims), post_init(rep))[1])
+    assert {key: reg.census(key) for key in keys} == first
+    assert classified == []
+    assert not constructive & set(built)
+
+
+def test_canonical_representatives_identify_without_classify(constructive_regs, monkeypatch):
+    # the build of a constructive acyclic slice leaves the digit row of each
+    # canonical representative in `known`
+
+    def refuse(index, rep):
+        raise AssertionError(f"classify called on grade {rep.dims}")
+
+    monkeypatch.setattr(SplitIndex, "classify", refuse)
+    seen = 0
+    for reg in constructive_regs.values():
+        for sl in list(reg.slices.values()):
+            if sl.mode == "constructive":
+                for c in sl.classes:
+                    assert reg.identify(c.canon) == c.key
+                    seen += 1
+    assert seen > 0
 
 
 def test_memory_cap_counts_census_tables(monkeypatch):

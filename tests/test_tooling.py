@@ -3,9 +3,11 @@ import ast
 import dataclasses
 from pathlib import Path
 
+from childenv import child_env
 from hallforge import cli
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hallforge"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "hallforge"
 
 
 def _nodes():
@@ -46,3 +48,23 @@ def test_every_caps_field_has_a_cli_flag():
     _, hall = cli.build_context(parser.parse_args(argv))
     caps = dataclasses.asdict(hall.registry.caps)
     assert sorted(caps.values()) == sorted(values.values())
+
+
+def test_child_processes_share_the_bytecode_setting(monkeypatch):
+    # every subprocess a test starts gets its environment from `child_env`,
+    # which passes PYTHONDONTWRITEBYTECODE through
+    found = []
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "run" and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "subprocess"):
+                env = next((kw.value for kw in node.keywords if kw.arg == "env"), None)
+                if not (isinstance(env, ast.Call) and isinstance(env.func, ast.Name)
+                        and env.func.id == "child_env"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert child_env()["PYTHONDONTWRITEBYTECODE"] == "1"
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert "PYTHONDONTWRITEBYTECODE" not in child_env()
