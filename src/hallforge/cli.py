@@ -35,7 +35,7 @@ from .cuspidal import (TubePermutation, cancellation_check, conjecture1_check,
                        conjecture2_check, cuspidal_space, cyclic_nilpotent_cuspidal,
                        delta_evaluation_identity, isotropic_support_check,
                        one_loop_cuspidal_closed_form, regular_cuspidal_space,
-                       span_rows, subspace_contains, tube_decomposition,
+                       subspace_contains, tube_decomposition,
                        verify_kernel_theorem, verify_sigma_hopf, xi_value,
                        CuspidalSpace)
 from .errors import HallforgeError
@@ -91,9 +91,13 @@ def add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-candidates-total", type=int, default=Caps.max_total_candidates)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--nilpotent", action="store_true",
                    help="restrict to nilpotent classes (cyclic quivers)")
+
+
+def add_format(p: argparse.ArgumentParser) -> None:
+    """--format, for the commands that write tables (kac, xi, tubes)."""
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_context(args):
@@ -210,6 +214,8 @@ def cmd_kac(args) -> int:
 
 def cmd_xi(args) -> int:
     q = field_of(args).q
+    if min(args.d) < 0:
+        raise HallforgeError(f"xi needs levels >= 0, got {min(args.d)}")
     rows = [{"d": d, "q": q, "xi": str(xi_value(d, q))} for d in args.d]
     if args.format == "csv":
         text = "d;q;xi\n" + "\n".join(f"{r['d']};{r['q']};{r['xi']}" for r in rows) + "\n"
@@ -361,17 +367,12 @@ def _suite_jordan_closed_form(args, quiver, hall):
     for r in rs:
         space = cuspidal_space(hall, (r,))
         coords = [c.key for c in hall.registry.classes((r,))]
-        rows = span_rows(space, coords)
         irr = monic_irreducibles(hall.registry.ctx, r)
-        ok = True
-        for d in range(1, r + 1):
-            if r % d:
-                continue
-            for pt in irr[d]:
-                f = one_loop_cuspidal_closed_form(hall, r // d, pt)
-                frows = CuspidalSpace((r,), coords, [f]).coefficient_rows(coords)
-                if not (subspace_contains(rows, frows) and hall.is_primitive(f)):
-                    ok = False
+        forms = [one_loop_cuspidal_closed_form(hall, r // d, pt)
+                 for d in range(1, r + 1) if r % d == 0 for pt in irr[d]]
+        ok = (subspace_contains(space.coefficient_rows(coords),
+                                CuspidalSpace((r,), coords, forms).coefficient_rows(coords))
+              and all(hall.is_primitive(f) for f in forms))
         out.append({"check": "jordanClosedForm", "level": r, "dim": space.dim,
                     "status": "pass" if ok else "fail"})
     return out
@@ -403,12 +404,15 @@ def pbw_rank(hall, grade):
     pos = {k: i for i, k in enumerate(coords)}
     rows = []
     for seq in seqs:
-        el = hall.multiply_all([hall.basis(k) for k in seq])
-        row = [hall.zero()] * len(coords)
-        for k, v in el.terms.items():
-            row[pos[k]] = v
+        terms = hall.multiply_all([hall.basis(k) for k in seq]).terms
+        # a product is nu^e times a rational row, e fixed by the factors'
+        # grades: dividing by one coefficient leaves the rank, over Q
+        lead = next(iter(terms.values()))
+        row = [Fraction(0)] * len(coords)
+        for k, v in terms.items():
+            row[pos[k]] = (v / lead).as_fraction()
         rows.append(row)
-    return matrix_rank(rows, hall.zero()), len(coords)
+    return matrix_rank(rows), len(coords)
 
 
 SUITES = {
@@ -451,15 +455,18 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("kac", help="interpolated absolutely-indecomposable polynomials")
     add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_kac)
 
     p = sub.add_parser("xi", help="exact values of the tube linear form")
     p.add_argument("d", type=int, nargs="+", help="levels to evaluate")
     add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_xi)
 
     p = sub.add_parser("tubes", help="tube census of an affine acyclic quiver")
     add_common(p)
+    add_format(p)
     p.set_defaults(func=cmd_tubes)
 
     args = top.parse_args(argv)

@@ -4,9 +4,10 @@ An element f is cuspidal when Delta(f) = f(x)1 + 1(x)f.  Writing
 g_R = f(R)/|Aut R|, primitivity in a fixed grade is the integer linear
 system  sum_R F^R_{U,V} g_R = 0, one row per pair (U, V) of positive
 grades that occurs in the census of some support class R, so cuspidal
-spaces are exact rational kernels of integer census matrices, solved by
-the certified modular kernel `exact.kernel_basis_int`; other solves use the
-Fraction eliminator of `exact`.  No tolerance appears anywhere.  Elements and
+spaces are exact rational kernels of integer census matrices.  Every
+rational solve, and every subspace relation (as a rank relation), goes
+through the one eliminator of `exact`, which takes its certified modular
+route on those integer matrices.  No tolerance appears anywhere.  Elements and
 coproducts are the sparse vectors of `hall`, classes of direct sums come
 from `IsoRegistry.class_of_summands`, and failed solver invariants raise
 CertificateError.
@@ -36,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CertificateError, HallforgeError
-from .exact import kernel_basis_exact, kernel_basis_int, matrix_rank, row_reduce  # noqa: F401
+from .exact import kernel_basis_exact, matrix_rank
 from .gf import Mat
 from .hall import HallAlgebra, HallElement, QNum, TensorElement, _add_into
 from .oneloop import a_lambda, one_loop_rep, partitions_of
@@ -104,7 +105,7 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
             seen.add(row)
             rows.append(row)
     if rows:
-        kernel = kernel_basis_int(rows)
+        kernel = kernel_basis_exact(rows)
     else:
         kernel = [[Fraction(1 if j == i else 0) for j in range(len(cols))]
                   for i in range(len(cols))]
@@ -151,28 +152,14 @@ def is_regular_primitive(hall: HallAlgebra, f: HallElement) -> bool:
 # subspace bookkeeping over the rationals
 
 
-def span_rows(space: CuspidalSpace, coords: List[ClassKey]) -> List[list]:
-    return row_reduce(space.coefficient_rows(coords), Fraction(0))[0]
-
-
 def subspace_contains(big_rows: List[list], small_rows: List[list]) -> bool:
-    """Whether the big rows span every small row: each small row, reduced
-    against the pivot rows of the RREF of `big_rows`, leaves nothing."""
-    if not small_rows:
-        return True
-    red, pivots = row_reduce(big_rows, Fraction(0))
-    for row in small_rows:
-        for basis_row, c in zip(red, pivots):
-            f = row[c]
-            if f:
-                row = [x - f * y for x, y in zip(row, basis_row)]
-        if any(row):
-            return False
-    return True
+    """Whether the big rows span every small row: adding them keeps the rank."""
+    return matrix_rank(big_rows + small_rows) == matrix_rank(big_rows)
 
 
 def subspace_equal(a_rows: List[list], b_rows: List[list]) -> bool:
-    return subspace_contains(a_rows, b_rows) and subspace_contains(b_rows, a_rows)
+    rank = matrix_rank(a_rows + b_rows)
+    return matrix_rank(a_rows) == rank == matrix_rank(b_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +390,8 @@ def verify_kernel_theorem(hall: HallAlgebra, tubes: List[Tube], r: int) -> dict:
     report["checks"]["support_regular"] = supported_ok
 
     coords = [c.key for c in reg.classes(grade)]
-    full_rows = span_rows(full, coords)
-    reg_rows = span_rows(regc, coords)
+    full_rows = full.coefficient_rows(coords)
+    reg_rows = regc.coefficient_rows(coords)
     inclusion = subspace_contains(reg_rows, full_rows)
     report["checks"]["inclusion"] = inclusion
     report["dims"] = {"cuspidal": full.dim, "regular_cuspidal": regc.dim}
@@ -426,7 +413,7 @@ def verify_kernel_theorem(hall: HallAlgebra, tubes: List[Tube], r: int) -> dict:
     # kernel of L on the span of the normalized basis
     values = [form.evaluate(hall, n.element).as_fraction() for n in normalized]
     lrow = [values]
-    coeffs = kernel_basis_exact(lrow, Fraction(0), Fraction(1))
+    coeffs = kernel_basis_exact(lrow)
     kernel_rows = []
     for vec in coeffs:
         f = HallElement({})
@@ -435,8 +422,7 @@ def verify_kernel_theorem(hall: HallAlgebra, tubes: List[Tube], r: int) -> dict:
                 f = f + n.element.scaled(c)
         kernel_rows.append(f)
     kernel_space = CuspidalSpace(grade, coords, kernel_rows)
-    kr = span_rows(kernel_space, coords)
-    kernel_ok = subspace_equal(kr, full_rows)
+    kernel_ok = subspace_equal(kernel_space.coefficient_rows(coords), full_rows)
     report["checks"]["kernel_equals_cuspidal"] = kernel_ok
 
     primitive_ok = all(hall.is_primitive(f) for f in full.basis)
@@ -724,9 +710,12 @@ def cyclic_nilpotent_cuspidal(hall: HallAlgebra, d: int) -> HallElement:
 def isotropic_support_check(hall: HallAlgebra, grade: Sequence) -> dict:
     """For isotropic grade with nonzero cuspidal space: support connected,
     orthogonal to its unit vectors, affine, and the grade a multiple of
-    the support's delta."""
+    the support's delta.  The theorem is about positive grades: the zero
+    grade, whose graded piece is the unit, is a HallforgeError."""
     quiver = hall.quiver
     grade = quiver.check_dim(grade)
+    if not any(grade):
+        raise HallforgeError("the isotropic support check needs a nonzero grade")
     if symmetrized_form(quiver, grade, grade) != 0:
         raise HallforgeError(f"grade {grade} is not isotropic")
     report = {"grade": list(grade), "q": hall.q, "checks": {}, "status": "pass"}

@@ -1,20 +1,22 @@
-"""Exact elimination over Q: Gauss-Jordan on Fractions, and a certified
-modular kernel for integer matrices.
+"""Exact elimination over Q: `row_reduce` is the one eliminator, and the
+route it takes is chosen by its input.
 
-`row_reduce`, `matrix_rank` and `kernel_basis_exact` run Gauss-Jordan over
-Q or Q(sqrt(q)); rows hold Fraction or QNum entries and the caller passes
-the field's zero and one, so this module imports no other hallforge module
-except its error type.
+`row_reduce(rows)` returns the RREF of a rational matrix, zero rows kept at
+the bottom, and its pivot columns; `matrix_rank` and `kernel_basis_exact`
+read theirs off it.  Entries come back as Fractions on both routes.
 
-`kernel_basis_int` returns the same canonical kernel basis for a matrix of
-Python ints without Fraction arithmetic: RREF modulo 31-bit primes in numpy
-int64, Chinese remaindering and rational reconstruction of the kernel
-entries, then a check A v = 0 over Z in Python ints.  The certificate is
-that check: rank over F_p is at most rank over Q, so the mod-p nullity many
-verified vectors, each with its unit on a mod-p free column and zeros right
-of it, span the rational kernel; and each one writes its free column as a
-combination of earlier columns, so the mod-p pivots are the pivots over Q
-and the basis is the one `kernel_basis_exact` returns.
+Rows whose entries are all Python ints take a certified modular route: RREF
+modulo 31-bit primes in numpy int64, Chinese remaindering and rational
+reconstruction of the entries in the free columns, then a check A v = 0 over
+Z, in Python ints, of the kernel basis that this RREF gives.  The
+certificate is that check: rank over F_p is at most rank over Q, so the
+mod-p nullity many verified vectors, each with its unit on a mod-p free
+column and zeros in the other free columns, span the rational kernel; the
+reconstructed rows are orthogonal to them and as many as the rank, so they
+span the row space, and their zeros left of each pivot make them its RREF.
+Any other rows (Fractions, or ints mixed with Fractions) take Gauss-Jordan
+over Fractions, which is faster on the small rational systems they come
+from.  This module imports no other hallforge module except its error type.
 
 `is_prime` is the package's one primality test: deterministic Miller-Rabin,
 exact below PRIME_BOUND; it picks those primes and checks field sizes in `gf`.
@@ -32,11 +34,45 @@ import numpy as np
 from .errors import CertificateError
 
 
-def row_reduce(rows: List[list], zero) -> Tuple[List[list], List[int]]:
-    """RREF of a matrix over an exact field (Fraction or QNum entries)."""
-    rows = [list(r) for r in rows]
+def row_reduce(rows: List[list]) -> Tuple[List[List[Fraction]], List[int]]:
+    """RREF of a rational matrix, zero rows kept at the bottom, and its
+    pivot columns: modular for all-int rows, Gauss-Jordan otherwise."""
     if not rows:
-        return rows, []
+        return [], []
+    if all(isinstance(x, int) for r in rows for x in r):
+        return _row_reduce_int(rows)
+    return _gauss_jordan(rows)
+
+
+def matrix_rank(rows: List[list]) -> int:
+    return len(row_reduce(rows)[1])
+
+
+def kernel_basis_exact(rows: List[list]) -> List[List[Fraction]]:
+    """Right kernel basis: one vector per free column of the RREF, 1 there,
+    0 in the other free columns."""
+    if not rows:
+        return []
+    red, pivots = row_reduce(rows)
+    return _kernel_of_rref(red, pivots, len(rows[0]))
+
+
+def _kernel_of_rref(red, pivots: List[int], cols: int) -> List[List[Fraction]]:
+    pivot_set = set(pivots)
+    out = []
+    for fc in range(cols):
+        if fc in pivot_set:
+            continue
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        out.append(vec)
+    return out
+
+
+def _gauss_jordan(rows: List[list]) -> Tuple[List[List[Fraction]], List[int]]:
+    rows = [[Fraction(x) for x in r] for r in rows]
     cols = len(rows[0])
     pivots = []
     r = 0
@@ -56,32 +92,11 @@ def row_reduce(rows: List[list], zero) -> Tuple[List[list], List[int]]:
         r += 1
         if r == len(rows):
             break
-    return rows[:r] + [[zero] * cols for _ in range(len(rows) - r)], pivots
-
-
-def matrix_rank(rows: List[list], zero) -> int:
-    return len(row_reduce(rows, zero)[1])
-
-
-def kernel_basis_exact(rows: List[list], zero, one) -> List[list]:
-    """Right kernel basis (canonical form from the RREF free columns)."""
-    if not rows:
-        return []
-    cols = len(rows[0])
-    red, pivots = row_reduce(rows, zero)
-    free = [c for c in range(cols) if c not in pivots]
-    out = []
-    for fc in free:
-        vec = [zero] * cols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = zero - red[r][fc]
-        out.append(vec)
-    return out
+    return rows[:r] + [[Fraction(0)] * cols for _ in range(len(rows) - r)], pivots
 
 
 # ---------------------------------------------------------------------------
-# primality, and the certified modular kernel of integer matrices
+# primality, and the certified modular route for integer matrices
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -163,22 +178,19 @@ def _reconstruct(u: int, m: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-def kernel_basis_int(rows: List[list]) -> List[List[Fraction]]:
-    """`kernel_basis_exact` of an integer matrix, computed modulo primes.
+def _row_reduce_int(rows: List[list]) -> Tuple[List[List[Fraction]], List[int]]:
+    """`row_reduce` of an integer matrix, computed modulo primes.
 
-    Equal to `kernel_basis_exact([[Fraction(x) for x in r] for r in rows],
-    Fraction(0), Fraction(1))`.  Primes are added until the reconstructed
-    basis passes A v = 0 over Z; a prime whose pivots are worse (lower rank,
-    or equal rank with lexicographically later pivots) than an earlier
-    prime's is unlucky and skipped, and a better one restarts the
-    remaindering.  Raises CertificateError if no basis verifies within the
-    number of primes that Hadamard's bound says suffices.
+    Primes are added until the reconstructed RREF passes the kernel check
+    A v = 0 over Z; a prime whose pivots are worse (lower rank, or equal
+    rank with lexicographically later pivots) than an earlier prime's is
+    unlucky and skipped, and a better one restarts the remaindering.
+    Raises CertificateError if no RREF verifies within the number of primes
+    that Hadamard's bound says suffices.
     """
-    if not rows:
-        return []
-    cols = len(rows[0])
-    exact = np.array(rows, dtype=object).reshape(len(rows), cols)
-    # Hadamard's bound H on the minors: kernel entries are ratios of minors,
+    m, cols = len(rows), len(rows[0])
+    exact = np.array(rows, dtype=object).reshape(m, cols)
+    # Hadamard's bound H on the minors: RREF entries are ratios of minors,
     # so a modulus above 2 H^2 reconstructs them, and at most log_p(H)
     # primes divide a nonzero minor
     hadamard = prod(isqrt(sum(x * x for x in r)) + 1 for r in rows)
@@ -186,13 +198,11 @@ def kernel_basis_int(rows: List[list]) -> List[List[Fraction]]:
     best, residues, modulus = None, None, 1
     for p in itertools.islice(_primes_31(), limit):
         red, pivots = _rref_mod(np.array(exact % p, dtype=np.int64), p)
-        free = sorted(set(range(cols)) - set(pivots))
-        if not free:
-            return []  # rank over Q is at least the full rank over F_p
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue
-        vals = [int(x) for x in (-red[:, free] % p).reshape(-1)]
+        free = sorted(set(range(cols)) - set(pivots))
+        vals = [int(x) for x in red[:, free].reshape(-1)]
         if best is None or key < best:
             best, residues, modulus = key, vals, p
         else:
@@ -202,18 +212,16 @@ def kernel_basis_int(rows: List[list]) -> List[List[Fraction]]:
         entries = [_reconstruct(x, modulus) for x in residues]
         if None in entries:
             continue
-        basis = []
-        for j, fc in enumerate(free):
-            vec = [Fraction(0)] * cols
-            vec[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = entries[r * len(free) + j]
-            basis.append(vec)
+        rref = [[Fraction(0)] * cols for _ in range(m)]
+        for r, pc in enumerate(pivots):
+            rref[r][pc] = Fraction(1)
+            for j, fc in enumerate(free):
+                rref[r][fc] = entries[r * len(free) + j]
         scaled = []
-        for vec in basis:
+        for vec in _kernel_of_rref(rref, pivots, cols):
             d = lcm(*(x.denominator for x in vec))
             scaled.append([int(x * d) for x in vec])
-        if not (exact @ np.array(scaled, dtype=object).T).any():
-            return basis
-    raise CertificateError("modular kernel", None, "a basis with A v = 0 over Z",
+        if not scaled or not (exact @ np.array(scaled, dtype=object).T).any():
+            return rref, pivots
+    raise CertificateError("modular elimination", None, "an RREF with A v = 0 over Z",
                            f"none after {limit} primes")

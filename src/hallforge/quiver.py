@@ -12,22 +12,21 @@ and (d, e) = <d, e> + <e, d> is its symmetrization, so the Cartan matrix
 has C_ii = 2 - 2*(loops at i) and C_ij = -(number of arrows between i and
 j, both directions).  A connected quiver is finite / affine / wild
 according to whether C is positive definite / positive semidefinite of
-corank one / neither; in the affine case the radical of C is spanned by a
-unique primitive positive vector `delta`, and the defect of d is
-<delta, d>.  All the decisions here are made in exact rational
-arithmetic.
+corank one / neither; `classify_type` decides this by Vinberg's
+trichotomy, read off the exact eliminator of `exact`.  In the affine case
+the radical of C is spanned by a unique primitive positive vector `delta`,
+and the defect of d is <delta, d>.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import CertificateError, HallforgeError, SizeMismatch
-from .exact import kernel_basis_exact
+from .errors import HallforgeError, SizeMismatch
+from .exact import kernel_basis_exact, row_reduce
 
 DimVector = tuple
 
@@ -143,39 +142,9 @@ class QuiverType:
     delta: Optional[tuple] = None
 
 
-def _psd_rank(c) -> Optional[int]:
-    """Rank of a symmetric rational matrix if it is PSD, else None.
-
-    Symmetric elimination: a PSD matrix with a zero diagonal entry has a
-    zero row, so at every step either some diagonal entry is positive (use
-    it as pivot) or the remainder must vanish entirely.
-    """
-    n = len(c)
-    m = [[Fraction(x) for x in row] for row in c]
-    active = list(range(n))
-    rank = 0
-    while active:
-        piv = next((i for i in active if m[i][i] > 0), None)
-        if piv is None:
-            if any(m[i][j] != 0 for i in active for j in active):
-                return None
-            return rank
-        if m[piv][piv] < 0:
-            return None
-        rank += 1
-        active.remove(piv)
-        p = m[piv][piv]
-        for i in active:
-            f = m[i][piv] / p
-            for j in active:
-                m[i][j] -= f * m[piv][j]
-    return rank
-
-
-def _radical_vector(c) -> tuple:
-    """Primitive integer kernel vector of a corank-one symmetric matrix."""
-    (vec,) = kernel_basis_exact([[Fraction(x) for x in row] for row in c],
-                                Fraction(0), Fraction(1))
+def _primitive_integer(vec) -> tuple:
+    """The rational vector scaled to coprime integers, first nonzero entry
+    positive."""
     denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
     g = gcd(*ints)
@@ -188,24 +157,26 @@ def _radical_vector(c) -> tuple:
 def classify_type(q: Quiver) -> QuiverType:
     """Finite / affine / wild trichotomy of a connected quiver.
 
-    Affine means the symmetrized form is PSD with one-dimensional radical;
-    `delta` is then returned normalized to positive entries with gcd 1.
-    The Jordan quiver (one vertex, one loop) classifies affine, delta=(1).
+    Vinberg's trichotomy for the connected, hence indecomposable, Cartan
+    matrix C (Kac, Infinite-dimensional Lie algebras, Thm 4.3): a
+    nonsingular C is finite exactly when the solution of C u = 1 is
+    positive; a singular C is affine exactly when its kernel is one line
+    with a positive vector, which is `delta` (entries positive, gcd 1);
+    every other C is wild.  The Jordan quiver (one vertex, one loop)
+    classifies affine, delta=(1).
     """
     if not q.is_connected():
         raise ValueError("classify_type requires a connected quiver")
     c = cartan_matrix(q)
-    rank = _psd_rank(c)
-    if rank is None:
-        return QuiverType("wild")
-    if rank == q.n:
-        return QuiverType("finite")
-    if rank != q.n - 1:
-        return QuiverType("wild")
-    delta = _radical_vector(c)
-    if min(delta) <= 0:
-        raise CertificateError("positive radical vector", delta, "entries > 0", min(delta))
-    return QuiverType("affine", delta)
+    red, pivots = row_reduce([row + [1] for row in c])
+    if pivots == list(range(q.n)):  # C nonsingular, u in the last column
+        return QuiverType("finite" if all(row[-1] > 0 for row in red) else "wild")
+    kernel = kernel_basis_exact(c)
+    if len(kernel) == 1:
+        delta = _primitive_integer(kernel[0])
+        if min(delta) > 0:
+            return QuiverType("affine", delta)
+    return QuiverType("wild")
 
 
 def defect(q: Quiver, d: Sequence, qtype: Optional[QuiverType] = None) -> int:

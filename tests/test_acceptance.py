@@ -17,7 +17,7 @@ from hallforge.cuspidal import (CuspidalSpace, TubePermutation, cancellation_che
                                 conjecture1_check, conjecture2_check, cuspidal_space,
                                 cyclic_nilpotent_cuspidal, delta_evaluation_identity,
                                 isotropic_support_check, one_loop_cuspidal_closed_form,
-                                regular_cuspidal_space, span_rows, subspace_contains,
+                                regular_cuspidal_space, subspace_contains,
                                 tube_decomposition, verify_kernel_theorem,
                                 verify_sigma_hopf)
 from hallforge.gf import GF, monic_irreducibles
@@ -170,7 +170,7 @@ def test_criterion_6_closed_forms(hall_jordan2, hall_jordan3):
         for r in (1, 2, 3, 4):
             space = cuspidal_space(h, (r,))
             coords = [c.key for c in h.registry.classes((r,))]
-            rows = span_rows(space, coords)
+            rows = space.coefficient_rows(coords)
             irr = monic_irreducibles(ctx, r)
             for d in range(1, r + 1):
                 if r % d:

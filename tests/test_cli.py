@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from childenv import child_env
 from hallforge.cli import main
 
@@ -114,6 +116,41 @@ def test_csv_format(tmp_path):
     code, text = run_cli(["xi", "1", "--p", "2", "--format", "csv"], tmp_path,
                          "out.csv")
     assert text.splitlines()[0] == "d;q;xi"
+
+
+def test_format_is_an_option_of_the_table_commands_only(tmp_path, capsys):
+    # kac, xi and tubes write tables and read --format; enumerate and verify
+    # write JSON only, so --format there is an unknown option
+    for argv in (["verify", "pbw", "--quiver", "kronecker", "--p", "2", "--grade", "1,1"],
+                 ["enumerate", "--quiver", "kronecker", "--p", "2", "--grade", "1,1"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--format", "csv"])
+        assert err.value.code == 2, argv
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err, argv
+    code, text = run_cli(["tubes", "--quiver", "kronecker", "--p", "2", "--r", "1",
+                          "--format", "csv"], tmp_path, "out.csv")
+    assert code == 0 and text.splitlines()[0] == "tube;degree;period"
+    code, text = run_cli(["kac", "--quiver", "kronecker", "--r", "1", "--format", "csv"],
+                         tmp_path, "out.csv")
+    assert code == 0 and text.splitlines() == ["grade;kac_polynomial", "1,1;t + 1"]
+
+
+def test_xi_rejects_negative_levels(tmp_path):
+    code, text = run_cli(["xi", "--p", "2", "-1"], tmp_path)
+    assert (code, json.loads(text)) == (2, {"error": "HallforgeError",
+                                            "message": "xi needs levels >= 0, got -1"})
+    code, text = run_cli(["xi", "--p", "2", "0", "1"], tmp_path)
+    assert code == 0 and [r["d"] for r in json.loads(text)] == [0, 1]
+
+
+def test_isotropic_rejects_the_zero_grade(tmp_path):
+    # the theorem is about positive grades; the zero grade's piece is the unit
+    for pick in (["--grade", "0,0"], ["--r", "0"]):
+        code, text = run_cli(["verify", "isotropic", "--quiver", "kronecker", "--p", "2"]
+                             + pick, tmp_path)
+        assert (code, json.loads(text)) == (2, {
+            "error": "HallforgeError",
+            "message": "the isotropic support check needs a nonzero grade"}), pick
 
 
 def test_subprocess_entry():

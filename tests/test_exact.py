@@ -6,12 +6,14 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import hallforge.cli
 import hallforge.cuspidal
 import hallforge.hall
 import hallforge.quiver
 from hallforge import exact
-from hallforge.exact import kernel_basis_exact, kernel_basis_int, matrix_rank, row_reduce
+from hallforge.exact import kernel_basis_exact, matrix_rank, row_reduce
 from hallforge.hall import QNum
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,46 +27,28 @@ FRACTION_ROWS = [
 ]
 
 
-def _qnum_rows():
-    r2 = QNum(0, 1, 2)  # sqrt(2)
-    one, two = QNum(1, 0, 2), QNum(2, 0, 2)
-    zero = QNum(0, 0, 2)
-    # rank 2: row 3 = row 2 - sqrt(2) * row 1, pivots in columns 0 and 2
-    return [
-        [one, r2, zero, two],
-        [r2, two, one, zero],
-        [zero, zero, one, zero - two * r2],
-    ], zero, one
+def _apply(rows, vec):
+    return [sum((a * x for a, x in zip(row, vec)), F(0)) for row in rows]
 
 
-def _apply(rows, vec, zero):
-    out = []
-    for row in rows:
-        acc = zero
-        for a, x in zip(row, vec):
-            acc = acc + a * x
-        out.append(acc)
-    return out
-
-
-def _check_kernel(rows, zero, one):
+def _check_kernel(rows):
     cols = len(rows[0])
-    basis = kernel_basis_exact(rows, zero, one)
-    rank = matrix_rank(rows, zero)
+    basis = kernel_basis_exact(rows)
+    rank = matrix_rank(rows)
     assert rank + len(basis) == cols
     for vec in basis:
-        assert all(x == zero for x in _apply(rows, vec, zero))
+        assert not any(_apply(rows, vec))
     # canonical: each vector is 1 on its own free column, 0 on the others
-    _, pivots = row_reduce(rows, zero)
+    _, pivots = row_reduce(rows)
     free = [c for c in range(cols) if c not in pivots]
     assert len(free) == len(basis)
     for fc, vec in zip(free, basis):
-        assert [vec[c] for c in free] == [one if c == fc else zero for c in free]
+        assert [vec[c] for c in free] == [int(c == fc) for c in free]
     return basis, pivots
 
 
 def test_kernel_fraction_rows():
-    basis, pivots = _check_kernel(FRACTION_ROWS, F(0), F(1))
+    basis, pivots = _check_kernel(FRACTION_ROWS)
     assert pivots == [0, 2]
     assert basis == [
         [F(-2), F(1), F(0), F(0), F(0)],
@@ -73,29 +57,27 @@ def test_kernel_fraction_rows():
     ]
 
 
-def test_kernel_qnum_rows():
-    rows, zero, one = _qnum_rows()
-    basis, pivots = _check_kernel(rows, zero, one)
-    assert pivots == [0, 2]
-    # the kernel vectors carry sqrt(2) parts: the field really is Q(sqrt 2)
-    assert any(x.b for vec in basis for x in vec)
-
-
 def test_row_reduce_edge_cases():
-    assert row_reduce([], F(0)) == ([], [])
-    assert kernel_basis_exact([], F(0), F(1)) == []
-    assert matrix_rank([], F(0)) == 0
-    assert matrix_rank([[F(0), F(0)], [F(0), F(0)]], F(0)) == 0
-    assert matrix_rank(FRACTION_ROWS, F(0)) == 2
-    red, pivots = row_reduce(FRACTION_ROWS, F(0))
+    assert row_reduce([]) == ([], [])
+    assert kernel_basis_exact([]) == []
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[F(0), F(0)], [F(0), F(0)]]) == 0
+    assert matrix_rank(FRACTION_ROWS) == 2
+    red, pivots = row_reduce(FRACTION_ROWS)
     assert red[2] == [F(0)] * 5  # zero rows are kept, at the bottom
-    assert matrix_rank([[F(1), F(2)], [F(3), F(4)]], F(0)) == 2
-    rows, zero, _ = _qnum_rows()
-    assert matrix_rank(rows, zero) == 2
+    assert matrix_rank([[F(1), F(2)], [F(3), F(4)]]) == 2
+    # ints mixed with Fractions are rationals too, and stay exact
+    assert row_reduce([[1, F(1, 2)], [2, 3]]) == ([[F(1), F(0)], [F(0), F(1)]], [0, 1])
+    assert row_reduce([[F(2), 1]])[0] == [[F(1), F(1, 2)]]
+    # no elimination over Q(sqrt q): a QNum is not a rational entry
+    with pytest.raises(TypeError):
+        row_reduce([[QNum(0, 1, 2), QNum(1, 0, 2)]])
 
 
 def _row_reduce_dividing(rows, zero):
-    """`row_reduce` as it was before it skipped dividing by a unit pivot."""
+    """Gauss-Jordan that divides by every pivot, unit or not: an oracle that
+    shares no code with `exact` and runs on any exact field (Fraction or
+    QNum entries)."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
@@ -120,31 +102,40 @@ def _row_reduce_dividing(rows, zero):
     return rows[:r] + [[zero] * cols for _ in range(len(rows) - r)], pivots
 
 
+def _oracle(rows):
+    """RREF and pivots of integer rows, by the oracle over Fractions."""
+    return _row_reduce_dividing([[F(x) for x in r] for r in rows], F(0))
+
+
 def _exact_entries(rows):
-    # type and value, and the field of a QNum, which == does not compare
-    return [[(type(x), x, getattr(x, "m", None)) for x in r] for r in rows]
+    return [[(type(x), x) for x in r] for r in rows]
 
 
 def test_row_reduce_unit_pivots_match_dividing_reduction():
     rng = random.Random(11)
-    qrows, qzero, qone = _qnum_rows()
-    cases = [(FRACTION_ROWS, F(0)), (qrows, qzero),
-             (row_reduce(FRACTION_ROWS, F(0))[0], F(0)),  # RREF input: every pivot is 1
-             ([[qone, QNum(0, 1, 2)], [QNum(0, 1, 2), qone]], qzero)]
+    cases = [FRACTION_ROWS, row_reduce(FRACTION_ROWS)[0]]  # RREF input: every pivot is 1
     for _ in range(60):
         cols = rng.randint(1, 5)
         # leading ones and small entries: many pivots are 1, some are not
         rows = [[F(rng.choice((0, 1, 1, 2, -1)), rng.choice((1, 1, 2))) for _ in range(cols)]
                 for _ in range(rng.randint(1, 4))]
-        cases.append((rows, F(0)))
-    for rows, zero in cases:
-        have, want = row_reduce(rows, zero), _row_reduce_dividing(rows, zero)
+        cases.append(rows)
+    for rows in cases:
+        have, want = row_reduce(rows), _row_reduce_dividing(rows, F(0))
         assert have[1] == want[1], rows
         assert _exact_entries(have[0]) == _exact_entries(want[0]), rows
 
 
-def _fraction_kernel(rows):
-    return kernel_basis_exact([[F(x) for x in r] for r in rows], F(0), F(1))
+def _check_int_route(rows):
+    """Integer rows: RREF and pivots as the oracle's, with Fraction entries,
+    and the kernel as the Gauss-Jordan route gives it for the same rows
+    written as Fractions."""
+    have = row_reduce(rows)
+    assert have[1] == _oracle(rows)[1], rows
+    assert _exact_entries(have[0]) == _exact_entries(_oracle(rows)[0]), rows
+    kernel = kernel_basis_exact(rows)
+    assert kernel == kernel_basis_exact([[F(x) for x in r] for r in rows]), rows
+    return kernel
 
 
 def test_modular_kernel_matches_fraction_kernel():
@@ -154,34 +145,84 @@ def test_modular_kernel_matches_fraction_kernel():
         rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
         if m > 2 and rng.random() < 0.5:  # a dependent row lowers the rank
             rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
-        assert kernel_basis_int(rows) == _fraction_kernel(rows), rows
+        _check_int_route(rows)
     # census-sized counts: rank 2 with kernel entries that are not integers
     rows = [[120, 35, 0, 7], [0, 14, 81, 1], [120, 49, 81, 8]]
-    assert kernel_basis_int(rows) == _fraction_kernel(rows)
-    assert any(x.denominator > 1 for vec in kernel_basis_int(rows) for x in vec)
+    kernel = _check_int_route(rows)
+    assert any(x.denominator > 1 for vec in kernel for x in vec)
+
+
+def test_routes_follow_the_input(monkeypatch):
+    # all-int rows never reach Gauss-Jordan, and Fraction rows never reach
+    # the modular RREF
+    rows = [[120, 35, 0, 7], [0, 14, 81, 1], [120, 49, 81, 8]]
+    want = _oracle(rows)
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_gauss_jordan", None)
+        assert row_reduce(rows) == want
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_rref_mod", None)
+        assert row_reduce([[F(x) for x in r] for r in rows]) == want
 
 
 def test_modular_kernel_edge_cases():
-    assert kernel_basis_int([]) == [] == kernel_basis_exact([], F(0), F(1))
-    assert kernel_basis_int([[]]) == []
+    assert kernel_basis_exact([[]]) == [] and row_reduce([[]]) == ([[]], [])
     # zero matrix: every column is free
-    assert kernel_basis_int([[0, 0, 0], [0, 0, 0]]) == \
+    assert row_reduce([[0, 0, 0], [0, 0, 0]]) == ([[F(0)] * 3] * 2, [])
+    assert kernel_basis_exact([[0, 0, 0], [0, 0, 0]]) == \
         [[F(int(i == j)) for j in range(3)] for i in range(3)]
-    # full column rank: empty kernel
-    assert kernel_basis_int([[1, 2], [3, 4], [5, 6]]) == []
-    assert kernel_basis_int([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == []
+    # full column rank: empty kernel, identity on top
+    assert row_reduce([[1, 2], [3, 4], [5, 6]]) == ([[1, 0], [0, 1], [0, 0]], [0, 1])
+    assert kernel_basis_exact([[1, 2], [3, 4], [5, 6]]) == []
+    assert kernel_basis_exact([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == []
+    assert matrix_rank([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 3
 
 
 def test_modular_kernel_needs_several_primes():
-    # coprime entries near 2^40: the kernel entry -b/a exceeds what one
+    # coprime entries near 2^40: the RREF entry b/a exceeds what one
     # 31-bit prime can reconstruct
     a, b = 2 ** 40 + 1, 2 ** 40 + 3
-    assert kernel_basis_int([[a, b]]) == [[F(-b, a), F(1)]] == _fraction_kernel([[a, b]])
+    assert row_reduce([[a, b]]) == ([[F(1), F(b, a)]], [0])
+    assert _check_int_route([[a, b]]) == [[F(-b, a), F(1)]]
     # an entry equal to the first prime vanishes mod that prime, which puts the
-    # pivot in the wrong column; verification over Z rejects that basis
+    # pivot in the wrong column; verification over Z rejects that RREF
     p = next(exact._primes_31())
     for rows in ([[p, 1]], [[p, 1, 2], [1, 1, 1]], [[p, p], [1, 2]]):
-        assert kernel_basis_int(rows) == _fraction_kernel(rows), rows
+        _check_int_route(rows)
+
+
+def test_pbw_rank_matches_the_unscaled_rows(hall_kron2, hall_kron3):
+    # pbw_rank divides each product row by one of its coefficients and ranks
+    # the rational rows; the oracle ranks the unscaled rows over Q(sqrt q)
+    sqrt_rows = 0
+    for hall in (hall_kron2, hall_kron3):
+        reg = hall.registry
+        for grade in reg.grades_below((2, 2)):
+            if not any(grade):
+                continue
+            indecs = sorted(c.key for g in reg.grades_below(grade) if any(g)
+                            for c in reg.classes(g) if c.indec)
+            coords = [c.key for c in reg.classes(grade)]
+            rows = []
+            for seq in _monomials(indecs, grade):
+                el = hall.multiply_all([hall.basis(k) for k in seq])
+                rows.append([el.coeff(k) for k in coords])
+            sqrt_rows += any(v.b for row in rows for v in row)
+            rank = len(_row_reduce_dividing(rows, hall.zero())[1])
+            assert hallforge.cli.pbw_rank(hall, grade) == (rank, len(coords)), grade
+    assert sqrt_rows  # some rows carry a sqrt(q) part: the scaling is tested
+
+
+def _monomials(indecs, grade):
+    """Non-decreasing sequences of indecomposable keys summing to `grade`."""
+    if not any(grade):
+        return [[]]
+    out = []
+    for j, k in enumerate(indecs):
+        rest = tuple(a - b for a, b in zip(grade, k[0]))
+        if min(rest) >= 0:
+            out += [[k] + tail for tail in _monomials(indecs[j:], rest)]
+    return out
 
 
 def test_one_eliminator_object():

@@ -2,13 +2,16 @@ import json
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from childenv import child_env
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, affine_d,
-                              affine_e, cartan_matrix, classify_type,
-                              defect, dual_quiver, euler_form, jordan, kronecker,
+                              affine_e, a4_square, cartan_matrix, classify_type,
+                              cyclic_quiver, d4_star_out, defect, dual_quiver,
+                              euler_form, jordan, kronecker,
                               single_vertex, subquiver_on, support,
                               support_is_connected, symmetrized_form)
 
@@ -71,6 +74,64 @@ def test_classify_affine_families():
         t = classify_type(affine_e(n))
         assert t.tag == "affine"
         assert sum(t.delta) == {6: 12, 7: 18, 8: 30}[n]
+
+
+def _psd_rank(c):
+    """Rank of a symmetric integer matrix if it is positive semidefinite,
+    else None, by symmetric elimination: a PSD matrix with a zero diagonal
+    entry has a zero row, so at every step either some diagonal entry is
+    positive (the pivot) or the rest must vanish."""
+    m = [[Fraction(x) for x in row] for row in c]
+    active, rank = list(range(len(c))), 0
+    while active:
+        piv = next((i for i in active if m[i][i] > 0), None)
+        if piv is None:
+            return rank if not any(m[i][j] for i in active for j in active) else None
+        rank += 1
+        active.remove(piv)
+        for i in active:
+            f = m[i][piv] / m[piv][piv]
+            for j in active:
+                m[i][j] -= f * m[piv][j]
+    return rank
+
+
+def _oracle_tag(q):
+    """The type from the PSD definition: positive definite is finite, PSD
+    of corank one is affine, anything else wild."""
+    rank = _psd_rank(cartan_matrix(q))
+    if rank is None or rank < q.n - 1:
+        return "wild"
+    return "finite" if rank == q.n else "affine"
+
+
+def test_classify_matches_the_psd_oracle():
+    quivers = [kronecker(), kronecker(3), jordan(), single_vertex(), affine_a2_acyclic(),
+               d4_star_out(), a4_square(), cyclic_quiver(3), Quiver(("1",), ((0, 0),) * 2)]
+    quivers += [affine_a(n, flips) for n in (1, 2, 3) for flips in ((), (0,))]
+    quivers += [affine_d(n) for n in (4, 5, 6)] + [affine_e(n) for n in (6, 7, 8)]
+    # finite ADE: the affine shapes less one extending vertex
+    quivers += [subquiver_on(affine_d(5), range(1, 6)), subquiver_on(affine_e(6), range(6))]
+    rng = random.Random(17)
+    while len(quivers) < 400:
+        n = rng.randint(1, 4)
+        arrows = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 5)))
+        q = Quiver(tuple(str(i) for i in range(n)), arrows)
+        if q.is_connected():
+            quivers.append(q)
+    tags = {}
+    for q in quivers:
+        t = classify_type(q)
+        assert t.tag == _oracle_tag(q), q
+        tags[t.tag] = tags.get(t.tag, 0) + 1
+        if t.tag == "affine":
+            # a primitive positive vector of the radical, which fixes delta
+            assert min(t.delta) > 0 and gcd(*t.delta) == 1, q
+            assert not any(sum(x * d for x, d in zip(row, t.delta))
+                           for row in cartan_matrix(q)), q
+        else:
+            assert t.delta is None
+    assert min(tags.get(k, 0) for k in ("finite", "affine", "wild")) >= 10, tags
 
 
 def test_affine_delta_in_radical():

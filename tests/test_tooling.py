@@ -36,6 +36,32 @@ def test_no_raised_assertion_error():
     assert found == []
 
 
+# bench/tracing.py wraps the exact eliminator by its hallforge.hall path, so
+# hall.py binds these three names without reading them
+TRACER_BINDINGS = {("hall.py", "row_reduce"), ("hall.py", "matrix_rank"),
+                   ("hall.py", "kernel_basis_exact")}
+
+
+def test_no_unused_imports():
+    # a name imported into a module and never read there is dead; the
+    # package's __init__.py is exempt, since it imports its public names
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read and (path.name, name) not in TRACER_BINDINGS:
+                        found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []
+
+
 def test_every_caps_field_has_a_cli_flag():
     # a cap no user can set is dead configuration: with each --cap-* option
     # set to its own value, the registry's Caps holds exactly those values
