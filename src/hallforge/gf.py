@@ -22,6 +22,11 @@ operations of elimination) is a table lookup.  Matrix products all go
 through `GF.matmul`, the one place that chooses between the two product
 paths: an integer matmul reduced mod p for prime fields, and an
 accumulation of table lookups over the inner index for extension fields.
+Beside it, `GF.rref_stack` is the stack eliminator: it reduces an
+(N, r, c) stack column by column, every row operation a table lookup over
+the whole stack, and hands a stack of one to `Mat.rref`'s per-row loop,
+the faster route for one small matrix.  `GF.kernel_stack` reads the RREF
+kernel bases off it; `Mat.kernel_basis` is its stack of one.
 Everything is exact; there is no floating point anywhere in this package,
 and every precondition is a raised error, never an `assert`.
 """
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,6 +197,83 @@ class GF:
             acc = self.ADD[acc, self.MUL[a[..., :, t, None], b[..., t, None, :]]]
         return acc
 
+    # -- elimination on stacks of code arrays
+
+    def rref_stack(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reduced row echelon forms of an (N, r, c) stack of code arrays:
+        the reduced stack, the ranks (N,) and the pivot columns as an (N, c)
+        mask.  Each matrix is reduced exactly as `Mat.rref` reduces it.
+
+        A stack of one takes `Mat.rref`'s per-row loop, which is the faster
+        route for one small matrix.  A larger stack is swept column by
+        column: the matrices with a nonzero entry at or below their rank
+        swap their first such row up, scale it to a unit pivot and clear the
+        column, all by table lookups over the whole stack at once.
+        """
+        a = np.asarray(a, dtype=np.uint8)
+        n, rows, cols = a.shape
+        pivots = np.zeros((n, cols), dtype=bool)
+        if n == 1:
+            red, rank, piv = Mat(self, a[0]).rref()
+            pivots[0, list(piv)] = True
+            return red.a[None], np.array([rank]), pivots
+        work = a.copy()
+        rank = np.zeros(n, dtype=np.intp)
+        below = np.arange(rows)
+        for c in range(cols):
+            cand = (work[:, :, c] != 0) & (below >= rank[:, None])
+            hit = np.flatnonzero(cand.any(axis=1))
+            if not hit.size:
+                continue
+            k = np.arange(hit.size)
+            src, dst = cand[hit].argmax(axis=1), rank[hit]
+            w = work[hit, :, c:]  # the columns before c are zero in the rows at or below rank
+            prow = w[k, src]
+            w[k, src] = w[k, dst]
+            prow = self.MUL[self.INV[prow[:, 0]][:, None], prow]
+            w[k, dst] = prow
+            f = self.NEG[w[:, :, 0]]  # row i -= w[i, c] * pivot row, but for the pivot row
+            f[k, dst] = 0
+            work[hit, :, c:] = self.ADD[w, self.MUL[f[:, :, None], prow[:, None, :]]]
+            pivots[hit, c] = True
+            rank[hit] += 1
+        return work, rank, pivots
+
+    def kernel_stack(self, a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The RREF bases of the right kernels of an (N, r, c) stack, from one
+        `rref_stack`: an (N, c, c) stack whose matrix i holds its basis in
+        the first nullity[i] rows and zero rows after, and the nullities.
+
+        The column-reversed matrices are eliminated: the kernel vector of a
+        free column f has a unit at f and its other entries at pivot columns
+        before f.  Read back with columns and rows reversed, the vectors
+        have their leading unit at a column where every other vector is
+        zero, in increasing order: the unique RREF basis of the kernel.
+        """
+        a = np.asarray(a, dtype=np.uint8)
+        n, rows, cols = a.shape
+        red, rank, pivots = self.rref_stack(a[:, :, ::-1])
+        by_pivot = np.zeros((n, cols, cols), dtype=np.uint8)  # [i, p]: the row with pivot p
+        by_pivot[pivots] = red[np.arange(rows) < rank[:, None]]
+        # vectors[i, g, h] = -(entry at reversed column c-1-g of the row with
+        # pivot c-1-h); the rows g of free columns, in order, form the bases
+        free = ~pivots[:, ::-1]
+        vectors = self.NEG[by_pivot[:, ::-1, ::-1].transpose(0, 2, 1)[free]]
+        vectors[np.arange(len(vectors)), np.nonzero(free)[1]] = 1
+        nullity = cols - rank
+        basis = np.zeros((n, cols, cols), dtype=np.uint8)
+        basis[np.arange(cols) < nullity[:, None]] = vectors
+        return basis, nullity
+
+    def ranks(self, mats: Sequence[np.ndarray]) -> np.ndarray:
+        """The ranks of matrices of any shapes, from one `rref_stack` of the
+        stack zero-padded to their largest shape."""
+        shape = tuple(max((m.shape[i] for m in mats), default=0) for i in (0, 1))
+        stack = np.zeros((len(mats),) + shape, dtype=np.uint8)
+        for i, m in enumerate(mats):
+            stack[i, : m.shape[0], : m.shape[1]] = m
+        return self.rref_stack(stack)[1]
+
 
 # ---------------------------------------------------------------------------
 # matrices
@@ -309,21 +391,9 @@ class Mat:
         return self.rref()[1]
 
     def kernel_basis(self) -> "Mat":
-        """The RREF basis of the right kernel, from one elimination.
-
-        The column-reversed matrix is eliminated: its kernel vector of a free
-        column f has a unit at f and its other entries at pivot columns
-        before f.  Read back with columns and rows reversed, the vectors have
-        their leading unit at a column where every other vector is zero, in
-        increasing order: the unique RREF basis of the kernel.
-        """
-        ctx = self.ctx
-        red, rank, pivots = Mat(ctx, self.a[:, ::-1]).rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((len(free), self.cols), dtype=np.uint8)
-        basis[np.arange(len(free)), free] = 1
-        basis[:, list(pivots)] = ctx.NEG[red.a[:rank, free]].T
-        return Mat(ctx, basis[::-1, ::-1])
+        """The RREF basis of the right kernel (`GF.kernel_stack` of one)."""
+        basis, nullity = self.ctx.kernel_stack(self.a[None])
+        return Mat(self.ctx, basis[0, : nullity[0]])
 
     def solve(self, rhs: "Mat") -> Optional["Mat"]:
         """X with self @ X = rhs, or None when inconsistent."""

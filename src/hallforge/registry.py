@@ -56,16 +56,24 @@ its representations:
   contributes its registered summands, and only halves of unbuilt grades
   are split further.  A representation is indecomposable exactly when
   the split adds no summand; it is then compared with the registered
-  indecomposables of its (dim End, arrow ranks).  The build registers
-  each kept candidate through this index.  Automorphism orders come from
-  the End basis the split searched: a new decomposable class is
-  isomorphic to the candidate that registers it, so dim End of its
-  canonical representative is the length of that basis.
+  indecomposables of its (dim End, arrow ranks).  The build solves End
+  and searches splitters for all kept candidates of a level as one stack
+  (`SplitIndex.prepare`, `reps.end_splits`), then registers them through
+  this index one by one, in order, with the full End scan
+  (`reps.scan_splitter`) run only when a candidate's turn comes.  An
+  orbit build does the same for its canonical representatives.
+  Automorphism orders come from the End basis the split searched: a new
+  decomposable class is isomorphic to the candidate that registers it, so
+  dim End of its canonical representative is the length of that basis.
+  A class whose canonical representative was solved keeps that basis
+  (`IsoClass.end`) for the extensions built on it.
 
 Every grade identifies a stack of representations by their digit rows
 (`_identify_stack`; `identify` is a stack of one): a zero or orbit slice
 gathers the rows' codes from its `table`, a constructive slice looks the
-rows up in `known` and has its index `classify` only the rows not met yet.
+rows up in `known` and has its index `classify` only the rows not met yet;
+an acyclic index first prepares those misses as one stack, as a build
+prepares its candidates.
 
 Every slice must pass the exact mass identity sum over classes of
 |G| / |Aut| = #points of the ambient space, which certifies completeness
@@ -88,7 +96,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -99,9 +107,9 @@ from .errors import CapExceeded, CertificateError, HallforgeError
 from .gf import GF, Mat, gl_order, subspaces_of_dim
 from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
 from .quiver import Quiver, classify_type, euler_form
-from .reps import (Rep, aut_order_from_summands, direct_sum_all, end_basis,
-                   fitting_split, is_nilpotent_rep, iso_indecomposables,
-                   pri_of_defect, residue_degree, rref_pivots, zero_rep)
+from .reps import (Rep, aut_order_from_summands, digit_rows, direct_sum_all, end_basis,
+                   end_splits, first_isomorphic, is_nilpotent_rep, pri_of_defect,
+                   residue_degree, rref_pivots, scan_splitter, sub_quotient, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 _MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
@@ -120,6 +128,9 @@ class IsoClass:
     pri_class: Optional[str] = None   # affine acyclic quivers only
     tube_id: Optional[int] = None
     tube_level: Optional[int] = None
+    # the End basis of `canon` when the build solved it: every orbit class
+    # and every indecomposable constructive class
+    end: Optional[list] = field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> ClassKey:
@@ -146,14 +157,6 @@ def _spans(quiver: Quiver, dims: Sequence) -> List[tuple]:
         out.append((pos, pos + dims[t] * dims[s], dims[t], dims[s]))
         pos = out[-1][1]
     return out
-
-
-def _digit_rows(blocks: Sequence[np.ndarray], count: int) -> np.ndarray:
-    """The digit rows of `count` representations given by one matrix stack
-    per arrow: each row holds the entries of its arrow blocks, in arrow
-    order, row-major."""
-    return np.concatenate([np.zeros((count, 0), dtype=np.uint8)]
-                          + [b.reshape(count, -1) for b in blocks], axis=1)
 
 
 def _rep_of(quiver: Quiver, ctx: GF, grade: tuple, digits: np.ndarray) -> Rep:
@@ -307,8 +310,8 @@ class SinkExtensions:
     transversal of the coboundaries, `count` of them.
     """
 
-    def __init__(self, a: Rep, v: int):
-        self.a, self.v = a, v
+    def __init__(self, a: Rep, v: int, end: Optional[list] = None):
+        self.a, self.v, self.end = a, v, end
         arrows = a.quiver.arrows
         self.into_v = [idx for idx, (_, t) in enumerate(arrows) if t == v]
         self.widths = [a.dims[arrows[idx][0]] for idx in self.into_v]
@@ -369,18 +372,18 @@ class SinkExtensions:
         a, ctx, dim = self.a, self.a.ctx, self.dim
         arrows = a.quiver.arrows
         ident = [Mat.identity(ctx, d) for d in a.dims]
+        phis = [phi for b in (end_basis(a) if self.end is None else self.end)
+                for phi in [b] + [[i + bi.scale(c) for i, bi in zip(ident, b)]
+                                  for c in range(1, ctx.q)]]
+        ranks = ctx.ranks([f.a for phi in phis for f in phi]).reshape(len(phis), len(a.dims))
         out: Dict[bytes, np.ndarray] = {}
-        for b in end_basis(a):
-            for phi in [b] + [[i + bi.scale(c) for i, bi in zip(ident, b)]
-                              for c in range(1, ctx.q)]:
-                if any(f.rank() < f.rows for f in phi):
-                    continue
-                block = np.zeros((dim, dim), dtype=np.uint8)
-                pos = 0
-                for idx, w in zip(self.into_v, self.widths):
-                    block[pos: pos + w, pos: pos + w] = phi[arrows[idx][0]].a
-                    pos += w
-                out.setdefault(block.tobytes(), block)
+        for phi in itertools.compress(phis, (ranks == np.array(a.dims)).all(axis=1)):
+            block = np.zeros((dim, dim), dtype=np.uint8)
+            pos = 0
+            for idx, w in zip(self.into_v, self.widths):
+                block[pos: pos + w, pos: pos + w] = phi[arrows[idx][0]].a
+                pos += w
+            out.setdefault(block.tobytes(), block)
         out.pop(np.eye(dim, dtype=np.uint8).tobytes(), None)
         return list(out.values())
 
@@ -407,7 +410,7 @@ class SplitIndex:
     """Constructive acyclic slices: one Fitting split, then lookups.
 
     A decomposable representation is found by its summands.  An
-    indecomposable one is compared, by `iso_indecomposables`, with the
+    indecomposable one is compared, by `first_isomorphic`, with the
     registered indecomposables of its signature (dim End, arrow ranks).
     """
 
@@ -415,6 +418,13 @@ class SplitIndex:
         self.reg = reg
         self.sl = sl
         self.buckets: Dict[tuple, List[int]] = {}
+        self.splits: Dict[Rep, tuple] = {}  # End bases and splitter kernels solved ahead
+
+    def prepare(self, reps: Sequence[Rep]) -> None:
+        """Solve End and search splitters for a stack of representations of
+        the slice's grade at once (`end_splits`); `register` and `classify`
+        then read each one's result."""
+        self.splits.update(zip(reps, end_splits(reps)))
 
     def classify(self, rep: Rep) -> int:
         """The class of `rep`, which must be registered."""
@@ -429,18 +439,19 @@ class SplitIndex:
                         for sig, idxs in self.buckets.items()}
         # a canonical representative identifies as its own class; the census
         # meets it as the sub on the full tuple and the quotient by zero
-        self.sl.known = {_digit_rows([m.a[None] for m in c.canon.mats], 1).tobytes(): c.index
+        self.sl.known = {digit_rows([m.a[None] for m in c.canon.mats], 1).tobytes(): c.index
                          for c in self.sl.classes}
 
     def _classify(self, rep: Rep, register: bool) -> int:
         reg, sl = self.reg, self.sl
         counts: Dict[ClassKey, int] = {}
-        basis = reg._summands(rep, counts)
+        basis = reg._summands(rep, counts, split=self.splits.pop(rep, None))
         h_end = len(basis)
         if not counts:
-            sig = (h_end, tuple(m.rank() for m in rep.mats))
-            bucket = self.buckets.get(sig, ())
-            idx = next((j for j in bucket if iso_indecomposables(rep, sl.classes[j].canon)), None)
+            sig = (h_end, tuple(reg.ctx.ranks([m.a for m in rep.mats]).tolist()))
+            bucket = self.buckets.get(sig, [])
+            pos = first_isomorphic(rep, [sl.classes[j].canon for j in bucket])
+            idx = None if pos is None else bucket[pos]
             if idx is None:
                 if not register:
                     raise CertificateError("identification", sl.grade,
@@ -448,7 +459,7 @@ class SplitIndex:
                                            f"none with signature {sig}")
                 t = residue_degree(rep, basis)
                 aut = aut_order_from_summands(h_end, [(1, t)], reg.ctx.q)
-                idx = reg._add_class(sl, rep, aut, res_degree=t).index
+                idx = reg._add_class(sl, rep, aut, res_degree=t, end=basis).index
                 self.buckets.setdefault(sig, []).append(idx)
             counts[(sl.grade, idx)] = 1
         key = tuple(sorted(counts.items()))
@@ -588,13 +599,13 @@ class IsoRegistry:
 
     def _add_class(self, sl: GradeSlice, canon: Rep, aut: int,
                    summands: Optional[tuple] = None,
-                   res_degree: Optional[int] = None) -> IsoClass:
+                   res_degree: Optional[int] = None, end: Optional[list] = None) -> IsoClass:
         """Append a class to `sl`; no `summands` marks an indecomposable."""
         idx = len(sl.classes)
         indec = summands is None
         if indec:
             summands = (((sl.grade, idx), 1),)
-        cls = IsoClass(sl.grade, idx, canon, aut, indec, summands, res_degree=res_degree)
+        cls = IsoClass(sl.grade, idx, canon, aut, indec, summands, res_degree=res_degree, end=end)
         sl.classes.append(cls)
         sl.by_summands[summands] = idx
         return cls
@@ -627,24 +638,30 @@ class IsoRegistry:
             kinds = {pri_of_defect(d) for d in defects}
             c.pri_class = kinds.pop() if len(kinds) == 1 else "mixed"
 
-    def _summands(self, rep: Rep, counts: Dict[ClassKey, int], top: bool = True) -> list:
+    def _summands(self, rep: Rep, counts: Dict[ClassKey, int], top: bool = True,
+                  split: Optional[tuple] = None) -> list:
         """Add the Krull-Schmidt summands of `rep` to `counts` by class key,
         and return the End basis the split searched.
 
-        Makes one Fitting split; a half whose grade is built is looked up and
-        adds its registered summands, any other half is split further, so
-        no slice is built that a full decomposition would not build.  When
-        `rep` is indecomposable and `top`, adds nothing: an indecomposable of
-        the grade being built or identified has no class to look up yet.
+        `split` is the (End basis, splitter kernels) pair that `end_splits`
+        gave `rep` in a stack; without it `rep` is solved as a stack of one.
+        Makes one Fitting split, falling back to `scan_splitter` when no
+        basis element or pair sum splits; a half whose grade is built is
+        looked up and adds its registered summands, any other half is split
+        further, so no slice is built that a full decomposition would not
+        build.  When `rep` is indecomposable and `top`, adds nothing: an
+        indecomposable of the grade being built or identified has no class
+        to look up yet.
         """
-        basis = end_basis(rep)
-        halves = fitting_split(rep, basis, self.caps)
-        if halves is None:
+        basis, kers = split or end_splits([rep])[0]
+        if kers is None:
+            kers = scan_splitter(rep, basis, self.caps)
+        if kers is None:
             if not top:
                 key = self.identify(rep)  # builds the slice, as a full decomposition does
                 counts[key] = counts.get(key, 0) + 1
             return basis
-        for half in halves:
+        for half in sub_quotient(rep, kers):
             if half.dims in self.slices:
                 for key, mult in self.cls(self.identify(half)).summands:
                     counts[key] = counts.get(key, 0) + mult
@@ -668,17 +685,19 @@ class IsoRegistry:
             points = self.ambient_count(grade) if self._is_one_loop else int(nilpotent.sum())
         group = self.group_order(grade)
         sl = GradeSlice(grade, "orbit", table=class_of)
-        for seed, size in zip(*_walk_orbits(class_of, images)):
+        seeds, sizes = _walk_orbits(class_of, images)
+        for size in sizes:
             if group % size:
                 raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
-            canon = decode_rep(quiver, ctx, grade, seed)
+        canons = [decode_rep(quiver, ctx, grade, seed) for seed in seeds]
+        for canon, size, split in zip(canons, sizes, end_splits(canons)):
             counts: Dict[ClassKey, int] = {}
-            basis = self._summands(canon, counts)
+            basis = self._summands(canon, counts, split=split)
             if counts:
-                self._add_class(sl, canon, group // size, tuple(sorted(counts.items())))
+                self._add_class(sl, canon, group // size, tuple(sorted(counts.items())), end=basis)
             else:
                 self._add_class(sl, canon, group // size,
-                                res_degree=residue_degree(canon, basis))
+                                res_degree=residue_degree(canon, basis), end=basis)
         return sl, points
 
     def _nilpotent_mask(self, grade: tuple, e: int, ambient: int) -> np.ndarray:
@@ -722,15 +741,19 @@ class IsoRegistry:
         base = self.slice(lower)
         sl = GradeSlice(grade, "constructive")
         sl.index = SplitIndex(self, sl)
-        exts = [SinkExtensions(a_cls.canon, v) for a_cls in base.classes]
+        exts = [SinkExtensions(a_cls.canon, v, a_cls.end) for a_cls in base.classes]
         lines = sum(ext.count for ext in exts)
         self.caps.check("candidates", lines)
         self.caps.check("total_candidates", self.candidates_enumerated + lines)
         self.candidates_enumerated += lines
+        candidates = []
         for ext in exts:
             cocycles, first = ext.orbits()
-            for i in np.flatnonzero(first == np.arange(ext.count)):
-                sl.index.register(ext.middle_term(cocycles[i]))
+            candidates += [ext.middle_term(cocycles[i])
+                           for i in np.flatnonzero(first == np.arange(ext.count))]
+        sl.index.prepare(candidates)  # all orbit-first candidates as one stack
+        for rep in candidates:
+            sl.index.register(rep)
         self._order_constructive(sl)
         return sl
 
@@ -919,23 +942,26 @@ class IsoRegistry:
         """The class of each of `count` representations of `grade`, given by
         one stack of matrices per arrow, from their digit rows: one table
         gather on a zero or orbit slice; on a constructive slice one lookup
-        in `known` per row and one `classify` per row not known yet."""
+        in `known` per row and one `classify` per distinct row not known
+        yet, in row order, after an acyclic index has prepared them all as
+        one stack."""
         sl = self.slice(grade)
-        digits = _digit_rows(blocks, count)
+        digits = digit_rows(blocks, count)
         if sl.table is not None:
             idx = sl.table[_encode_batch(digits, self.ctx.q)]
             if (idx < 0).any():  # excluded by a nilpotent-only walk
                 raise HallforgeError(f"the representation of grade {grade} is not in this "
                                      "registry (a nilpotent-only registry excludes it)")
             return idx
-        out = np.empty(count, dtype=np.int64)
-        for i, row in enumerate(digits):
-            buf = row.tobytes()
-            idx = sl.known.get(buf)
-            if idx is None:
-                idx = sl.known[buf] = sl.index.classify(_rep_of(self.quiver, self.ctx, grade, row))
-            out[i] = idx
-        return out
+        rows = [row.tobytes() for row in digits]
+        missed = {buf: row for buf, row in zip(rows, digits) if buf not in sl.known}
+        if missed:
+            reps = [_rep_of(self.quiver, self.ctx, grade, row) for row in missed.values()]
+            if isinstance(sl.index, SplitIndex):
+                sl.index.prepare(reps)
+            for buf, rep in zip(missed, reps):
+                sl.known[buf] = sl.index.classify(rep)
+        return np.array([sl.known[buf] for buf in rows], dtype=np.int64)
 
     # -- export
 

@@ -9,9 +9,19 @@ out by stable subspace tuples, and the Fitting-lemma machinery for
 Krull-Schmidt decompositions: the Fitting power g of a splitter
 endomorphism splits m into the sub ker g and the quotient m / ker g,
 which is isomorphic to the image part.  A splitter candidate costs one
-elimination per vertex, `Mat.kernel_basis` of its Fitting power, whose
-RREF bases both decide the split and cut out the sub.  Hom bases are the
-RREF bases of the intertwiner systems' kernels.
+elimination per vertex, the kernel of its Fitting power, whose RREF bases
+both decide the split and cut out the sub.  Hom bases are the RREF bases
+of the intertwiner systems' kernels.
+
+Hom systems are filled from scatter indices cached per pair of dimension
+vectors, for a whole stack of pairs at once (`hom_stack`; `hom_space` is
+its stack of one).  `end_splits` solves End and searches splitters for a
+stack of representations of one dimension vector together: every basis
+element of every representation, then the pair sums of those still
+unsplit, each as one `GF.kernel_stack` per vertex.  `_find_splitter` is
+the same search one candidate at a time, behind the public
+per-representation API (`fitting_split`, `krull_schmidt`,
+`is_indecomposable`).
 
 Indecomposability is certified, not guessed: a representation is
 indecomposable iff its endomorphism ring is local, which is detected by a
@@ -21,6 +31,7 @@ caps) a full scan of End(M).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +43,9 @@ from .config import DEFAULT_CAPS, Caps
 from .errors import CertificateError, HallforgeError, SizeMismatch
 from .gf import GF, Mat
 from .quiver import Quiver, dual_quiver, euler_form
+
+_SPLIT_STACK = 1024  # representations per stack of `end_splits`
+_SCAN_STACK = 4096   # End elements per stack of `scan_splitter`
 
 
 @dataclass(frozen=True)
@@ -131,56 +145,94 @@ def dualize_rep(m: Rep) -> Rep:
 # intertwiner spaces
 
 
-def _hom_system(m: Rep, n: Rep) -> Mat:
-    """Coefficient matrix whose kernel is Hom(m, n).
+def digit_rows(blocks: Sequence[np.ndarray], count: int) -> np.ndarray:
+    """The digit rows of `count` representations given by one matrix stack
+    per arrow: each row holds the entries of its arrow blocks, in arrow
+    order, row-major."""
+    return np.concatenate([np.zeros((count, 0), dtype=np.uint8)]
+                          + [b.reshape(count, -1) for b in blocks], axis=1)
 
-    Unknowns are the blocks f_i : m_i -> n_i (shape n.dims[i] x m.dims[i]),
-    flattened row-major and concatenated; one equation block per arrow
-    says f_j m_alpha = n_alpha f_i.
+
+@functools.lru_cache(maxsize=1024)
+def _hom_scatter(quiver: Quiver, mdims: tuple, ndims: tuple) -> tuple:
+    """Where the digit rows of m and n go in the system whose kernel is
+    Hom(m, n), for m of dimension vector `mdims` and n of `ndims`.
+
+    Unknowns are the blocks f_i : m_i -> n_i (shape n_i x m_i), flattened
+    row-major and concatenated.  The equation block of an arrow s -> t says
+    f_t m_alpha = n_alpha f_s; its row (a, b) reads
+    sum_c f_t[a, c] m_alpha[c, b] - sum_c n_alpha[a, c] f_s[c, b] = 0.
+    Returns the system's shape and, for m and for n, the flat positions in
+    the system and the digit that fills each (negated for n).
     """
-    ctx = m.ctx
-    offs, total = [], 0
-    for i in range(m.quiver.n):
-        offs.append(total)
-        total += n.dims[i] * m.dims[i]
-    rows = sum(n.dims[t] * m.dims[s] for (s, t) in m.quiver.arrows)
-    sys = np.zeros((rows, total), dtype=np.uint8)
-    r0 = 0
-    for idx, (s, t) in enumerate(m.quiver.arrows):
-        nrows = n.dims[t] * m.dims[s]
-        if nrows:
-            # + I_{n_t} (x) m_alpha^T acting on vec(f_t)
-            if n.dims[t] and m.dims[t]:
-                blk = np.kron(np.eye(n.dims[t], dtype=np.uint8), m.mats[idx].a.T)
-                sys[r0: r0 + nrows, offs[t]: offs[t] + n.dims[t] * m.dims[t]] = blk
-            # - n_alpha (x) I_{m_s} acting on vec(f_s)
-            if n.dims[s] and m.dims[s]:
-                blk = np.kron(ctx.NEG[n.mats[idx].a], np.eye(m.dims[s], dtype=np.uint8))
-                base = sys[r0: r0 + nrows, offs[s]: offs[s] + n.dims[s] * m.dims[s]]
-                sys[r0: r0 + nrows, offs[s]: offs[s] + n.dims[s] * m.dims[s]] = ctx.ADD[base, blk]
-        r0 += nrows
-    return Mat(ctx, sys)
+    offs = np.cumsum([0] + [n * m for n, m in zip(ndims, mdims)])
+    m_at = np.cumsum([0] + [mdims[s] * mdims[t] for s, t in quiver.arrows])
+    n_at = np.cumsum([0] + [ndims[s] * ndims[t] for s, t in quiver.arrows])
+    rows, m_part, n_part = 0, [], []
+    for idx, (s, t) in enumerate(quiver.arrows):
+        a, b, c = np.indices((ndims[t], mdims[s], mdims[t])).reshape(3, -1)
+        m_part.append((rows + a * mdims[s] + b, offs[t] + a * mdims[t] + c,
+                       m_at[idx] + c * mdims[s] + b))
+        a, b, c = np.indices((ndims[t], mdims[s], ndims[s])).reshape(3, -1)
+        n_part.append((rows + a * mdims[s] + b, offs[s] + c * mdims[s] + b,
+                       n_at[idx] + a * ndims[s] + c))
+        rows += ndims[t] * mdims[s]
+    cols = int(offs[-1])
+    places = []
+    for part in (m_part, n_part):
+        r, c, src = (np.concatenate([np.zeros(0, dtype=np.intp)] + [p[k] for p in part])
+                     for k in range(3))
+        places += [r * cols + c, src]
+    for a in places:  # shared by every caller of the cache
+        a.setflags(write=False)
+    return (rows, cols), *places
+
+
+def _hom_systems(ms: Sequence[Rep], ns: Sequence[Rep]) -> np.ndarray:
+    """The (N, rows, cols) stack of coefficient matrices whose kernels are
+    Hom(m, n), for pairs (m, n) with every m of one dimension vector and
+    every n of another, filled from cached scatter indices."""
+    m0, n0 = ms[0], ns[0]
+    if any(x.quiver != m0.quiver or x.ctx is not m0.ctx for x in itertools.chain(ms, ns)):
+        raise SizeMismatch("hom requires matching quiver and field")
+    if any(m.dims != m0.dims for m in ms) or any(n.dims != n0.dims for n in ns):
+        raise SizeMismatch("a stack of hom systems needs one dimension vector per side")
+    ctx = m0.ctx
+    m_digits, n_digits = (
+        digit_rows([np.stack([a.a for a in arrow]) for arrow in zip(*(r.mats for r in side))],
+                   len(side))
+        for side in (ms, ns))
+    shape, m_pos, m_src, n_pos, n_src = _hom_scatter(m0.quiver, m0.dims, n0.dims)
+    sys = np.zeros((len(ms), shape[0] * shape[1]), dtype=np.uint8)
+    sys[:, m_pos] = m_digits[:, m_src]
+    # a loop's two terms may share a position, so the n part is added
+    sys[:, n_pos] = ctx.ADD[sys[:, n_pos], ctx.NEG[n_digits[:, n_src]]]
+    return sys.reshape((len(ms),) + shape)
+
+
+def hom_stack(ms: Sequence[Rep], ns: Sequence[Rep]) -> Tuple[np.ndarray, np.ndarray]:
+    """Hom(m, n) for a stack of pairs of one shape (see `_hom_systems`), from
+    one `GF.kernel_stack`: the RREF basis rows of each Hom space, padded
+    with zero rows, and the dimensions."""
+    return ms[0].ctx.kernel_stack(_hom_systems(ms, ns))
+
+
+def _hom_blocks(ctx: GF, rows: np.ndarray, mdims: tuple, ndims: tuple) -> list:
+    """Hom basis rows as tuples of per-vertex blocks f_i : m_i -> n_i."""
+    ends = np.cumsum([0] + [n * m for n, m in zip(ndims, mdims)]).tolist()
+    return [tuple(Mat(ctx, row[lo:hi].reshape(n, m))
+                  for lo, hi, n, m in zip(ends, ends[1:], ndims, mdims))
+            for row in rows]
 
 
 def hom_space(m: Rep, n: Rep) -> Tuple[int, list]:
     """Dimension and basis of Hom(m, n); basis entries are tuples of Mat."""
-    if m.quiver != n.quiver or m.ctx is not n.ctx:
-        raise SizeMismatch("hom requires matching quiver and field")
-    kernel = _hom_system(m, n).kernel_basis()
-    basis = []
-    for row in kernel.a:
-        blocks, pos = [], 0
-        for i in range(m.quiver.n):
-            size = n.dims[i] * m.dims[i]
-            blocks.append(Mat(m.ctx, row[pos: pos + size].reshape(n.dims[i], m.dims[i])))
-            pos += size
-        basis.append(tuple(blocks))
-    return kernel.rows, basis
+    kernel, dims = hom_stack([m], [n])
+    return int(dims[0]), _hom_blocks(m.ctx, kernel[0, : dims[0]], m.dims, n.dims)
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
-    sys = _hom_system(m, n)
-    return sys.cols - sys.rank()
+    return int(hom_stack([m], [n])[1][0])
 
 
 def ext1_dim(m: Rep, n: Rep) -> int:
@@ -339,6 +391,97 @@ def _find_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
     return None
 
 
+def _first_splitters(m: Rep, cands: np.ndarray, owner: np.ndarray, count: int) -> list:
+    """For each of `count` owners, the per-vertex Fitting kernels of its
+    first candidate (rows of `cands`, endomorphisms of m as End basis rows,
+    with that `owner`) that splits m, as `_find_splitter` returns them, or
+    None when none of them does.
+
+    At each vertex the blocks f_i of all candidates are raised to the power
+    d_i by broadcasting `GF.matmul` and eliminated as one stack
+    (`GF.kernel_stack`).
+    """
+    ctx, ends = m.ctx, np.cumsum([0] + [d * d for d in m.dims]).tolist()
+    kernels, nullity = [], np.zeros((len(cands), len(m.dims)), dtype=np.intp)
+    for v, (lo, hi, d) in enumerate(zip(ends, ends[1:], m.dims)):
+        block = cands[:, lo:hi].reshape(len(cands), d, d)
+        power, e = None, d
+        while e:  # block ** d by repeated squaring
+            if e & 1:
+                power = block if power is None else ctx.matmul(power, block)
+            e >>= 1
+            if e:
+                block = ctx.matmul(block, block)
+        kernel, nullity[:, v] = ctx.kernel_stack(block if power is None else power)
+        kernels.append(kernel)
+    total = nullity.sum(axis=1)
+    hits = np.flatnonzero((total > 0) & (total < m.total_dim))
+    found = [None] * count
+    owners, first = np.unique(owner[hits], return_index=True)
+    for o, i in zip(owners.tolist(), hits[first].tolist()):
+        found[o] = [Mat(ctx, k[i, :z]) for k, z in zip(kernels, nullity[i].tolist())]
+    return found
+
+
+def end_splits(reps: Sequence[Rep]) -> List[Tuple[list, Optional[List[Mat]]]]:
+    """For each representation of a stack of one dimension vector, its End
+    basis and the Fitting kernels of its first basis element or pair sum
+    that splits it, as `_find_splitter` tries them, or None when none does.
+
+    End is solved for the whole stack by one `hom_stack`; the basis
+    elements of all representations are then tried at once, and the pair
+    sums of those no basis element split, each kind with one elimination
+    per vertex.  A representation with None is indecomposable unless
+    `scan_splitter` finds a splitter.
+    """
+    if len(reps) > _SPLIT_STACK:  # bounds the stacks' memory
+        return [split for lo in range(0, len(reps), _SPLIT_STACK)
+                for split in end_splits(reps[lo: lo + _SPLIT_STACK])]
+    m = reps[0]
+    kernel, h = hom_stack(reps, reps)
+    rows = kernel[np.arange(kernel.shape[1]) < h[:, None]]  # every basis element, in order
+    kers = _first_splitters(m, rows, np.repeat(np.arange(len(reps)), h), len(reps))
+    starts = np.cumsum(h) - h
+    left = [i for i, k in enumerate(kers) if k is None and h[i] > 1]
+    if left:
+        pairs = [np.triu_indices(h[i], 1) for i in left]  # itertools.combinations order
+        first = np.concatenate([starts[i] + a for i, (a, _) in zip(left, pairs)])
+        second = np.concatenate([starts[i] + b for i, (_, b) in zip(left, pairs)])
+        owner = np.repeat(left, [len(a) for a, _ in pairs])
+        found = _first_splitters(m, m.ctx.ADD[rows[first], rows[second]], owner, len(reps))
+        for i in left:
+            kers[i] = found[i]
+    return [(_hom_blocks(m.ctx, kernel[i, : h[i]], m.dims, m.dims), k) for i, k in enumerate(kers)]
+
+
+def scan_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
+    """For m that no element or pair sum of `basis` splits (`end_splits`
+    gave it None), the Fitting kernels of the first element of End(m), in
+    `hom_combinations` order, that splits m, or None when m is certified
+    indecomposable; the scan is checked against the end-scan cap first.
+
+    The elements are tried in stacks of `_SCAN_STACK`, skipping those
+    known not to split: every element whose leading coefficient is not 1
+    (c*f has the Fitting kernels of f and comes after it), and the basis
+    elements and pair sums themselves.
+    """
+    q, h = m.ctx.q, len(basis)
+    caps.check("end_scan", q ** h)
+    rows = np.array([np.concatenate([fi.a.ravel() for fi in f]) for f in basis],
+                    dtype=np.uint8).reshape(h, -1)
+    for lo in range(1, q ** h, _SCAN_STACK):
+        combos = np.stack(np.unravel_index(np.arange(lo, min(lo + _SCAN_STACK, q ** h)),
+                                           (q,) * h), axis=1).astype(np.uint8)
+        lead = combos[np.arange(len(combos)), (combos != 0).argmax(axis=1)]
+        tried = (combos <= 1).all(axis=1) & ((combos != 0).sum(axis=1) <= 2)
+        combos = combos[(lead == 1) & ~tried]
+        if len(combos):
+            found = _first_splitters(m, m.ctx.matmul(combos, rows), np.zeros(len(combos), int), 1)
+            if found[0] is not None:
+                return found[0]
+    return None
+
+
 def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tuple[Rep, Rep]]:
     """Split m once by the Fitting power g of a splitter endomorphism.
 
@@ -370,21 +513,33 @@ def is_indecomposable(m: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
 
 
 def iso_indecomposables(m: Rep, n: Rep) -> bool:
-    """Isomorphism test for two certified-indecomposable representations.
+    """Isomorphism test for two certified-indecomposable representations."""
+    if m.dims != n.dims:
+        return False
+    return m.total_dim == 0 or first_isomorphic(m, [n]) == 0
+
+
+def first_isomorphic(m: Rep, others: Sequence[Rep]) -> Optional[int]:
+    """The position of the first of `others` isomorphic to m, or None; m and
+    `others` are certified-indecomposable representations of one nonzero
+    dimension vector.
 
     If m and n are isomorphic indecomposables, some basis element of
     Hom(m, n) must be invertible (the non-invertible homs form a proper
-    subspace), so scanning the basis is a complete test.
+    subspace), so scanning the basis is a complete test.  Hom is solved for
+    all pairs as one stack (`hom_stack`) and the blocks of every basis
+    element are ranked by one `GF.ranks`.
     """
-    if m.dims != n.dims:
-        return False
-    dim, basis = hom_space(m, n)
-    if dim == 0:
-        return m.total_dim == 0
-    for f in basis:
-        if all(fi.rank() == d for fi, d in zip(f, m.dims)):
-            return True
-    return False
+    if not others:
+        return None
+    kernel, dims = hom_stack([m] * len(others), others)
+    ends = np.cumsum([0] + [d * d for d in m.dims]).tolist()
+    rows = kernel[np.arange(kernel.shape[1]) < dims[:, None]]
+    ranks = m.ctx.ranks([row[lo:hi].reshape(d, d) for row in rows
+                         for lo, hi, d in zip(ends, ends[1:], m.dims)])
+    invertible = (ranks.reshape(len(rows), len(m.dims)) == np.array(m.dims)).all(axis=1)
+    owners = np.repeat(np.arange(len(others)), dims)[invertible]
+    return int(owners[0]) if owners.size else None
 
 
 def residue_degree(m: Rep, basis: list) -> int:

@@ -228,6 +228,51 @@ def test_kernel_basis_is_the_rref_basis_of_the_kernel(p, k):
         assert kb.shape == (cols - m.rank(), cols), (m, kb)
 
 
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_rref_stack_matches_rref(p, k):
+    # the column sweep over a stack reduces each matrix as the per-row loop
+    # of Mat.rref does, and the stacked kernel read-back gives each
+    # matrix's Mat.kernel_basis, with zero rows after it
+    ctx = GF.of(p, k)
+    rng = np.random.default_rng(100 + ctx.q)
+    shapes = [(0, 4), (4, 0), (0, 0), (3, 6), (6, 3), (5, 5), (1, 7), (7, 1), (18, 18)]
+    for rows, cols in shapes:
+        for n in (2, 17):
+            # products through an inner dimension below min(rows, cols), and
+            # sparse entries, make rank-deficient matrices common
+            inner = rng.integers(0, max(min(rows, cols), 1), size=n)
+            a = np.stack([ctx.matmul(rng.integers(0, ctx.q, size=(rows, d), dtype=np.uint8),
+                                     rng.integers(0, ctx.q, size=(d, cols), dtype=np.uint8))
+                          if i % 2 else
+                          rng.integers(0, ctx.q, size=(rows, cols), dtype=np.uint8)
+                          * (rng.random((rows, cols)) < 0.4)
+                          for i, d in enumerate(inner)]).astype(np.uint8)
+            red, rank, pivots = ctx.rref_stack(a)
+            kernel, nullity = ctx.kernel_stack(a)
+            assert red.shape == a.shape and kernel.shape == (n, cols, cols)
+            for i in range(n):
+                want_red, want_rank, want_piv = Mat(ctx, a[i]).rref()
+                assert np.array_equal(red[i], want_red.a), (rows, cols, i)
+                assert rank[i] == want_rank and tuple(np.flatnonzero(pivots[i])) == want_piv
+                kb = Mat(ctx, a[i]).kernel_basis()
+                assert nullity[i] == kb.rows == cols - want_rank
+                assert np.array_equal(kernel[i, : nullity[i]], kb.a)
+                assert not kernel[i, nullity[i]:].any()
+                assert (Mat(ctx, a[i]) @ kb.transpose()).is_zero()
+    # a stack of one takes the per-row loop; an empty stack is returned empty
+    one = rng.integers(0, ctx.q, size=(1, 3, 4), dtype=np.uint8)
+    red, rank, pivots = ctx.rref_stack(one)
+    want_red, want_rank, want_piv = Mat(ctx, one[0]).rref()
+    assert np.array_equal(red[0], want_red.a) and rank[0] == want_rank
+    assert tuple(np.flatnonzero(pivots[0])) == want_piv
+    red, rank, pivots = ctx.rref_stack(np.zeros((0, 3, 4), dtype=np.uint8))
+    assert red.shape == (0, 3, 4) and rank.shape == (0,) and pivots.shape == (0, 4)
+    # ranks of matrices of several shapes come from one zero-padded stack
+    mats = [rng.integers(0, ctx.q, size=s, dtype=np.uint8)
+            for s in ((2, 3), (4, 1), (0, 2), (3, 3))]
+    assert ctx.ranks(mats).tolist() == [Mat(ctx, m).rank() for m in mats]
+
+
 def test_solve_and_inverse():
     rng = random.Random(4)
     for ctx in (GF.of(p, k) for p, k in FIELDS):

@@ -230,6 +230,138 @@ def test_register_calls_one_per_orbit(monkeypatch):
         assert reg.slice(grade).mode == "constructive"
 
 
+def _fitting_splits(m, f):
+    """The per-candidate test of `reps._find_splitter`."""
+    kers = [fi.power(fi.rows).kernel_basis() for fi in f]
+    return 0 < sum(k.rows for k in kers) < m.total_dim
+
+
+def test_stacked_splits_match_the_per_rep_search(monkeypatch):
+    # every stack a build solves (the canonical representatives of an orbit
+    # slice, the orbit-first candidates of a constructive level, halves
+    # split further as stacks of one) against end_basis and _find_splitter
+    solved = []
+    stacked = registry.end_splits
+
+    def recorded(reps_):
+        out = stacked(reps_)
+        solved.extend(zip(reps_, out))
+        return out
+
+    monkeypatch.setattr(registry, "end_splits", recorded)
+    cases = [(kronecker(), F2, Caps(), (3, 3)), (kronecker(), F3, Caps(), (3, 3)),
+             (kronecker(), F2, TINY, (3, 3)), (affine_a2_acyclic(), F2, Caps(), (1, 1, 1)),
+             (affine_a2_acyclic(), F2, TINY, (1, 1, 1))]
+    branches = collections.Counter()
+    for quiver, ctx, caps, top in cases:
+        solved.clear()
+        IsoRegistry(quiver, ctx, caps).slice(top)
+        assert any(m.dims == top for m, _ in solved)
+        for m, (basis, kers) in solved:
+            assert basis == reps.end_basis(m), m
+            for f in basis:  # intertwiners, checked without the Hom system
+                assert all(f[t] @ a == a @ f[s] for a, (s, t) in zip(m.mats, quiver.arrows))
+            want = reps._find_splitter(m, basis, caps)
+            assert (kers if kers is not None else reps.scan_splitter(m, basis, caps)) == want
+            if any(_fitting_splits(m, f) for f in basis):
+                branch = "basis"
+            elif any(_fitting_splits(m, tuple(x + y for x, y in zip(basis[i], basis[j])))
+                     for i, j in itertools.combinations(range(len(basis)), 2)):
+                branch = "pairs"
+            else:
+                branch = "scan" if want is not None else "indecomposable"
+            assert (kers is not None) == (branch in ("basis", "pairs")), (m, branch)
+            branches[branch] += 1
+    # Kronecker (3,3) over GF(3) splits 8 candidates by a pair sum, 2 by the scan
+    assert all(branches[b] for b in ("basis", "pairs", "scan", "indecomposable")), branches
+
+
+def test_scan_splitter_matches_the_full_scan(kron3):
+    # other bases of End(m), T * basis for random invertible T, on which no
+    # element or pair sum splits a decomposable m: the split is then found
+    # only by the scan, at elements of every shape of coefficient vector
+    rng = random.Random(11)
+    cases = collections.Counter()
+    for reg, top in ((kron3, (3, 3)), (IsoRegistry(kronecker(), F4), (2, 2))):
+        ctx = reg.ctx
+        for c in (c for g in reg.grades_below(top) for c in reg.classes(g) if not c.indec):
+            m, basis = c.canon, reps.end_basis(c.canon)
+            h = len(basis)
+            if h < 2 or ctx.q ** h > 256:
+                continue
+            for _ in range(60):
+                t = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(h)] for _ in range(h)])
+                if t.rank() < h:
+                    continue
+                other = [tuple(functools.reduce(lambda x, y: x + y,
+                                                (b[v].scale(int(t.a[i, j]))
+                                                 for j, b in enumerate(basis)))
+                               for v in range(len(m.dims))) for i in range(h)]
+                pairs = (tuple(x + y for x, y in zip(other[i], other[j]))
+                         for i, j in itertools.combinations(range(h), 2))
+                if any(_fitting_splits(m, f) for f in itertools.chain(other, pairs)):
+                    continue
+                want = reps._find_splitter(m, other, Caps())
+                assert want is not None and reps.scan_splitter(m, other, Caps()) == want, c.key
+                cases[ctx.q] += 1
+    assert cases[3] >= 10 and cases[4] >= 10, cases
+
+
+def test_end_scan_cap_raises_as_the_per_rep_search(monkeypatch):
+    # Kronecker (3,3) over GF(3): the candidates left to the full End scan
+    # are scanned in candidate order.  Under a cap that only their scans
+    # exceed, the build raises the CapExceeded that the per-rep search of
+    # the first such candidate raises, at that candidate
+    scans, candidates, registered = [], [], []
+    scan, prepare, register = registry.scan_splitter, SplitIndex.prepare, SplitIndex.register
+    monkeypatch.setattr(registry, "scan_splitter", lambda m, basis, caps: (
+        scans.append((m, len(basis))), scan(m, basis, caps))[1])
+    monkeypatch.setattr(SplitIndex, "prepare",
+                        lambda index, reps_: (candidates.extend(reps_), prepare(index, reps_))[1])
+    IsoRegistry(kronecker(), F3).slice((3, 3))
+    top = {id(m) for m in candidates}
+    cap = F3.q ** max(h for m, h in scans if id(m) in top) - 1
+    assert all(F3.q ** h <= cap for m, h in scans if id(m) not in top)
+    capped = Caps(max_end_scan=cap)
+    for i, m in enumerate(candidates):
+        try:
+            reps._find_splitter(m, reps.end_basis(m), capped)
+        except CapExceeded as exc:
+            first, want = i, exc
+            break
+    else:
+        pytest.fail("no candidate's scan exceeds the cap")
+    monkeypatch.setattr(SplitIndex, "register",
+                        lambda index, rep: (registered.append(rep), register(index, rep))[1])
+    with pytest.raises(CapExceeded) as err:
+        IsoRegistry(kronecker(), F3, capped).slice((3, 3))
+    assert (err.value.what, err.value.estimate, err.value.cap) == (want.what, want.estimate, cap)
+    assert len(registered) == first + 1 and registered[-1] == candidates[first]
+
+
+def test_slice_33_eliminations(monkeypatch):
+    # a fresh Kronecker registry over GF(3) built (3,3) with 4,218 Mat.rref
+    # calls when End was solved and Fitting powers eliminated one matrix at
+    # a time; stacked, 219 remain (160 of them stacks of one) beside 361
+    # eliminations of larger stacks
+    calls = collections.Counter()
+    rref, stack = Mat.rref, GF.rref_stack
+
+    def counted_rref(self):
+        calls["rref"] += 1
+        return rref(self)
+
+    def counted_stack(self, a):
+        calls[{0: "empty stack", 1: "stack of one"}.get(len(a), "stack")] += 1
+        return stack(self, a)
+
+    monkeypatch.setattr(Mat, "rref", counted_rref)
+    monkeypatch.setattr(GF, "rref_stack", counted_stack)
+    IsoRegistry(kronecker(), F3).slice((3, 3))
+    assert calls["rref"] <= 1000, calls
+    assert calls["stack of one"] <= calls["rref"] and 0 < calls["stack"] <= 1000, calls
+
+
 @st.composite
 def _acyclic_quiver_grade(draw):
     """An acyclic quiver with <= 3 vertices, <= 4 arrows and two arrows into
@@ -956,6 +1088,33 @@ def test_census_makes_no_per_tuple_calls(monkeypatch):
     assert 0 < calls["gather"] < tuples / 4
     # the constructive (3,3) meets only its canonical representatives
     assert reg.slice((3, 3)).mode == "constructive" and calls["classify"] == 0
+
+
+def test_census_misses_are_prepared_as_one_stack(monkeypatch):
+    # forced-constructive Kronecker GF(3) up to (2,2): the subs and
+    # quotients a census meets that no constructive slice knows yet are
+    # solved as one stack per identification, then classified one by one
+    # in row order, each with the split prepared for it
+    reg = IsoRegistry(kronecker(), F3, TINY)
+    keys = [c.key for g in reg.grades_below((2, 2)) for c in reg.classes(g)]
+    stacks, classified = [], []
+    prepare, classify = SplitIndex.prepare, SplitIndex.classify
+
+    def prepared(index, reps_):
+        stacks.append(list(reps_))
+        prepare(index, reps_)
+
+    def classified_(index, rep):
+        assert rep in index.splits  # its End basis and splitter are ready
+        classified.append(rep)
+        return classify(index, rep)
+
+    monkeypatch.setattr(SplitIndex, "prepare", prepared)
+    monkeypatch.setattr(SplitIndex, "classify", classified_)
+    for key in keys:
+        reg.census(key)
+    assert classified == [rep for stack in stacks for rep in stack]
+    assert max(map(len, stacks)) > 1
 
 
 def test_census_second_pass_reads_known_rows(constructive_regs, monkeypatch):

@@ -7,7 +7,8 @@ from hallforge.quiver import euler_form, jordan, kronecker
 from hallforge.quiver import affine_a2_acyclic
 from hallforge.registry import IsoRegistry
 from hallforge.reps import (Rep, aut_order_from_summands, direct_sum, dualize_rep,
-                            end_basis, ext1_dim, fitting_split, hom_dim, hom_space,
+                            end_basis, ext1_dim, first_isomorphic, fitting_split, hom_dim,
+                            hom_space,
                             is_indecomposable,
                             is_nilpotent_rep, is_stable, iso_indecomposables,
                             krull_schmidt, rep_with_dims, residue_degree,
@@ -247,3 +248,8 @@ def test_iso_indecomposables():
     gi = g.inverse()
     conj = Rep(K, F3, (2, 2), tuple(g @ m @ gi for m in thick.mats))
     assert iso_indecomposables(thick, conj)
+    # a stack of candidates: the first isomorphic one is found
+    other = kron_thick(F3, 1, 0)
+    assert not iso_indecomposables(thick, other)
+    assert first_isomorphic(thick, [other, conj, thick]) == 1
+    assert first_isomorphic(thick, [other]) is None and first_isomorphic(thick, []) is None
