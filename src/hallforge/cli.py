@@ -333,11 +333,18 @@ def _suite_isotropic(args, quiver, hall):
 def _suite_hopf(args, quiver, hall):
     grades = suite_grades(args, quiver, hall)
     rng = random.Random(args.seed)
-    keys = [c.key for g in grades for c in hall.registry.classes(g)]
+    reg = hall.registry
+    keys = [c.key for g in grades for c in reg.classes(g)]
+    # (f, g, h) pairs trivially unless grade(h) = grade(f) + grade(g)
+    pairs = [(a, b) for a in keys for b in keys
+             if tuple(x + y for x, y in zip(a[0], b[0])) in grades]
+    if not pairs:
+        raise HallforgeError("verify hopf needs two of its grades to sum to a third")
     ok = True
     for _ in range(20):
-        f, g, h = (hall.basis(rng.choice(keys)) for _ in range(3))
-        if not hall.hopf_pairing_check(f, g, h):
+        a, b = rng.choice(pairs)
+        c = rng.choice(reg.classes(tuple(x + y for x, y in zip(a[0], b[0])))).key
+        if not hall.hopf_pairing_check(hall.basis(a), hall.basis(b), hall.basis(c)):
             ok = False
     return [{"check": "hopf", "status": "pass" if ok else "fail",
              "grades": [list(g) for g in grades]}]

@@ -17,11 +17,14 @@ tensor square multiplies with the usual twist
 
 Each structure constant is computed once per `HallAlgebra`.  The first
 product into a grade reads that grade's censuses into a table
-{(M, N): [(S, nu^<M,N> F^S_{M,N})]}; the first coproduct of a class R
-reads its census into a row [((Q, S), nu^<Q,S> F^R_{Q,S} a_Q a_S / a_R)].
+{(M, N): {S: nu^<M,N> F^S_{M,N}}}; the first coproduct of a class R
+reads its census into a row {(Q, S): nu^<Q,S> F^R_{Q,S} a_Q a_S / a_R}.
 `multiply` and `comultiply` then only scale and add table entries.  A
 product's terms come grade by grade in first-seen order, classes in
-registry order within a grade; a coproduct's in census order.
+registry order within a grade; a coproduct's in census order.  The Hopf
+pairing check reads the same tables: each side of (fg, h) = (f (x) g,
+Delta h) is a sum over the table entries that pair a term of f (x) g with
+a term of h, so neither fg nor Delta h is built.
 
 HallElement and TensorElement are one sparse vector (`_SparseElement`,
 with `_add_into` as its only accumulate-and-drop-zero step); exact solves
@@ -45,6 +48,8 @@ from .reps import dualize_rep, hom_combinations, hom_space
 # ---------------------------------------------------------------------------
 # scalars: a + b sqrt(m), m squarefree
 
+_ZERO = Fraction(0)
+
 
 class QNum:
     __slots__ = ("a", "b", "m")
@@ -55,7 +60,7 @@ class QNum:
         if type(b) is not Fraction:
             b = Fraction(b)
         if m == 1 and b:
-            a, b = a + b, Fraction(0)
+            a, b = a + b, _ZERO
         self.a, self.b, self.m = a, b, m
 
     # -- ring structure
@@ -92,9 +97,9 @@ class QNum:
     def __mul__(self, other):
         if not isinstance(other, QNum):
             r = other if isinstance(other, (int, Fraction)) else Fraction(other)
-            return QNum(self.a * r, self.b * r, self.m)
+            return QNum(self.a * r, self.b * r if self.b else _ZERO, self.m)
         if not other.b:
-            return QNum(self.a * other.a, self.b * other.a, self.m)
+            return QNum(self.a * other.a, self.b * other.a if self.b else _ZERO, self.m)
         if not self.b:
             return QNum(other.a * self.a, other.b * self.a, other.m)
         x, y = self._common(other)
@@ -218,8 +223,8 @@ class HallAlgebra:
         self.q = registry.ctx.q
         p, k = registry.ctx.p, registry.ctx.k  # q = s^2 * m with m squarefree: m is 1 or p
         self.s, self.m = p ** (k // 2), (p if k % 2 else 1)
-        self._products: Dict[tuple, Dict[tuple, list]] = {}  # grade -> {(M, N): [(S, c)]}
-        self._coproducts: Dict[ClassKey, list] = {}          # R -> [((Q, S), c)]
+        self._products: Dict[tuple, Dict[tuple, dict]] = {}  # grade -> {(M, N): {S: c}}
+        self._coproducts: Dict[ClassKey, dict] = {}          # R -> {(Q, S): c}
         self._consts: Dict[tuple, QNum] = {}                 # (e, x) -> nu^e * x
 
     # -- scalars
@@ -274,28 +279,28 @@ class HallAlgebra:
             c = self._consts[(e, x)] = self.nu_pow(e) * x
         return c
 
-    def _product_table(self, grade: tuple) -> Dict[tuple, list]:
-        """{(M, N): [(S, nu^<M,N> F^S_{M,N})]} over the classes S of `grade`,
-        each list in registry order; read off the censuses on first use."""
+    def _product_table(self, grade: tuple) -> Dict[tuple, dict]:
+        """{(M, N): {S: nu^<M,N> F^S_{M,N}}} over the classes S of `grade`,
+        each entry in registry order; read off the censuses on first use."""
         table = self._products.get(grade)
         if table is None:
             table = {}
             for cls in self.registry.classes(grade):
                 sk = cls.key
                 for pair, count in self.registry.census(sk).items():
-                    table.setdefault(pair, []).append((sk, self._const(pair, count)))
+                    table.setdefault(pair, {})[sk] = self._const(pair, count)
             self._products[grade] = table
         return table
 
-    def _coproduct_row(self, r_key: ClassKey) -> list:
-        """[((Q, S), nu^<Q,S> F^R_{Q,S} a_Q a_S / a_R)] in census order;
+    def _coproduct_row(self, r_key: ClassKey) -> dict:
+        """{(Q, S): nu^<Q,S> F^R_{Q,S} a_Q a_S / a_R} in census order;
         read off the census of R on first use."""
         row = self._coproducts.get(r_key)
         if row is None:
             a_r = self.aut(r_key)
-            row = [(pair, self._const(pair, Fraction(
-                        count * self.aut(pair[0]) * self.aut(pair[1]), a_r)))
-                   for pair, count in self.registry.census(r_key).items()]
+            row = {pair: self._const(pair, Fraction(
+                       count * self.aut(pair[0]) * self.aut(pair[1]), a_r))
+                   for pair, count in self.registry.census(r_key).items()}
             self._coproducts[r_key] = row
         return row
 
@@ -310,7 +315,7 @@ class HallAlgebra:
             table = self._product_table(tgt)
             acc: Dict[ClassKey, QNum] = {}
             for pair, c in pairs:
-                for sk, t in table.get(pair, ()):
+                for sk, t in table.get(pair, {}).items():
                     _add_into(acc, sk, c * t)
             out.update(sorted(acc.items()))  # registry order within the grade
         return HallElement(out)
@@ -324,7 +329,7 @@ class HallAlgebra:
     def comultiply(self, f: HallElement) -> TensorElement:
         out: Dict[tuple, QNum] = {}
         for rk, cr in f.terms.items():
-            for key, c in self._coproduct_row(rk):
+            for key, c in self._coproduct_row(rk).items():
                 _add_into(out, key, cr * c)
         return TensorElement(out)
 
@@ -362,9 +367,34 @@ class HallAlgebra:
                 acc = acc + v * w * Fraction(1, self.aut(k[0]) * self.aut(k[1]))
         return acc
 
+    def hopf_pairing_sides(self, f: HallElement, g: HallElement, h: HallElement) -> tuple:
+        """((fg, h), (f (x) g, Delta h)), each summed over the table entries
+        it pairs:
+
+            lhs = sum f_x g_y t^S_{x,y} h_S / a_S    over S in table[(x, y)]
+            rhs = sum h_R f_x g_y row_R[(x, y)] / (a_x a_y)
+
+        with t the product table of grade(x) + grade(y) and row_R the
+        coproduct row of R."""
+        lhs, rhs = self.zero(), self.zero()
+        rows = [(self._coproduct_row(rk), cr) for rk, cr in h.terms.items()]
+        for x, fx in f.terms.items():
+            for y, gy in g.terms.items():
+                grade = tuple(a + b for a, b in zip(x[0], y[0]))
+                entry = self._product_table(grade).get((x, y), {})
+                for sk, hs in h.terms.items():
+                    t = entry.get(sk)
+                    if t:
+                        lhs = lhs + fx * gy * t * hs * Fraction(1, self.aut(sk))
+                for row, cr in rows:
+                    c = row.get((x, y))
+                    if c:
+                        rhs = rhs + cr * fx * gy * c * Fraction(
+                            1, self.aut(x) * self.aut(y))
+        return lhs, rhs
+
     def hopf_pairing_check(self, f: HallElement, g: HallElement, h: HallElement) -> bool:
-        lhs = self.green_pairing(self.multiply(f, g), h)
-        rhs = self.tensor_pairing(self.tensor(f, g), self.comultiply(h))
+        lhs, rhs = self.hopf_pairing_sides(f, g, h)
         return lhs == rhs
 
     def tensor_multiply(self, s: TensorElement, t: TensorElement) -> TensorElement:

@@ -21,8 +21,11 @@ its representations:
   against the memory cap.  The slice's `table` maps the base-q code of
   every point to its class; the zero grade has the one-entry table of the
   zero representation.  A nilpotent-only walk
-  skips the points its one nilpotency mask excludes; the mask is
-  computed over blocks of a fixed number of points.
+  skips the points its one nilpotency mask excludes; the mask reads the
+  composite around the cycle through one product table per arrow and a
+  table of the nilpotent square codes, built once per grade
+  (`_nilpotent_mask`), and is filled over blocks of a fixed number of
+  points.
 
 * constructive mode on the one-loop quiver: the classes are conjugacy
   types (irreducible polynomial, partition) from `oneloop`, and
@@ -529,6 +532,10 @@ class IsoRegistry:
     # -- public API
 
     def slice(self, grade: Sequence) -> GradeSlice:
+        try:
+            return self.slices[grade]
+        except (KeyError, TypeError):  # not built yet, or not a grade tuple: check, then build
+            pass
         grade = self.quiver.check_dim(grade)
         if grade not in self.slices:
             self.slices[grade] = self._build(grade)
@@ -701,27 +708,64 @@ class IsoRegistry:
         return sl, points
 
     def _nilpotent_mask(self, grade: tuple, e: int, ambient: int) -> np.ndarray:
-        """Boolean mask of nilpotent points (cyclic and one-loop quivers),
-        computed over blocks of at most `_MASK_BLOCK` points."""
-        quiver, ctx = self.quiver, self.ctx
-        # composite map around the cycle, starting at vertex 0
-        arr_of = {s: span for (s, _), span in zip(quiver.arrows, _spans(quiver, grade))}
-        total = sum(grade)
-        mask = np.empty(ambient, dtype=bool)
-        for start in range(0, ambient, _MASK_BLOCK):
-            codes = np.arange(start, min(start + _MASK_BLOCK, ambient), dtype=np.int64)
-            digs = _decode_batch(codes, e, ctx.q)
-            comp = None
-            for v in range(quiver.n):
-                lo, hi, r, c = arr_of[v]
-                block = digs[:, lo:hi].reshape(codes.size, r, c)
-                comp = block if comp is None else ctx.matmul(block, comp)
+        """Boolean mask of nilpotent points (cyclic and one-loop quivers).
+
+        A point is nilpotent exactly when the composite C of its arrows
+        around the cycle, from a vertex m of least dimension d, is: when
+        C^d = 0.  C is read through tables built once per grade: with P the
+        d_v x d composite from m to v, the table of the arrow A_v: v -> v+1
+        holds the code of A_v P for every pair (a, p) of codes of A_v and P,
+        and one table marks the nilpotent d x d codes, each found by
+        ceil(log2 d) squarings.  A point's value is then one gather per
+        arrow and one in the nilpotent table.  Starting at a least dimension
+        keeps every table no larger than the ambient space.  Tables and mask
+        are filled over blocks of at most `_MASK_BLOCK` entries; the tables'
+        memory is checked against the cap before they are built."""
+        quiver, ctx, q = self.quiver, self.ctx, self.ctx.q
+        d = min(grade)
+        m = grade.index(d)
+        span_of = {s: span for (s, _), span in zip(quiver.arrows, _spans(quiver, grade))}
+        first, *rest = (span_of[(m + i) % quiver.n] for i in range(quiver.n))  # blocks from m
+        dtypes = [np.min_scalar_type(q ** (r * d) - 1) for _, _, r, _ in rest]
+        self.caps.check_memory(q ** (d * d) + sum(q ** (r * c + c * d) * dtype.itemsize
+                                                  for (_, _, r, c), dtype in zip(rest, dtypes)))
+
+        def fill(size, dtype, values):
+            """The table of values(codes) over range(size), in blocks."""
+            out = np.empty(size, dtype=dtype)
+            for start in range(0, size, _MASK_BLOCK):
+                codes = np.arange(start, min(start + _MASK_BLOCK, size), dtype=np.int64)
+                out[start: start + codes.size] = values(codes)
+            return out
+
+        def nilpotent(codes):
+            x = _decode_batch(codes, d * d, q).reshape(codes.size, d, d)
             steps = 1
-            while steps < total:
-                comp = ctx.matmul(comp, comp)
+            while steps < d:
+                x = ctx.matmul(x, x)
                 steps *= 2
-            mask[start: start + codes.size] = ~comp.reshape(codes.size, -1).any(axis=1)
-        return mask
+            return ~x.reshape(codes.size, d * d).any(axis=1)
+
+        def product(r, c):
+            def values(codes):  # code of A P for the code pair (a, p) = divmod(codes, #P)
+                a = _decode_batch(codes // q ** (c * d), r * c, q).reshape(codes.size, r, c)
+                p = _decode_batch(codes % q ** (c * d), c * d, q).reshape(codes.size, c, d)
+                return _encode_batch(ctx.matmul(a, p).reshape(codes.size, r * d), q)
+            return values
+
+        def block(codes, span):
+            return codes // q ** (e - span[1]) % q ** (span[1] - span[0])
+
+        nil = fill(q ** (d * d), bool, nilpotent)
+        tables = [(span, q ** (c * d), fill(q ** (r * c + c * d), dtype, product(r, c)))
+                  for (*span, r, c), dtype in zip(rest, dtypes)]
+
+        def mask(codes):
+            p = block(codes, first)
+            for span, n_p, table in tables:
+                p = table[block(codes, span) * n_p + p]
+            return nil[p]
+        return fill(ambient, bool, mask)
 
     # -- constructive mode: acyclic quivers, extensions by a sink simple
 

@@ -179,6 +179,34 @@ def test_grade_suites_without_grades_are_errors(tmp_path):
     assert [(r["grade"], r["status"]) for r in reports] == [([1, 1], "pass")]
 
 
+def test_hopf_draws_only_triples_that_pair(tmp_path, monkeypatch):
+    # a triple pairs to 0 on both sides unless grade(h) = grade(f) + grade(g)
+    from hallforge.hall import HallAlgebra
+    seen = []
+    check = HallAlgebra.hopf_pairing_check
+
+    def recorded(self, f, g, h):
+        seen.append((f.grade(), g.grade(), h.grade()))
+        return check(self, f, g, h)
+
+    monkeypatch.setattr(HallAlgebra, "hopf_pairing_check", recorded)
+    for argv in (["--p", "2", "--grade", "1,1", "--grade", "0,1", "--grade", "1,0"],
+                 ["--p", "3", "--r", "1,2"]):
+        for seed in range(3):
+            seen.clear()
+            code, text = run_cli(["verify", "hopf", "--quiver", "kronecker", *argv,
+                                  "--seed", str(seed)], tmp_path)
+            assert code == 0 and json.loads(text)[0]["status"] == "pass"
+            assert len(seen) == 20
+            assert all(tuple(a + b for a, b in zip(f, g)) == h for f, g, h in seen)
+    # no two grades summing to a third leave nothing to check
+    code, text = run_cli(["verify", "hopf", "--quiver", "kronecker", "--p", "2",
+                          "--r", "1"], tmp_path)
+    assert code == 2
+    assert json.loads(text) == {"error": "HallforgeError", "message":
+                                "verify hopf needs two of its grades to sum to a third"}
+
+
 def test_bad_input_is_a_structured_error(tmp_path):
     code, text = run_cli(["verify", "noyau", "--quiver", "kronecker", "--p", "2",
                           "--grade", "1,2"], tmp_path)

@@ -300,6 +300,66 @@ def test_hall_axioms_randomized_q3(hall_kron3, kron3):
         assert _coassoc_check(h, c)
 
 
+def _materialised_sides(h, f, g, x):
+    """(fg, x) and (f (x) g, Delta x), with every product built in full."""
+    return (h.green_pairing(h.multiply(f, g), x),
+            h.tensor_pairing(h.tensor(f, g), h.comultiply(x)))
+
+
+def test_hopf_pairing_sides_match_the_materialised_formulas(hall_kron2, kron2,
+                                                            hall_kron3, kron3):
+    # every basis triple up to (2,1) at q = 2, h of any grade up to there
+    h = hall_kron2
+    keys = _keys_upto(kron2, (2, 1))
+    nontrivial = 0
+    for a, b, c in itertools.product(keys, repeat=3):
+        if a[0][0] + b[0][0] > 2 or a[0][1] + b[0][1] > 1:
+            continue
+        f, g, x = h.basis(a), h.basis(b), h.basis(c)
+        sides = h.hopf_pairing_sides(f, g, x)
+        assert sides == _materialised_sides(h, f, g, x), (a, b, c)
+        nontrivial += bool(sides[0])
+    assert nontrivial > 20
+    # (1,1) + (1,1) at q = 3
+    h = hall_kron3
+    ones = [c.key for c in kron3.classes((1, 1))]
+    for a, b in itertools.product(ones, repeat=2):
+        for c in kron3.classes((2, 2)):
+            f, g, x = h.basis(a), h.basis(b), h.basis(c.key)
+            assert h.hopf_pairing_sides(f, g, x) == _materialised_sides(h, f, g, x)
+    # random non-basis elements with sqrt(2) parts, mixed grades, at q = 2
+    h = hall_kron2
+    rng = random.Random(5)
+    keys = _keys_upto(kron2, (1, 1))
+
+    def element():
+        return HallElement({k: QNum(rng.randint(-3, 3) or 1, rng.randint(-2, 2), 2)
+                            for k in rng.sample(keys, 3)})
+
+    for _ in range(30):
+        f, g = element(), element()
+        x = HallElement({c.key: QNum(rng.randint(1, 4), rng.randint(-2, 2), 2)
+                         for c in kron2.classes((2, 2))[::3] + kron2.classes((1, 1))})
+        lhs, rhs = h.hopf_pairing_sides(f, g, x)
+        assert (lhs, rhs) == _materialised_sides(h, f, g, x)
+        assert lhs == rhs
+
+
+def test_hopf_pairing_check_reads_the_tables(kron2):
+    h = HallAlgebra(kron2)  # its own tables: this test edits them
+    r = kron2.classes((1, 1))[0].key
+    (x, y), c = next((pair, c) for pair, c in h._coproduct_row(r).items()
+                     if pair[0][0] == (1, 0))
+    f, g, s = h.basis(x), h.basis(y), h.basis(r)
+    assert h.hopf_pairing_check(f, g, s)
+    h._coproduct_row(r)[(x, y)] = c + 1
+    assert not h.hopf_pairing_check(f, g, s)
+    h._coproduct_row(r)[(x, y)] = c
+    assert h.hopf_pairing_check(f, g, s)
+    h._product_table((1, 1))[(x, y)][r] *= 2
+    assert not h.hopf_pairing_check(f, g, s)
+
+
 def test_exact_sequence_counts(a1, hall_kron2, kron2):
     # A1: N = M = S, R = S + S gives F' = 1*1*3
     reg = a1.registry

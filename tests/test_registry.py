@@ -94,7 +94,9 @@ def test_mass_identity_explicit(kron2, jordan2):
         (IsoRegistry(cyc2, F2, nilpotent_only=True), [(1, 1), (2, 1), (1, 2), (2, 2)]),
         (IsoRegistry(cyc2, F3, nilpotent_only=True), [(1, 1), (2, 1), (1, 2), (2, 2)]),
         (IsoRegistry(cyc3, F2, nilpotent_only=True),
-         [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)]),
+         [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2), (2, 0, 1)]),
+        (IsoRegistry(cyc2, F4, nilpotent_only=True), [(1, 1), (2, 1), (1, 2)]),
+        (IsoRegistry(cyc3, F4, nilpotent_only=True), [(1, 1, 1), (2, 1, 1)]),
     ]
     for reg, grades in [(kron2, [(1, 1), (2, 1), (2, 2)]), (jordan2, [(2,), (3,)])] + nilpotent_regs:
         for g in grades:
@@ -107,7 +109,7 @@ def test_mass_identity_explicit(kron2, jordan2):
     for reg, grades in nilpotent_regs:
         for g in grades:
             points = reg.ctx.q ** registry._entry_count(reg.quiver, g)
-            if points <= 1024:
+            if points <= 4096:
                 assert reg.ambient_count(g) == sum(
                     is_nilpotent_rep(decode_rep(reg.quiver, reg.ctx, g, code))
                     for code in range(points)), (reg.quiver, reg.ctx.q, g)
@@ -635,6 +637,16 @@ def test_nilpotent_orbit_slice_computes_its_mask_once(monkeypatch):
     reg.slice((2, 2, 2))
     orbit = [g for g, sl in reg.slices.items() if sl.mode == "orbit"]
     assert len(orbit) > 1 and sorted(calls) == sorted(orbit)
+
+
+def test_nilpotent_mask_tables_are_counted_against_the_memory_cap(monkeypatch):
+    reg = IsoRegistry(cyclic_quiver(3), F3, nilpotent_only=True)
+    monkeypatch.setenv("HALLFORGE_CAP_MB", "0")
+    with pytest.raises(CapExceeded) as err:
+        reg.ambient_count((2, 2, 2))
+    assert err.value.what == "memory_mb" and not reg.slices
+    monkeypatch.delenv("HALLFORGE_CAP_MB")
+    assert reg.ambient_count((2, 2, 2)) == 158193
 
 
 def test_slice_builds_compute_no_nilpotency(monkeypatch):
