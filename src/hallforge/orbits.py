@@ -1,0 +1,386 @@
+"""Orbit walks of base-change groups on base-q codes of representations.
+
+A point of a grade is a tuple of arrow blocks; its code reads the blocks'
+entries, arrow by arrow and row by row, as base-q digits, first digit most
+significant (`_spans`, `_encode_batch`, `_decode_batch`).  `_walk_orbits`
+is the one breadth-first walk: it labels the points of an array by orbit
+in order of first point, given the images of a frontier under every
+generator.  The registry uses it for orbit slices and to group extension
+cocycles.
+
+On points, a generator (v, g) of prod_v GL(d_v) acts on each arrow block
+on its own (M -> gM into v, M -> Mg^-1 out of v, both on a loop), so one
+table per (generator, arrow at v), built once per grade, maps each block
+code to the shift of the point's code, and an image is the code plus one
+table entry per block at v (`_base_change_images`).  The tables, each no
+larger than the ambient space, are counted with the walk's dense arrays
+against the memory cap.
+
+At a loop-free sink or source v of a grade's support the same walk and
+images builder move the row spaces of the blocks at v instead of points
+(`_RowSpaces`): 211 subspaces in place of 531,441 points for Kronecker
+(2,3) over GF(3), with the point walk's class table, canonical
+representatives, orbit sizes and class order.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .config import Caps
+from .errors import CertificateError
+from .gf import GF, Mat, gaussian_binomial
+from .quiver import Quiver
+
+_BLOCK = 1 << 12  # codes per block of a first-point scan or a table fill
+
+
+def _entry_count(quiver: Quiver, dims: Sequence) -> int:
+    return sum(dims[s] * dims[t] for (s, t) in quiver.arrows)
+
+
+def _spans(quiver: Quiver, dims: Sequence, skip: Optional[int] = None) -> List[tuple]:
+    """(start, stop, rows, cols) of each arrow's block of the digit vector;
+    the blocks of the arrows at vertex `skip` are left out (empty)."""
+    out, pos = [], 0
+    for (s, t) in quiver.arrows:
+        size = 0 if skip in (s, t) else dims[t] * dims[s]
+        out.append((pos, pos + size, dims[t], dims[s]))
+        pos += size
+    return out
+
+
+def _decode_batch(codes: np.ndarray, e: int, q: int) -> np.ndarray:
+    out = np.empty((codes.size, e), dtype=np.uint8)
+    c = codes.astype(np.int64).copy()
+    for t in range(e - 1, -1, -1):
+        out[:, t] = c % q
+        c //= q
+    return out
+
+
+def _encode_batch(digits: np.ndarray, q: int) -> np.ndarray:
+    """The base-q codes of the digit rows of the last axis, first digit most
+    significant: one int64 product with the place values (wrapping as
+    c * q + d would)."""
+    return digits @ q ** np.arange(digits.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def _walk_orbits(labels: np.ndarray, images: Callable[[np.ndarray], np.ndarray]
+                 ) -> Tuple[List[int], List[int]]:
+    """Label the unlabeled points (-1) of `labels` by orbit number, in order
+    of first point, and return the first point and size of each orbit.
+
+    `images(points)` returns the images of `points` under every generator,
+    as one array; the walk is breadth-first from each orbit's first point.
+    Points with another negative label are excluded and stay as they are.
+    Every step is an array pass: the next first point is found by scanning
+    blocks of `_BLOCK` labels, and each frontier is deduplicated by
+    writing a distinct tag (-3, -4, ...) per unlabeled image and keeping the
+    one image per point whose tag survived.
+    """
+    firsts, sizes = [], []
+    start = 0
+    while True:
+        while start < labels.size:
+            hit = np.flatnonzero(labels[start:start + _BLOCK] == -1)
+            if hit.size:
+                start += int(hit[0])
+                break
+            start += _BLOCK
+        if start >= labels.size:
+            return firsts, sizes
+        labels[start] = len(firsts)
+        frontier, size = np.array([start]), 1
+        while frontier.size:
+            found = images(frontier)
+            found = found[labels[found] == -1]
+            tags = -3 - np.arange(found.size)
+            labels[found] = tags
+            frontier = found[labels[found] == tags]
+            labels[frontier] = len(firsts)
+            size += frontier.size
+        firsts.append(start)
+        sizes.append(size)
+
+
+def _gl_generators(ctx: GF, n: int) -> List[Mat]:
+    """Small generating set of GL_n(q) (as a semigroup it still generates)."""
+    if n == 0:
+        return []
+    gens = []
+    if ctx.q > 2:
+        d = np.eye(n, dtype=np.uint8)
+        d[0, 0] = ctx.generator
+        gens.append(Mat(ctx, d))
+    if n >= 2:
+        cyc = np.zeros((n, n), dtype=np.uint8)
+        for i in range(n):
+            cyc[i, (i + 1) % n] = 1
+        gens.append(Mat(ctx, cyc))
+        tv = np.eye(n, dtype=np.uint8)
+        tv[0, 1] = 1
+        gens.append(Mat(ctx, tv))
+    return gens
+
+
+def _runs(lo: int, hi: int, width: int):
+    """range(lo, hi) as consecutive aranges of about `_BLOCK` // width
+    entries (at least one)."""
+    step = max(1, _BLOCK // width)
+    for start in range(int(lo), int(hi), step):
+        yield np.arange(start, min(start + step, int(hi)))
+
+
+def _rref_bases(m: int, k: int, q: int, rows: int) -> np.ndarray:
+    """The RREF bases of the k-dimensional subspaces of F_q^m, in
+    `subspaces_of_dim` order (pivot patterns lexicographically, then the
+    free entries as an odometer), as a stack of `rows` x m matrices with
+    zero rows below the basis."""
+    out = []
+    for piv in itertools.combinations(range(m), k):
+        free = [(r, c) for r in range(k) for c in range(piv[r] + 1, m) if c not in piv]
+        block = np.zeros((q ** len(free), rows, m), dtype=np.uint8)
+        block[:, range(k), piv] = 1
+        if free:
+            block[(slice(None),) + tuple(zip(*free))] = _decode_batch(
+                np.arange(block.shape[0]), len(free), q)
+        out.append(block)
+    return np.concatenate(out)
+
+
+class _RowSpaces:
+    """The row spaces that stand for the GL(d_v)-orbits at a loop-free sink
+    or source v of a grade's support, where v is the reduced vertex of an
+    orbit walk.
+
+    At a sink GL(d_v) acts only on the blocks of the arrows into v, by left
+    multiplication on X = [A_alpha] (the blocks side by side, in arrow
+    order; d_v x m); at a source it acts on X = [A_alpha^T] over the arrows
+    out of v by g.X = g^-T X.  Two points with equal other blocks are in one
+    GL(d_v)-orbit exactly when their X have the same row space W, so the
+    G-orbits of points are the orbits of the other vertices' groups on the
+    pairs (W, other blocks): the reduced codes id(W) * q^e' + (code of the
+    other blocks, in arrow order).  Those groups move W to W.D, where D
+    acts on the columns of each block by g_u^-1 at a sink and g_u^T at a
+    source.
+
+    id(W) is the position of W among the subspaces of F_q^m of dimension
+    <= d_v, by dimension, each dimension in `subspaces_of_dim` order.  The
+    span table holds id(W + F.x) * q^m at id(W) * q^m + x, for dim W < d_v
+    and every row code x (base q, column 0 most significant), so the id of
+    the row space of any stack of at most d_v rows is one add and one
+    gather per row, from the zero subspace.
+
+    The constructor only counts: `build` enumerates the subspaces and fills
+    the span table, once the walk's memory is checked
+    (`_base_change_images`).
+    """
+
+    def __init__(self, quiver: Quiver, ctx: GF, grade: tuple, v: int, sink: bool):
+        self.ctx, self.v, self.sink = ctx, v, sink
+        q, self.d = ctx.q, grade[v]
+        self.groups: List[Tuple[int, int, int]] = []  # (other vertex u, columns lo, hi) per block
+        rows = []  # per block, the digit positions of its part of each row of X
+        for (lo, hi, r, c), (s, t) in zip(_spans(quiver, grade), quiver.arrows):
+            if hi > lo and v in (s, t):  # an arrow into a sink or out of a source
+                pos = np.arange(lo, hi).reshape(r, c)
+                part = pos if sink else pos.T
+                width = sum(p.shape[1] for p in rows)
+                self.groups.append((s if sink else t, width, width + part.shape[1]))
+                rows.append(part)
+        self.rows_at = np.concatenate(rows, axis=1) if rows else np.zeros((self.d, 0), int)
+        self.m = m = self.rows_at.shape[1]
+        others = np.ones(_entry_count(quiver, grade), dtype=bool)
+        others[self.rows_at] = False
+        self.others = np.flatnonzero(others)
+        self.kmax = min(self.d, m)
+        self.offsets = np.cumsum([0] + [gaussian_binomial(m, k, q) for k in range(self.kmax + 1)])
+        self.count = int(self.offsets[-1])
+        self.growable = int(self.offsets[min(self.d, self.kmax + 1)])  # subspaces of dim < d_v
+        self.reduced = self.count * q ** self.others.size
+
+    def nbytes(self, ambient: int) -> int:
+        """The class table of `ambient` points and the span table, 8 bytes
+        an entry, and the RREF bases; the fills' stacks are bounded by
+        `_BLOCK`."""
+        spans = self.growable * self.ctx.q ** self.m
+        return 8 * (ambient + spans) + self.count * self.kmax * self.m
+
+    def build(self) -> None:
+        """Enumerate the subspaces and fill the span table, one dimension k
+        of W at a time: W + F.x is W for the q^k vectors x of W, and for x
+        outside W it is the one U of dimension k + 1 with W a hyperplane of
+        U and x in U.  So each U writes its id at (W, x) for each of its
+        hyperplanes W and the vectors x of U outside W; the hyperplanes are
+        the row spaces of H.C over the hyperplanes H of F^(k+1), for the
+        RREF basis C of U, identified by gathers in the rows of smaller
+        dimension.  Every entry is written once, by scatters of about
+        `_BLOCK` entries; nothing is eliminated."""
+        ctx, q, m, kmax = self.ctx, self.ctx.q, self.m, self.kmax
+        self.bases = np.concatenate([_rref_bases(m, k, q, kmax) for k in range(kmax + 1)])
+        self.span = np.full(self.growable * q ** m, -1, dtype=np.int64)
+        for k in range(kmax + 1):
+            if self.offsets[k] >= self.growable:
+                break
+            inner = _decode_batch(np.arange(q ** k), k, q)
+            for part in _runs(self.offsets[k], self.offsets[k + 1], q ** k):
+                inside = _encode_batch(ctx.matmul(inner, self.bases[part, :k]), q)
+                self.span[part[:, None] * q ** m + inside] = part[:, None] * q ** m
+            if k == kmax:  # W is all of F^m
+                continue
+            hyper = _rref_bases(k + 1, k, q, k)
+            coeffs = _decode_batch(np.arange(q ** (k + 1)), k + 1, q)
+            member = np.zeros((len(hyper), coeffs.shape[0]), dtype=bool)
+            member[np.arange(len(hyper))[:, None],
+                   _encode_batch(ctx.matmul(inner, hyper), q)] = True
+            outside = np.nonzero(~member)[1].reshape(len(hyper), -1)  # coefficient codes off H
+            for part in _runs(self.offsets[k + 1], self.offsets[k + 2], outside.size):
+                basis = self.bases[part, : k + 1]
+                vectors = _encode_batch(ctx.matmul(coeffs, basis), q)
+                planes = _encode_batch(ctx.matmul(hyper, basis[:, None]), q)  # (U, H, k) rows
+                planes = np.asarray(self.ids(np.moveaxis(planes, -1, 0)))[..., None]  # 0 if k = 0
+                self.span[planes * q ** m + vectors[:, outside]] = part[:, None, None] * q ** m
+
+    def ids(self, rows) -> np.ndarray:
+        """The ids of the row spaces of n stacks of at most d_v rows, given
+        as row codes with row i of every stack in rows[i] (no rows: 0, the
+        zero subspace)."""
+        w = 0
+        for row in rows:
+            w = self.span.take(w + row)
+        return w // self.ctx.q ** self.m
+
+    def act(self, u: int, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+        """The table id(W) -> id(W.D) of the generator g at vertex u."""
+        moved = self.bases.copy()
+        for w, lo, hi in self.groups:
+            if w == u:
+                moved[..., lo:hi] = self.ctx.matmul(moved[..., lo:hi], ginv if self.sink else g.T)
+        return self.ids(_encode_batch(moved, self.ctx.q).T)
+
+    def classes(self, labels: np.ndarray, ambient: int) -> Tuple[np.ndarray, List[int], List[int]]:
+        """The class table, first points and sizes of the G-orbits of points,
+        from the labels of the walk of the reduced codes.
+
+        Points go in blocks of q^low consecutive codes, low digits as many
+        as fit in `_BLOCK`.  The row codes of X and the code of the
+        other blocks are linear in the digits, so a block's are one table
+        over its low digits plus one column of a table over the high ones;
+        a point's reduced code is then d_v gathers in the span table.
+        Orbits are met by scanning blocks in code order; the labels are then
+        ranked by the orbit's first point and gathered into the class
+        table.  An orbit's size sums, over its reduced codes, the number of
+        X with row space W: prod_{i < dim W} (q^d_v - q^i)."""
+        q, d, m, n = self.ctx.q, self.d, self.m, int(labels.max()) + 1
+        e, tail = self.rows_at.size + self.others.size, self.others.size
+        low = 0
+        while low < e and q ** (low + 1) <= _BLOCK:
+            low += 1
+        part_of = np.full(e, d)  # each digit's part: a row of X, or d for the other blocks
+        part_of[self.rows_at] = np.arange(d)[:, None]
+        value = np.zeros(e, dtype=np.int64)  # and its place value there
+        value[self.rows_at] = q ** np.arange(m - 1, -1, -1)
+        value[self.others] = q ** np.arange(tail - 1, -1, -1)
+
+        def parts(first, count):  # the parts of the codes of digits first.. over range(q^count)
+            out, codes = np.zeros((d + 1, q ** count), dtype=np.int64), np.arange(q ** count)
+            for t in range(first, first + count):
+                out[part_of[t]] += value[t] * (codes // q ** (first + count - 1 - t) % q)
+            return out
+
+        high_part, low_part = parts(0, e - low).T, parts(e - low, low)
+
+        def block_labels(of, h):  # `of` the reduced codes of the points of block h
+            top = high_part[h]
+            codes = self.ids(low_part[i] + top[i] for i in range(d))
+            return of[codes * q ** tail + (low_part[d] + top[d])]
+
+        first = np.full(n, -1, dtype=np.int64)
+        met, h = np.zeros(n, dtype=bool), 0
+        while not met.all():
+            if h >= high_part.shape[0]:
+                raise CertificateError("orbit first points", None, f"{n} orbits", int(met.sum()))
+            lab = block_labels(labels, h)
+            new = np.flatnonzero(~met[lab])
+            found, at = np.unique(lab[new], return_index=True)
+            first[found], met[found] = h * q ** low + new[at], True
+            h += 1
+        order = np.argsort(first)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        fibre = [math.prod(q ** d - q ** i for i in range(k)) for k in range(self.kmax + 1)]
+        per_w = labels.reshape(self.count, -1)
+        sizes = sum(fibre[k] * np.bincount(per_w[self.offsets[k]: self.offsets[k + 1]].ravel(),
+                                           minlength=n) for k in range(self.kmax + 1))
+        ranked = rank[labels]
+        table = np.empty(ambient, dtype=np.int64).reshape(-1, q ** low)
+        for h in range(table.shape[0]):
+            table[h] = block_labels(ranked, h)
+        return table.reshape(-1), first[order].tolist(), sizes[order].tolist()
+
+
+def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps,
+                        spaces: Optional[_RowSpaces] = None
+                        ) -> Callable[[np.ndarray], np.ndarray]:
+    """The `images` of an orbit walk over the point codes of `grade`, or with
+    `spaces` over its reduced codes.  The table of a generator (v, g) at an
+    arrow at v maps each block code to (image block code - block code) * the
+    place value of the block; with `spaces`, the generators are those of the
+    vertices but the reduced one, and a generator that moves W has one more
+    table, from W's id to the shift of the reduced code (`_RowSpaces.act`).
+
+    Memory is checked first: ten bytes per walked code and eight per table
+    entry, with `spaces` also its class and span tables, which it then
+    fills."""
+    q = ctx.q
+    skip = None if spaces is None else spaces.v
+    spans = _spans(quiver, grade, skip)
+    e = spans[-1][1] if spans else 0
+    walked = q ** e * (1 if spaces is None else spaces.count)
+    gens = [(v, g.a, g.inverse().a) for v in range(quiver.n) if v != skip
+            for g in _gl_generators(ctx, grade[v])]
+    at = [[i for i, (s, t) in enumerate(quiver.arrows)
+           if v in (s, t) and spans[i][1] > spans[i][0]] for v, _, _ in gens]
+    moves_w = [spaces is not None and any(u == v for u, _, _ in spaces.groups)
+               for v, _, _ in gens]
+    caps.check_memory(walked * 10 + 8 * sum(q ** (spans[i][1] - spans[i][0])
+                                            for arrows in at for i in arrows)
+                      + (0 if spaces is None else 8 * spaces.count * sum(moves_w)
+                         + spaces.nbytes(q ** _entry_count(quiver, grade))))
+    radix: Dict[int, Tuple[int, int]] = {}  # arrow (-1: W) -> (place value, code count)
+    tables = []
+    if spaces is not None:
+        spaces.build()
+        radix[-1] = (q ** e, spaces.count)
+    for (v, g, ginv), arrows, moved in zip(gens, at, moves_w):
+        tables.append([])
+        for i in arrows:
+            (lo, hi, r, c), (s, t) = spans[i], quiver.arrows[i]
+            codes = np.arange(q ** (hi - lo), dtype=np.int64)
+            block = _decode_batch(codes, hi - lo, q).reshape(-1, r, c)
+            if t == v:
+                block = ctx.matmul(g, block)
+            if s == v:
+                block = ctx.matmul(block, ginv)
+            image = _encode_batch(block.reshape(codes.size, -1), q)
+            radix[i] = (q ** (e - hi), codes.size)
+            tables[-1].append((i, (image - codes) * radix[i][0]))
+        if moved:
+            ids = np.arange(spaces.count, dtype=np.int64)
+            tables[-1].append((-1, (spaces.act(v, g, ginv) - ids) * q ** e))
+
+    def images(codes: np.ndarray) -> np.ndarray:
+        blocks = {i: codes // scale % size for i, (scale, size) in radix.items()}
+        out = np.tile(codes, len(tables))  # a grade without generators has no images
+        for k, acts in enumerate(tables):
+            image = out[k * codes.size: (k + 1) * codes.size]
+            for i, delta in acts:
+                image += delta[blocks[i]]
+        return out
+
+    return images

@@ -7,21 +7,25 @@ is built in one of three ways, and the build leaves on it what identifies
 its representations:
 
 * orbit mode: when the ambient tuple space q^(#matrix entries) fits under
-  the cap, the base-change orbits are walked exactly by `_walk_orbits`,
-  the one breadth-first walk of this module (it also groups extension
-  cocycles below).  The canonical representative is the
-  lexicographically least matrix tuple of the orbit and the automorphism
-  order is group order / orbit size.  The walk works on base-q codes: a
-  generator (v, g) of prod_v GL(d_v) acts on each arrow block on its own
-  (M -> gM into v, M -> Mg^-1 out of v, both on a loop), so one table per
-  (generator, arrow at v), built once per grade, maps each block code to
-  the shift of the point's code, and an image is the code plus one table
-  entry per block at v (`_base_change_images`).  The tables, each no
-  larger than the ambient space, are counted with the walk's dense arrays
-  against the memory cap.  The slice's `table` maps the base-q code of
-  every point to its class; the zero grade has the one-entry table of the
-  zero representation.  A nilpotent-only walk
-  skips the points its one nilpotency mask excludes; the mask reads the
+  the cap, the base-change orbits are walked exactly on base-q codes
+  (`orbits`: `_walk_orbits`, the one breadth-first walk, which also
+  groups extension cocycles below, and `_base_change_images`).  The
+  canonical representative is the lexicographically least matrix tuple
+  of the orbit and the automorphism order is group order / orbit size.
+  The slice's `table` maps the base-q code of every point to its class;
+  the zero grade has the one-entry table of the zero representation.
+
+  Above `_REDUCE_ABOVE` points, a grade whose support has a loop-free sink
+  or source walks the row spaces there instead of the points
+  (`orbits._RowSpaces`), at the vertex whose reduced space, subspaces of
+  dim <= d_v times the codes of the other blocks, is smallest, chosen
+  from Gaussian binomials (`_row_spaces`).  Its class table, first points
+  and sizes are those of the point walk.  A grade whose subspaces would
+  exceed the `subspace_enum` cap, or whose reduced walk would not fit in
+  memory, keeps the point walk, as do full-support cyclic grades and the
+  one-loop quiver, which have no sink or source.  A nilpotent-only point
+  walk skips the points its one nilpotency mask excludes (a reduced
+  grade's support is acyclic, so it has none to skip); the mask reads the
   composite around the cycle through one product table per arrow and a
   table of the nilpotent square codes, built once per grade
   (`_nilpotent_mask`), and is filled over blocks of a fixed number of
@@ -80,7 +84,10 @@ prepares its candidates.
 
 Every slice must pass the exact mass identity sum over classes of
 |G| / |Aut| = #points of the ambient space, which certifies completeness
-and all automorphism orders at once.  In a nilpotent-only registry the
+and all automorphism orders at once.  An orbit slice also checks each
+class on its own: |G| / orbit size must be |Aut| as the structure of End
+gives it, q^(dim rad) times the orders of the GL_m(F_q^t) of its summands
+(orbit-stabilizer).  In a nilpotent-only registry the
 points are the nilpotent ones: q^(n(n-1)) on the one-loop quiver
 (Fine-Herstein), in either mode, and on a cyclic quiver the points the
 orbit walk's mask kept.
@@ -101,7 +108,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,6 +116,8 @@ from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, CertificateError, HallforgeError
 from .gf import GF, Mat, gl_order, subspaces_of_dim
 from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
+from .orbits import (_base_change_images, _decode_batch, _encode_batch, _entry_count,
+                     _RowSpaces, _spans, _walk_orbits)
 from .quiver import Quiver, classify_type, euler_form
 from .reps import (Rep, aut_order_from_summands, digit_rows, direct_sum_all, end_basis,
                    end_splits, first_isomorphic, is_nilpotent_rep, pri_of_defect,
@@ -116,7 +125,7 @@ from .reps import (Rep, aut_order_from_summands, digit_rows, direct_sum_all, end
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 _MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
-_SCAN_BLOCK = 1 << 12  # labels per block of the orbit walk's first-point scan
+_REDUCE_ABOVE = 1 << 7  # points above which an orbit walk is reduced at a sink or source
 
 
 @dataclass
@@ -149,19 +158,6 @@ class IsoClass:
 # encoding of representations as base-q integers (orbit mode)
 
 
-def _entry_count(quiver: Quiver, dims: Sequence) -> int:
-    return sum(dims[s] * dims[t] for (s, t) in quiver.arrows)
-
-
-def _spans(quiver: Quiver, dims: Sequence) -> List[tuple]:
-    """(start, stop, rows, cols) of each arrow's block of the digit vector."""
-    out, pos = [], 0
-    for (s, t) in quiver.arrows:
-        out.append((pos, pos + dims[t] * dims[s], dims[t], dims[s]))
-        pos = out[-1][1]
-    return out
-
-
 def _rep_of(quiver: Quiver, ctx: GF, grade: tuple, digits: np.ndarray) -> Rep:
     """The representation of `grade` with one digit row."""
     return Rep(quiver, ctx, grade, tuple(
@@ -173,122 +169,6 @@ def decode_rep(quiver: Quiver, ctx: GF, dims: tuple, code: int) -> Rep:
     """The representation of a point of an orbit walk's table (code < 2^63)."""
     digits = _decode_batch(np.array([code]), _entry_count(quiver, dims), ctx.q)[0]
     return _rep_of(quiver, ctx, dims, digits)
-
-
-def _decode_batch(codes: np.ndarray, e: int, q: int) -> np.ndarray:
-    out = np.empty((codes.size, e), dtype=np.uint8)
-    c = codes.astype(np.int64).copy()
-    for t in range(e - 1, -1, -1):
-        out[:, t] = c % q
-        c //= q
-    return out
-
-
-def _encode_batch(digits: np.ndarray, q: int) -> np.ndarray:
-    c = np.zeros(digits.shape[0], dtype=np.int64)
-    for t in range(digits.shape[1]):
-        c = c * q + digits[:, t]
-    return c
-
-
-def _walk_orbits(labels: np.ndarray, images: Callable[[np.ndarray], np.ndarray]
-                 ) -> Tuple[List[int], List[int]]:
-    """Label the unlabeled points (-1) of `labels` by orbit number, in order
-    of first point, and return the first point and size of each orbit.
-
-    `images(points)` returns the images of `points` under every generator,
-    as one array; the walk is breadth-first from each orbit's first point.
-    Points with another negative label are excluded and stay as they are.
-    Every step is an array pass: the next first point is found by scanning
-    blocks of `_SCAN_BLOCK` labels, and each frontier is deduplicated by
-    writing a distinct tag (-3, -4, ...) per unlabeled image and keeping the
-    one image per point whose tag survived.
-    """
-    firsts, sizes = [], []
-    start = 0
-    while True:
-        while start < labels.size:
-            hit = np.flatnonzero(labels[start:start + _SCAN_BLOCK] == -1)
-            if hit.size:
-                start += int(hit[0])
-                break
-            start += _SCAN_BLOCK
-        if start >= labels.size:
-            return firsts, sizes
-        labels[start] = len(firsts)
-        frontier, size = np.array([start]), 1
-        while frontier.size:
-            found = images(frontier)
-            found = found[labels[found] == -1]
-            tags = -3 - np.arange(found.size)
-            labels[found] = tags
-            frontier = found[labels[found] == tags]
-            labels[frontier] = len(firsts)
-            size += frontier.size
-        firsts.append(start)
-        sizes.append(size)
-
-
-def _gl_generators(ctx: GF, n: int) -> List[Mat]:
-    """Small generating set of GL_n(q) (as a semigroup it still generates)."""
-    if n == 0:
-        return []
-    gens = []
-    if ctx.q > 2:
-        d = np.eye(n, dtype=np.uint8)
-        d[0, 0] = ctx.generator
-        gens.append(Mat(ctx, d))
-    if n >= 2:
-        cyc = np.zeros((n, n), dtype=np.uint8)
-        for i in range(n):
-            cyc[i, (i + 1) % n] = 1
-        gens.append(Mat(ctx, cyc))
-        tv = np.eye(n, dtype=np.uint8)
-        tv[0, 1] = 1
-        gens.append(Mat(ctx, tv))
-    return gens
-
-
-def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps
-                        ) -> Callable[[np.ndarray], np.ndarray]:
-    """The `images` of an orbit walk over the point codes of `grade`.  The
-    table of a generator (v, g) at an arrow at v maps each block code to
-    (image block code - block code) * the place value of the block."""
-    q = ctx.q
-    spans = _spans(quiver, grade)
-    e = _entry_count(quiver, grade)
-    gens = [(v, g.a, g.inverse().a) for v in range(quiver.n)
-            for g in _gl_generators(ctx, grade[v])]
-    at = [[i for i, (s, t) in enumerate(quiver.arrows)
-           if v in (s, t) and spans[i][1] > spans[i][0]] for v, _, _ in gens]
-    caps.check_memory(q ** e * 10 + 8 * sum(q ** (spans[i][1] - spans[i][0])
-                                            for arrows in at for i in arrows))
-    radix: Dict[int, Tuple[int, int]] = {}  # arrow -> (place value, code count) of its block
-    tables = []
-    for (v, g, ginv), arrows in zip(gens, at):
-        tables.append([])
-        for i in arrows:
-            (lo, hi, r, c), (s, t) = spans[i], quiver.arrows[i]
-            codes = np.arange(q ** (hi - lo), dtype=np.int64)
-            block = _decode_batch(codes, hi - lo, q).reshape(-1, r, c)
-            if t == v:
-                block = ctx.matmul(g, block)
-            if s == v:
-                block = ctx.matmul(block, ginv)
-            image = _encode_batch(block.reshape(codes.size, -1), q)
-            radix[i] = (q ** (e - hi), codes.size)
-            tables[-1].append((i, (image - codes) * radix[i][0]))
-
-    def images(codes: np.ndarray) -> np.ndarray:
-        blocks = {i: codes // scale % size for i, (scale, size) in radix.items()}
-        out = np.tile(codes, len(tables))  # a grade without generators has no images
-        for k, acts in enumerate(tables):
-            image = out[k * codes.size: (k + 1) * codes.size]
-            for i, delta in acts:
-                image += delta[blocks[i]]
-        return out
-
-    return images
 
 
 # ---------------------------------------------------------------------------
@@ -681,18 +561,9 @@ class IsoRegistry:
     def _build_orbit(self, grade: tuple) -> Tuple[GradeSlice, int]:
         """The orbit slice of `grade` and its number of points."""
         quiver, ctx = self.quiver, self.ctx
-        e = _entry_count(quiver, grade)
-        ambient = ctx.q ** e
-        images = _base_change_images(quiver, ctx, grade, self.caps)
-        class_of = np.full(ambient, -1, dtype=np.int64)
-        points = ambient
-        if self.nilpotent_only:
-            nilpotent = self._nilpotent_mask(grade, e, ambient)
-            class_of[~nilpotent] = -2  # excluded from this registry
-            points = self.ambient_count(grade) if self._is_one_loop else int(nilpotent.sum())
+        table, seeds, sizes, points = self._orbit_partition(grade)
         group = self.group_order(grade)
-        sl = GradeSlice(grade, "orbit", table=class_of)
-        seeds, sizes = _walk_orbits(class_of, images)
+        sl = GradeSlice(grade, "orbit", table=table)
         for size in sizes:
             if group % size:
                 raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
@@ -701,11 +572,72 @@ class IsoRegistry:
             counts: Dict[ClassKey, int] = {}
             basis = self._summands(canon, counts, split=split)
             if counts:
-                self._add_class(sl, canon, group // size, tuple(sorted(counts.items())), end=basis)
+                summands, res = tuple(sorted(counts.items())), None
+                data = [(mult, self.cls(key).res_degree) for key, mult in summands]
             else:
-                self._add_class(sl, canon, group // size,
-                                res_degree=residue_degree(canon, basis), end=basis)
+                summands, res = None, residue_degree(canon, basis)
+                data = [(1, res)]
+            # orbit-stabilizer: |G| / orbit size is |Aut| as End's structure gives it
+            aut = aut_order_from_summands(len(basis), data, ctx.q)
+            if aut != group // size:
+                raise CertificateError("orbit-stabilizer", grade, group // size, aut)
+            self._add_class(sl, canon, aut, summands, res_degree=res, end=basis)
         return sl, points
+
+    def _orbit_partition(self, grade: tuple) -> Tuple[np.ndarray, List[int], List[int], int]:
+        """The class table of the orbit walk of `grade` (negative on excluded
+        points), the first point and size of each orbit in order of first
+        point, and the number of points.
+
+        Above `_REDUCE_ABOVE` points the walk is over the reduced codes of
+        `_row_spaces` when it names a vertex; below that the reduction's
+        fixed cost is more than the whole point walk.  A reduced walk that
+        would not fit under the memory cap falls back to the point walk.  A
+        nilpotent-only grade that reduces has an acyclic support (a cyclic
+        quiver's support with a sink or source), so every one of its points
+        is nilpotent."""
+        quiver, ctx = self.quiver, self.ctx
+        e = _entry_count(quiver, grade)
+        ambient = ctx.q ** e
+        spaces = self._row_spaces(grade) if ambient > _REDUCE_ABOVE else None
+        if spaces is not None:
+            try:
+                images = _base_change_images(quiver, ctx, grade, self.caps, spaces)
+            except CapExceeded:  # the point walk may still fit
+                pass
+            else:
+                labels = np.full(spaces.reduced, -1, dtype=np.int64)
+                _walk_orbits(labels, images)
+                return spaces.classes(labels, ambient) + (ambient,)
+        images = _base_change_images(quiver, ctx, grade, self.caps)
+        class_of = np.full(ambient, -1, dtype=np.int64)
+        points = ambient
+        if self.nilpotent_only:
+            nilpotent = self._nilpotent_mask(grade, e, ambient)
+            class_of[~nilpotent] = -2  # excluded from this registry
+            points = self.ambient_count(grade) if self._is_one_loop else int(nilpotent.sum())
+        seeds, sizes = _walk_orbits(class_of, images)
+        return class_of, seeds, sizes, points
+
+    def _row_spaces(self, grade: tuple) -> Optional[_RowSpaces]:
+        """The reduction of the orbit walk of `grade`: at the loop-free sink
+        or source of its support whose reduced space is smallest, chosen
+        from Gaussian binomials before anything is built.  None keeps the
+        point walk: when no such vertex has arrows to the support, or the
+        reduced space is no smaller than the ambient one, or the subspaces
+        would fail the `subspace_enum` cap."""
+        best, ambient = None, self.ctx.q ** _entry_count(self.quiver, grade)
+        for v in range(self.quiver.n):
+            if grade[v] == 0:
+                continue
+            for sink, far, near in ((True, 1, 0), (False, 0, 1)):
+                if any(arrow[near] == v and grade[arrow[far]] for arrow in self.quiver.arrows):
+                    continue  # an arrow leaves the sink (enters the source), or a loop
+                spaces = _RowSpaces(self.quiver, self.ctx, grade, v, sink)
+                if (spaces.m and spaces.count <= self.caps.max_subspace_enum
+                        and spaces.reduced < (ambient if best is None else best.reduced)):
+                    best = spaces
+        return best
 
     def _nilpotent_mask(self, grade: tuple, e: int, ambient: int) -> np.ndarray:
         """Boolean mask of nilpotent points (cyclic and one-loop quivers).

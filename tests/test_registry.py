@@ -22,9 +22,9 @@ from hallforge.gf import GF, Mat, gl_order, subspaces_of_dim
 from hallforge.oneloop import OneLoopIndex
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
                               d4_star_out, dual_quiver, jordan, kronecker)
-from hallforge import registry, reps
-from hallforge.registry import (IsoRegistry, SinkExtensions, SplitIndex,
-                                _base_change_images, _gl_generators, decode_rep)
+from hallforge import orbits, registry, reps
+from hallforge.orbits import _base_change_images, _gl_generators
+from hallforge.registry import IsoRegistry, SinkExtensions, SplitIndex, decode_rep
 from hallforge.reps import (Rep, aut_order_from_summands, dualize_rep, hom_dim,
                             is_nilpotent_rep, is_stable, krull_schmidt, rep_with_dims,
                             simple_rep, sub_quotient)
@@ -787,6 +787,19 @@ def test_base_change_tables_match_matmul_property(case):
     assert images.tolist() == [row[k] for k in range(len(expect[0])) for row in expect]
 
 
+@pytest.mark.parametrize("q, e", [(2, 5), (3, 12), (4, 33)])
+def test_encode_batch_matches_horner_loop(q, e):
+    # one product with the place values gives the codes of c * q + d digit by
+    # digit, int64 wrap-around included (4^33 > 2^63)
+    digits = np.random.default_rng(e).integers(0, q, (50, e)).astype(np.uint8)
+    codes = np.zeros(50, dtype=np.int64)
+    for t in range(e):
+        codes = codes * q + digits[:, t]
+    assert np.array_equal(orbits._encode_batch(digits, q), codes)
+    assert np.array_equal(orbits._encode_batch(digits.reshape(5, 10, e), q),
+                          codes.reshape(5, 10))
+
+
 def test_memory_cap_counts_action_tables(monkeypatch):
     # jordan (4,) over GF(2): 10 bytes per point of 2^16 fit in 1 MB, the
     # two generators' 8-byte tables of 2^16 loop codes on top do not
@@ -798,15 +811,16 @@ def test_memory_cap_counts_action_tables(monkeypatch):
     assert err.value.what == "memory_mb"
 
 
-def test_orbit_walk_images_do_not_decode(monkeypatch):
-    # the tables are built before the walk and the first points decoded
-    # after it; the walk's images read the tables only
-    walking, walks, decoded = [False], [], []
-    decode, walk = registry._decode_batch, registry._walk_orbits
+def _walks_flagging(monkeypatch, modules, attr, build):
+    """Run `build` with `attr` of each of `modules` wrapped to record whether
+    each call falls inside an orbit walk; return the walks' label counts and
+    the flags."""
+    walking, walks, calls = [False], [], []
+    original, walk = getattr(modules[0], attr), registry._walk_orbits
 
-    def counted(codes, e, q):
-        decoded.append(walking[0])
-        return decode(codes, e, q)
+    def counted(*args, **kwargs):
+        calls.append(walking[0])
+        return original(*args, **kwargs)
 
     def flagged(labels, images):
         walking[0] = True
@@ -816,35 +830,185 @@ def test_orbit_walk_images_do_not_decode(monkeypatch):
         finally:
             walking[0] = False
 
-    monkeypatch.setattr(registry, "_decode_batch", counted)
+    for module in modules:
+        monkeypatch.setattr(module, attr, counted)
     monkeypatch.setattr(registry, "_walk_orbits", flagged)
+    build()
+    return walks, calls
+
+
+def _point_walk_cyclic():
+    # full support on a cycle: no sink or source, so the 2^12 points are walked
+    reg = IsoRegistry(cyclic_quiver(3), F2, nilpotent_only=True)
+    assert reg.slice((2, 2, 2)).mode == "orbit" and reg._row_spaces((2, 2, 2)) is None
+
+
+def _reduced_walk_kronecker():
+    # (2,2) over GF(3) walks the 171 subspaces of F_3^4 of dim <= 2, not 3^8 points
     reg = IsoRegistry(kronecker(), F3)
-    assert reg.slice((2, 2)).mode == "orbit"
-    assert 3 ** 8 in walks and decoded and not any(decoded)
+    assert reg.slice((2, 2)).mode == "orbit" and reg._row_spaces((2, 2)).count == 171
+
+
+def test_orbit_walk_images_do_not_decode(monkeypatch):
+    # the tables are built before the walk and the first points decoded
+    # after it; the walk's images read the tables only
+    walks, decoded = _walks_flagging(monkeypatch, (orbits, registry), "_decode_batch",
+                                     _point_walk_cyclic)
+    assert 2 ** 12 in walks and decoded and not any(decoded)
+
+
+def test_reduced_orbit_walk_images_do_not_decode(monkeypatch):
+    # the span and W tables are built before the reduced walk and the class
+    # table is filled after it
+    walks, decoded = _walks_flagging(monkeypatch, (orbits, registry), "_decode_batch",
+                                     _reduced_walk_kronecker)
+    assert 171 in walks and 3 ** 8 not in walks and decoded and not any(decoded)
 
 
 def test_orbit_walk_makes_no_sort(monkeypatch):
     # seeds come from block scans and frontiers from tag writes, not np.unique
-    walking, walks, sorts = [False], [], []
-    unique, walk = np.unique, registry._walk_orbits
+    walks, sorts = _walks_flagging(monkeypatch, (np,), "unique", _point_walk_cyclic)
+    assert 2 ** 12 in walks and not any(sorts)
 
-    def counted(*args, **kwargs):
-        sorts.append(walking[0])
-        return unique(*args, **kwargs)
 
-    def flagged(labels, images):
-        walking[0] = True
-        walks.append(labels.size)
-        try:
-            return walk(labels, images)
-        finally:
-            walking[0] = False
+def test_reduced_orbit_walk_makes_no_sort(monkeypatch):
+    walks, sorts = _walks_flagging(monkeypatch, (np,), "unique", _reduced_walk_kronecker)
+    assert 171 in walks and not any(sorts)
 
-    monkeypatch.setattr(np, "unique", counted)
-    monkeypatch.setattr(registry, "_walk_orbits", flagged)
+
+def _partition_digest(reg, grade, reduce):
+    """sha256 of the class table, first points, sizes and point count of the
+    walk of `grade`: reduced wherever `_row_spaces` allows (even below
+    `_REDUCE_ABOVE` points), or the point walk."""
+    with pytest.MonkeyPatch.context() as patch:
+        if reduce:
+            patch.setattr(registry, "_REDUCE_ABOVE", 0)
+        else:
+            patch.setattr(IsoRegistry, "_row_spaces", lambda self, grade: None)
+        table, firsts, sizes, points = reg._orbit_partition(grade)
+    return hashlib.sha256(table.tobytes() + json.dumps([firsts, sizes, points]).encode()
+                          ).hexdigest()
+
+
+# (quiver, q, nilpotent-only, grades): every orbit grade of Kronecker up to
+# (3,3) at q = 2, 3 and 4, a2-acyclic (blocks away from the reduced vertex),
+# d4-star, and partial-support cyclic3 nilpotent grades; zero-dimension
+# vertices throughout
+REDUCTION_CASES = {
+    "kronecker-q2": (kronecker(), 2, False, (3, 3)),
+    "kronecker-q3": (kronecker(), 3, False, (3, 3)),
+    "kronecker-q4": (kronecker(), 4, False, (3, 3)),
+    "a2-acyclic-q2": (affine_a2_acyclic(), 2, False, (2, 2, 2)),
+    "a2-acyclic-q3": (affine_a2_acyclic(), 3, False, (1, 2, 1)),
+    "d4-star-q2": (d4_star_out(), 2, False, (2, 1, 1, 1, 1)),
+    "cyclic3-nilpotent-q2": (cyclic_quiver(3), 2, True, (2, 2, 2)),
+    "cyclic3-nilpotent-q3": (cyclic_quiver(3), 3, True, (2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("quiver, q, nilpotent, top", REDUCTION_CASES.values(),
+                         ids=REDUCTION_CASES.keys())
+def test_reduced_orbit_walk_matches_point_walk(quiver, q, nilpotent, top):
+    # same class table, first points, sizes and point count, by sha256
+    reg = IsoRegistry(quiver, GF.of_q(q), nilpotent_only=nilpotent)
+    reduced = 0
+    for g in reg.grades_below(top):
+        if not any(g) or q ** registry._entry_count(quiver, g) > reg.caps.max_tuple_count:
+            continue
+        reduced += reg._row_spaces(g) is not None
+        assert _partition_digest(reg, g, True) == _partition_digest(reg, g, False), g
+    assert reduced
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_quiver_grade_codes())
+def test_reduced_orbit_walk_matches_point_walk_property(case):
+    # random quivers with loops, cycles and parallel arrows
+    quiver, q, grade, _ = case
+    reg = IsoRegistry(quiver, GF.of_q(q))
+    assert _partition_digest(reg, grade, True) == _partition_digest(reg, grade, False)
+
+
+@pytest.mark.parametrize("q, m, d", [(2, 4, 3), (3, 4, 2), (4, 3, 3), (2, 5, 1)])
+def test_row_space_ids_match_subspace_enumeration(q, m, d):
+    # ids follow `subspaces_of_dim` order, and the span gathers of any stack
+    # of d rows give the id of its row space (the oracle: its RREF's position)
+    ctx = GF.of_q(q)
+    spaces = orbits._RowSpaces(kronecker(m), ctx, (1, d), 1, True)
+    spaces.build()
+    bases = [b for k in range(spaces.kmax + 1) for b in subspaces_of_dim(m, k, ctx)]
+    assert spaces.count == len(bases)
+    assert all(np.array_equal(spaces.bases[i, : b.rows], b.a) for i, b in enumerate(bases))
+    position = {b.a.tobytes(): i for i, b in enumerate(bases)}
+    rng = np.random.default_rng(q * 100 + m * 10 + d)
+    stacks = rng.integers(0, q, (300, d, m)).astype(np.uint8)
+    stacks[:50, 1:] = 0  # low ranks too
+    ids = spaces.ids(orbits._encode_batch(stacks, q).T)
+    for stack, got in zip(stacks, ids.tolist()):
+        red, rank, _ = Mat(ctx, stack).rref()
+        assert got == position[red.a[:rank].tobytes()]
+
+
+def test_reduction_skips_vertices_past_the_subspace_cap():
+    # (2,3) over GF(3) reduces at the sink through 211 subspaces; under a
+    # smaller subspace cap it keeps the point walk and builds the same slice
     reg = IsoRegistry(kronecker(), F3)
-    assert reg.slice((2, 2)).mode == "orbit"
-    assert 3 ** 8 in walks and not any(sorts)
+    small = IsoRegistry(kronecker(), F3, Caps(max_subspace_enum=210))
+    assert reg._row_spaces((2, 3)).count == 211 and small._row_spaces((2, 3)) is None
+    assert _partition_digest(reg, (2, 3), True) == _partition_digest(small, (2, 3), True)
+
+
+def test_reduced_build_checks_memory_before_the_span_table(monkeypatch):
+    reg = IsoRegistry(kronecker(), F3)
+    assert reg._row_spaces((2, 2)) is not None
+    built = []
+    monkeypatch.setattr(orbits._RowSpaces, "build", lambda self: built.append(self))
+    monkeypatch.setenv("HALLFORGE_CAP_MB", "0")
+    with pytest.raises(CapExceeded) as err:
+        reg.slice((2, 2))
+    assert err.value.what == "memory_mb" and not built and not reg.slices
+
+
+def test_reduced_walk_over_the_memory_cap_falls_back_to_the_point_walk(monkeypatch):
+    # a loop at 0 and an arrow 0 -> 1, grade (3,1) over GF(3): the walk at the
+    # sink is estimated at 7.1 MB (a class table beside its labels), the point
+    # walk at 5.5 MB, so under a 7 MB cap the grade builds by the point walk
+    reg = IsoRegistry(Quiver(("0", "1"), ((0, 0), (0, 1))), F3)
+    assert reg._row_spaces((3, 1)) is not None
+    expect = _partition_digest(reg, (3, 1), True)
+    built = []
+    monkeypatch.setattr(orbits._RowSpaces, "build", lambda self: built.append(self))
+    monkeypatch.setenv("HALLFORGE_CAP_MB", "7")
+    assert _partition_digest(reg, (3, 1), True) == expect and not built
+
+
+def test_orbit_stabilizer_certificate_survives_python_O():
+    # two orbit sizes swapped: both still divide |G| and the walk is not
+    # touched, but |G| / size no longer matches |Aut| from End's structure
+    code = (
+        "from hallforge.errors import CertificateError\n"
+        "from hallforge.gf import GF\n"
+        "from hallforge.quiver import kronecker\n"
+        "from hallforge.registry import IsoRegistry\n"
+        "partition = IsoRegistry._orbit_partition\n"
+        "def swapped(self, grade):\n"
+        "    table, firsts, sizes, points = partition(self, grade)\n"
+        "    if grade == (1, 1):\n"
+        "        sizes[0], sizes[-1] = sizes[-1], sizes[0]\n"
+        "    return table, firsts, sizes, points\n"
+        "IsoRegistry._orbit_partition = swapped\n"
+        "try:\n"
+        "    IsoRegistry(kronecker(), GF.of(3)).slice((1, 1))\n"
+        "except CertificateError as err:\n"
+        "    print(err.what, err.grade, err.expected, err.got)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    # the zero representation S1 + S2 has |Aut| = (q - 1)^2 = 4, but with the
+    # last orbit's size 2 in place of its size 1, |G| / size reads 4 / 2
+    assert proc.stdout.strip() == "orbit-stabilizer (1, 1) 2 4"
 
 
 @st.composite
