@@ -181,8 +181,11 @@ def cmd_enumerate(args) -> int:
     grades = grades_of(args, quiver, hall)
     qt = hall.registry.qtype
     if qt is not None and qt.tag == "affine" and quiver.is_acyclic():
+        # only grades of defect 0 hold regular indecomposables, and tube ids
+        # sort by degree first, so the other grades need no larger tubes
         r = max((max((g[i] + qt.delta[i] - 1) // qt.delta[i] for i in range(quiver.n))
-                 for g in grades if any(g)), default=0)
+                 for g in grades if any(g) and qv.euler_form(quiver, qt.delta, g) == 0),
+                default=0)
         if r:
             tube_decomposition(hall, r)  # fills tube ids on the registry
     emit(args, hall.registry.export_jsonl(grades))

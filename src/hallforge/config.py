@@ -32,15 +32,19 @@ class Caps:
         if estimate > cap:
             raise CapExceeded(what, estimate, cap)
 
-    def check_memory(self, nbytes: int) -> None:
+    def memory_bytes(self) -> int:
+        """The memory cap in bytes, from HALLFORGE_CAP_MB (default 4096)."""
         raw = os.environ.get("HALLFORGE_CAP_MB", "4096")
         try:
-            cap_mb = int(raw)
+            return int(raw) * 1024 * 1024
         except ValueError:
             raise HallforgeError(f"HALLFORGE_CAP_MB must be a whole number of megabytes, "
                                  f"got {raw!r}") from None
-        if nbytes > cap_mb * 1024 * 1024:
-            raise CapExceeded("memory_mb", nbytes // (1024 * 1024), cap_mb)
+
+    def check_memory(self, nbytes: int) -> None:
+        cap = self.memory_bytes()
+        if nbytes > cap:
+            raise CapExceeded("memory_mb", nbytes // (1024 * 1024), cap // (1024 * 1024))
 
 
 DEFAULT_CAPS = Caps()

@@ -44,7 +44,7 @@ from .oneloop import a_lambda, one_loop_rep, partitions_of
 from .quiver import (Quiver, classify_type, euler_form, restrict_dim, subquiver_on,
                      support, support_is_connected, symmetrized_form)
 from .registry import ClassKey
-from .reps import Rep, simple_rep
+from .reps import Rep, simple_rep, unique_rows
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +91,24 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
     if support_keys is not None:
         allowed = set(support_keys)
         cols = [k for k in cols if k in allowed]
-    censuses = [reg.census(k) for k in cols]
+    censuses = list(reg.censuses(cols).values())
     pairs = sorted({
         pair for census in censuses for pair in census
         if all(any(k[0]) and (not regular_only or reg.cls(k).pri_class == "regular")
                for k in pair)
     })
-    rows = []
-    seen = set()
-    for pair in pairs:
-        row = tuple(census.get(pair, 0) for census in censuses)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    if rows:
-        kernel = kernel_basis_exact(rows)
+    # scattered into one integer array, rows by the sorted pairs; the kernel
+    # is independent of row order and repeats, so repeated rows are dropped
+    at = {pair: i for i, pair in enumerate(pairs)}
+    table = np.zeros((len(pairs), len(cols)), dtype=np.int64)
+    for j, census in enumerate(censuses):
+        hits = [(at[pair], count) for pair, count in census.items() if pair in at]
+        if hits:
+            where, counts = zip(*hits)
+            table[list(where), j] = counts
+    if pairs:
+        table = table[unique_rows(table)[0]]
+        kernel = kernel_basis_exact(table)
     else:
         kernel = [[Fraction(1 if j == i else 0) for j in range(len(cols))]
                   for i in range(len(cols))]
@@ -227,8 +230,11 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
         return x
 
     regular_simples = set()
+    censuses: Dict[ClassKey, dict] = {}
+    for g in dict.fromkeys(k[0] for k in members):  # each grade's members as one stack
+        censuses.update(reg.censuses([k for k in members if k[0] == g]))
     for k in members:
-        census = reg.census(k)
+        census = censuses[k]
         for part in {part for pair in census for part in pair}:
             for j, _m in reg.cls(part).summands:
                 if reg.cls(j).pri_class == "regular":

@@ -5,7 +5,9 @@ route it takes is chosen by its input.
 the bottom, and its pivot columns; `matrix_rank` and `kernel_basis_exact`
 read theirs off it.  Entries come back as Fractions on both routes.
 
-Rows whose entries are all Python ints take a certified modular route: RREF
+An integer ndarray, or rows whose entries are all Python ints, take a
+certified modular route, chosen by the array's dtype without looking at its
+entries: RREF
 modulo 31-bit primes in numpy int64, Chinese remaindering and rational
 reconstruction of the entries in the free columns, then a check A v = 0 over
 Z, in Python ints, of the kernel basis that this RREF gives.  The
@@ -34,24 +36,27 @@ import numpy as np
 from .errors import CertificateError
 
 
-def row_reduce(rows: List[list]) -> Tuple[List[List[Fraction]], List[int]]:
+def row_reduce(rows) -> Tuple[List[List[Fraction]], List[int]]:
     """RREF of a rational matrix, zero rows kept at the bottom, and its
-    pivot columns: modular for all-int rows, Gauss-Jordan otherwise."""
-    if not rows:
+    pivot columns: modular for an integer ndarray or all-int rows,
+    Gauss-Jordan otherwise."""
+    if len(rows) == 0:
         return [], []
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        return _row_reduce_int(rows)
     if all(isinstance(x, int) for r in rows for x in r):
         return _row_reduce_int(rows)
     return _gauss_jordan(rows)
 
 
-def matrix_rank(rows: List[list]) -> int:
+def matrix_rank(rows) -> int:
     return len(row_reduce(rows)[1])
 
 
-def kernel_basis_exact(rows: List[list]) -> List[List[Fraction]]:
+def kernel_basis_exact(rows) -> List[List[Fraction]]:
     """Right kernel basis: one vector per free column of the RREF, 1 there,
     0 in the other free columns."""
-    if not rows:
+    if len(rows) == 0:
         return []
     red, pivots = row_reduce(rows)
     return _kernel_of_rref(red, pivots, len(rows[0]))
@@ -178,7 +183,7 @@ def _reconstruct(u: int, m: int) -> Optional[Fraction]:
     return Fraction(r1, s1)
 
 
-def _row_reduce_int(rows: List[list]) -> Tuple[List[List[Fraction]], List[int]]:
+def _row_reduce_int(rows) -> Tuple[List[List[Fraction]], List[int]]:
     """`row_reduce` of an integer matrix, computed modulo primes.
 
     Primes are added until the reconstructed RREF passes the kernel check
@@ -189,15 +194,22 @@ def _row_reduce_int(rows: List[list]) -> Tuple[List[List[Fraction]], List[int]]:
     that Hadamard's bound says suffices.
     """
     m, cols = len(rows), len(rows[0])
-    exact = np.array(rows, dtype=object).reshape(m, cols)
     # Hadamard's bound H on the minors: RREF entries are ratios of minors,
     # so a modulus above 2 H^2 reconstructs them, and at most log_p(H)
     # primes divide a nonzero minor
-    hadamard = prod(isqrt(sum(x * x for x in r)) + 1 for r in rows)
-    limit = 2 * (2 * hadamard * hadamard).bit_length() // 30 + 4
+    if isinstance(rows, np.ndarray):
+        source, exact = rows, rows.astype(object)
+        # log2 H from the float row norms, rounded up past their rounding error
+        log_h = float(np.log2(np.sqrt(np.square(rows, dtype=np.float64).sum(axis=1)) + 1).sum())
+        bits = int(2 * (log_h * (1 + 1e-9) + 1)) + 2
+    else:
+        source = exact = np.array(rows, dtype=object).reshape(m, cols)
+        hadamard = prod(isqrt(sum(x * x for x in r)) + 1 for r in rows)
+        bits = (2 * hadamard * hadamard).bit_length()
+    limit = 2 * bits // 30 + 4
     best, residues, modulus = None, None, 1
     for p in itertools.islice(_primes_31(), limit):
-        red, pivots = _rref_mod(np.array(exact % p, dtype=np.int64), p)
+        red, pivots = _rref_mod((source % p).astype(np.int64, copy=False), p)
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue

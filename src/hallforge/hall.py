@@ -285,9 +285,9 @@ class HallAlgebra:
         table = self._products.get(grade)
         if table is None:
             table = {}
-            for cls in self.registry.classes(grade):
-                sk = cls.key
-                for pair, count in self.registry.census(sk).items():
+            keys = [cls.key for cls in self.registry.classes(grade)]
+            for sk, census in self.registry.censuses(keys).items():
+                for pair, count in census.items():
                     table.setdefault(pair, {})[sk] = self._const(pair, count)
             self._products[grade] = table
         return table

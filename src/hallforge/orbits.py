@@ -5,8 +5,9 @@ entries, arrow by arrow and row by row, as base-q digits, first digit most
 significant (`_spans`, `_encode_batch`, `_decode_batch`).  `_walk_orbits`
 is the one breadth-first walk: it labels the points of an array by orbit
 in order of first point, given the images of a frontier under every
-generator.  The registry uses it for orbit slices and to group extension
-cocycles.
+generator.  The registry uses it for orbit slices, and `SinkExtensions`
+to group the extension cocycles of a constructive build under Aut of
+their base class.
 
 On points, a generator (v, g) of prod_v GL(d_v) acts on each arrow block
 on its own (M -> gM into v, M -> Mg^-1 out of v, both on a loop), so one
@@ -35,6 +36,7 @@ from .config import Caps
 from .errors import CertificateError
 from .gf import GF, Mat, gaussian_binomial
 from .quiver import Quiver
+from .reps import Rep, end_basis
 
 _BLOCK = 1 << 12  # codes per block of a first-point scan or a table fill
 
@@ -384,3 +386,117 @@ def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps,
         return out
 
     return images
+
+
+# ---------------------------------------------------------------------------
+# extensions by the simple at a support sink (constructive mode)
+
+
+def _leading(rows: np.ndarray) -> np.ndarray:
+    """The first nonzero entry of each row of the last axis (0 for a zero row)."""
+    if rows.shape[-1] == 0:
+        return np.zeros(rows.shape[:-1], dtype=rows.dtype)
+    return np.take_along_axis(rows, np.argmax(rows != 0, axis=-1)[..., None], -1)[..., 0]
+
+
+class SinkExtensions:
+    """The candidate extensions 0 -> S_v -> E -> A -> 0 of one base class A
+    at a sink v of the support of A + e_v.
+
+    A cocycle is a row xi = (xi_alpha) over the arrows alpha: s -> v, with
+    xi_alpha of width dim A_s.  The middle term E_xi is A_s at s != v and
+    F_q + A_v at v, where arrow alpha acts by the stacked matrix
+    [xi_alpha; a_alpha].  The candidates are one cocycle per F_q^* line of a
+    transversal of the coboundaries, `count` of them.
+    """
+
+    def __init__(self, a: Rep, v: int, end: Optional[list] = None):
+        self.a, self.v, self.end = a, v, end
+        arrows = a.quiver.arrows
+        self.into_v = [idx for idx, (_, t) in enumerate(arrows) if t == v]
+        self.widths = [a.dims[arrows[idx][0]] for idx in self.into_v]
+        self.dim = dim = sum(self.widths)
+        # two cocycles differing by a coboundary phi |-> (phi a_alpha) have
+        # isomorphic middle terms, so enumerate a transversal of the
+        # coboundary row space: entries at its pivots stay zero
+        self.cobound, self.pivots = np.zeros((0, dim), dtype=np.uint8), []
+        if dim and a.dims[v]:
+            stacked = np.concatenate([a.mats[idx].a for idx in self.into_v], axis=1)
+            red, rank, piv = Mat(a.ctx, stacked).rref()
+            self.cobound, self.pivots = red.a[:rank], list(piv)
+        self.free = [t for t in range(dim) if t not in self.pivots]
+        q = a.ctx.q
+        self.count = (q ** len(self.free) - 1) // (q - 1) + 1
+
+    def orbits(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The candidate cocycles, one row each, and for each the position of
+        the first candidate of its orbit under a subgroup H of Aut(A).
+
+        Candidates come in lexicographic order of their free entries: zero,
+        then those whose leading free entry is 1 (xi and c*xi have
+        isomorphic middle terms).  The middle terms of one orbit are
+        isomorphic (see `_aut_generators`).
+        """
+        ctx, q, n = self.a.ctx, self.a.ctx.q, len(self.free)
+        digits = _decode_batch(np.arange(q ** n, dtype=np.int64), n, q)
+        codes = np.flatnonzero(_leading(digits) <= 1)
+        cocycles = np.zeros((self.count, self.dim), dtype=np.uint8)
+        cocycles[:, self.free] = digits[codes]
+        # the zero line is fixed, so with one other line there is nothing to skip
+        gens = self._aut_generators() if self.count > 2 else []
+        if not gens:
+            return cocycles, np.arange(self.count)
+        # the image of every candidate under every generator, as a candidate:
+        # reduced mod coboundaries, rescaled to leading free entry 1, looked up
+        images = ctx.matmul(cocycles, np.stack(gens))
+        if self.pivots:
+            images = ctx.ADD[images, ctx.NEG[ctx.matmul(images[..., self.pivots], self.cobound)]]
+        images = images[..., self.free]
+        images = ctx.MUL[images, ctx.INV[np.maximum(_leading(images), 1)][..., None]]
+        perms = np.searchsorted(codes, _encode_batch(images.reshape(-1, n), q))
+        perms = perms.reshape(len(gens), self.count)
+        labels = np.full(self.count, -1, dtype=np.int64)
+        firsts, _ = _walk_orbits(labels, lambda points: perms[:, points].ravel())
+        first = np.array(firsts)[labels]
+        return cocycles, first
+
+    def _aut_generators(self) -> List[np.ndarray]:
+        """Generators of H, the invertible elements b and 1 + c*b (c in F_q^*)
+        of the basis of End(A), each as the block-diagonal matrix of its phi_s
+        over the arrows alpha: s -> v, which acts on cocycles from the right.
+
+        For phi in Aut(A), phi_s at s != v and diag(1, phi_v) at v form an
+        isomorphism E_{xi.phi} -> E_xi, where (xi.phi)_alpha = xi_alpha phi_s,
+        because phi_v a_alpha = a_alpha phi_s.
+        """
+        a, ctx, dim = self.a, self.a.ctx, self.dim
+        arrows = a.quiver.arrows
+        ident = [Mat.identity(ctx, d) for d in a.dims]
+        phis = [phi for b in (end_basis(a) if self.end is None else self.end)
+                for phi in [b] + [[i + bi.scale(c) for i, bi in zip(ident, b)]
+                                  for c in range(1, ctx.q)]]
+        ranks = ctx.ranks([f.a for phi in phis for f in phi]).reshape(len(phis), len(a.dims))
+        out: Dict[bytes, np.ndarray] = {}
+        for phi in itertools.compress(phis, (ranks == np.array(a.dims)).all(axis=1)):
+            block = np.zeros((dim, dim), dtype=np.uint8)
+            pos = 0
+            for idx, w in zip(self.into_v, self.widths):
+                block[pos: pos + w, pos: pos + w] = phi[arrows[idx][0]].a
+                pos += w
+            out.setdefault(block.tobytes(), block)
+        out.pop(np.eye(dim, dtype=np.uint8).tobytes(), None)
+        return list(out.values())
+
+    def middle_term(self, xi: np.ndarray) -> Rep:
+        """E_xi for one cocycle row xi."""
+        a, v, ctx = self.a, self.v, self.a.ctx
+        grade = tuple(d + (i == v) for i, d in enumerate(a.dims))
+        mats = list(a.mats)
+        pos = 0
+        for idx, w in zip(self.into_v, self.widths):
+            mats[idx] = Mat(ctx, np.concatenate([xi[None, pos: pos + w], a.mats[idx].a]))
+            pos += w
+        for idx, (s, t) in enumerate(a.quiver.arrows):
+            if s == v:  # sink of the support: targets have dimension zero
+                mats[idx] = Mat.zeros(ctx, grade[t], grade[s])
+        return Rep(a.quiver, ctx, grade, tuple(mats))

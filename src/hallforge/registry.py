@@ -9,7 +9,7 @@ its representations:
 * orbit mode: when the ambient tuple space q^(#matrix entries) fits under
   the cap, the base-change orbits are walked exactly on base-q codes
   (`orbits`: `_walk_orbits`, the one breadth-first walk, which also
-  groups extension cocycles below, and `_base_change_images`).  The
+  groups extension cocycles, and `_base_change_images`).  The
   canonical representative is the lexicographically least matrix tuple
   of the orbit and the automorphism order is group order / orbit size.
   The slice's `table` maps the base-q code of every point to its class;
@@ -37,7 +37,8 @@ its representations:
   of its characteristic-polynomial factors.
 
 * constructive mode on acyclic quivers: classes are iterated extensions
-  by a simple at a support sink, without touching the ambient space.
+  by a simple at a support sink (`orbits.SinkExtensions`), without
+  touching the ambient space.
   Extension cocycles are enumerated one per F_q^* line: the zero cocycle
   and those whose first nonzero free entry is 1.  Rescaling the new basis
   vector at the support sink by 1/c maps the middle term of c*xi onto
@@ -58,21 +59,22 @@ its representations:
   the `candidates` cap, and the registry's running sum of line counts
   against the `total_candidates` budget, before any line is enumerated.
 
-  `SplitIndex` makes one Fitting split, into the sub ker g and the
-  quotient m / ker g: a half whose grade is built is identified there and
-  contributes its registered summands, and only halves of unbuilt grades
-  are split further.  A representation is indecomposable exactly when
-  the split adds no summand; it is then compared with the registered
-  indecomposables of its (dim End, arrow ranks).  The build solves End
-  and searches splitters for all kept candidates of a level as one stack
-  (`SplitIndex.prepare`, `reps.end_splits`), then registers them through
-  this index one by one, in order, with the full End scan
-  (`reps.scan_splitter`) run only when a candidate's turn comes.  An
-  orbit build does the same for its canonical representatives.
-  Automorphism orders come from the End basis the split searched: a new
-  decomposable class is isomorphic to the candidate that registers it, so
-  dim End of its canonical representative is the length of that basis.
-  A class whose canonical representative was solved keeps that basis
+  A build finds the Krull-Schmidt summands of its candidates, or of an
+  orbit slice's canonical representatives, as one stack (`_summands`):
+  one Fitting split each, into the sub ker g and the quotient m / ker g,
+  then the halves by grade, largest first, each grade's halves as one
+  stack.  A built grade identifies its halves and adds their registered
+  summands; an unbuilt grade splits its halves further, by one
+  `reps.end_splits`, and identifies the indecomposable ones (building the
+  slice).  The full End scan (`reps.scan_splitter`) of a representation
+  that no basis element or pair sum splits runs only when its turn comes,
+  in candidate order.  A representation is indecomposable exactly when
+  the split adds no summand; `SplitIndex` then compares it with the
+  registered indecomposables of its (dim End, arrow ranks).  Automorphism
+  orders come from the End basis the split searched: a new decomposable
+  class is isomorphic to the candidate that registers it, so dim End of
+  its canonical representative is the length of that basis.  A class
+  whose canonical representative was solved keeps that basis
   (`IsoClass.end`) for the extensions built on it.
 
 Every grade identifies a stack of representations by their digit rows
@@ -92,13 +94,15 @@ points are the nilpotent ones: q^(n(n-1)) on the one-loop quiver
 (Fine-Herstein), in either mode, and on a cyclic quiver the points the
 orbit walk's mask kept.
 
-A submodule census finds the stable subspace tuples of a canonical
-representative one vertex at a time on stacks of partial tuples
-(`census`).  The registry keeps, per vertex dimension, a basis adapted
-to each subspace, in `subspaces_of_dim` order.  In those bases every
-arrow is tested the same way, on one block table per arrow built at the
-start of the census and counted against the memory cap; the subs and
-quotients are diagonal blocks gathered from the same tables.
+The submodule censuses of the classes of one grade are taken as one stack
+of canonical representatives (`censuses`; `census` is a stack of one).
+The registry keeps, per vertex dimension, a basis adapted to each
+subspace, in `subspaces_of_dim` order.  In those bases every arrow is
+tested the same way, on one block table per arrow for a chunk of
+representatives, counted against a fixed byte budget and the memory cap;
+the stable tuples are walked one vertex at a time on rows (representative,
+positions), and the subs and quotients are diagonal blocks gathered from
+the same tables, identified by one `_identify_stack` per rank vector.
 """
 
 from __future__ import annotations
@@ -116,16 +120,18 @@ from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, CertificateError, HallforgeError
 from .gf import GF, Mat, gl_order, subspaces_of_dim
 from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
-from .orbits import (_base_change_images, _decode_batch, _encode_batch, _entry_count,
-                     _RowSpaces, _spans, _walk_orbits)
+from .orbits import (SinkExtensions, _base_change_images, _decode_batch, _encode_batch,
+                     _entry_count, _RowSpaces, _spans, _walk_orbits)
 from .quiver import Quiver, classify_type, euler_form
-from .reps import (Rep, aut_order_from_summands, digit_rows, direct_sum_all, end_basis,
+from .reps import (Rep, aut_order_from_summands, digit_rows, direct_sum_all,
                    end_splits, first_isomorphic, is_nilpotent_rep, pri_of_defect,
-                   residue_degree, rref_pivots, scan_splitter, sub_quotient, zero_rep)
+                   residue_degree, rref_pivots, scan_splitter, sub_quotient_stack,
+                   unique_rows, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 _MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
 _REDUCE_ABOVE = 1 << 7  # points above which an orbit walk is reduced at a sink or source
+_CENSUS_BYTES = 1 << 20  # block-table bytes per chunk of a stacked census
 
 
 @dataclass
@@ -172,120 +178,6 @@ def decode_rep(quiver: Quiver, ctx: GF, dims: tuple, code: int) -> Rep:
 
 
 # ---------------------------------------------------------------------------
-# extensions by the simple at a support sink (constructive mode)
-
-
-def _leading(rows: np.ndarray) -> np.ndarray:
-    """The first nonzero entry of each row of the last axis (0 for a zero row)."""
-    if rows.shape[-1] == 0:
-        return np.zeros(rows.shape[:-1], dtype=rows.dtype)
-    return np.take_along_axis(rows, np.argmax(rows != 0, axis=-1)[..., None], -1)[..., 0]
-
-
-class SinkExtensions:
-    """The candidate extensions 0 -> S_v -> E -> A -> 0 of one base class A
-    at a sink v of the support of A + e_v.
-
-    A cocycle is a row xi = (xi_alpha) over the arrows alpha: s -> v, with
-    xi_alpha of width dim A_s.  The middle term E_xi is A_s at s != v and
-    F_q + A_v at v, where arrow alpha acts by the stacked matrix
-    [xi_alpha; a_alpha].  The candidates are one cocycle per F_q^* line of a
-    transversal of the coboundaries, `count` of them.
-    """
-
-    def __init__(self, a: Rep, v: int, end: Optional[list] = None):
-        self.a, self.v, self.end = a, v, end
-        arrows = a.quiver.arrows
-        self.into_v = [idx for idx, (_, t) in enumerate(arrows) if t == v]
-        self.widths = [a.dims[arrows[idx][0]] for idx in self.into_v]
-        self.dim = dim = sum(self.widths)
-        # two cocycles differing by a coboundary phi |-> (phi a_alpha) have
-        # isomorphic middle terms, so enumerate a transversal of the
-        # coboundary row space: entries at its pivots stay zero
-        self.cobound, self.pivots = np.zeros((0, dim), dtype=np.uint8), []
-        if dim and a.dims[v]:
-            stacked = np.concatenate([a.mats[idx].a for idx in self.into_v], axis=1)
-            red, rank, piv = Mat(a.ctx, stacked).rref()
-            self.cobound, self.pivots = red.a[:rank], list(piv)
-        self.free = [t for t in range(dim) if t not in self.pivots]
-        q = a.ctx.q
-        self.count = (q ** len(self.free) - 1) // (q - 1) + 1
-
-    def orbits(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The candidate cocycles, one row each, and for each the position of
-        the first candidate of its orbit under a subgroup H of Aut(A).
-
-        Candidates come in lexicographic order of their free entries: zero,
-        then those whose leading free entry is 1 (xi and c*xi have
-        isomorphic middle terms).  The middle terms of one orbit are
-        isomorphic (see `_aut_generators`).
-        """
-        ctx, q, n = self.a.ctx, self.a.ctx.q, len(self.free)
-        digits = _decode_batch(np.arange(q ** n, dtype=np.int64), n, q)
-        codes = np.flatnonzero(_leading(digits) <= 1)
-        cocycles = np.zeros((self.count, self.dim), dtype=np.uint8)
-        cocycles[:, self.free] = digits[codes]
-        # the zero line is fixed, so with one other line there is nothing to skip
-        gens = self._aut_generators() if self.count > 2 else []
-        if not gens:
-            return cocycles, np.arange(self.count)
-        # the image of every candidate under every generator, as a candidate:
-        # reduced mod coboundaries, rescaled to leading free entry 1, looked up
-        images = ctx.matmul(cocycles, np.stack(gens))
-        if self.pivots:
-            images = ctx.ADD[images, ctx.NEG[ctx.matmul(images[..., self.pivots], self.cobound)]]
-        images = images[..., self.free]
-        images = ctx.MUL[images, ctx.INV[np.maximum(_leading(images), 1)][..., None]]
-        perms = np.searchsorted(codes, _encode_batch(images.reshape(-1, n), q))
-        perms = perms.reshape(len(gens), self.count)
-        labels = np.full(self.count, -1, dtype=np.int64)
-        firsts, _ = _walk_orbits(labels, lambda points: perms[:, points].ravel())
-        first = np.array(firsts)[labels]
-        return cocycles, first
-
-    def _aut_generators(self) -> List[np.ndarray]:
-        """Generators of H, the invertible elements b and 1 + c*b (c in F_q^*)
-        of the basis of End(A), each as the block-diagonal matrix of its phi_s
-        over the arrows alpha: s -> v, which acts on cocycles from the right.
-
-        For phi in Aut(A), phi_s at s != v and diag(1, phi_v) at v form an
-        isomorphism E_{xi.phi} -> E_xi, where (xi.phi)_alpha = xi_alpha phi_s,
-        because phi_v a_alpha = a_alpha phi_s.
-        """
-        a, ctx, dim = self.a, self.a.ctx, self.dim
-        arrows = a.quiver.arrows
-        ident = [Mat.identity(ctx, d) for d in a.dims]
-        phis = [phi for b in (end_basis(a) if self.end is None else self.end)
-                for phi in [b] + [[i + bi.scale(c) for i, bi in zip(ident, b)]
-                                  for c in range(1, ctx.q)]]
-        ranks = ctx.ranks([f.a for phi in phis for f in phi]).reshape(len(phis), len(a.dims))
-        out: Dict[bytes, np.ndarray] = {}
-        for phi in itertools.compress(phis, (ranks == np.array(a.dims)).all(axis=1)):
-            block = np.zeros((dim, dim), dtype=np.uint8)
-            pos = 0
-            for idx, w in zip(self.into_v, self.widths):
-                block[pos: pos + w, pos: pos + w] = phi[arrows[idx][0]].a
-                pos += w
-            out.setdefault(block.tobytes(), block)
-        out.pop(np.eye(dim, dtype=np.uint8).tobytes(), None)
-        return list(out.values())
-
-    def middle_term(self, xi: np.ndarray) -> Rep:
-        """E_xi for one cocycle row xi."""
-        a, v, ctx = self.a, self.v, self.a.ctx
-        grade = tuple(d + (i == v) for i, d in enumerate(a.dims))
-        mats = list(a.mats)
-        pos = 0
-        for idx, w in zip(self.into_v, self.widths):
-            mats[idx] = Mat(ctx, np.concatenate([xi[None, pos: pos + w], a.mats[idx].a]))
-            pos += w
-        for idx, (s, t) in enumerate(a.quiver.arrows):
-            if s == v:  # sink of the support: targets have dimension zero
-                mats[idx] = Mat.zeros(ctx, grade[t], grade[s])
-        return Rep(a.quiver, ctx, grade, tuple(mats))
-
-
-# ---------------------------------------------------------------------------
 # grade slices and their identification indexes
 
 
@@ -301,13 +193,18 @@ class SplitIndex:
         self.reg = reg
         self.sl = sl
         self.buckets: Dict[tuple, List[int]] = {}
-        self.splits: Dict[Rep, tuple] = {}  # End bases and splitter kernels solved ahead
+        self.splits: Dict[Rep, tuple] = {}  # End bases and summands solved ahead
 
     def prepare(self, reps: Sequence[Rep]) -> None:
-        """Solve End and search splitters for a stack of representations of
-        the slice's grade at once (`end_splits`); `register` and `classify`
+        """Solve End, search splitters and find the summands of the split
+        ones for a stack of representations of the slice's grade at once
+        (`end_splits`, `IsoRegistry._summands`); `register` and `classify`
         then read each one's result."""
-        self.splits.update(zip(reps, end_splits(reps)))
+        reps = [rep for rep in reps if rep not in self.splits]
+        if reps:
+            splits = end_splits(reps)
+            counts = self.reg._summands(reps, splits)
+            self.splits.update(zip(reps, ((basis, c) for (basis, _), c in zip(splits, counts))))
 
     def classify(self, rep: Rep) -> int:
         """The class of `rep`, which must be registered."""
@@ -327,8 +224,11 @@ class SplitIndex:
 
     def _classify(self, rep: Rep, register: bool) -> int:
         reg, sl = self.reg, self.sl
-        counts: Dict[ClassKey, int] = {}
-        basis = reg._summands(rep, counts, split=self.splits.pop(rep, None))
+        if rep not in self.splits:
+            self.prepare([rep])
+        basis, counts = self.splits.pop(rep)
+        if counts is None:
+            counts = reg._scanned(rep, basis)
         h_end = len(basis)
         if not counts:
             sig = (h_end, tuple(reg.ctx.ranks([m.a for m in rep.mats]).tolist()))
@@ -525,36 +425,89 @@ class IsoRegistry:
             kinds = {pri_of_defect(d) for d in defects}
             c.pri_class = kinds.pop() if len(kinds) == 1 else "mixed"
 
-    def _summands(self, rep: Rep, counts: Dict[ClassKey, int], top: bool = True,
-                  split: Optional[tuple] = None) -> list:
-        """Add the Krull-Schmidt summands of `rep` to `counts` by class key,
-        and return the End basis the split searched.
+    def _summands(self, reps: Sequence[Rep], splits: Sequence[tuple]
+                  ) -> List[Optional[Dict[ClassKey, int]]]:
+        """The Krull-Schmidt summands, by class key, of each of a stack of
+        representations of one grade, given the (End basis, splitter
+        kernels) pairs `end_splits` gave them: empty for one certified
+        indecomposable, None for one no basis element or pair sum splits
+        (its `scan_splitter` is left to the caller, in order: `_scanned`).
 
-        `split` is the (End basis, splitter kernels) pair that `end_splits`
-        gave `rep` in a stack; without it `rep` is solved as a stack of one.
-        Makes one Fitting split, falling back to `scan_splitter` when no
-        basis element or pair sum splits; a half whose grade is built is
-        looked up and adds its registered summands, any other half is split
-        further, so no slice is built that a full decomposition would not
-        build.  When `rep` is indecomposable and `top`, adds nothing: an
-        indecomposable of the grade being built or identified has no class
-        to look up yet.
+        The halves of the splits are cut out as stacks, one per grade and
+        kernel dimension vector (`sub_quotient_stack`), and collected by
+        grade; grades are taken largest first, so every half of a grade is
+        in when it is taken.  A grade that is built identifies its halves by
+        one `_identify_stack` and adds their registered summands.  An
+        unbuilt grade splits its distinct halves by one `end_splits` and, if
+        needed, their scans; the halves of those splits join the collection,
+        and the indecomposable ones are identified, which builds the slice,
+        so no slice is built that a full decomposition would not build.
         """
-        basis, kers = split or end_splits([rep])[0]
-        if kers is None:
-            kers = scan_splitter(rep, basis, self.caps)
-        if kers is None:
-            if not top:
-                key = self.identify(rep)  # builds the slice, as a full decomposition does
-                counts[key] = counts.get(key, 0) + 1
-            return basis
-        for half in sub_quotient(rep, kers):
-            if half.dims in self.slices:
-                for key, mult in self.cls(self.identify(half)).summands:
-                    counts[key] = counts.get(key, 0) + mult
-            else:
-                self._summands(half, counts, top=False)
-        return basis
+        quiver, ctx = self.quiver, self.ctx
+        out = [None if kers is None else {} for _, kers in splits]
+        pending: Dict[tuple, tuple] = {}  # grade -> (owners per row, block stacks)
+
+        def add(owners, key, mult):
+            for owner in owners:
+                out[owner][key] = out[owner].get(key, 0) + mult
+
+        def split(items):  # (owners, rep, kernels) of one grade, halves to `pending`
+            groups: Dict[tuple, list] = {}  # kernel dimensions -> items
+            for item in items:
+                groups.setdefault(tuple(k.rows for k in item[2]), []).append(item)
+            for kdims, group in groups.items():
+                parts = sub_quotient_stack(
+                    quiver, ctx, [np.stack([rep.mats[a].a for _, rep, _ in group])
+                                  for a in range(len(quiver.arrows))],
+                    [np.stack([kers[v].a for _, _, kers in group]) for v in range(quiver.n)])
+                quot = tuple(d - k for d, k in zip(group[0][1].dims, kdims))
+                for grade, blocks in zip((kdims, quot), parts):
+                    owners, stacks = pending.setdefault(grade, ([], []))
+                    owners.extend(o for o, _, _ in group)
+                    stacks.append(blocks)
+
+        split([([i], rep, kers) for i, (rep, (_, kers)) in enumerate(zip(reps, splits))
+               if kers is not None])
+        while pending:
+            grade = max(pending, key=lambda g: (sum(g), g))  # every half of it is in
+            owners, stacks = pending.pop(grade)
+            blocks = [np.concatenate(b) for b in zip(*stacks)]
+            if grade in self.slices:
+                classes = self.slices[grade].classes
+                for o, i in zip(owners, self._identify_stack(grade, blocks, len(owners))):
+                    for key, mult in classes[i].summands:
+                        add(o, key, mult)
+                continue
+            rows: Dict[bytes, tuple] = {}  # distinct halves: first row, owners
+            for r, (o, digits) in enumerate(zip(owners, digit_rows(blocks, len(owners)))):
+                rows.setdefault(digits.tobytes(), (r, []))[1].extend(o)
+            cands = [Rep(quiver, ctx, grade, tuple(Mat(ctx, b[r]) for b in blocks))
+                     for r, _ in rows.values()]
+            indec, items = [], []
+            solved = end_splits(cands)
+            for (buf, (r, o)), rep, (basis, kers) in zip(rows.items(), cands, solved):
+                if kers is None:
+                    kers = scan_splitter(rep, basis, self.caps)
+                if kers is None:
+                    indec.append((buf, r, o, rep, basis))
+                else:
+                    items.append((o, rep, kers))
+            split(items)
+            if indec:
+                sl = self.slice(grade)
+                if isinstance(sl.index, SplitIndex):  # its misses need no second solve
+                    sl.index.splits.update((rep, (basis, {})) for buf, _, _, rep, basis in indec
+                                           if buf not in sl.known)
+                sel = [r for _, r, _, _, _ in indec]
+                found = self._identify_stack(grade, [b[sel] for b in blocks], len(sel))
+                for (_, _, o, _, _), i in zip(indec, found.tolist()):
+                    add(o, (grade, i), 1)
+        return out
+
+    def _scanned(self, rep: Rep, basis: list) -> Dict[ClassKey, int]:
+        """The summands of `rep` when `_summands` left it to the full scan."""
+        kers = scan_splitter(rep, basis, self.caps)
+        return {} if kers is None else self._summands([rep], [(basis, kers)])[0]
 
     # -- orbit mode
 
@@ -567,10 +520,13 @@ class IsoRegistry:
         for size in sizes:
             if group % size:
                 raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
-        canons = [decode_rep(quiver, ctx, grade, seed) for seed in seeds]
-        for canon, size, split in zip(canons, sizes, end_splits(canons)):
-            counts: Dict[ClassKey, int] = {}
-            basis = self._summands(canon, counts, split=split)
+        canons = [_rep_of(quiver, ctx, grade, digits) for digits in _decode_batch(
+            np.array(seeds, dtype=np.int64), _entry_count(quiver, grade), ctx.q)]
+        splits = end_splits(canons)
+        for canon, size, (basis, _), counts in zip(canons, sizes, splits,
+                                                   self._summands(canons, splits)):
+            if counts is None:
+                counts = self._scanned(canon, basis)
             if counts:
                 summands, res = tuple(sorted(counts.items())), None
                 data = [(mult, self.cls(key).res_degree) for key, mult in summands]
@@ -807,108 +763,140 @@ class IsoRegistry:
 
         census[((gq, iq), (gs, is_))] = number of subrepresentations of the
         canonical representative isomorphic to class (gs, is_) with
-        quotient of class (gq, iq).
+        quotient of class (gq, iq).  The stack of one of `censuses`.
+        """
+        return self.censuses([key])[key]
+
+    def censuses(self, keys: Sequence[ClassKey]) -> Dict[ClassKey, Dict[tuple, int]]:
+        """The census of each of `keys`, classes of one grade, taken as one
+        stack of canonical representatives.
 
         Every arrow is tested the same way, on the block tables of
-        `_block_tables`.  The stable tuples are found one vertex v at a time
-        on a stack of partial tuples of positions: the tests of the arrows
-        between v and the vertices <= v, gathered at each row's positions,
-        give one mask of the rows by the positions of U_v, and each row is
-        followed by the positions it passes.  Rows expand in place, in
-        position order, so tuples, and the census keys, appear in the order
-        of a full walk.
+        `_block_tables`, built for chunks of representatives whose tables
+        fit under `_CENSUS_BYTES` and the memory cap (a chunk of one
+        representative is checked against the cap as a per-class census
+        would be).  The stable tuples are found one vertex v at a time on a
+        stack of rows (representative, positions of U_0 .. U_v-1): the tests
+        of the arrows between v and the vertices <= v, gathered at each
+        row's positions, give one mask of the rows by the positions of U_v,
+        and each row is followed by the positions it passes.  Rows expand in
+        place, in position order, so each representative's tuples, and its
+        census keys, appear in the order of a full walk.
         """
-        grade, idx = key
+        if not keys:
+            return {}
+        grade = keys[0][0]
+        if any(k[0] != grade for k in keys):
+            raise HallforgeError("censuses takes the classes of one grade")
         sl = self.slice(grade)
-        hit = sl.census_cache.get(idx)
-        if hit is not None:
-            return hit
-        rep = sl.classes[idx].canon
-        self.caps.check("subspace_enum", math.prod(len(self._adapted_bases(d)[0]) for d in grade))
-        tables = self._block_tables(rep)
-        stack = np.zeros((1, 0), dtype=np.intp)
-        for v, d in enumerate(grade):
-            mask = np.ones((len(stack), len(self._adapted_bases(d)[0])), dtype=bool)
-            for (_, ok), (s, t) in zip(tables, self.quiver.arrows):
-                if s == t == v:
-                    mask &= ok
-                elif t == v and s < v:
-                    mask &= ok[:, stack[:, s]].T
-                elif s == v and t < v:
-                    mask &= ok[stack[:, t]]
-            rows, cols = np.nonzero(mask)
-            stack = np.concatenate([stack[rows], cols[:, None]], axis=1)
-        out = sl.census_cache[idx] = self._count_tuples(rep, tables, stack)
-        return out
+        todo = [i for i in dict.fromkeys(k[1] for k in keys) if i not in sl.census_cache]
+        if todo:
+            counts = [len(self._adapted_bases(d)[0]) for d in grade]
+            self.caps.check("subspace_enum", math.prod(counts))
+            per_rep = self._table_bytes(grade)
+            step = max(1, min(_CENSUS_BYTES, self.caps.memory_bytes()) // max(per_rep, 1))
+            for lo in range(0, len(todo), step):
+                part = todo[lo: lo + step]
+                tables = self._block_tables([sl.classes[i].canon for i in part])
+                stack = np.arange(len(part))[:, None]
+                for v, n in enumerate(counts):
+                    mask = np.ones((len(stack), n), dtype=bool)
+                    for (_, ok), (s, t) in zip(tables, self.quiver.arrows):
+                        if s == t == v:
+                            mask &= ok[stack[:, 0]]
+                        elif t == v and s < v:
+                            mask &= ok[stack[:, 0], :, stack[:, 1 + s]]
+                        elif s == v and t < v:
+                            mask &= ok[stack[:, 0], stack[:, 1 + t]]
+                    rows, cols = np.nonzero(mask)
+                    stack = np.concatenate([stack[rows], cols[:, None]], axis=1)
+                for i, out in zip(part, self._count_tuples(grade, tables, stack, len(part))):
+                    sl.census_cache[i] = out
+        return {k: sl.census_cache[k[1]] for k in keys}
 
-    def _block_tables(self, rep: Rep) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per arrow A: s -> t of `rep`, the blocks L_t A R_s in the adapted
-        bases of every pair of positions (j of U_t, i of U_s), at [j, i], and
-        whether A maps U_s into U_t: exactly when the block with rows
-        >= rank(U_t) and columns < rank(U_s) is zero.  A loop gets only the
-        pairs (i, i), at [i].
+    def _table_bytes(self, grade: tuple) -> int:
+        """The bytes of one representative's `_block_tables` of `grade`, at 16
+        per block entry (the int64 product and remainder of a prime-field
+        `GF.matmul`) and one per test."""
+        counts = [len(self._adapted_bases(d)[0]) for d in grade]
+        return sum((counts[s] if s == t else counts[t] * counts[s])
+                   * (16 * grade[s] * grade[t] + 1) for s, t in self.quiver.arrows)
 
-        The tables are counted against the memory cap first, at 16 bytes per
-        block entry (the int64 product and remainder of a prime-field
-        `GF.matmul`) and one per test.
+    def _block_tables(self, reps: Sequence[Rep]) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per arrow A: s -> t, for a stack of representations of one grade,
+        the blocks L_t A R_s in the adapted bases of every pair of positions
+        (j of U_t, i of U_s), at [r, j, i] for representation r, and whether
+        A maps U_s into U_t: exactly when the block with rows >= rank(U_t)
+        and columns < rank(U_s) is zero.  A loop gets only the pairs (i, i),
+        at [r, i].  The tables are counted against the memory cap first
+        (`_table_bytes` per representation).
         """
-        ctx, arrows = self.ctx, self.quiver.arrows
-        counts = [len(self._adapted_bases(d)[0]) for d in rep.dims]
-        pairs = [counts[s] if s == t else counts[t] * counts[s] for s, t in arrows]
-        self.caps.check_memory(sum(n * (16 * rep.dims[s] * rep.dims[t] + 1)
-                                   for n, (s, t) in zip(pairs, arrows)))
+        ctx, dims = self.ctx, reps[0].dims
+        self.caps.check_memory(len(reps) * self._table_bytes(dims))
         out = []
-        for a, (s, t) in zip(rep.mats, arrows):
-            rank_s, _, right = self._adapted_bases(rep.dims[s])
-            rank_t, left, _ = self._adapted_bases(rep.dims[t])
+        for k, (s, t) in enumerate(self.quiver.arrows):
+            a = np.stack([rep.mats[k].a for rep in reps])[:, None]
+            rank_s, _, right = self._adapted_bases(dims[s])
+            rank_t, left, _ = self._adapted_bases(dims[t])
             lead = left if s == t else left[:, None]  # a loop pairs each position with itself
-            blocks = ctx.matmul(lead, ctx.matmul(a.a, right))
-            rows = np.arange(rep.dims[t])[:, None] >= rank_t.reshape(lead.shape[:-2] + (1, 1))
-            cols = np.arange(rep.dims[s]) < rank_s[:, None, None]
+            blocks = ctx.matmul(lead, ctx.matmul(a, right)[:, None] if s != t
+                                else ctx.matmul(a, right))
+            rows = np.arange(dims[t])[:, None] >= rank_t.reshape(lead.shape[:-2] + (1, 1))
+            cols = np.arange(dims[s]) < rank_s[:, None, None]
             out.append((blocks, ~((blocks != 0) & rows & cols).any(axis=(-2, -1))))
         return out
 
-    def _count_tuples(self, rep: Rep, tables: list, tuples: np.ndarray) -> Dict[tuple, int]:
-        """The census of `rep` over its stable tuples (rows of subspace
-        positions, in walk order), given its `_block_tables`.
+    def _count_tuples(self, grade: tuple, tables: list, stack: np.ndarray, count: int
+                      ) -> List[Dict[tuple, int]]:
+        """The censuses of `count` representatives of `grade` over their
+        stable tuples, rows (representative, subspace positions) in walk
+        order, given their `_block_tables`.
 
         The tuples are grouped by rank vector; each group's subs and
         quotients (`_sub_quotient_stacks`) are identified in bulk
         (`_identify_stack`).  Groups go in order of first tuple, quotient
         before sub, so grades are first met, and built, as by a walk that
-        identifies tuple by tuple; keys appear in order of first tuple.
+        identifies tuple by tuple; each census lists its keys in order of
+        first tuple.
         """
-        ranks = np.stack([self._adapted_bases(d)[0][tuples[:, v]]
-                          for v, d in enumerate(rep.dims)], axis=1)
-        groups: Dict[tuple, List[int]] = {}  # rank vector -> rows of its tuples
-        for i, row in enumerate(ranks.tolist()):
-            groups.setdefault(tuple(row), []).append(i)
-        keys: List[tuple] = [()] * len(tuples)
-        for sub_grade, members in groups.items():
-            quot_grade = tuple(d - k for d, k in zip(rep.dims, sub_grade))
-            subs, quots = self._sub_quotient_stacks(tables, tuples[members], sub_grade)
-            quot_of = self._identify_stack(quot_grade, quots, len(members)).tolist()
-            sub_of = self._identify_stack(sub_grade, subs, len(members)).tolist()
-            for i, iq, is_ in zip(members, quot_of, sub_of):
-                keys[i] = ((quot_grade, iq), (sub_grade, is_))
-        out: Dict[tuple, int] = {}
-        for k in keys:
-            out[k] = out.get(k, 0) + 1
+        ranks = np.stack([self._adapted_bases(d)[0][stack[:, 1 + v]]
+                          for v, d in enumerate(grade)], axis=1)
+        firsts, group_of, _ = unique_rows(ranks)
+        keys = np.zeros((len(stack), 4), dtype=np.int64)  # representative, group, quotient, sub
+        keys[:, 0] = stack[:, 0]
+        names = []
+        for g, at in enumerate(firsts.tolist()):
+            members = np.flatnonzero(group_of == g)
+            sub_grade = tuple(ranks[at].tolist())
+            quot_grade = tuple(d - k for d, k in zip(grade, sub_grade))
+            subs, quots = self._sub_quotient_stacks(tables, stack[members], sub_grade)
+            keys[members, 1] = g
+            keys[members, 2] = self._identify_stack(quot_grade, quots, len(members))
+            keys[members, 3] = self._identify_stack(sub_grade, subs, len(members))
+            names.append((quot_grade, sub_grade))
+        out: List[Dict[tuple, int]] = [{} for _ in range(count)]
+        firsts, _, hits = unique_rows(keys)
+        for at, n in zip(firsts.tolist(), hits.tolist()):
+            r, g, iq, is_ = keys[at].tolist()
+            quot_grade, sub_grade = names[g]
+            out[r][((quot_grade, iq), (sub_grade, is_))] = n
         return out
 
-    def _sub_quotient_stacks(self, tables: list, tuples: np.ndarray, ranks: tuple
+    def _sub_quotient_stacks(self, tables: list, stack: np.ndarray, ranks: tuple
                              ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """The subs and quotients on the stable `tuples` of rank vector
-        `ranks`: per arrow s -> t, the stacks of sub blocks P_t A B_s^T and of
-        quotient blocks F_t (I - B_t^T P_t) A F_s^T, the diagonal blocks of
-        L_t A R_s, gathered from the `_block_tables`.
+        """The subs and quotients on the stable tuples of rank vector `ranks`,
+        rows (representative, positions) of `stack`: per arrow s -> t, the
+        stacks of sub blocks P_t A B_s^T and of quotient blocks
+        F_t (I - B_t^T P_t) A F_s^T, the diagonal blocks of L_t A R_s,
+        gathered from the `_block_tables`.
 
         These are `reps.sub_quotient`'s img[piv_t] and w - B_t^T w[piv_t] on
         the free rows of t, for img = A B_s^T and w = A F_s^T.
         """
         subs, quots = [], []
         for (blocks, _), (s, t) in zip(tables, self.quiver.arrows):
-            b = blocks[tuples[:, t]] if s == t else blocks[tuples[:, t], tuples[:, s]]
+            at = (stack[:, 0], stack[:, 1 + t]) + (() if s == t else (stack[:, 1 + s],))
+            b = blocks[at]
             subs.append(b[:, :ranks[t], :ranks[s]])
             quots.append(b[:, ranks[t]:, ranks[s]:])
         return subs, quots

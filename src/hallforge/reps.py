@@ -18,10 +18,13 @@ vectors, for a whole stack of pairs at once (`hom_stack`; `hom_space` is
 its stack of one).  `end_splits` solves End and searches splitters for a
 stack of representations of one dimension vector together: every basis
 element of every representation, then the pair sums of those still
-unsplit, each as one `GF.kernel_stack` per vertex.  `_find_splitter` is
-the same search one candidate at a time, behind the public
-per-representation API (`fitting_split`, `krull_schmidt`,
-`is_indecomposable`).
+unsplit, each as one `GF.kernel_stack` per vertex; it keeps each End basis
+as its kernel rows (`EndBasis`).  `_find_splitter` is the same search one
+candidate at a time, behind the public per-representation API
+(`fitting_split`, `krull_schmidt`, `is_indecomposable`).  The subs and
+quotients of the splits of a stack with one kernel dimension vector are
+cut out together (`sub_quotient_stack`; `sub_quotient` is its stack of
+one).
 
 Indecomposability is certified, not guessed: a representation is
 indecomposable iff its endomorphism ring is local, which is detected by a
@@ -84,6 +87,10 @@ class Rep:
         )
 
     def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:  # the matrices are read-only, so it is computed once
         return hash((self.quiver, id(self.ctx), self.tobytes()))
 
 
@@ -151,6 +158,21 @@ def digit_rows(blocks: Sequence[np.ndarray], count: int) -> np.ndarray:
     order, row-major."""
     return np.concatenate([np.zeros((count, 0), dtype=np.uint8)]
                           + [b.reshape(count, -1) for b in blocks], axis=1)
+
+
+def unique_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array, numbered in order of first
+    occurrence: the position of each one's first occurrence, the number of
+    every row, and how often each occurs.  Rows are compared as bytes, by
+    one 1-d `np.unique`."""
+    a = np.ascontiguousarray(a)
+    rows = a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return first[order], number[inverse.ravel()], counts[order]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -223,6 +245,27 @@ def _hom_blocks(ctx: GF, rows: np.ndarray, mdims: tuple, ndims: tuple) -> list:
     return [tuple(Mat(ctx, row[lo:hi].reshape(n, m))
                   for lo, hi, n, m in zip(ends, ends[1:], ndims, mdims))
             for row in rows]
+
+
+class EndBasis(Sequence):
+    """An End basis as `end_splits` solved it, kept as its kernel rows; the
+    per-vertex Mat blocks of its elements are made on first use, as most
+    candidates a build splits need only the basis length."""
+
+    def __init__(self, ctx: GF, rows: np.ndarray, dims: tuple):
+        self.ctx, self.rows, self.dims = ctx, rows, dims
+        self._blocks: Optional[list] = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if self._blocks is None:
+            self._blocks = _hom_blocks(self.ctx, self.rows, self.dims, self.dims)
+        return self._blocks[i]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
 
 
 def hom_space(m: Rep, n: Rep) -> Tuple[int, list]:
@@ -330,28 +373,46 @@ def sub_quotient(m: Rep, sub_bases: Sequence[Mat]) -> Tuple[Rep, Rep]:
     """Subrepresentation on the given RREF bases and the quotient by it.
 
     The quotient uses the canonical complement spanned by the non-pivot
-    coordinate vectors.  Pivots are read off the bases (`rref_pivots`).
+    coordinate vectors.  Pivots are read off the bases (`rref_pivots`);
+    the blocks are `sub_quotient_stack`'s on a stack of one.
     """
     ctx = m.ctx
     piv = [rref_pivots(b) for b in sub_bases]
-    free = [[c for c in range(d) if c not in p] for d, p in zip(m.dims, piv)]
-    sub_mats, quot_mats = [], []
-    for idx, (s, t) in enumerate(m.quiver.arrows):
-        a = m.mats[idx]
-        if piv[s]:
-            img = (a @ sub_bases[s].transpose()).a  # (d_t, sub_s)
-            sub_mats.append(Mat(ctx, img[piv[t], :]))
-        else:
-            sub_mats.append(Mat.zeros(ctx, len(piv[t]), 0))
-        # quotient: push forward the free coordinate vectors and reduce mod the sub
-        w = a.a[:, free[s]]
-        if piv[t] and free[s]:
-            corr = (sub_bases[t].transpose() @ Mat(ctx, w[piv[t], :])).a
-            w = ctx.ADD[w, ctx.NEG[corr]]
-        quot_mats.append(Mat(ctx, w[free[t], :]))
-    sub = Rep(m.quiver, ctx, tuple(len(p) for p in piv), tuple(sub_mats))
-    quot = Rep(m.quiver, ctx, tuple(len(f) for f in free), tuple(quot_mats))
+    subs, quots = sub_quotient_stack(m.quiver, ctx, [a.a[None] for a in m.mats],
+                                     [b.a[None] for b in sub_bases])
+    sub = Rep(m.quiver, ctx, tuple(len(p) for p in piv), tuple(Mat(ctx, b[0]) for b in subs))
+    quot = Rep(m.quiver, ctx, tuple(d - len(p) for d, p in zip(m.dims, piv)),
+               tuple(Mat(ctx, b[0]) for b in quots))
     return sub, quot
+
+
+def sub_quotient_stack(quiver: Quiver, ctx: GF, mats: Sequence[np.ndarray],
+                       bases: Sequence[np.ndarray]
+                       ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """The subs and quotients of N representations of one dimension vector
+    on stable subspace tuples of one dimension vector k: `mats` holds one
+    (N, d_t, d_s) stack per arrow and `bases` one (N, k_v, d_v) stack of
+    RREF bases per vertex.  Returns per arrow the (N, k_t, k_s) stack of sub
+    blocks img[piv_t] for img = A B_s^T, and the stack of quotient blocks
+    w - B_t^T w[piv_t] on the free rows of t for w = A on the free columns
+    of s.  Pivots are each row's leading entry, gathered per matrix.
+    """
+    at = np.arange(len(bases[0]))[:, None]  # the stack position of each row
+    piv, free = [], []
+    for b in bases:
+        n, k, d = b.shape
+        lead = (b != 0).argmax(axis=2) if k else np.zeros((n, 0), dtype=np.intp)
+        rest = np.ones((n, d), dtype=bool)
+        rest[at, lead] = False
+        piv.append(lead)
+        free.append(np.nonzero(rest)[1].reshape(n, d - k))
+    subs, quots = [], []
+    for a, (s, t) in zip(mats, quiver.arrows):
+        subs.append(ctx.matmul(a, bases[s].transpose(0, 2, 1))[at, piv[t]])
+        w = a.transpose(0, 2, 1)[at, free[s]].transpose(0, 2, 1)  # A on the free columns of s
+        corr = ctx.matmul(bases[t].transpose(0, 2, 1), w[at, piv[t]])
+        quots.append(ctx.ADD[w, ctx.NEG[corr]][at, free[t]])
+    return subs, quots
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +484,11 @@ def _first_splitters(m: Rep, cands: np.ndarray, owner: np.ndarray, count: int) -
     return found
 
 
-def end_splits(reps: Sequence[Rep]) -> List[Tuple[list, Optional[List[Mat]]]]:
+def end_splits(reps: Sequence[Rep]) -> List[Tuple[EndBasis, Optional[List[Mat]]]]:
     """For each representation of a stack of one dimension vector, its End
-    basis and the Fitting kernels of its first basis element or pair sum
-    that splits it, as `_find_splitter` tries them, or None when none does.
+    basis (an `EndBasis`) and the Fitting kernels of its first basis
+    element or pair sum that splits it, as `_find_splitter` tries them, or
+    None when none does.
 
     End is solved for the whole stack by one `hom_stack`; the basis
     elements of all representations are then tried at once, and the pair
@@ -451,7 +513,7 @@ def end_splits(reps: Sequence[Rep]) -> List[Tuple[list, Optional[List[Mat]]]]:
         found = _first_splitters(m, m.ctx.ADD[rows[first], rows[second]], owner, len(reps))
         for i in left:
             kers[i] = found[i]
-    return [(_hom_blocks(m.ctx, kernel[i, : h[i]], m.dims, m.dims), k) for i, k in enumerate(kers)]
+    return [(EndBasis(m.ctx, kernel[i, : h[i]].copy(), m.dims), k) for i, k in enumerate(kers)]
 
 
 def scan_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
@@ -467,8 +529,9 @@ def scan_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
     """
     q, h = m.ctx.q, len(basis)
     caps.check("end_scan", q ** h)
-    rows = np.array([np.concatenate([fi.a.ravel() for fi in f]) for f in basis],
-                    dtype=np.uint8).reshape(h, -1)
+    rows = basis.rows if isinstance(basis, EndBasis) else np.array(
+        [np.concatenate([fi.a.ravel() for fi in f]) for f in basis],
+        dtype=np.uint8).reshape(h, -1)
     for lo in range(1, q ** h, _SCAN_STACK):
         combos = np.stack(np.unravel_index(np.arange(lo, min(lo + _SCAN_STACK, q ** h)),
                                            (q,) * h), axis=1).astype(np.uint8)

@@ -26,6 +26,24 @@ def test_enumerate(tmp_path):
     assert sorted(rec["tube_id"] for rec in lines if rec["indec"]) == [0, 1, 2]
 
 
+def test_enumerate_fills_tubes_from_defect_zero_grades(tmp_path):
+    # Kronecker over GF(4): (1,4) and (4,1) hold no regular indecomposable, so
+    # they ask for no tube up to 4 delta, whose censuses exceed the subspace
+    # cap; beside (1,1) the tube ids of (1,1) are those it gets alone
+    alone = run_cli(["enumerate", "--quiver", "kronecker", "--p", "2", "--k", "2",
+                     "--grade", "1,1"], tmp_path)[1]
+    for grade in ("1,4", "4,1"):
+        code, text = run_cli(["enumerate", "--quiver", "kronecker", "--p", "2", "--k", "2",
+                              "--grade", grade], tmp_path)
+        lines = [json.loads(x) for x in text.strip().split("\n")]
+        assert code == 0 and lines and all(rec["tube_id"] is None for rec in lines)
+        assert {rec["pri_class"] for rec in lines if rec["indec"]} <= {
+            "preprojective", "preinjective"}
+        code, text = run_cli(["enumerate", "--quiver", "kronecker", "--p", "2", "--k", "2",
+                              "--grade", "1,1", "--grade", grade], tmp_path)
+        assert code == 0 and text.startswith(alone)
+
+
 def test_enumerate_jordan(tmp_path):
     code, text = run_cli(["enumerate", "--quiver", "jordan", "--p", "2",
                           "--grade", "2"], tmp_path)

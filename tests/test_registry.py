@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from childenv import child_env
-from hallforge import a_lambda
+from hallforge import HallAlgebra, a_lambda, cuspidal_space
 from hallforge.config import Caps
 from hallforge.errors import CapExceeded, CertificateError, HallforgeError
 from hallforge.gf import GF, Mat, gl_order, subspaces_of_dim
@@ -240,8 +240,8 @@ def _fitting_splits(m, f):
 
 def test_stacked_splits_match_the_per_rep_search(monkeypatch):
     # every stack a build solves (the canonical representatives of an orbit
-    # slice, the orbit-first candidates of a constructive level, halves
-    # split further as stacks of one) against end_basis and _find_splitter
+    # slice, the orbit-first candidates of a constructive level, the halves
+    # of one grade split further) against end_basis and _find_splitter
     solved = []
     stacked = registry.end_splits
 
@@ -1218,12 +1218,165 @@ def test_stacked_sub_quotient_matches_oracle_property(case):
     for pos in tuples:
         by_ranks[tuple(per_vertex[d][i].rows for d, i in zip(rep.dims, pos))].append(pos)
     for ranks, group in by_ranks.items():
-        subs, quots = reg._sub_quotient_stacks(reg._block_tables(rep), np.array(group), ranks)
+        rows = np.concatenate([np.zeros((len(group), 1), dtype=np.intp), group], axis=1)
+        subs, quots = reg._sub_quotient_stacks(reg._block_tables([rep]), rows, ranks)
         for row, pos in enumerate(group):
             sub, quot = sub_quotient(rep, [per_vertex[d][i] for d, i in zip(rep.dims, pos)])
             assert sub.dims == ranks
             assert [m.a.tolist() for m in sub.mats] == [b[row].tolist() for b in subs], pos
             assert [m.a.tolist() for m in quot.mats] == [b[row].tolist() for b in quots], pos
+
+
+def _per_class_censuses(reg, grades):
+    """Every class's census taken on its own, as a stack of one."""
+    return {c.key: list(reg.census(c.key).items()) for g in grades for c in reg.classes(g)}
+
+
+def _stacked_censuses(reg, grades):
+    """Every grade's censuses taken as one stack."""
+    return {key: list(census.items()) for g in grades
+            for key, census in reg.censuses([c.key for c in reg.classes(g)]).items()}
+
+
+def test_censuses_match_per_class_census():
+    # the cases of test_census_generator_matches_filter_walk, each on two
+    # fresh registries: the stacked censuses of a grade are the per-class
+    # censuses, keys in the same order
+    grades_below = lambda top: [g for g in itertools.product(*(range(x + 1) for x in top))
+                                if any(g)]
+    cases = [
+        (kronecker(), F2, False, grades_below((3, 3))),
+        (kronecker(), F3, False, sorted(set(grades_below((2, 3))) | set(grades_below((3, 2))))),
+        (kronecker(), F4, False, grades_below((2, 2))),
+        (Quiver(("1", "2"), ((1, 0), (1, 0))), F2, False, [(1, 1), (2, 1), (1, 2), (2, 2)]),
+        (affine_a(2, (1,)), F2, False, [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]),
+        (jordan(), F3, False, [(1,), (2,), (3,)]),
+        (cyclic_quiver(3), F2, True, [(1, 1, 1), (2, 1, 1), (1, 1, 0)]),
+    ]
+    for quiver, ctx, nilpotent, grades in cases:
+        regs = [IsoRegistry(quiver, ctx, nilpotent_only=nilpotent) for _ in range(2)]
+        assert _stacked_censuses(regs[0], grades) == _per_class_censuses(regs[1], grades)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(_small_quiver_grade())
+def test_censuses_match_per_class_census_property(case):
+    # loops, cycles and arrows both ways
+    quiver, q, grade = case
+    regs = [IsoRegistry(quiver, GF.of(q)) for _ in range(2)]
+    assert _stacked_censuses(regs[0], [grade]) == _per_class_censuses(regs[1], [grade])
+
+
+def test_chunked_censuses_match_and_cap_as_per_class(monkeypatch):
+    # Kronecker (3,3) over GF(3), lower slices built first: chunks of three
+    # representatives, or chunks sized by a 1 MB cap that the whole stack's
+    # tables exceed, give the per-class censuses; under a cap that one
+    # representative's tables exceed, both raise the same CapExceeded
+    grade = (3, 3)
+
+    def fresh():
+        reg = IsoRegistry(kronecker(), F3)
+        for g in reg.grades_below(grade):
+            reg.slice(g)
+        return reg, [c.key for c in reg.classes(grade)]
+
+    reg, keys = fresh()
+    want = {key: list(reg.census(key).items()) for key in keys}
+    per_rep = reg._table_bytes(grade)
+    assert per_rep < 2 ** 20 < len(keys) * per_rep
+    chunks = []
+    tables = IsoRegistry._block_tables
+    monkeypatch.setattr(IsoRegistry, "_block_tables",
+                        lambda reg, reps_: (chunks.append(len(reps_)), tables(reg, reps_))[1])
+    for chunk, cap_mb in ((3 * per_rep, "4096"), (registry._CENSUS_BYTES, "1")):
+        reg, keys = fresh()
+        chunks.clear()
+        monkeypatch.setattr(registry, "_CENSUS_BYTES", chunk)
+        monkeypatch.setenv("HALLFORGE_CAP_MB", cap_mb)
+        got = reg.censuses(keys)
+        assert {key: list(census.items()) for key, census in got.items()} == want
+        assert len(chunks) > 1 and max(chunks) * per_rep <= min(chunk, 2 ** 20 * int(cap_mb))
+    errors = []
+    for take in (lambda reg, keys: reg.censuses(keys), lambda reg, keys: reg.census(keys[0])):
+        monkeypatch.delenv("HALLFORGE_CAP_MB")
+        reg, keys = fresh()
+        monkeypatch.setenv("HALLFORGE_CAP_MB", "0")
+        with pytest.raises(CapExceeded) as err:
+            take(reg, keys)
+        errors.append((err.value.what, err.value.estimate, err.value.cap))
+    assert errors[0] == errors[1] and errors[0][0] == "memory_mb"
+
+
+def _random_reps(quiver, ctx, grade, count, seed):
+    rng = np.random.default_rng(seed)
+    return [Rep(quiver, ctx, grade, tuple(
+        Mat(ctx, rng.integers(0, ctx.q, (grade[t], grade[s]))
+            * (rng.random((grade[t], grade[s])) < rng.choice((0.3, 0.6, 1.0))))
+        for s, t in quiver.arrows)) for _ in range(count)]
+
+
+def test_stacked_split_summands_match_krull_schmidt():
+    # random stacks of representations, sparse ones often decomposable: the
+    # split loop's summand counts are those of a full decomposition whose
+    # parts are identified on a second registry
+    cases = [(kronecker(), F2, (2, 3)), (kronecker(), F3, (3, 2)), (kronecker(), F4, (2, 2)),
+             (affine_a2_acyclic(), F2, (2, 2, 2)), (affine_a2_acyclic(), F3, (1, 2, 1)),
+             (d4_star_out(), F2, (2, 1, 1, 1, 1))]
+    seen = collections.Counter()
+    for seed, (quiver, ctx, grade) in enumerate(cases):
+        reg, oracle = IsoRegistry(quiver, ctx), IsoRegistry(quiver, ctx)
+        stack = _random_reps(quiver, ctx, grade, 40, seed)
+        splits = registry.end_splits(stack)
+        got = reg._summands(stack, splits)
+        for m, (basis, _), counts in zip(stack, splits, got):
+            if counts is None:
+                counts = reg._scanned(m, basis)
+            parts = krull_schmidt(m, reg.caps)
+            want = collections.Counter(oracle.identify(part) for part in parts)
+            assert counts == ({} if len(parts) == 1 else dict(want)), m
+            seen[len(parts) > 1] += 1
+    assert seen[True] > 20 and seen[False] > 20, seen
+
+
+def test_split_loop_splits_each_grade_once(monkeypatch):
+    # a fresh Kronecker delta-ray cuspidal_space over GF(3) and a2-acyclic
+    # 2delta over GF(2): within one split loop, the halves of a grade are
+    # split by one `end_splits` call.  Splitting halves one at a time made
+    # 106 and 97 calls, 97 and 77 of them stacks of one; a stack of one is
+    # left only where a grade has one distinct half or one canonical
+    # representative (the zero representation of (2,0), say)
+    frames, calls = [], collections.Counter()
+    stacked, summands = registry.end_splits, IsoRegistry._summands
+
+    def counted(reps_):
+        calls["calls"] += 1
+        calls["stacks of one"] += len(reps_) == 1
+        if frames and frames[-1] is not None:  # a split loop's own call
+            assert reps_[0].dims not in frames[-1], reps_[0].dims
+            frames[-1].add(reps_[0].dims)
+        return stacked(reps_)
+
+    def framed(fn, frame):
+        def wrapper(*args):
+            frames.append(frame())
+            try:
+                return fn(*args)
+            finally:
+                frames.pop()
+        return wrapper
+
+    monkeypatch.setattr(registry, "end_splits", counted)
+    monkeypatch.setattr(IsoRegistry, "_summands", framed(summands, set))
+    for owner, name in ((IsoRegistry, "_build"), (SplitIndex, "prepare")):  # not the loop's calls
+        monkeypatch.setattr(owner, name, framed(getattr(owner, name), lambda: None))
+    hall = HallAlgebra(IsoRegistry(kronecker(), F3))
+    assert [cuspidal_space(hall, (r, r)).dim for r in (1, 2, 3)] == [3, 6, 11]
+    assert calls["calls"] <= 30 and calls["stacks of one"] <= 15, calls
+    calls.clear()
+    hall = HallAlgebra(IsoRegistry(affine_a2_acyclic(), F2))
+    assert cuspidal_space(hall, (2, 2, 2)).dim == 3
+    assert calls["calls"] <= 65 and calls["stacks of one"] <= 25, calls
 
 
 def test_census_makes_no_per_tuple_calls(monkeypatch):
@@ -1349,7 +1502,7 @@ def test_memory_cap_counts_census_tables(monkeypatch):
         for c in reg.classes(grade):
             estimates.clear()
             reg.census(c.key)
-            tables = reg._block_tables(c.canon)
+            tables = reg._block_tables([c.canon])
             assert estimates[0] == estimates[1]  # the census's check, then this call's
             assert estimates[0] >= sum(b.nbytes + ok.nbytes for b, ok in tables) > 0
     # slices built, a cap below the estimate ends the census before its tables
