@@ -132,6 +132,20 @@ def emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def emit_table(args, rows: list, columns: tuple) -> int:
+    """Write `rows` as indented JSON or, with --format csv, as a header of
+    `columns` and one line per row of their values, separated by ";" (a
+    list value joined by ",")."""
+    if args.format == "csv":
+        text = ";".join(columns) + "\n" + "\n".join(";".join(
+            ",".join(map(str, row[c])) if isinstance(row[c], list) else str(row[c])
+            for c in columns) for row in rows) + "\n"
+    else:
+        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    emit(args, text)
+    return 0
+
+
 def affine_delta(hall) -> tuple:
     qtype = hall.registry.qtype
     if qtype is None or qtype.delta is None:
@@ -205,14 +219,7 @@ def cmd_kac(args) -> int:
             samples.append((q, Fraction(count_absolutely_indecomposable(reg, grade))))
         poly = interpolate_polynomial(samples, 1)
         rows.append({"grade": list(grade), "kac_polynomial": str(poly)})
-    if args.format == "csv":
-        text = "grade;kac_polynomial\n" + "\n".join(
-            f"{','.join(map(str, row['grade']))};{row['kac_polynomial']}" for row in rows
-        ) + "\n"
-    else:
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    emit(args, text)
-    return 0
+    return emit_table(args, rows, ("grade", "kac_polynomial"))
 
 
 def cmd_xi(args) -> int:
@@ -220,12 +227,7 @@ def cmd_xi(args) -> int:
     if min(args.d) < 0:
         raise HallforgeError(f"xi needs levels >= 0, got {min(args.d)}")
     rows = [{"d": d, "q": q, "xi": str(xi_value(d, q))} for d in args.d]
-    if args.format == "csv":
-        text = "d;q;xi\n" + "\n".join(f"{r['d']};{r['q']};{r['xi']}" for r in rows) + "\n"
-    else:
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    emit(args, text)
-    return 0
+    return emit_table(args, rows, ("d", "q", "xi"))
 
 
 def cmd_tubes(args) -> int:
@@ -237,14 +239,7 @@ def cmd_tubes(args) -> int:
          "members": {",".join(map(str, g)): len(ks) for g, ks in sorted(t.members.items())}}
         for t in tubes
     ]
-    if args.format == "csv":
-        text = "tube;degree;period\n" + "\n".join(
-            f"{r['tube']};{r['degree']};{r['period']}" for r in rows
-        ) + "\n"
-    else:
-        text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    emit(args, text)
-    return 0
+    return emit_table(args, rows, ("tube", "degree", "period"))
 
 
 def _suite_noyau(args, quiver, hall):

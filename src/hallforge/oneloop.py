@@ -12,7 +12,7 @@ identifies a matrix by reading its type off the rank chains of the f(A)^j
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -181,11 +181,14 @@ class OneLoopIndex:
     def register(self, typ: tuple) -> None:
         self.types[typ] = len(self.types)
 
-    def classify(self, rep: Rep) -> int:
-        """The class of `rep`: its fingerprint looked up in the type table."""
-        typ = one_loop_fingerprint(rep)
-        idx = self.types.get(typ)
-        if idx is None:
-            raise CertificateError("identification", self.grade,
-                                   "a registered conjugacy type", typ)
-        return idx
+    def classify(self, reps: Sequence[Rep], ends: Optional[list] = None) -> List[int]:
+        """The classes of a stack of representations, in row order, by their
+        fingerprints in the type table; End bases (`ends`) are not needed."""
+        out = []
+        for rep in reps:
+            typ = one_loop_fingerprint(rep)
+            if typ not in self.types:
+                raise CertificateError("identification", self.grade,
+                                       "a registered conjugacy type", typ)
+            out.append(self.types[typ])
+        return out

@@ -65,12 +65,13 @@ its representations:
   then the halves by grade, largest first, each grade's halves as one
   stack.  A built grade identifies its halves and adds their registered
   summands; an unbuilt grade splits its halves further, by one
-  `reps.end_splits`, and identifies the indecomposable ones (building the
-  slice).  The full End scan (`reps.scan_splitter`) of a representation
-  that no basis element or pair sum splits runs only when its turn comes,
-  in candidate order.  A representation is indecomposable exactly when
-  the split adds no summand; `SplitIndex` then compares it with the
-  registered indecomposables of its (dim End, arrow ranks).  Automorphism
+  `reps.end_splits`, and identifies the indecomposable ones with their
+  End bases (building the slice).  The full End scan
+  (`reps.scan_splitter`) of a representation that no basis element or
+  pair sum splits runs only when its turn comes, in candidate order.  A
+  representation is indecomposable exactly when the split adds no
+  summand; `SplitIndex` then compares it with the registered
+  indecomposables of its (dim End, arrow ranks).  Automorphism
   orders come from the End basis the split searched: a new decomposable
   class is isomorphic to the candidate that registers it, so dim End of
   its canonical representative is the length of that basis.  A class
@@ -80,9 +81,10 @@ its representations:
 Every grade identifies a stack of representations by their digit rows
 (`_identify_stack`; `identify` is a stack of one): a zero or orbit slice
 gathers the rows' codes from its `table`, a constructive slice looks the
-rows up in `known` and has its index `classify` only the rows not met yet;
-an acyclic index first prepares those misses as one stack, as a build
-prepares its candidates.
+rows up in `known`, which its build fills with its canonical
+representatives, and has its index `classify` the rows not met yet as one
+stack.  `SplitIndex.classify` splits that stack as `SplitIndex.register`
+splits a build's candidates.
 
 Every slice must pass the exact mass identity sum over classes of
 |G| / |Aut| = #points of the ambient space, which certifies completeness
@@ -182,7 +184,7 @@ def decode_rep(quiver: Quiver, ctx: GF, dims: tuple, code: int) -> Rep:
 
 
 class SplitIndex:
-    """Constructive acyclic slices: one Fitting split, then lookups.
+    """Constructive acyclic slices: Fitting splits of a stack, then lookups.
 
     A decomposable representation is found by its summands.  An
     indecomposable one is compared, by `first_isomorphic`, with the
@@ -193,40 +195,40 @@ class SplitIndex:
         self.reg = reg
         self.sl = sl
         self.buckets: Dict[tuple, List[int]] = {}
-        self.splits: Dict[Rep, tuple] = {}  # End bases and summands solved ahead
 
-    def prepare(self, reps: Sequence[Rep]) -> None:
-        """Solve End, search splitters and find the summands of the split
-        ones for a stack of representations of the slice's grade at once
-        (`end_splits`, `IsoRegistry._summands`); `register` and `classify`
-        then read each one's result."""
-        reps = [rep for rep in reps if rep not in self.splits]
-        if reps:
-            splits = end_splits(reps)
-            counts = self.reg._summands(reps, splits)
-            self.splits.update(zip(reps, ((basis, c) for (basis, _), c in zip(splits, counts))))
+    def classify(self, reps: Sequence[Rep], ends: Optional[list] = None) -> List[int]:
+        """The classes, in row order, of a stack of representations of the
+        slice's grade, which must be registered.  `ends`, when given, holds
+        the End bases of representations certified indecomposable."""
+        return self._classify(reps, ends, register=False)
 
-    def classify(self, rep: Rep) -> int:
-        """The class of `rep`, which must be registered."""
-        return self._classify(rep, register=False)
-
-    def register(self, rep: Rep) -> None:
-        """Add the class of a build candidate unless it is registered."""
-        self._classify(rep, register=True)
+    def register(self, reps: Sequence[Rep]) -> None:
+        """Register the classes of a stack of build candidates, in order."""
+        self._classify(reps, None, register=True)
 
     def renumber(self, remap: Dict[int, int]) -> None:
         self.buckets = {sig: sorted(remap[i] for i in idxs)
                         for sig, idxs in self.buckets.items()}
-        # a canonical representative identifies as its own class; the census
-        # meets it as the sub on the full tuple and the quotient by zero
-        self.sl.known = {digit_rows([m.a[None] for m in c.canon.mats], 1).tobytes(): c.index
-                         for c in self.sl.classes}
 
-    def _classify(self, rep: Rep, register: bool) -> int:
+    def _classify(self, reps: Sequence[Rep], ends: Optional[list], register: bool) -> List[int]:
+        """End and the summands are solved for the whole stack at once
+        (`end_splits`, `IsoRegistry._summands`) unless `ends` is given; each
+        representation is then placed at its turn, in row order."""
+        if ends is None:
+            splits = end_splits(reps)
+            found = self.reg._summands(reps, splits)
+            ends = [basis for basis, _ in splits]
+        else:
+            found = [{} for _ in reps]
+        return [self._place(rep, basis, counts, register)
+                for rep, basis, counts in zip(reps, ends, found)]
+
+    def _place(self, rep: Rep, basis: list, counts: Optional[Dict[ClassKey, int]],
+               register: bool) -> int:
+        """The class of `rep`, given its End basis and its summands (None
+        when no basis element or pair sum splits it: its full scan runs
+        now, so a scan's cap fires at its candidate)."""
         reg, sl = self.reg, self.sl
-        if rep not in self.splits:
-            self.prepare([rep])
-        basis, counts = self.splits.pop(rep)
         if counts is None:
             counts = reg._scanned(rep, basis)
         h_end = len(basis)
@@ -380,6 +382,9 @@ class IsoRegistry:
             sl, points = self._build_extension_chain(grade), ambient
         else:
             raise CapExceeded("tuple_count", ambient, self.caps.max_tuple_count)
+        if sl.table is None:  # a constructive slice knows its canonical representatives
+            sl.known = {digit_rows([m.a[None] for m in c.canon.mats], 1).tobytes(): c.index
+                        for c in sl.classes}
         self._annotate(sl)
         self._mass_check(sl, points)
         return sl
@@ -485,22 +490,19 @@ class IsoRegistry:
                      for r, _ in rows.values()]
             indec, items = [], []
             solved = end_splits(cands)
-            for (buf, (r, o)), rep, (basis, kers) in zip(rows.items(), cands, solved):
+            for (r, o), rep, (basis, kers) in zip(rows.values(), cands, solved):
                 if kers is None:
                     kers = scan_splitter(rep, basis, self.caps)
                 if kers is None:
-                    indec.append((buf, r, o, rep, basis))
+                    indec.append((r, o, basis))
                 else:
                     items.append((o, rep, kers))
             split(items)
-            if indec:
-                sl = self.slice(grade)
-                if isinstance(sl.index, SplitIndex):  # its misses need no second solve
-                    sl.index.splits.update((rep, (basis, {})) for buf, _, _, rep, basis in indec
-                                           if buf not in sl.known)
-                sel = [r for _, r, _, _, _ in indec]
-                found = self._identify_stack(grade, [b[sel] for b in blocks], len(sel))
-                for (_, _, o, _, _), i in zip(indec, found.tolist()):
+            if indec:  # identified with their End bases: a miss needs no second solve
+                sel, owned, bases = zip(*indec)
+                found = self._identify_stack(grade, [b[list(sel)] for b in blocks], len(sel),
+                                             bases)
+                for o, i in zip(owned, found.tolist()):
                     add(o, (grade, i), 1)
         return out
 
@@ -683,9 +685,7 @@ class IsoRegistry:
             cocycles, first = ext.orbits()
             candidates += [ext.middle_term(cocycles[i])
                            for i in np.flatnonzero(first == np.arange(ext.count))]
-        sl.index.prepare(candidates)  # all orbit-first candidates as one stack
-        for rep in candidates:
-            sl.index.register(rep)
+        sl.index.register(candidates)  # all orbit-first candidates as one stack
         self._order_constructive(sl)
         return sl
 
@@ -901,14 +901,14 @@ class IsoRegistry:
             quots.append(b[:, ranks[t]:, ranks[s]:])
         return subs, quots
 
-    def _identify_stack(self, grade: tuple, blocks: List[np.ndarray], count: int
-                        ) -> np.ndarray:
+    def _identify_stack(self, grade: tuple, blocks: List[np.ndarray], count: int,
+                        ends: Optional[Sequence] = None) -> np.ndarray:
         """The class of each of `count` representations of `grade`, given by
         one stack of matrices per arrow, from their digit rows: one table
         gather on a zero or orbit slice; on a constructive slice one lookup
-        in `known` per row and one `classify` per distinct row not known
-        yet, in row order, after an acyclic index has prepared them all as
-        one stack."""
+        in `known` per row and one `classify` of the distinct rows not known
+        yet, as one stack in row order.  `ends`, when given, holds the End
+        bases of representations certified indecomposable, one per row."""
         sl = self.slice(grade)
         digits = digit_rows(blocks, count)
         if sl.table is not None:
@@ -918,13 +918,13 @@ class IsoRegistry:
                                      "registry (a nilpotent-only registry excludes it)")
             return idx
         rows = [row.tobytes() for row in digits]
-        missed = {buf: row for buf, row in zip(rows, digits) if buf not in sl.known}
+        # the distinct rows not known yet, in order of first occurrence
+        missed = {buf: r for r, buf in enumerate(rows) if buf not in sl.known}
         if missed:
-            reps = [_rep_of(self.quiver, self.ctx, grade, row) for row in missed.values()]
-            if isinstance(sl.index, SplitIndex):
-                sl.index.prepare(reps)
-            for buf, rep in zip(missed, reps):
-                sl.known[buf] = sl.index.classify(rep)
+            at = list(missed.values())
+            reps = [_rep_of(self.quiver, self.ctx, grade, digits[r]) for r in at]
+            found = sl.index.classify(reps, None if ends is None else [ends[r] for r in at])
+            sl.known.update(zip(missed, found))
         return np.array([sl.known[buf] for buf in rows], dtype=np.int64)
 
     # -- export

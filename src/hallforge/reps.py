@@ -15,16 +15,16 @@ of the intertwiner systems' kernels.
 
 Hom systems are filled from scatter indices cached per pair of dimension
 vectors, for a whole stack of pairs at once (`hom_stack`; `hom_space` is
-its stack of one).  `end_splits` solves End and searches splitters for a
-stack of representations of one dimension vector together: every basis
-element of every representation, then the pair sums of those still
-unsplit, each as one `GF.kernel_stack` per vertex; it keeps each End basis
-as its kernel rows (`EndBasis`).  `_find_splitter` is the same search one
-candidate at a time, behind the public per-representation API
-(`fitting_split`, `krull_schmidt`, `is_indecomposable`).  The subs and
-quotients of the splits of a stack with one kernel dimension vector are
-cut out together (`sub_quotient_stack`; `sub_quotient` is its stack of
-one).
+its stack of one).  There is one splitter search, over End basis rows
+(`_basis_splits`): every basis element of a stack of representations of
+one dimension vector, then the pair sums of those still unsplit, each as
+one `GF.kernel_stack` per vertex.  `end_splits` runs it after solving End
+for the stack, keeping each End basis as its kernel rows (`EndBasis`);
+the public per-representation API (`fitting_split`, `krull_schmidt`,
+`is_indecomposable`) runs it on a stack of one with the caller's basis.
+The subs and quotients of the splits of a stack with one kernel dimension
+vector are cut out together (`sub_quotient_stack`; `sub_quotient` is its
+stack of one).
 
 Indecomposability is certified, not guessed: a representation is
 indecomposable iff its endomorphism ring is local, which is detected by a
@@ -419,44 +419,11 @@ def sub_quotient_stack(quiver: Quiver, ctx: GF, mats: Sequence[np.ndarray],
 # Fitting splits and Krull-Schmidt
 
 
-def _find_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
-    """The RREF kernel bases of the Fitting power g of an endomorphism that
-    is neither nilpotent nor invertible, one per vertex, or None when m is
-    certified indecomposable.
-
-    The basis and its pairwise sums are tried first; when none splits, a
-    full scan of End(m) (within the end-scan cap) proves locality.  Each
-    candidate costs one elimination per vertex: g splits m exactly when
-    its total nullity lies strictly between 0 and dim m.
-    """
-    total = m.total_dim
-
-    def fitting_power(f):
-        # on a d-dimensional space the kernel and image of f^k are stable
-        # from k = d on, so f_i^(d_i) is the Fitting power at vertex i
-        kers = [fi.power(fi.rows).kernel_basis() for fi in f]
-        return kers if 0 < sum(k.rows for k in kers) < total else None
-
-    pair_sums = (tuple(a + b for a, b in zip(basis[i], basis[j]))
-                 for i, j in itertools.combinations(range(len(basis)), 2))
-    for f in itertools.chain(basis, pair_sums):
-        kers = fitting_power(f)
-        if kers is not None:
-            return kers
-    caps.check("end_scan", m.ctx.q ** len(basis))
-    zero = tuple(Mat.zeros(m.ctx, d, d) for d in m.dims)
-    for f in itertools.islice(hom_combinations(basis, m.ctx.q, zero), 1, None):
-        kers = fitting_power(f)
-        if kers is not None:
-            return kers
-    return None
-
-
 def _first_splitters(m: Rep, cands: np.ndarray, owner: np.ndarray, count: int) -> list:
     """For each of `count` owners, the per-vertex Fitting kernels of its
     first candidate (rows of `cands`, endomorphisms of m as End basis rows,
-    with that `owner`) that splits m, as `_find_splitter` returns them, or
-    None when none of them does.
+    with that `owner`) that splits m, or None when none of them does: f
+    splits m when the nullity of its Fitting power is neither 0 nor dim m.
 
     At each vertex the blocks f_i of all candidates are raised to the power
     d_i by broadcasting `GF.matmul` and eliminated as one stack
@@ -484,25 +451,13 @@ def _first_splitters(m: Rep, cands: np.ndarray, owner: np.ndarray, count: int) -
     return found
 
 
-def end_splits(reps: Sequence[Rep]) -> List[Tuple[EndBasis, Optional[List[Mat]]]]:
-    """For each representation of a stack of one dimension vector, its End
-    basis (an `EndBasis`) and the Fitting kernels of its first basis
-    element or pair sum that splits it, as `_find_splitter` tries them, or
-    None when none does.
-
-    End is solved for the whole stack by one `hom_stack`; the basis
-    elements of all representations are then tried at once, and the pair
-    sums of those no basis element split, each kind with one elimination
-    per vertex.  A representation with None is indecomposable unless
-    `scan_splitter` finds a splitter.
-    """
-    if len(reps) > _SPLIT_STACK:  # bounds the stacks' memory
-        return [split for lo in range(0, len(reps), _SPLIT_STACK)
-                for split in end_splits(reps[lo: lo + _SPLIT_STACK])]
-    m = reps[0]
-    kernel, h = hom_stack(reps, reps)
-    rows = kernel[np.arange(kernel.shape[1]) < h[:, None]]  # every basis element, in order
-    kers = _first_splitters(m, rows, np.repeat(np.arange(len(reps)), h), len(reps))
+def _basis_splits(m: Rep, rows: np.ndarray, h: np.ndarray) -> list:
+    """For each of len(h) representations of m's dimension vector, whose End
+    bases are the next h[i] of `rows`, the Fitting kernels of its first
+    basis element or else pair sum (in `itertools.combinations` order) that
+    splits it, or None: the basis elements of all of them as one stack,
+    then the pair sums of those still unsplit (`_first_splitters`)."""
+    kers = _first_splitters(m, rows, np.repeat(np.arange(len(h)), h), len(h))
     starts = np.cumsum(h) - h
     left = [i for i, k in enumerate(kers) if k is None and h[i] > 1]
     if left:
@@ -510,13 +465,30 @@ def end_splits(reps: Sequence[Rep]) -> List[Tuple[EndBasis, Optional[List[Mat]]]
         first = np.concatenate([starts[i] + a for i, (a, _) in zip(left, pairs)])
         second = np.concatenate([starts[i] + b for i, (_, b) in zip(left, pairs)])
         owner = np.repeat(left, [len(a) for a, _ in pairs])
-        found = _first_splitters(m, m.ctx.ADD[rows[first], rows[second]], owner, len(reps))
+        found = _first_splitters(m, m.ctx.ADD[rows[first], rows[second]], owner, len(h))
         for i in left:
             kers[i] = found[i]
+    return kers
+
+
+def end_splits(reps: Sequence[Rep]) -> List[Tuple[EndBasis, Optional[List[Mat]]]]:
+    """For each representation of a stack of one dimension vector, its End
+    basis (an `EndBasis`) and the Fitting kernels of its first basis
+    element or pair sum that splits it, or None when none does
+    (`_basis_splits`).  End is solved for the whole stack by one
+    `hom_stack`.  A representation with None is indecomposable unless
+    `scan_splitter` finds a splitter.
+    """
+    if len(reps) > _SPLIT_STACK:  # bounds the stacks' memory
+        return [split for lo in range(0, len(reps), _SPLIT_STACK)
+                for split in end_splits(reps[lo: lo + _SPLIT_STACK])]
+    m = reps[0]
+    kernel, h = hom_stack(reps, reps)
+    kers = _basis_splits(m, kernel[np.arange(kernel.shape[1]) < h[:, None]], h)
     return [(EndBasis(m.ctx, kernel[i, : h[i]].copy(), m.dims), k) for i, k in enumerate(kers)]
 
 
-def scan_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
+def scan_splitter(m: Rep, basis: EndBasis, caps: Caps) -> Optional[List[Mat]]:
     """For m that no element or pair sum of `basis` splits (`end_splits`
     gave it None), the Fitting kernels of the first element of End(m), in
     `hom_combinations` order, that splits m, or None when m is certified
@@ -529,9 +501,6 @@ def scan_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
     """
     q, h = m.ctx.q, len(basis)
     caps.check("end_scan", q ** h)
-    rows = basis.rows if isinstance(basis, EndBasis) else np.array(
-        [np.concatenate([fi.a.ravel() for fi in f]) for f in basis],
-        dtype=np.uint8).reshape(h, -1)
     for lo in range(1, q ** h, _SCAN_STACK):
         combos = np.stack(np.unravel_index(np.arange(lo, min(lo + _SCAN_STACK, q ** h)),
                                            (q,) * h), axis=1).astype(np.uint8)
@@ -539,7 +508,8 @@ def scan_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
         tried = (combos <= 1).all(axis=1) & ((combos != 0).sum(axis=1) <= 2)
         combos = combos[(lead == 1) & ~tried]
         if len(combos):
-            found = _first_splitters(m, m.ctx.matmul(combos, rows), np.zeros(len(combos), int), 1)
+            found = _first_splitters(m, m.ctx.matmul(combos, basis.rows),
+                                     np.zeros(len(combos), int), 1)
             if found[0] is not None:
                 return found[0]
     return None
@@ -548,14 +518,20 @@ def scan_splitter(m: Rep, basis: list, caps: Caps) -> Optional[List[Mat]]:
 def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tuple[Rep, Rep]]:
     """Split m once by the Fitting power g of a splitter endomorphism.
 
-    `basis` is a basis of End(m), searched in its order.  Returns the sub
+    `basis` is a basis of End(m), searched in its order: its elements and
+    pair sums as `end_splits` searches a stack (`_basis_splits`, here on a
+    stack of one), then the full scan (`scan_splitter`).  Returns the sub
     ker g and the quotient m / ker g, both nonzero, or None when m is
-    certified indecomposable.  The splitter search already holds the RREF
-    bases of ker g, so the split makes no elimination of its own.  As
+    certified indecomposable.  The search already holds the RREF bases of
+    ker g, so the split makes no elimination of its own.  As
     m = ker g (+) im g with both summands stable, the quotient is
     isomorphic to the image part.
     """
-    kers = _find_splitter(m, basis, caps)
+    rows = np.array([np.concatenate([fi.a.ravel() for fi in f]) for f in basis],
+                    dtype=np.uint8).reshape(len(basis), sum(d * d for d in m.dims))
+    kers = _basis_splits(m, rows, np.array([len(basis)]))[0]
+    if kers is None:
+        kers = scan_splitter(m, EndBasis(m.ctx, rows, m.dims), caps)
     return None if kers is None else sub_quotient(m, kers)
 
 
@@ -572,7 +548,7 @@ def krull_schmidt(m: Rep, caps: Caps = DEFAULT_CAPS) -> List[Rep]:
 def is_indecomposable(m: Rep, caps: Caps = DEFAULT_CAPS) -> bool:
     if m.total_dim == 0:
         raise ValueError("the zero representation is not indecomposable")
-    return _find_splitter(m, end_basis(m), caps) is None
+    return fitting_split(m, end_basis(m), caps) is None
 
 
 def iso_indecomposables(m: Rep, n: Rep) -> bool:

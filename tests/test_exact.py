@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -189,6 +190,23 @@ def test_modular_kernel_needs_several_primes():
     p = next(exact._primes_31())
     for rows in ([[p, 1]], [[p, 1, 2], [1, 1, 1]], [[p, p], [1, 2]]):
         _check_int_route(rows)
+
+
+def test_modular_route_skips_a_prime_with_worse_pivots(monkeypatch):
+    # the second prime p2 divides the first entry, so modulo p2 the pivot
+    # moves to column 1: a worse pivot than the first prime's, so that prime
+    # is skipped and the RREF is the dividing oracle's
+    p2 = list(itertools.islice(exact._primes_31(), 2))[1]
+    pivots, rref_mod = [], exact._rref_mod
+
+    def recorded(a, p):
+        out = rref_mod(a, p)
+        pivots.append((p, out[1]))
+        return out
+
+    monkeypatch.setattr(exact, "_rref_mod", recorded)
+    _check_int_route([[p2, 2 ** 40 + 3]])
+    assert (p2, [1]) in pivots and pivots[0][1] == [0] and len(pivots) > 2
 
 
 def test_pbw_rank_matches_the_unscaled_rows(hall_kron2, hall_kron3):

@@ -218,9 +218,9 @@ def test_register_calls_one_per_orbit(monkeypatch):
     calls = collections.Counter()
     register = SplitIndex.register
 
-    def counted(self, rep):
-        calls[rep.dims] += 1
-        register(self, rep)
+    def counted(self, reps_):
+        calls[self.sl.grade] += len(reps_)
+        register(self, reps_)
 
     monkeypatch.setattr(SplitIndex, "register", counted)
     # 1,918 and 380 candidates with one per F_q^* line; 318 and 152 distinct
@@ -233,15 +233,36 @@ def test_register_calls_one_per_orbit(monkeypatch):
 
 
 def _fitting_splits(m, f):
-    """The per-candidate test of `reps._find_splitter`."""
+    """The RREF kernel bases of the Fitting power of the endomorphism f of
+    m, one per vertex, when it splits m, or None."""
     kers = [fi.power(fi.rows).kernel_basis() for fi in f]
-    return 0 < sum(k.rows for k in kers) < m.total_dim
+    return kers if 0 < sum(k.rows for k in kers) < m.total_dim else None
+
+
+def _first_splitter(m, basis, caps):
+    """The oracle of the splitter search, one candidate at a time: the
+    Fitting kernels of the first of the basis elements, their pair sums
+    and (checked against the end-scan cap first) the elements of End(m) in
+    `hom_combinations` order that splits m, or None."""
+    pairs = (tuple(x + y for x, y in zip(basis[i], basis[j]))
+             for i, j in itertools.combinations(range(len(basis)), 2))
+
+    def scan():
+        caps.check("end_scan", m.ctx.q ** len(basis))
+        zero = tuple(Mat.zeros(m.ctx, d, d) for d in m.dims)
+        yield from itertools.islice(reps.hom_combinations(basis, m.ctx.q, zero), 1, None)
+
+    for f in itertools.chain(basis, pairs, scan()):
+        kers = _fitting_splits(m, f)
+        if kers is not None:
+            return kers
+    return None
 
 
 def test_stacked_splits_match_the_per_rep_search(monkeypatch):
     # every stack a build solves (the canonical representatives of an orbit
     # slice, the orbit-first candidates of a constructive level, the halves
-    # of one grade split further) against end_basis and _find_splitter
+    # of one grade split further) against end_basis and the oracle search
     solved = []
     stacked = registry.end_splits
 
@@ -263,12 +284,12 @@ def test_stacked_splits_match_the_per_rep_search(monkeypatch):
             assert basis == reps.end_basis(m), m
             for f in basis:  # intertwiners, checked without the Hom system
                 assert all(f[t] @ a == a @ f[s] for a, (s, t) in zip(m.mats, quiver.arrows))
-            want = reps._find_splitter(m, basis, caps)
+            want = _first_splitter(m, basis, caps)
             assert (kers if kers is not None else reps.scan_splitter(m, basis, caps)) == want
-            if any(_fitting_splits(m, f) for f in basis):
+            if any(_fitting_splits(m, f) is not None for f in basis):
                 branch = "basis"
             elif any(_fitting_splits(m, tuple(x + y for x, y in zip(basis[i], basis[j])))
-                     for i, j in itertools.combinations(range(len(basis)), 2)):
+                     is not None for i, j in itertools.combinations(range(len(basis)), 2)):
                 branch = "pairs"
             else:
                 branch = "scan" if want is not None else "indecomposable"
@@ -291,19 +312,18 @@ def test_scan_splitter_matches_the_full_scan(kron3):
             h = len(basis)
             if h < 2 or ctx.q ** h > 256:
                 continue
+            rows = np.array([np.concatenate([b.a.ravel() for b in f]) for f in basis])
             for _ in range(60):
                 t = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(h)] for _ in range(h)])
                 if t.rank() < h:
                     continue
-                other = [tuple(functools.reduce(lambda x, y: x + y,
-                                                (b[v].scale(int(t.a[i, j]))
-                                                 for j, b in enumerate(basis)))
-                               for v in range(len(m.dims))) for i in range(h)]
+                other = reps.EndBasis(ctx, ctx.matmul(t.a, rows), m.dims)
                 pairs = (tuple(x + y for x, y in zip(other[i], other[j]))
                          for i, j in itertools.combinations(range(h), 2))
-                if any(_fitting_splits(m, f) for f in itertools.chain(other, pairs)):
+                if any(_fitting_splits(m, f) is not None
+                       for f in itertools.chain(other, pairs)):
                     continue
-                want = reps._find_splitter(m, other, Caps())
+                want = _first_splitter(m, other, Caps())
                 assert want is not None and reps.scan_splitter(m, other, Caps()) == want, c.key
                 cases[ctx.q] += 1
     assert cases[3] >= 10 and cases[4] >= 10, cases
@@ -315,11 +335,11 @@ def test_end_scan_cap_raises_as_the_per_rep_search(monkeypatch):
     # exceed, the build raises the CapExceeded that the per-rep search of
     # the first such candidate raises, at that candidate
     scans, candidates, registered = [], [], []
-    scan, prepare, register = registry.scan_splitter, SplitIndex.prepare, SplitIndex.register
+    scan, register, place = registry.scan_splitter, SplitIndex.register, SplitIndex._place
     monkeypatch.setattr(registry, "scan_splitter", lambda m, basis, caps: (
         scans.append((m, len(basis))), scan(m, basis, caps))[1])
-    monkeypatch.setattr(SplitIndex, "prepare",
-                        lambda index, reps_: (candidates.extend(reps_), prepare(index, reps_))[1])
+    monkeypatch.setattr(SplitIndex, "register",
+                        lambda index, reps_: (candidates.extend(reps_), register(index, reps_))[1])
     IsoRegistry(kronecker(), F3).slice((3, 3))
     top = {id(m) for m in candidates}
     cap = F3.q ** max(h for m, h in scans if id(m) in top) - 1
@@ -327,14 +347,14 @@ def test_end_scan_cap_raises_as_the_per_rep_search(monkeypatch):
     capped = Caps(max_end_scan=cap)
     for i, m in enumerate(candidates):
         try:
-            reps._find_splitter(m, reps.end_basis(m), capped)
+            _first_splitter(m, reps.end_basis(m), capped)
         except CapExceeded as exc:
             first, want = i, exc
             break
     else:
         pytest.fail("no candidate's scan exceeds the cap")
-    monkeypatch.setattr(SplitIndex, "register",
-                        lambda index, rep: (registered.append(rep), register(index, rep))[1])
+    monkeypatch.setattr(SplitIndex, "_place", lambda index, rep, *args: (  # a candidate's turn
+        registered.append(rep), place(index, rep, *args))[1])
     with pytest.raises(CapExceeded) as err:
         IsoRegistry(kronecker(), F3, capped).slice((3, 3))
     assert (err.value.what, err.value.estimate, err.value.cap) == (want.what, want.estimate, cap)
@@ -446,6 +466,7 @@ def test_mass_check_survives_optimize():
         "sl = reg.slice((2,))\n"
         "typ = next(t for t, i in sl.index.types.items() if i == 0)\n"
         "del sl.index.types[typ]\n"
+        "sl.known.clear()\n"
         "try:\n"
         "    reg.identify(sl.classes[0].canon)\n"
         "except CertificateError as err:\n"
@@ -1316,6 +1337,22 @@ def _random_reps(quiver, ctx, grade, count, seed):
         for s, t in quiver.arrows)) for _ in range(count)]
 
 
+def test_end_splits_chunks_match_one_stack(monkeypatch):
+    # above `_SPLIT_STACK` representations, `end_splits` solves the stack in
+    # chunks; each representation gets the End basis and splitter kernels
+    # that one stack of all of them gives it
+    stack = _random_reps(kronecker(), F3, (2, 2), 10, 7)
+    whole = reps.end_splits(stack)
+    solves, hom_stack = [], reps.hom_stack
+    monkeypatch.setattr(reps, "hom_stack", lambda ms, ns: (solves.append(len(ms)),
+                                                           hom_stack(ms, ns))[1])
+    monkeypatch.setattr(reps, "_SPLIT_STACK", 3)
+    chunked = reps.end_splits(stack)
+    assert solves == [3, 3, 3, 1]
+    assert [(b.rows.tolist(), k) for b, k in chunked] == [(b.rows.tolist(), k) for b, k in whole]
+    assert {k is None for _, k in whole} == {True, False}
+
+
 def test_stacked_split_summands_match_krull_schmidt():
     # random stacks of representations, sparse ones often decomposable: the
     # split loop's summand counts are those of a full decomposition whose
@@ -1368,7 +1405,8 @@ def test_split_loop_splits_each_grade_once(monkeypatch):
 
     monkeypatch.setattr(registry, "end_splits", counted)
     monkeypatch.setattr(IsoRegistry, "_summands", framed(summands, set))
-    for owner, name in ((IsoRegistry, "_build"), (SplitIndex, "prepare")):  # not the loop's calls
+    for owner, name in ((IsoRegistry, "_build"), (SplitIndex, "classify"),
+                        (SplitIndex, "register")):  # not the loop's calls
         monkeypatch.setattr(owner, name, framed(getattr(owner, name), lambda: None))
     hall = HallAlgebra(IsoRegistry(kronecker(), F3))
     assert [cuspidal_space(hall, (r, r)).dim for r in (1, 2, 3)] == [3, 6, 11]
@@ -1420,30 +1458,41 @@ def test_census_makes_no_per_tuple_calls(monkeypatch):
 
 
 def test_census_misses_are_prepared_as_one_stack(monkeypatch):
-    # forced-constructive Kronecker GF(3) up to (2,2): the subs and
-    # quotients a census meets that no constructive slice knows yet are
-    # solved as one stack per identification, then classified one by one
-    # in row order, each with the split prepared for it
-    reg = IsoRegistry(kronecker(), F3, TINY)
-    keys = [c.key for g in reg.grades_below((2, 2)) for c in reg.classes(g)]
-    stacks, classified = [], []
-    prepare, classify = SplitIndex.prepare, SplitIndex.classify
+    # forced-constructive Kronecker GF(3) up to (2,2), built and censused:
+    # the representations an identification meets that no constructive
+    # slice knows yet are classified as one stack, End solved once for the
+    # stack (not at all when a build's split loop hands over the End bases
+    # of indecomposable halves), and the classes come back in row order:
+    # each is the class of its row on an orbit-built registry
+    reg, oracle = IsoRegistry(kronecker(), F3, TINY), IsoRegistry(kronecker(), F3)
+    frames, stacks = [], collections.Counter()
+    classify, solve = SplitIndex.classify, registry.end_splits
 
-    def prepared(index, reps_):
-        stacks.append(list(reps_))
-        prepare(index, reps_)
+    def solved(reps_):
+        if frames:
+            frames[-1].append(list(reps_))
+        return solve(reps_)
 
-    def classified_(index, rep):
-        assert rep in index.splits  # its End basis and splitter are ready
-        classified.append(rep)
-        return classify(index, rep)
+    def classified(index, reps_, ends=None):
+        frames.append([])
+        try:
+            found = classify(index, reps_, ends)
+        finally:
+            calls = frames.pop()
+        own = int(ends is None)  # the stack's own solve, unless its End bases came with it
+        assert calls[:own] == [list(reps_)] * own
+        assert not any(m in call for call in calls[own:] for m in reps_)  # no second solve
+        for m, i in zip(reps_, found):
+            assert oracle.identify(m) == oracle.identify(reg.cls((m.dims, i)).canon)
+        stacks[len(reps_) > 1, ends is None] += 1
+        return found
 
-    monkeypatch.setattr(SplitIndex, "prepare", prepared)
-    monkeypatch.setattr(SplitIndex, "classify", classified_)
-    for key in keys:
+    monkeypatch.setattr(registry, "end_splits", solved)
+    monkeypatch.setattr(SplitIndex, "classify", classified)
+    reg.slice((2, 2))  # before the grades below it, whose halves it splits
+    for key in [c.key for g in reg.grades_below((2, 2)) for c in reg.classes(g)]:
         reg.census(key)
-    assert classified == [rep for stack in stacks for rep in stack]
-    assert max(map(len, stacks)) > 1
+    assert stacks[True, True] and stacks[True, False], stacks
 
 
 def test_census_second_pass_reads_known_rows(constructive_regs, monkeypatch):
@@ -1460,8 +1509,8 @@ def test_census_second_pass_reads_known_rows(constructive_regs, monkeypatch):
         sl.census_cache.clear()
     classified, built = [], []
     classify, post_init = SplitIndex.classify, Rep.__post_init__
-    monkeypatch.setattr(SplitIndex, "classify",
-                        lambda index, rep: (classified.append(rep.dims), classify(index, rep))[1])
+    monkeypatch.setattr(SplitIndex, "classify", lambda index, reps_, ends=None: (
+        classified.extend(m.dims for m in reps_), classify(index, reps_, ends))[1])
     monkeypatch.setattr(Rep, "__post_init__",
                         lambda rep: (built.append(rep.dims), post_init(rep))[1])
     assert {key: reg.census(key) for key in keys} == first
@@ -1470,21 +1519,24 @@ def test_census_second_pass_reads_known_rows(constructive_regs, monkeypatch):
 
 
 def test_canonical_representatives_identify_without_classify(constructive_regs, monkeypatch):
-    # the build of a constructive acyclic slice leaves the digit row of each
-    # canonical representative in `known`
+    # the build of a constructive slice, acyclic or one-loop (jordan GF(3)
+    # (4,)), leaves the digit row of each canonical representative in `known`
+    one_loop = IsoRegistry(jordan(), F3)
+    one_loop.slice((4,))
 
-    def refuse(index, rep):
-        raise AssertionError(f"classify called on grade {rep.dims}")
+    def refuse(index, reps_, ends=None):
+        raise AssertionError(f"classify called on grade {reps_[0].dims}")
 
-    monkeypatch.setattr(SplitIndex, "classify", refuse)
-    seen = 0
-    for reg in constructive_regs.values():
+    for index in (SplitIndex, OneLoopIndex):
+        monkeypatch.setattr(index, "classify", refuse)
+    seen = collections.Counter()
+    for reg in (*constructive_regs.values(), one_loop):
         for sl in list(reg.slices.values()):
             if sl.mode == "constructive":
                 for c in sl.classes:
                     assert reg.identify(c.canon) == c.key
-                    seen += 1
-    assert seen > 0
+                    seen[type(sl.index)] += 1
+    assert seen[SplitIndex] > 0 and seen[OneLoopIndex] > 0, seen
 
 
 def test_memory_cap_counts_census_tables(monkeypatch):

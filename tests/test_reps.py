@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 
+from hallforge import reps
 from hallforge.gf import GF, Mat, gl_order
 from hallforge.quiver import euler_form, jordan, kronecker
 from hallforge.quiver import affine_a2_acyclic
@@ -108,18 +109,24 @@ def test_krull_schmidt_multiset_and_order_independence():
 
 
 def test_fitting_split_eliminates_once_per_vertex_per_candidate(kron2, kron3, monkeypatch):
-    # each splitter candidate raises one block per vertex to its Fitting
-    # power and eliminates it once; the split reuses those kernels
-    calls = {"rref": 0, "power": 0}
-    rref, power = Mat.rref, Mat.power
+    # each stack of splitter candidates (the basis, the pair sums, a chunk of
+    # the scan) raises its blocks at each vertex to their Fitting power and
+    # eliminates them once; the split reuses those kernels, so it makes no
+    # elimination after its search
+    events = []
+    rref, stack, cut = Mat.rref, GF.rref_stack, reps.sub_quotient
 
     def counted_rref(self):
-        calls["rref"] += 1
+        events.append("rref")
         return rref(self)
 
-    def counted_power(self, e):
-        calls["power"] += 1
-        return power(self, e)
+    def counted_stack(self, a):
+        events.append("stack")
+        return stack(self, a)
+
+    def split(m, kers):
+        events.append("split")
+        return cut(m, kers)
 
     splits = 0
     for reg in (kron2, kron3):
@@ -127,14 +134,16 @@ def test_fitting_split_eliminates_once_per_vertex_per_candidate(kron2, kron3, mo
             for c in reg.classes(grade):
                 basis = end_basis(c.canon)
                 monkeypatch.setattr(Mat, "rref", counted_rref)
-                monkeypatch.setattr(Mat, "power", counted_power)
-                calls.update(rref=0, power=0)
+                monkeypatch.setattr(GF, "rref_stack", counted_stack)
+                monkeypatch.setattr(reps, "sub_quotient", split)
+                events.clear()
                 halves = fitting_split(c.canon, basis)
                 monkeypatch.undo()
                 splits += halves is not None
-                # one power per vertex per candidate, and one rref per power
-                assert calls["power"] % K.n == 0 and calls["power"] > 0, c.key
-                assert calls["rref"] == calls["power"], (c.key, calls)
+                search = events[: events.index("split")] if halves else events
+                assert events[len(search):] == (["split"] if halves else []), (c.key, events)
+                # one stack elimination per vertex per stack of candidates
+                assert search.count("stack") % K.n == 0 and search.count("stack") > 0, c.key
     assert splits > 0
 
 

@@ -1,8 +1,12 @@
 import argparse
 import ast
 import dataclasses
+import importlib
+import pkgutil
+import re
 from pathlib import Path
 
+import hallforge
 from childenv import child_env
 from hallforge import cli
 
@@ -94,3 +98,32 @@ def test_child_processes_share_the_bytecode_setting(monkeypatch):
     assert child_env()["PYTHONDONTWRITEBYTECODE"] == "1"
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
     assert "PYTHONDONTWRITEBYTECODE" not in child_env()
+
+
+def test_backticked_dotted_names_resolve():
+    # every `a.b` the package's modules and the README cite names something:
+    # its first part is the package, one of its modules or a name a module
+    # binds, and each further part an attribute of the one before
+    modules = {info.name: importlib.import_module(f"hallforge.{info.name}")
+               for info in pkgutil.iter_modules(hallforge.__path__)}
+    roots = {"hallforge": hallforge, **modules}
+    for module in modules.values():
+        for name, value in vars(module).items():
+            roots.setdefault(name, value)
+    texts = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    texts.append((TESTS.parent / "README.md").read_text())
+    cited = [name for text in texts
+             for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)]
+
+    def resolves(name):
+        first, *rest = name.split(".")
+        if first not in roots:
+            return False
+        owner = roots[first]
+        for part in rest:
+            if not hasattr(owner, part):
+                return False
+            owner = getattr(owner, part)
+        return True
+
+    assert cited and [name for name in cited if not resolves(name)] == []
