@@ -27,6 +27,9 @@ Beside it, `GF.rref_stack` is the stack eliminator: it reduces an
 the whole stack, and hands a stack of one to `Mat.rref`'s per-row loop,
 the faster route for one small matrix.  `GF.kernel_stack` reads the RREF
 kernel bases off it; `Mat.kernel_basis` is its stack of one.
+`subspace_blocks` is the one enumeration of subspaces, whose order fixes
+census positions, row-space ids and coproduct term order;
+`subspaces_of_dim` is a view over it.
 Everything is exact; there is no floating point anywhere in this package,
 and every precondition is a raised error, never an `assert`.
 """
@@ -474,32 +477,32 @@ def gaussian_binomial(n: int, m: int, q: int) -> int:
     return num // den
 
 
-def subspaces_of_dim(n: int, m: int, ctx: GF, caps: Caps = DEFAULT_CAPS) -> Iterator[Mat]:
-    """All m-dimensional subspaces of GF(q)^n as RREF basis matrices.
+def subspace_blocks(n: int, k: int, q: int, rows: Optional[int] = None
+                    ) -> Iterator[Tuple[tuple, tuple, np.ndarray]]:
+    """The RREF bases of the k-dimensional subspaces of GF(q)^n, as (pivot
+    columns, free columns, (N, rows, n) stack, zero rows below row k) per
+    pivot pattern.  The one enumeration of subspaces, in order: patterns
+    lexicographically, then the entries right of the pivots in the free
+    columns, row by row, as an odometer, first entry most significant."""
+    rows = k if rows is None else rows
+    for piv in itertools.combinations(range(n), k):
+        free = tuple(c for c in range(n) if c not in piv)
+        entries = [(r, c) for r in range(k) for c in free if c > piv[r]]
+        block = np.zeros((q ** len(entries), rows, n), dtype=np.uint8)
+        block[:, range(k), piv] = 1
+        if entries:
+            place = q ** np.arange(len(entries) - 1, -1, -1)
+            block[(slice(None),) + tuple(zip(*entries))] = (
+                np.arange(len(block))[:, None] // place % q)
+        yield piv, free, block
 
-    Deterministic order: pivot-column patterns lexicographically, then the
-    free entries as an odometer in field code order.  Total count is the
-    Gaussian binomial.
-    """
+
+def subspaces_of_dim(n: int, m: int, ctx: GF, caps: Caps = DEFAULT_CAPS) -> Iterator[Mat]:
+    """All m-dimensional subspaces of GF(q)^n as RREF basis matrices, in
+    `subspace_blocks` order.  Total count is the Gaussian binomial."""
     caps.check("subspace_enum", gaussian_binomial(n, m, ctx.q))
-    if m == 0:
-        yield Mat.zeros(ctx, 0, n)
-        return
-    for pivots in itertools.combinations(range(n), m):
-        free_pos = [
-            (r, c)
-            for r in range(m)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivots
-        ]
-        base = np.zeros((m, n), dtype=np.uint8)
-        for r, pc in enumerate(pivots):
-            base[r, pc] = 1
-        for assignment in itertools.product(range(ctx.q), repeat=len(free_pos)):
-            mat = base.copy()
-            for (r, c), val in zip(free_pos, assignment):
-                mat[r, c] = val
-            yield Mat(ctx, mat)
+    for _, _, block in subspace_blocks(n, m, ctx.q):
+        yield from (Mat(ctx, b) for b in block)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ At a loop-free sink or source v of a grade's support the same walk and
 images builder move the row spaces of the blocks at v instead of points
 (`_RowSpaces`): 211 subspaces in place of 531,441 points for Kronecker
 (2,3) over GF(3), with the point walk's class table, canonical
-representatives, orbit sizes and class order.
+representatives, orbit sizes and class order.  The subspaces, their ids
+and the span table's hyperplanes come from `gf.subspace_blocks`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .config import Caps
 from .errors import CertificateError
-from .gf import GF, Mat, gaussian_binomial
+from .gf import GF, Mat, gaussian_binomial, subspace_blocks
 from .quiver import Quiver
 from .reps import Rep, end_basis
 
@@ -138,23 +139,6 @@ def _runs(lo: int, hi: int, width: int):
         yield np.arange(start, min(start + step, int(hi)))
 
 
-def _rref_bases(m: int, k: int, q: int, rows: int) -> np.ndarray:
-    """The RREF bases of the k-dimensional subspaces of F_q^m, in
-    `subspaces_of_dim` order (pivot patterns lexicographically, then the
-    free entries as an odometer), as a stack of `rows` x m matrices with
-    zero rows below the basis."""
-    out = []
-    for piv in itertools.combinations(range(m), k):
-        free = [(r, c) for r in range(k) for c in range(piv[r] + 1, m) if c not in piv]
-        block = np.zeros((q ** len(free), rows, m), dtype=np.uint8)
-        block[:, range(k), piv] = 1
-        if free:
-            block[(slice(None),) + tuple(zip(*free))] = _decode_batch(
-                np.arange(block.shape[0]), len(free), q)
-        out.append(block)
-    return np.concatenate(out)
-
-
 class _RowSpaces:
     """The row spaces that stand for the GL(d_v)-orbits at a loop-free sink
     or source v of a grade's support, where v is the reduced vertex of an
@@ -172,7 +156,7 @@ class _RowSpaces:
     source.
 
     id(W) is the position of W among the subspaces of F_q^m of dimension
-    <= d_v, by dimension, each dimension in `subspaces_of_dim` order.  The
+    <= d_v, by dimension, each dimension in `gf.subspace_blocks` order.  The
     span table holds id(W + F.x) * q^m at id(W) * q^m + x, for dim W < d_v
     and every row code x (base q, column 0 most significant), so the id of
     the row space of any stack of at most d_v rows is one add and one
@@ -214,17 +198,18 @@ class _RowSpaces:
         return 8 * (ambient + spans) + self.count * self.kmax * self.m
 
     def build(self) -> None:
-        """Enumerate the subspaces and fill the span table, one dimension k
-        of W at a time: W + F.x is W for the q^k vectors x of W, and for x
-        outside W it is the one U of dimension k + 1 with W a hyperplane of
-        U and x in U.  So each U writes its id at (W, x) for each of its
-        hyperplanes W and the vectors x of U outside W; the hyperplanes are
-        the row spaces of H.C over the hyperplanes H of F^(k+1), for the
-        RREF basis C of U, identified by gathers in the rows of smaller
-        dimension.  Every entry is written once, by scatters of about
-        `_BLOCK` entries; nothing is eliminated."""
+        """Enumerate the subspaces (`gf.subspace_blocks`) and fill the span
+        table, one dimension k of W at a time: W + F.x is W for the q^k
+        vectors x of W, and for x outside W it is the one U of dimension
+        k + 1 with W a hyperplane of U and x in U.  So each U writes its id
+        at (W, x) for each of its hyperplanes W and the vectors x of U
+        outside W; the hyperplanes are the row spaces of H.C over the
+        hyperplanes H of F^(k+1), for the RREF basis C of U, identified by
+        gathers in the rows of smaller dimension.  Every entry is written
+        once, by scatters of about `_BLOCK` entries; nothing is eliminated."""
         ctx, q, m, kmax = self.ctx, self.ctx.q, self.m, self.kmax
-        self.bases = np.concatenate([_rref_bases(m, k, q, kmax) for k in range(kmax + 1)])
+        self.bases = np.concatenate([b for k in range(kmax + 1)
+                                     for _, _, b in subspace_blocks(m, k, q, kmax)])
         self.span = np.full(self.growable * q ** m, -1, dtype=np.int64)
         for k in range(kmax + 1):
             if self.offsets[k] >= self.growable:
@@ -235,7 +220,7 @@ class _RowSpaces:
                 self.span[part[:, None] * q ** m + inside] = part[:, None] * q ** m
             if k == kmax:  # W is all of F^m
                 continue
-            hyper = _rref_bases(k + 1, k, q, k)
+            hyper = np.concatenate([b for _, _, b in subspace_blocks(k + 1, k, q)])
             coeffs = _decode_batch(np.arange(q ** (k + 1)), k + 1, q)
             member = np.zeros((len(hyper), coeffs.shape[0]), dtype=bool)
             member[np.arange(len(hyper))[:, None],

@@ -28,8 +28,6 @@ from typing import Optional, Sequence
 from .errors import HallforgeError, SizeMismatch
 from .exact import kernel_basis_exact, row_reduce
 
-DimVector = tuple
-
 # ---------------------------------------------------------------------------
 # quiver
 

@@ -99,7 +99,8 @@ orbit walk's mask kept.
 The submodule censuses of the classes of one grade are taken as one stack
 of canonical representatives (`censuses`; `census` is a stack of one).
 The registry keeps, per vertex dimension, a basis adapted to each
-subspace, in `subspaces_of_dim` order.  In those bases every arrow is
+subspace, in the order of `gf.subspace_blocks`, the one enumeration of
+subspaces.  In those bases every arrow is
 tested the same way, on one block table per arrow for a chunk of
 representatives, counted against a fixed byte budget and the memory cap;
 the stable tuples are walked one vertex at a time on rows (representative,
@@ -120,14 +121,14 @@ import numpy as np
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, CertificateError, HallforgeError
-from .gf import GF, Mat, gl_order, subspaces_of_dim
+from .gf import GF, Mat, gaussian_binomial, gl_order, subspace_blocks
 from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
 from .orbits import (SinkExtensions, _base_change_images, _decode_batch, _encode_batch,
                      _entry_count, _RowSpaces, _spans, _walk_orbits)
 from .quiver import Quiver, classify_type, euler_form
 from .reps import (Rep, aut_order_from_summands, digit_rows, direct_sum_all,
                    end_splits, first_isomorphic, is_nilpotent_rep, pri_of_defect,
-                   residue_degree, rref_pivots, scan_splitter, sub_quotient_stack,
+                   residue_degree, scan_splitter, sub_quotient_stack,
                    unique_rows, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
@@ -730,8 +731,9 @@ class IsoRegistry:
     def _adapted_bases(self, d: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every subspace U of GF(q)^d, as a basis of GF(q)^d adapted to it;
         cached per d and built on first use.  The positions of the subspaces
-        run by dimension 0..d, each dimension in `subspaces_of_dim` order, so
-        position 0 is the zero subspace.
+        run by dimension 0..d, each dimension in `gf.subspace_blocks` order
+        and checked against the `subspace_enum` cap, so position 0 is the
+        zero subspace.
 
         Returns (rank, L, R): the dimension k of each U, and the stacks of
         R = [B^T | F^T] and L = R^-1 = [P; F(I - B^T P)] (each d x d), where
@@ -739,23 +741,26 @@ class IsoRegistry:
         free ones.  The first k columns of R span U and the others the
         canonical complement, so for an arrow A of a stable tuple L A R is
         block upper triangular, with the sub and the quotient on its diagonal.
+        L and R are written a pivot pattern at a time.
         """
         hit = self._adapted_lists.get(d)
         if hit is None:
-            ctx = self.ctx
-            bases = [b for m in range(d + 1) for b in subspaces_of_dim(d, m, ctx, self.caps)]
-            rank = np.array([b.rows for b in bases], dtype=np.intp)
-            left = np.zeros((len(bases), d, d), dtype=np.uint8)
-            right = np.zeros((len(bases), d, d), dtype=np.uint8)
-            for i, (b, k) in enumerate(zip(bases, rank.tolist())):
-                piv = rref_pivots(b)
-                free = [c for c in range(d) if c not in piv]
-                right[i, :, :k] = b.a.T
-                right[i, free, range(k, d)] = 1
-                left[i, range(k), piv] = 1
-                left[i, range(k, d), free] = 1
-                left[i, k:][:, piv] = ctx.NEG[b.a[:, free].T]  # w - B^T w[piv] on the free rows
-            hit = self._adapted_lists[d] = (rank, left, right)
+            ctx, counts, lefts, rights = self.ctx, [], [], []
+            for k in range(d + 1):
+                counts.append(gaussian_binomial(d, k, ctx.q))
+                self.caps.check("subspace_enum", counts[-1])
+                for piv, free, b in subspace_blocks(d, k, ctx.q):
+                    left, right = np.zeros((2, len(b), d, d), dtype=np.uint8)
+                    right[:, :, :k] = b.transpose(0, 2, 1)
+                    right[:, free, range(k, d)] = 1
+                    left[:, range(k), piv] = 1
+                    left[:, range(k, d), free] = 1
+                    # w - B^T w[piv] on the free rows
+                    left[:, k:, piv] = ctx.NEG[b[:, :, free].transpose(0, 2, 1)]
+                    lefts.append(left)
+                    rights.append(right)
+            hit = self._adapted_lists[d] = (np.repeat(np.arange(d + 1), counts),
+                                            np.concatenate(lefts), np.concatenate(rights))
         return hit
 
     def census(self, key: ClassKey) -> Dict[tuple, int]:

@@ -86,13 +86,6 @@ class Rep:
             and all(a == b for a, b in zip(self.mats, other.mats))
         )
 
-    def __hash__(self):
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:  # the matrices are read-only, so it is computed once
-        return hash((self.quiver, id(self.ctx), self.tobytes()))
-
 
 def zero_rep(quiver: Quiver, ctx: GF) -> Rep:
     dims = (0,) * quiver.n

@@ -14,6 +14,7 @@ from hallforge.exact import PRIME_BOUND
 from hallforge.gf import (GF, MODULUS_TABLE, Mat, char_poly, gaussian_binomial,
                           gl_order, is_prime, monic_irreducibles, poly_divmod,
                           poly_mul, subspaces_of_dim)
+from hallforge.reps import rref_pivots
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
 
@@ -323,6 +324,19 @@ def test_subspace_enumeration_counts():
         subs = list(subspaces_of_dim(n, m, ctx))
         assert len(subs) == gaussian_binomial(n, m, q)
         assert len({s.tobytes() for s in subs}) == len(subs)  # each exactly once
+
+
+def test_subspace_enumeration_order():
+    # the order every census key and row-space id rests on: pivot patterns
+    # lexicographically, then the free entries as an odometer in code order
+    assert [s.tolist() for s in subspaces_of_dim(3, 1, GF.of(2))] == [
+        [[1, 0, 0]], [[1, 0, 1]], [[1, 1, 0]], [[1, 1, 1]], [[0, 1, 0]], [[0, 1, 1]],
+        [[0, 0, 1]]]
+    assert [s.tolist() for s in subspaces_of_dim(2, 1, GF.of(3))] == [
+        [[1, 0]], [[1, 1]], [[1, 2]], [[0, 1]]]
+    for n, m, q in itertools.product(range(5), range(5), (2, 3, 4)):
+        for s in subspaces_of_dim(n, m, GF.of_q(q)):
+            assert s.shape == (m, n) and len(rref_pivots(s)) == m
 
 
 def test_gl_order():

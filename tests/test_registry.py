@@ -18,7 +18,7 @@ from childenv import child_env
 from hallforge import HallAlgebra, a_lambda, cuspidal_space
 from hallforge.config import Caps
 from hallforge.errors import CapExceeded, CertificateError, HallforgeError
-from hallforge.gf import GF, Mat, gl_order, subspaces_of_dim
+from hallforge.gf import GF, Mat, gaussian_binomial, gl_order, subspaces_of_dim
 from hallforge.oneloop import OneLoopIndex
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
                               d4_star_out, dual_quiver, jordan, kronecker)
@@ -1107,6 +1107,23 @@ def test_census_spec_examples(hall_kron2, kron2):
         else:
             assert census.get((s1, s2)) == 1
             assert census.get((s2, s1)) == 1
+
+
+@pytest.mark.parametrize("ctx, top", [(F2, 4), (F3, 3), (F4, 3)])
+def test_adapted_bases_invert_in_enumeration_order(ctx, top):
+    # at every position L R = I, R's first k columns are the transposed
+    # basis of that position in `subspaces_of_dim` order, and each
+    # dimension k holds its Gaussian binomial count of positions
+    reg = IsoRegistry(kronecker(), ctx)
+    for d in range(top + 1):
+        rank, left, right = reg._adapted_bases(d)
+        assert np.bincount(rank, minlength=d + 1).tolist() == \
+            [gaussian_binomial(d, k, ctx.q) for k in range(d + 1)]
+        assert (ctx.matmul(left, right) == np.eye(d, dtype=np.uint8)).all()
+        bases = [b for k in range(d + 1) for b in subspaces_of_dim(d, k, ctx)]
+        assert len(bases) == len(rank)
+        for i, b in enumerate(bases):
+            assert rank[i] == b.rows and np.array_equal(right[i, :, : b.rows].T, b.a)
 
 
 def _census_by_filter(reg, key):

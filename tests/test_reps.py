@@ -178,6 +178,7 @@ def test_dualize():
         dd = dualize_rep(dualize_rep(m))
         assert dd.quiver == m.quiver and dd.dims == m.dims
         assert iso_reps_loose(dd, m)
+        assert hash(dd) == hash(m)  # equal representations built apart hash equal
     for a in reps:
         for b in reps:
             assert hom_dim(a, b) == hom_dim(dualize_rep(b), dualize_rep(a))

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import collections
 import dataclasses
 import importlib
 import pkgutil
@@ -127,3 +128,27 @@ def test_backticked_dotted_names_resolve():
         return True
 
     assert cited and [name for name in cited if not resolves(name)] == []
+
+
+def test_module_level_names_are_read():
+    # every module-level def, class or assignment of the package is read
+    # somewhere besides its binding: as a whole word elsewhere in the
+    # package, the tests, the bench, the demos or the README
+    root = TESTS.parent
+    texts = [path.read_text() for folder in ("src", "tests", "bench", "demos")
+             for path in sorted((root / folder).rglob("*.py"))]
+    words = collections.Counter(re.findall(r"\w+", "\n".join(texts + [
+        (root / "README.md").read_text()])))
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{name}" for name in names
+                      if not name.startswith("__") and words[name] < 2]
+    assert found == []
