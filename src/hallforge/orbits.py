@@ -20,9 +20,11 @@ against the memory cap.
 At a loop-free sink or source v of a grade's support the same walk and
 images builder move the row spaces of the blocks at v instead of points
 (`_RowSpaces`): 211 subspaces in place of 531,441 points for Kronecker
-(2,3) over GF(3), with the point walk's class table, canonical
-representatives, orbit sizes and class order.  The subspaces, their ids
-and the span table's hyperplanes come from `gf.subspace_blocks`.
+(2,3) over GF(3), with the point walk's canonical representatives, orbit
+sizes and class order.  Its class table has one entry per reduced code,
+211 there, and a point's class is the entry at the reduced code of its
+digit row (`_RowSpaces.codes`).  The subspaces, their ids and the span
+table's hyperplanes come from `gf.subspace_blocks`.
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ class _RowSpaces:
 
     The constructor only counts: `build` enumerates the subspaces and fills
     the span table, once the walk's memory is checked
-    (`_base_change_images`).
+    (`_base_change_images`).  The orbit slice of a reduced walk keeps its
+    `_RowSpaces` to code the points it identifies (`codes`).
     """
 
     def __init__(self, quiver: Quiver, ctx: GF, grade: tuple, v: int, sink: bool):
@@ -179,23 +182,29 @@ class _RowSpaces:
                 width = sum(p.shape[1] for p in rows)
                 self.groups.append((s if sink else t, width, width + part.shape[1]))
                 rows.append(part)
-        self.rows_at = np.concatenate(rows, axis=1) if rows else np.zeros((self.d, 0), int)
-        self.m = m = self.rows_at.shape[1]
+        rows_at = np.concatenate(rows, axis=1) if rows else np.zeros((self.d, 0), int)
+        self.m = m = rows_at.shape[1]
         others = np.ones(_entry_count(quiver, grade), dtype=bool)
-        others[self.rows_at] = False
-        self.others = np.flatnonzero(others)
+        others[rows_at] = False
+        others = np.flatnonzero(others)
+        # a digit's place value in the code of its row of X (columns < d_v)
+        # or in the code of the other blocks (column d_v)
+        self.place = np.zeros((others.size + rows_at.size, self.d + 1), dtype=np.int64)
+        self.place[rows_at, np.arange(self.d)[:, None]] = q ** np.arange(m - 1, -1, -1)
+        self.place[others, self.d] = q ** np.arange(others.size - 1, -1, -1)
         self.kmax = min(self.d, m)
         self.offsets = np.cumsum([0] + [gaussian_binomial(m, k, q) for k in range(self.kmax + 1)])
         self.count = int(self.offsets[-1])
         self.growable = int(self.offsets[min(self.d, self.kmax + 1)])  # subspaces of dim < d_v
-        self.reduced = self.count * q ** self.others.size
+        self.tail = q ** others.size  # the number of codes of the other blocks
+        self.reduced = self.count * self.tail
 
-    def nbytes(self, ambient: int) -> int:
-        """The class table of `ambient` points and the span table, 8 bytes
-        an entry, and the RREF bases; the fills' stacks are bounded by
+    def nbytes(self) -> int:
+        """The class table of the reduced codes and the span table, 8 bytes
+        an entry, and the RREF bases; the span fill's stacks are bounded by
         `_BLOCK`."""
         spans = self.growable * self.ctx.q ** self.m
-        return 8 * (ambient + spans) + self.count * self.kmax * self.m
+        return 8 * (self.reduced + spans) + self.count * self.kmax * self.m
 
     def build(self) -> None:
         """Enumerate the subspaces (`gf.subspace_blocks`) and fill the span
@@ -250,49 +259,52 @@ class _RowSpaces:
                 moved[..., lo:hi] = self.ctx.matmul(moved[..., lo:hi], ginv if self.sink else g.T)
         return self.ids(_encode_batch(moved, self.ctx.q).T)
 
-    def classes(self, labels: np.ndarray, ambient: int) -> Tuple[np.ndarray, List[int], List[int]]:
-        """The class table, first points and sizes of the G-orbits of points,
-        from the labels of the walk of the reduced codes.
+    def codes(self, digits: np.ndarray) -> np.ndarray:
+        """The reduced codes of points given as digit rows, one row a point:
+        the codes of their parts are one product with `place`."""
+        return self.join(self.place.T @ digits.T)
 
-        Points go in blocks of q^low consecutive codes, low digits as many
-        as fit in `_BLOCK`.  The row codes of X and the code of the
-        other blocks are linear in the digits, so a block's are one table
-        over its low digits plus one column of a table over the high ones;
-        a point's reduced code is then d_v gathers in the span table.
-        Orbits are met by scanning blocks in code order; the labels are then
-        ranked by the orbit's first point and gathered into the class
-        table.  An orbit's size sums, over its reduced codes, the number of
-        X with row space W: prod_{i < dim W} (q^d_v - q^i)."""
-        q, d, m, n = self.ctx.q, self.d, self.m, int(labels.max()) + 1
-        e, tail = self.rows_at.size + self.others.size, self.others.size
+    def join(self, parts: np.ndarray) -> np.ndarray:
+        """The reduced codes of points given by the codes of their parts, one
+        column a point (the rows of X, then the other blocks): the id of the
+        row space of X, by d_v span gathers, times q^e' plus the code of the
+        other blocks."""
+        return self.ids(parts[:-1]) * self.tail + parts[-1]
+
+    def classes(self, labels: np.ndarray) -> Tuple[np.ndarray, List[int], List[int]]:
+        """The class table of the reduced codes, and the first points and
+        sizes of the G-orbits of points, from the labels of the walk of the
+        reduced codes.
+
+        Orbits are met by scanning the points in code order, in blocks of
+        q^low consecutive codes, low digits as many as fit in `_BLOCK`.  The
+        codes of a point's parts are linear in its digits, so a block's are
+        one table over its low digits plus one column of a table over the
+        high ones, and its reduced codes one `join`.  The labels are ranked by
+        the orbit's first point, so class order is the point walk's.  An
+        orbit's size sums, over its reduced codes, the number of X with row
+        space W: prod_{i < dim W} (q^d_v - q^i)."""
+        q, d, n = self.ctx.q, self.d, int(labels.max()) + 1
+        e = self.place.shape[0]
         low = 0
         while low < e and q ** (low + 1) <= _BLOCK:
             low += 1
-        part_of = np.full(e, d)  # each digit's part: a row of X, or d for the other blocks
-        part_of[self.rows_at] = np.arange(d)[:, None]
-        value = np.zeros(e, dtype=np.int64)  # and its place value there
-        value[self.rows_at] = q ** np.arange(m - 1, -1, -1)
-        value[self.others] = q ** np.arange(tail - 1, -1, -1)
 
-        def parts(first, count):  # the parts of the codes of digits first.. over range(q^count)
-            out, codes = np.zeros((d + 1, q ** count), dtype=np.int64), np.arange(q ** count)
-            for t in range(first, first + count):
-                out[part_of[t]] += value[t] * (codes // q ** (first + count - 1 - t) % q)
+        def parts(lo, hi):  # the part codes of digits lo..hi-1 over all their values
+            codes = np.arange(q ** (hi - lo))
+            out = np.zeros((d + 1, codes.size), dtype=np.int64)
+            for t in range(lo, hi):
+                part = self.place[t].argmax()
+                out[part] += self.place[t, part] * (codes // q ** (hi - 1 - t) % q)
             return out
 
-        high_part, low_part = parts(0, e - low).T, parts(e - low, low)
-
-        def block_labels(of, h):  # `of` the reduced codes of the points of block h
-            top = high_part[h]
-            codes = self.ids(low_part[i] + top[i] for i in range(d))
-            return of[codes * q ** tail + (low_part[d] + top[d])]
-
+        high_part, low_part = parts(0, e - low), parts(e - low, e)
         first = np.full(n, -1, dtype=np.int64)
         met, h = np.zeros(n, dtype=bool), 0
         while not met.all():
-            if h >= high_part.shape[0]:
+            if h >= high_part.shape[1]:
                 raise CertificateError("orbit first points", None, f"{n} orbits", int(met.sum()))
-            lab = block_labels(labels, h)
+            lab = labels[self.join(low_part + high_part[:, h:h + 1])]
             new = np.flatnonzero(~met[lab])
             found, at = np.unique(lab[new], return_index=True)
             first[found], met[found] = h * q ** low + new[at], True
@@ -304,11 +316,7 @@ class _RowSpaces:
         per_w = labels.reshape(self.count, -1)
         sizes = sum(fibre[k] * np.bincount(per_w[self.offsets[k]: self.offsets[k + 1]].ravel(),
                                            minlength=n) for k in range(self.kmax + 1))
-        ranked = rank[labels]
-        table = np.empty(ambient, dtype=np.int64).reshape(-1, q ** low)
-        for h in range(table.shape[0]):
-            table[h] = block_labels(ranked, h)
-        return table.reshape(-1), first[order].tolist(), sizes[order].tolist()
+        return rank[labels], first[order].tolist(), sizes[order].tolist()
 
 
 def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps,
@@ -322,8 +330,8 @@ def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps,
     table, from W's id to the shift of the reduced code (`_RowSpaces.act`).
 
     Memory is checked first: ten bytes per walked code and eight per table
-    entry, with `spaces` also its class and span tables, which it then
-    fills."""
+    entry, with `spaces` also its span table, which it then fills, and its
+    class table of reduced codes (`_RowSpaces.nbytes`)."""
     q = ctx.q
     skip = None if spaces is None else spaces.v
     spans = _spans(quiver, grade, skip)
@@ -338,7 +346,7 @@ def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps,
     caps.check_memory(walked * 10 + 8 * sum(q ** (spans[i][1] - spans[i][0])
                                             for arrows in at for i in arrows)
                       + (0 if spaces is None else 8 * spaces.count * sum(moves_w)
-                         + spaces.nbytes(q ** _entry_count(quiver, grade))))
+                         + spaces.nbytes()))
     radix: Dict[int, Tuple[int, int]] = {}  # arrow (-1: W) -> (place value, code count)
     tables = []
     if spaces is not None:

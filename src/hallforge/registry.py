@@ -12,24 +12,27 @@ its representations:
   groups extension cocycles, and `_base_change_images`).  The
   canonical representative is the lexicographically least matrix tuple
   of the orbit and the automorphism order is group order / orbit size.
-  The slice's `table` maps the base-q code of every point to its class;
-  the zero grade has the one-entry table of the zero representation.
+  A point walk's slice `table` maps the base-q code of every point to its
+  class; the zero grade has the one-entry table of the zero representation.
 
   Above `_REDUCE_ABOVE` points, a grade whose support has a loop-free sink
   or source walks the row spaces there instead of the points
   (`orbits._RowSpaces`), at the vertex whose reduced space, subspaces of
   dim <= d_v times the codes of the other blocks, is smallest, chosen
-  from Gaussian binomials (`_row_spaces`).  Its class table, first points
-  and sizes are those of the point walk.  A grade whose subspaces would
-  exceed the `subspace_enum` cap, or whose reduced walk would not fit in
-  memory, keeps the point walk, as do full-support cyclic grades and the
-  one-loop quiver, which have no sink or source.  A nilpotent-only point
-  walk skips the points its one nilpotency mask excludes (a reduced
-  grade's support is acyclic, so it has none to skip); the mask reads the
-  composite around the cycle through one product table per arrow and a
-  table of the nilpotent square codes, built once per grade
-  (`_nilpotent_mask`), and is filled over blocks of a fixed number of
-  points.
+  from Gaussian binomials (`_row_spaces`).  Its first points and sizes,
+  so its classes and their order, are those of the point walk, but its
+  `table` has one class per reduced code (211 entries, not 531,441, for
+  Kronecker (2,3) over GF(3)), and the slice keeps the `_RowSpaces`
+  (`spaces`) that codes a point by its row space and other blocks.  A
+  grade whose subspaces would exceed the `subspace_enum` cap, or whose
+  reduced walk would not fit in memory, keeps the point walk, as do
+  full-support cyclic grades and the one-loop quiver, which have no sink
+  or source.  A nilpotent-only point walk skips the points its one
+  nilpotency mask excludes (a reduced grade's support is acyclic, so it
+  has none to skip); the mask reads the composite around the cycle
+  through one product table per arrow and a table of the nilpotent
+  square codes, built once per grade (`_nilpotent_mask`), and is filled
+  over blocks of a fixed number of points.
 
 * constructive mode on the one-loop quiver: the classes are conjugacy
   types (irreducible polynomial, partition) from `oneloop`, and
@@ -80,8 +83,9 @@ its representations:
 
 Every grade identifies a stack of representations by their digit rows
 (`_identify_stack`; `identify` is a stack of one): a zero or orbit slice
-gathers the rows' codes from its `table`, a constructive slice looks the
-rows up in `known`, which its build fills with its canonical
+gathers from its `table` at the rows' codes, base-q point codes or, on a
+reduced slice, reduced codes (`_RowSpaces.codes`); a constructive slice
+looks the rows up in `known`, which its build fills with its canonical
 representatives, and has its index `classify` the rows not met yet as one
 stack.  `SplitIndex.classify` splits that stack as `SplitIndex.register`
 splits a build's candidates.
@@ -175,8 +179,13 @@ def _rep_of(quiver: Quiver, ctx: GF, grade: tuple, digits: np.ndarray) -> Rep:
 
 
 def decode_rep(quiver: Quiver, ctx: GF, dims: tuple, code: int) -> Rep:
-    """The representation of a point of an orbit walk's table (code < 2^63)."""
-    digits = _decode_batch(np.array([code]), _entry_count(quiver, dims), ctx.q)[0]
+    """The representation of a point code of `dims`, in [0, q^e) for e matrix
+    entries, decoded in Python integers."""
+    q, e, code = ctx.q, _entry_count(quiver, dims), int(code)
+    if not 0 <= code < q ** e:
+        raise HallforgeError(f"code {code} is not a point of grade {dims} over "
+                             f"GF({q}): it must be in [0, {q}^{e})")
+    digits = np.array([code // q ** (e - 1 - t) % q for t in range(e)], dtype=np.uint8)
     return _rep_of(quiver, ctx, dims, digits)
 
 
@@ -269,15 +278,18 @@ class SplitIndex:
 class GradeSlice:
     """The classes of one grade, in a fixed order.  `mode` is "zero", "orbit"
     or "constructive".  A zero or orbit slice has the `table` of the class
-    of every point code (negative if excluded); a constructive slice has an
-    `index` to `classify` a representation and the classes `known` by the
-    bytes of digit rows."""
+    of every point code (negative if excluded), or with the `spaces` of a
+    reduced walk of every reduced code (`_RowSpaces.codes`); a constructive
+    slice has an `index` to `classify` a representation and the classes
+    `known` by the bytes of digit rows."""
 
-    def __init__(self, grade: tuple, mode: str, index=None, table=None):
+    def __init__(self, grade: tuple, mode: str, index=None, table=None,
+                 spaces: Optional[_RowSpaces] = None):
         self.grade = grade
         self.mode = mode
         self.index = index
         self.table = table
+        self.spaces = spaces
         self.known: Dict[bytes, int] = {}
         self.classes: List[IsoClass] = []
         self.by_summands: Dict[tuple, int] = {}
@@ -517,9 +529,8 @@ class IsoRegistry:
     def _build_orbit(self, grade: tuple) -> Tuple[GradeSlice, int]:
         """The orbit slice of `grade` and its number of points."""
         quiver, ctx = self.quiver, self.ctx
-        table, seeds, sizes, points = self._orbit_partition(grade)
+        sl, seeds, sizes, points = self._orbit_partition(grade)
         group = self.group_order(grade)
-        sl = GradeSlice(grade, "orbit", table=table)
         for size in sizes:
             if group % size:
                 raise CertificateError("orbit size", grade, f"a divisor of |G| = {group}", size)
@@ -543,10 +554,12 @@ class IsoRegistry:
             self._add_class(sl, canon, aut, summands, res_degree=res, end=basis)
         return sl, points
 
-    def _orbit_partition(self, grade: tuple) -> Tuple[np.ndarray, List[int], List[int], int]:
-        """The class table of the orbit walk of `grade` (negative on excluded
-        points), the first point and size of each orbit in order of first
-        point, and the number of points.
+    def _orbit_partition(self, grade: tuple) -> Tuple[GradeSlice, List[int], List[int], int]:
+        """The orbit slice of `grade`, with no classes yet: its class table
+        (negative on excluded points), and for a reduced walk its
+        `_RowSpaces` and one class per reduced code; then the first point
+        and size of each orbit in order of first point, and the number of
+        points.
 
         Above `_REDUCE_ABOVE` points the walk is over the reduced codes of
         `_row_spaces` when it names a vertex; below that the reduction's
@@ -567,7 +580,9 @@ class IsoRegistry:
             else:
                 labels = np.full(spaces.reduced, -1, dtype=np.int64)
                 _walk_orbits(labels, images)
-                return spaces.classes(labels, ambient) + (ambient,)
+                table, seeds, sizes = spaces.classes(labels)
+                sl = GradeSlice(grade, "orbit", table=table, spaces=spaces)
+                return sl, seeds, sizes, ambient
         images = _base_change_images(quiver, ctx, grade, self.caps)
         class_of = np.full(ambient, -1, dtype=np.int64)
         points = ambient
@@ -576,7 +591,7 @@ class IsoRegistry:
             class_of[~nilpotent] = -2  # excluded from this registry
             points = self.ambient_count(grade) if self._is_one_loop else int(nilpotent.sum())
         seeds, sizes = _walk_orbits(class_of, images)
-        return class_of, seeds, sizes, points
+        return GradeSlice(grade, "orbit", table=class_of), seeds, sizes, points
 
     def _row_spaces(self, grade: tuple) -> Optional[_RowSpaces]:
         """The reduction of the orbit walk of `grade`: at the loop-free sink
@@ -910,14 +925,18 @@ class IsoRegistry:
                         ends: Optional[Sequence] = None) -> np.ndarray:
         """The class of each of `count` representations of `grade`, given by
         one stack of matrices per arrow, from their digit rows: one table
-        gather on a zero or orbit slice; on a constructive slice one lookup
+        gather on a zero or orbit slice, at the rows' point codes or, on a
+        reduced slice, their reduced codes: the row codes of X, then d_v span
+        gathers (`_RowSpaces.codes`); on a constructive slice one lookup
         in `known` per row and one `classify` of the distinct rows not known
         yet, as one stack in row order.  `ends`, when given, holds the End
         bases of representations certified indecomposable, one per row."""
         sl = self.slice(grade)
         digits = digit_rows(blocks, count)
         if sl.table is not None:
-            idx = sl.table[_encode_batch(digits, self.ctx.q)]
+            codes = (_encode_batch(digits, self.ctx.q) if sl.spaces is None
+                     else sl.spaces.codes(digits))
+            idx = sl.table[codes]
             if (idx < 0).any():  # excluded by a nilpotent-only walk
                 raise HallforgeError(f"the representation of grade {grade} is not in this "
                                      "registry (a nilpotent-only registry excludes it)")

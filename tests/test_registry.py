@@ -7,6 +7,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -879,8 +880,8 @@ def test_orbit_walk_images_do_not_decode(monkeypatch):
 
 
 def test_reduced_orbit_walk_images_do_not_decode(monkeypatch):
-    # the span and W tables are built before the reduced walk and the class
-    # table is filled after it
+    # the span and W tables are built before the reduced walk and the orbits'
+    # first points are scanned after it
     walks, decoded = _walks_flagging(monkeypatch, (orbits, registry), "_decode_batch",
                                      _reduced_walk_kronecker)
     assert 171 in walks and 3 ** 8 not in walks and decoded and not any(decoded)
@@ -898,15 +899,20 @@ def test_reduced_orbit_walk_makes_no_sort(monkeypatch):
 
 
 def _partition_digest(reg, grade, reduce):
-    """sha256 of the class table, first points, sizes and point count of the
-    walk of `grade`: reduced wherever `_row_spaces` allows (even below
-    `_REDUCE_ABOVE` points), or the point walk."""
+    """sha256 of the class of every point, first points, sizes and point
+    count of the walk of `grade`: reduced wherever `_row_spaces` allows (even
+    below `_REDUCE_ABOVE` points), or the point walk.  A reduced slice's table
+    of reduced codes is expanded to one class per point through its coder."""
     with pytest.MonkeyPatch.context() as patch:
         if reduce:
             patch.setattr(registry, "_REDUCE_ABOVE", 0)
         else:
             patch.setattr(IsoRegistry, "_row_spaces", lambda self, grade: None)
-        table, firsts, sizes, points = reg._orbit_partition(grade)
+        sl, firsts, sizes, points = reg._orbit_partition(grade)
+    table = sl.table
+    if sl.spaces is not None:
+        e, q = registry._entry_count(reg.quiver, grade), reg.ctx.q
+        table = table[sl.spaces.codes(orbits._decode_batch(np.arange(q ** e), e, q))]
     return hashlib.sha256(table.tobytes() + json.dumps([firsts, sizes, points]).encode()
                           ).hexdigest()
 
@@ -992,16 +998,91 @@ def test_reduced_build_checks_memory_before_the_span_table(monkeypatch):
 
 
 def test_reduced_walk_over_the_memory_cap_falls_back_to_the_point_walk(monkeypatch):
-    # a loop at 0 and an arrow 0 -> 1, grade (3,1) over GF(3): the walk at the
-    # sink is estimated at 7.1 MB (a class table beside its labels), the point
-    # walk at 5.5 MB, so under a 7 MB cap the grade builds by the point walk
+    # a loop at 0 and an arrow 0 -> 1, grade (3,1) over GF(3): the point walk
+    # is estimated at 5.5 MB; with the walk at the sink's span and class
+    # tables read as 8 MB, under a 7 MB cap the grade builds by the point walk
     reg = IsoRegistry(Quiver(("0", "1"), ((0, 0), (0, 1))), F3)
     assert reg._row_spaces((3, 1)) is not None
     expect = _partition_digest(reg, (3, 1), True)
     built = []
     monkeypatch.setattr(orbits._RowSpaces, "build", lambda self: built.append(self))
+    monkeypatch.setattr(orbits._RowSpaces, "nbytes", lambda self: 8 << 20)
     monkeypatch.setenv("HALLFORGE_CAP_MB", "7")
+    sl, _, _, _ = reg._orbit_partition((3, 1))
+    assert sl.spaces is None and sl.table.size == 3 ** 12
     assert _partition_digest(reg, (3, 1), True) == expect and not built
+
+
+def _point_blocks(quiver, q, grade, codes):
+    """The arrow blocks, one stack per arrow, of the points `codes` of `grade`."""
+    digits = orbits._decode_batch(codes, registry._entry_count(quiver, grade), q)
+    return [digits[:, lo:hi].reshape(codes.size, r, c)
+            for lo, hi, r, c in orbits._spans(quiver, grade)]
+
+
+# (quiver, q, nilpotent-only, grade, points): every point, or a seeded sample;
+# a2-acyclic (2,2,2) reduces at a source with other blocks beside X
+IDENTIFY_CASES = {
+    "kronecker-q2-(2,3)": (kronecker(), 2, False, (2, 3), None),
+    "kronecker-q2-(3,2)": (kronecker(), 2, False, (3, 2), None),
+    "a2-acyclic-q2-(2,2,2)": (affine_a2_acyclic(), 2, False, (2, 2, 2), None),
+    "cyclic3-nilpotent-q3-(0,2,3)": (cyclic_quiver(3), 3, True, (0, 2, 3), None),
+    "kronecker-q3-(2,3)": (kronecker(), 3, False, (2, 3), 2000),
+}
+
+
+@pytest.mark.parametrize("quiver, q, nilpotent, grade, sample", IDENTIFY_CASES.values(),
+                         ids=IDENTIFY_CASES.keys())
+def test_reduced_identify_matches_the_point_walk(monkeypatch, quiver, q, nilpotent, grade,
+                                                 sample):
+    # the reduced-code gather gives each point the class of the point table
+    ctx = GF.of_q(q)
+    reduced = IsoRegistry(quiver, ctx, nilpotent_only=nilpotent)
+    assert reduced.slice(grade).spaces is not None
+    with monkeypatch.context() as patch:
+        patch.setattr(IsoRegistry, "_row_spaces", lambda self, grade: None)
+        points = IsoRegistry(quiver, ctx, nilpotent_only=nilpotent)
+        assert points.slice(grade).spaces is None
+    total = q ** registry._entry_count(quiver, grade)
+    codes = (np.arange(total) if sample is None
+             else np.random.default_rng(7).integers(0, total, sample))
+    blocks = _point_blocks(quiver, q, grade, codes)
+    got = reduced._identify_stack(grade, blocks, codes.size)
+    assert np.array_equal(got, points._identify_stack(grade, blocks, codes.size))
+    assert np.array_equal(got, points.slice(grade).table[codes])
+    for code in codes[:: max(1, codes.size // 50)].tolist():
+        rep = decode_rep(quiver, ctx, grade, code)
+        assert reduced.identify(rep) == points.identify(rep)
+    assert [c.canon for c in reduced.classes(grade)] == [c.canon for c in points.classes(grade)]
+
+
+def test_reduced_build_holds_no_point_sized_array():
+    # with its lower grades built, Kronecker (2,3) over GF(3) keeps one class
+    # per reduced code (211) and allocates nothing of its 531,441 points,
+    # not even a byte each
+    reg = IsoRegistry(kronecker(), F3)
+    for g in reg.grades_below((2, 3))[:-1]:
+        reg.slice(g)
+    tracemalloc.start()
+    try:
+        sl = reg.slice((2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sl.spaces is not None and sl.table.shape == (211,)
+    assert peak < min(1 << 20, 3 ** 12), peak
+
+
+def test_decode_rep_rejects_codes_outside_the_points():
+    # 3^12 points at Kronecker (2,3) over GF(3): codes 0 .. 3^12 - 1
+    last = decode_rep(kronecker(), F3, (2, 3), 3 ** 12 - 1)
+    assert all((m.a == 2).all() for m in last.mats)
+    for code in (3 ** 12, -1, 2 * 3 ** 12):
+        with pytest.raises(HallforgeError, match=r"not a point of grade \(2, 3\)"):
+            decode_rep(kronecker(), F3, (2, 3), code)
+    # past 2^63, at Kronecker (8,8) over GF(2): 2^128 points
+    big = decode_rep(kronecker(), F2, (8, 8), 2 ** 100 + 1)
+    assert big.mats[0].a.sum() == 1 and big.mats[0].a[3, 3] == 1 and big.mats[1].a[7, 7] == 1
 
 
 def test_orbit_stabilizer_certificate_survives_python_O():
