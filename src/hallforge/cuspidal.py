@@ -108,12 +108,8 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
             table[list(where), j] = counts
     if pairs:
         table = table[unique_rows(table)[0]]
-        kernel = kernel_basis_exact(table)
-    else:
-        kernel = [[Fraction(1 if j == i else 0) for j in range(len(cols))]
-                  for i in range(len(cols))]
     basis = []
-    for vec in kernel:
+    for vec in kernel_basis_exact(table):
         terms = {}
         for k, g in zip(cols, vec):
             if g:

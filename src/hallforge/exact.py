@@ -55,11 +55,14 @@ def matrix_rank(rows) -> int:
 
 def kernel_basis_exact(rows) -> List[List[Fraction]]:
     """Right kernel basis: one vector per free column of the RREF, 1 there,
-    0 in the other free columns."""
-    if len(rows) == 0:
-        return []
+    0 in the other free columns.  An array's column count is its shape's,
+    so the kernel of a zero-row array is the whole space."""
+    if isinstance(rows, np.ndarray):
+        cols = rows.shape[1]
+    else:
+        cols = len(rows[0]) if len(rows) else 0
     red, pivots = row_reduce(rows)
-    return _kernel_of_rref(red, pivots, len(rows[0]))
+    return _kernel_of_rref(red, pivots, cols)
 
 
 def _kernel_of_rref(red, pivots: List[int], cols: int) -> List[List[Fraction]]:

@@ -573,40 +573,3 @@ def monic_irreducibles(ctx: GF, max_deg: int) -> List[List[list]]:
     cache[max_deg] = by_deg
     ctx._irr_cache = cache
     return by_deg
-
-
-def char_poly(m: Mat) -> list:
-    """Characteristic polynomial of a square matrix, constant term first.
-
-    Division-free (Berkowitz), so it is exact in any characteristic.
-    """
-    ctx = m.ctx
-    n = m.rows
-    if n != m.cols:
-        raise SizeMismatch("characteristic polynomial of non-square matrix")
-    # vectors of coefficients, leading coefficient first
-    v = [1]
-    for i in range(1, n + 1):
-        sub = m.a[: i - 1, : i - 1]
-        row = m.a[i - 1, : i - 1]
-        col = m.a[: i - 1, i - 1]
-        a_ii = int(m.a[i - 1, i - 1])
-        toep = [1, ctx.neg(a_ii)]
-        if i > 1:
-            vec = Mat(ctx, col[:, None])
-            rowm = Mat(ctx, row[None, :])
-            subm = Mat(ctx, sub)
-            cur = vec
-            for _ in range(i - 1):
-                val = (rowm @ cur).a[0, 0]
-                toep.append(ctx.neg(int(val)))
-                cur = subm @ cur
-        new = [0] * (i + 1)
-        for s in range(i + 1):
-            acc = 0
-            for j in range(min(s, len(toep) - 1) + 1):
-                if s - j < len(v):
-                    acc = ctx.add(acc, ctx.mul(toep[j], v[s - j]))
-            new[s] = acc
-        v = new
-    return list(reversed(v))  # constant first

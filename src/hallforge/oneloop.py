@@ -4,20 +4,20 @@ A representation of the one-loop quiver is a square matrix up to
 conjugacy.  Its class is a conjugacy type: a sorted tuple of pairs
 (monic irreducible polynomial f, partition lambda), one pair per
 irreducible factor of the characteristic polynomial, with the companion
-blocks of f^(lambda_i) as canonical representative.  `OneLoopIndex`
-identifies a matrix by reading its type off the rank chains of the f(A)^j
-(`one_loop_fingerprint`), and `a_lambda` gives the automorphism counts.
+blocks of f^(lambda_i) as canonical representative, and `a_lambda` gives
+the automorphism counts.  A constructive one-loop slice identifies a matrix
+as every constructive slice does (`registry.SplitIndex`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .errors import CertificateError
-from .gf import GF, Mat, char_poly, monic_irreducibles, poly_divmod, poly_mul
+from .gf import GF, Mat, monic_irreducibles, poly_mul
 from .quiver import Quiver
 from .reps import Rep
 
@@ -113,82 +113,3 @@ def one_loop_rep(quiver: Quiver, ctx: GF, typ: tuple) -> Rep:
             comp = companion(ctx, _poly_pow_full(ctx, f, part))
             blocks = comp if blocks is None else blocks.block_diag(comp)
     return Rep(quiver, ctx, (blocks.rows,), (blocks,))
-
-
-def one_loop_fingerprint(rep: Rep) -> tuple:
-    """Complete invariant of a one-loop representation.
-
-    Factors the characteristic polynomial and reads off the partition at
-    each irreducible factor from the rank chain of its matrix powers.
-    """
-    ctx = rep.ctx
-    a = rep.mats[0]
-    n = a.rows
-    cp = char_poly(a)
-    irr = monic_irreducibles(ctx, n)
-    typ = []
-    rest = cp
-    for d in range(1, n + 1):
-        for f in irr[d]:
-            expo = 0
-            while len(rest) > 1:
-                quot, rem = poly_divmod(ctx, rest, f)
-                if rem:
-                    break
-                rest = quot
-                expo += 1
-            if expo == 0:
-                continue
-            # partition from rank chain of phi(A)^j
-            b = _eval_poly_at_matrix(ctx, f, a)
-            ranks = [n]
-            power = Mat.identity(ctx, n)
-            while True:
-                power = power @ b
-                r = power.rank()
-                ranks.append(r)
-                if r == ranks[-2]:
-                    break
-            # the j-th rank drop over d counts the parts of size >= j
-            drops = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
-            if any(x % d for x in drops):
-                raise CertificateError("one-loop rank chain", (n,),
-                                       f"rank drops divisible by {d}", ranks)
-            lam_t = tuple(sum(x // d >= i for x in drops) for i in range(1, drops[0] // d + 1))
-            if sum(lam_t) != expo:
-                raise CertificateError("one-loop partition", (n,),
-                                       f"a partition of {expo}", lam_t)
-            typ.append((tuple(f), lam_t))
-    return tuple(sorted(typ))
-
-
-def _eval_poly_at_matrix(ctx: GF, poly: Sequence, a: Mat) -> Mat:
-    acc = Mat.zeros(ctx, a.rows, a.cols)
-    for c in reversed(list(poly)):
-        acc = acc @ a
-        if c:
-            acc = acc + Mat.identity(ctx, a.rows).scale(int(c))
-    return acc
-
-
-class OneLoopIndex:
-    """Identification on a constructive one-loop slice: conjugacy type -> class."""
-
-    def __init__(self, grade: tuple):
-        self.grade = grade
-        self.types: Dict[tuple, int] = {}
-
-    def register(self, typ: tuple) -> None:
-        self.types[typ] = len(self.types)
-
-    def classify(self, reps: Sequence[Rep], ends: Optional[list] = None) -> List[int]:
-        """The classes of a stack of representations, in row order, by their
-        fingerprints in the type table; End bases (`ends`) are not needed."""
-        out = []
-        for rep in reps:
-            typ = one_loop_fingerprint(rep)
-            if typ not in self.types:
-                raise CertificateError("identification", self.grade,
-                                       "a registered conjugacy type", typ)
-            out.append(self.types[typ])
-        return out

@@ -35,9 +35,10 @@ its representations:
   over blocks of a fixed number of points.
 
 * constructive mode on the one-loop quiver: the classes are conjugacy
-  types (irreducible polynomial, partition) from `oneloop`, and
-  `oneloop.OneLoopIndex` reads the type of a matrix off the rank chains
-  of its characteristic-polynomial factors.
+  types (irreducible polynomial, partition) from `oneloop`, with their
+  automorphism counts `oneloop.a_lambda`.  The slice classifies through
+  `SplitIndex`, like an acyclic one: its build files the indecomposable
+  canonical representatives in the index's signature buckets.
 
 * constructive mode on acyclic quivers: classes are iterated extensions
   by a simple at a support sink (`orbits.SinkExtensions`), without
@@ -126,14 +127,14 @@ import numpy as np
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, CertificateError, HallforgeError
 from .gf import GF, Mat, gaussian_binomial, gl_order, subspace_blocks
-from .oneloop import OneLoopIndex, a_lambda, one_loop_rep, one_loop_types
+from .oneloop import a_lambda, one_loop_rep, one_loop_types
 from .orbits import (SinkExtensions, _base_change_images, _decode_batch, _encode_batch,
                      _entry_count, _RowSpaces, _spans, _walk_orbits)
 from .quiver import Quiver, classify_type, euler_form
 from .reps import (Rep, aut_order_from_summands, digit_rows, direct_sum_all,
-                   end_splits, first_isomorphic, is_nilpotent_rep, pri_of_defect,
-                   residue_degree, scan_splitter, sub_quotient_stack,
-                   unique_rows, zero_rep)
+                   end_splits, first_isomorphic, hom_stack, is_nilpotent_rep,
+                   pri_of_defect, residue_degree, scan_splitter,
+                   sub_quotient_stack, unique_rows, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
 _MASK_BLOCK = 1 << 14  # points per block of a nilpotency mask
@@ -194,17 +195,29 @@ def decode_rep(quiver: Quiver, ctx: GF, dims: tuple, code: int) -> Rep:
 
 
 class SplitIndex:
-    """Constructive acyclic slices: Fitting splits of a stack, then lookups.
+    """Constructive slices: Fitting splits of a stack, then lookups.
 
     A decomposable representation is found by its summands.  An
     indecomposable one is compared, by `first_isomorphic`, with the
-    registered indecomposables of its signature (dim End, arrow ranks).
+    registered indecomposables of its `signature` (dim End, arrow ranks),
+    whose classes the buckets hold.
     """
 
     def __init__(self, reg: "IsoRegistry", sl: "GradeSlice"):
         self.reg = reg
         self.sl = sl
-        self.buckets: Dict[tuple, List[int]] = {}
+        self.buckets: Dict[tuple, List[IsoClass]] = {}
+
+    def signature(self, rep: Rep, h_end: int) -> tuple:
+        """The bucket of an indecomposable with dim End `h_end`."""
+        return (h_end, tuple(self.reg.ctx.ranks([m.a for m in rep.mats]).tolist()))
+
+    def file(self, classes: Sequence[IsoClass]) -> None:
+        """File indecomposable classes in their buckets, End solved for
+        their canonical representatives as one `hom_stack`."""
+        canons = [c.canon for c in classes]
+        for c, h_end in zip(classes, hom_stack(canons, canons)[1].tolist()):
+            self.buckets.setdefault(self.signature(c.canon, h_end), []).append(c)
 
     def classify(self, reps: Sequence[Rep], ends: Optional[list] = None) -> List[int]:
         """The classes, in row order, of a stack of representations of the
@@ -215,10 +228,6 @@ class SplitIndex:
     def register(self, reps: Sequence[Rep]) -> None:
         """Register the classes of a stack of build candidates, in order."""
         self._classify(reps, None, register=True)
-
-    def renumber(self, remap: Dict[int, int]) -> None:
-        self.buckets = {sig: sorted(remap[i] for i in idxs)
-                        for sig, idxs in self.buckets.items()}
 
     def _classify(self, reps: Sequence[Rep], ends: Optional[list], register: bool) -> List[int]:
         """End and the summands are solved for the whole stack at once
@@ -241,36 +250,30 @@ class SplitIndex:
         reg, sl = self.reg, self.sl
         if counts is None:
             counts = reg._scanned(rep, basis)
-        h_end = len(basis)
         if not counts:
-            sig = (h_end, tuple(reg.ctx.ranks([m.a for m in rep.mats]).tolist()))
+            sig = self.signature(rep, len(basis))
             bucket = self.buckets.get(sig, [])
-            pos = first_isomorphic(rep, [sl.classes[j].canon for j in bucket])
-            idx = None if pos is None else bucket[pos]
-            if idx is None:
-                if not register:
-                    raise CertificateError("identification", sl.grade,
-                                           "a registered indecomposable",
-                                           f"none with signature {sig}")
-                t = residue_degree(rep, basis)
-                aut = aut_order_from_summands(h_end, [(1, t)], reg.ctx.q)
-                idx = reg._add_class(sl, rep, aut, res_degree=t, end=basis).index
-                self.buckets.setdefault(sig, []).append(idx)
-            counts[(sl.grade, idx)] = 1
+            pos = first_isomorphic(rep, [c.canon for c in bucket])
+            if pos is not None:
+                return bucket[pos].index
+            if not register:
+                raise CertificateError("identification", sl.grade,
+                                       "a registered indecomposable",
+                                       f"none with signature {sig}")
+            _, t, aut = reg._class_data(rep, basis, counts)
+            cls = reg._add_class(sl, rep, aut, res_degree=t, end=basis)
+            self.buckets.setdefault(sig, []).append(cls)
+            return cls.index
         key = tuple(sorted(counts.items()))
         idx = sl.by_summands.get(key)
         if idx is None:
             if not register:
                 raise CertificateError("identification", sl.grade,
                                        "a registered class", f"summands {key}")
-            parts, data = [], []
-            for part_key, mult in key:
-                piece = reg.cls(part_key)
-                parts.extend([piece.canon] * mult)
-                data.append((mult, piece.res_degree))
-            canon = direct_sum_all(parts, reg.quiver, reg.ctx)
             # rep is isomorphic to canon, so dim End(canon) = dim End(rep)
-            aut = aut_order_from_summands(h_end, data, reg.ctx.q)
+            _, _, aut = reg._class_data(rep, basis, counts)
+            canon = direct_sum_all([reg.cls(k).canon for k, mult in key for _ in range(mult)],
+                                   reg.quiver, reg.ctx)
             idx = reg._add_class(sl, canon, aut, key).index
         return idx
 
@@ -283,11 +286,11 @@ class GradeSlice:
     slice has an `index` to `classify` a representation and the classes
     `known` by the bytes of digit rows."""
 
-    def __init__(self, grade: tuple, mode: str, index=None, table=None,
+    def __init__(self, grade: tuple, mode: str, table=None,
                  spaces: Optional[_RowSpaces] = None):
         self.grade = grade
         self.mode = mode
-        self.index = index
+        self.index: Optional[SplitIndex] = None
         self.table = table
         self.spaces = spaces
         self.known: Dict[bytes, int] = {}
@@ -524,6 +527,20 @@ class IsoRegistry:
         kers = scan_splitter(rep, basis, self.caps)
         return {} if kers is None else self._summands([rep], [(basis, kers)])[0]
 
+    def _class_data(self, rep: Rep, basis: list, counts: Dict[ClassKey, int]
+                    ) -> Tuple[Optional[tuple], Optional[int], int]:
+        """The summands, residue degree and |Aut| of the class of `rep`,
+        given its End basis and its summand counts: no summands and a
+        residue degree for an indecomposable (no counts), the sorted
+        summands and no residue degree otherwise."""
+        if counts:
+            summands, res = tuple(sorted(counts.items())), None
+            data = [(mult, self.cls(key).res_degree) for key, mult in summands]
+        else:
+            summands, res = None, residue_degree(rep, basis)
+            data = [(1, res)]
+        return summands, res, aut_order_from_summands(len(basis), data, self.ctx.q)
+
     # -- orbit mode
 
     def _build_orbit(self, grade: tuple) -> Tuple[GradeSlice, int]:
@@ -541,14 +558,8 @@ class IsoRegistry:
                                                    self._summands(canons, splits)):
             if counts is None:
                 counts = self._scanned(canon, basis)
-            if counts:
-                summands, res = tuple(sorted(counts.items())), None
-                data = [(mult, self.cls(key).res_degree) for key, mult in summands]
-            else:
-                summands, res = None, residue_degree(canon, basis)
-                data = [(1, res)]
+            summands, res, aut = self._class_data(canon, basis, counts)
             # orbit-stabilizer: |G| / orbit size is |Aut| as End's structure gives it
-            aut = aut_order_from_summands(len(basis), data, ctx.q)
             if aut != group // size:
                 raise CertificateError("orbit-stabilizer", grade, group // size, aut)
             self._add_class(sl, canon, aut, summands, res_degree=res, end=basis)
@@ -717,15 +728,16 @@ class IsoRegistry:
                 (((g, remap[i] if g == sl.grade else i), m) for (g, i), m in c.summands)
             ))
         sl.by_summands = {c.summands: c.index for c in sl.classes}
-        sl.index.renumber(remap)
 
     # -- constructive mode: one-loop quiver, conjugacy-type data
 
     def _build_one_loop(self, grade: tuple) -> GradeSlice:
+        """The conjugacy types of `grade` in type order, their
+        indecomposables filed in the slice's `SplitIndex`."""
         quiver, ctx = self.quiver, self.ctx
-        sl = GradeSlice(grade, "constructive", OneLoopIndex(grade))
+        sl = GradeSlice(grade, "constructive")
+        sl.index = SplitIndex(self, sl)
         for typ in one_loop_types(ctx, grade[0], self.nilpotent_only):
-            sl.index.register(typ)
             canon = one_loop_rep(quiver, ctx, typ)
             aut = math.prod(a_lambda(ctx.q ** (len(f) - 1), lam) for f, lam in typ)
             if len(typ) == 1 and len(typ[0][1]) == 1:
@@ -739,6 +751,7 @@ class IsoRegistry:
                     key = self.identify(one_loop_rep(quiver, ctx, ((f, (part,)),)))
                     counts[key] = counts.get(key, 0) + 1
             self._add_class(sl, canon, aut, tuple(sorted(counts.items())))
+        sl.index.file([c for c in sl.classes if c.indec])
         return sl
 
     # -- submodule census

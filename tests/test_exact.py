@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hallforge.cli
@@ -61,6 +62,9 @@ def test_kernel_fraction_rows():
 def test_row_reduce_edge_cases():
     assert row_reduce([]) == ([], [])
     assert kernel_basis_exact([]) == []
+    # no rows: the kernel of a 0 x 3 array is all of Q^3, as of [[0, 0, 0]]
+    assert kernel_basis_exact(np.zeros((0, 3), dtype=np.int64)) == kernel_basis_exact(
+        [[0, 0, 0]]) == [[int(i == j) for j in range(3)] for i in range(3)]
     assert matrix_rank([]) == 0
     assert matrix_rank([[F(0), F(0)], [F(0), F(0)]]) == 0
     assert matrix_rank(FRACTION_ROWS) == 2

@@ -11,9 +11,8 @@ import pytest
 from childenv import child_env
 from hallforge.errors import CapExceeded, CertificateError, SingularMatrix, SizeMismatch
 from hallforge.exact import PRIME_BOUND
-from hallforge.gf import (GF, MODULUS_TABLE, Mat, char_poly, gaussian_binomial,
-                          gl_order, is_prime, monic_irreducibles, poly_divmod,
-                          poly_mul, subspaces_of_dim)
+from hallforge.gf import (GF, MODULUS_TABLE, Mat, gaussian_binomial, gl_order,
+                          is_prime, monic_irreducibles, poly_divmod, subspaces_of_dim)
 from hallforge.reps import rref_pivots
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
@@ -135,8 +134,6 @@ def test_preconditions_raise_errors():
     wide = Mat(f2, [[1, 0, 1], [0, 1, 1]])
     with pytest.raises(SizeMismatch):
         wide.power(2)
-    with pytest.raises(SizeMismatch):
-        char_poly(wide)
     with pytest.raises(ValueError):
         gl_order(-1, 2)
     with pytest.raises(ZeroDivisionError):
@@ -350,17 +347,6 @@ def test_gl_order():
             count += 1
     assert count == 6 == gl_order(2, 2)
     assert gl_order(2, 3) == (9 - 1) * (9 - 3) == 48
-
-
-def test_char_and_min_poly():
-    f2, f3 = GF.of(2), GF.of(3)
-    j2 = Mat(f2, [[0, 1], [0, 0]])
-    assert char_poly(j2) == [0, 0, 1]
-    assert char_poly(Mat(f3, [[1, 0], [0, 2]])) == [2, 0, 1]
-    # char poly is multiplicative under block sums, spot check
-    comp = Mat(f2, [[0, 1], [1, 1]])  # companion of x^2+x+1
-    assert char_poly(comp) == [1, 1, 1]
-    assert char_poly(comp.block_diag(j2)) == poly_mul(f2, [1, 1, 1], [0, 0, 1])
 
 
 def test_monic_irreducible_counts():

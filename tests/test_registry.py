@@ -20,7 +20,6 @@ from hallforge import HallAlgebra, a_lambda, cuspidal_space
 from hallforge.config import Caps
 from hallforge.errors import CapExceeded, CertificateError, HallforgeError
 from hallforge.gf import GF, Mat, gaussian_binomial, gl_order, subspaces_of_dim
-from hallforge.oneloop import OneLoopIndex
 from hallforge.quiver import (Quiver, affine_a, affine_a2_acyclic, cyclic_quiver,
                               d4_star_out, dual_quiver, jordan, kronecker)
 from hallforge import orbits, registry, reps
@@ -463,25 +462,18 @@ def test_mass_check_survives_optimize():
         "    reg._mass_check(sl, reg.ambient_count(sl.grade))\n"
         "except CertificateError as err:\n"
         "    print(err.what, err.grade, err.expected, err.got)\n"
-        "reg = IsoRegistry(jordan(), GF.of(2), Caps(max_tuple_count=3))\n"
-        "sl = reg.slice((2,))\n"
-        "typ = next(t for t, i in sl.index.types.items() if i == 0)\n"
-        "del sl.index.types[typ]\n"
-        "sl.known.clear()\n"
-        "try:\n"
-        "    reg.identify(sl.classes[0].canon)\n"
-        "except CertificateError as err:\n"
-        "    print(err.what, err.grade, err.expected)\n"
-        "reg = IsoRegistry(kronecker(), GF.of(3), Caps(max_tuple_count=3))\n"
-        "sl = reg.slice((1, 1))\n"
-        "for bucket in sl.index.buckets.values():\n"
-        "    if 0 in bucket:\n"
-        "        bucket.remove(0)\n"
-        "sl.known.clear()\n"
-        "try:\n"
-        "    reg.identify(sl.classes[0].canon)\n"
-        "except CertificateError as err:\n"
-        "    print(err.what, err.grade, err.expected)\n"
+        "def unfile(reg, grade):\n"
+        "    sl = reg.slice(grade)\n"
+        "    i = next(c.index for c in sl.classes if c.indec)\n"
+        "    for bucket in sl.index.buckets.values():\n"
+        "        bucket[:] = [c for c in bucket if c.index != i]\n"
+        "    sl.known.clear()\n"
+        "    try:\n"
+        "        reg.identify(sl.classes[i].canon)\n"
+        "    except CertificateError as err:\n"
+        "        print(err.what, err.grade, err.expected)\n"
+        "unfile(IsoRegistry(jordan(), GF.of(2), Caps(max_tuple_count=3)), (2,))\n"
+        "unfile(IsoRegistry(kronecker(), GF.of(3), Caps(max_tuple_count=3)), (1, 1))\n"
         "from hallforge.errors import HallforgeError\n"
         "from hallforge.gf import Mat\n"
         "from hallforge.reps import sub_quotient\n"
@@ -508,8 +500,9 @@ def test_mass_check_survives_optimize():
     mass, ident, split, rref, census = proc.stdout.strip().splitlines()
     # 4 points at grade (1,1); doubling one |Aut| halves its share of the mass
     assert mass.startswith("mass identity (1, 1) 4 ")
-    # a constructive Jordan slice whose class 0 lost its conjugacy-type entry
-    assert ident == "identification (2,) a registered conjugacy type"
+    # a constructive Jordan slice whose split index lost its first
+    # indecomposable (class 0 of a one-loop slice may be decomposable)
+    assert ident == "identification (2,) a registered indecomposable"
     # a constructive Kronecker slice whose split index lost indecomposable 0
     assert split == "identification (1, 1) a registered indecomposable"
     # sub_quotient reads pivots off RREF bases and rejects a zero basis row
@@ -553,8 +546,9 @@ def _export_line(reg, key):
 
 
 def test_identify_constant_on_orbits_constructive(constructive_regs):
-    # the split and one-loop indexes; the orbit registry of the same quiver
-    # and field is the oracle that each moved copy stays in its orbit
+    # the split index on acyclic and one-loop slices; the orbit registry of
+    # the same quiver and field is the oracle that each moved copy stays in
+    # its orbit
     rng = random.Random(5)
     kron3 = constructive_regs["kronecker-q3"]
     jordans = [IsoRegistry(jordan(), ctx, TINY) for ctx in (F2, F3)]
@@ -575,7 +569,36 @@ def test_identify_constant_on_orbits_constructive(constructive_regs):
                     assert _export_line(orbit, orbit.identify(moved)) == line
                 # the two registries agree on the class apart from its canon
                 assert {**_export_line(reg, c.key), "canon": None} == {**line, "canon": None}
-    assert kinds == {"zero", "orbit", SplitIndex, OneLoopIndex}
+    assert kinds == {"zero", "orbit", SplitIndex}
+
+
+@pytest.mark.parametrize("ctx,top,nilpotent", [(F2, 4, False), (F3, 3, False), (F2, 4, True)])
+def test_identify_random_matrices_constructive_one_loop(ctx, top, nilpotent):
+    # random matrices, not only moved canonical representatives, on
+    # forced-constructive one-loop slices, one call at a time and as one
+    # stack on a fresh registry; an orbit registry is the oracle: its
+    # classes match the constructive ones one to one and agree on every
+    # export line apart from the canon
+    rng = random.Random(11)
+    reg, fresh, orbit = (IsoRegistry(jordan(), ctx, caps, nilpotent_only=nilpotent)
+                         for caps in (TINY, TINY, Caps()))
+    for n in range(1, top + 1):
+        mats = []
+        while len(mats) < 20:
+            a = Mat(ctx, np.array([rng.randrange(ctx.q) for _ in range(n * n)],
+                                  dtype=np.uint8).reshape(n, n))
+            if not nilpotent or is_nilpotent_rep(Rep(jordan(), ctx, (n,), (a,))):
+                mats.append(a)
+        keys = [reg.identify(Rep(jordan(), ctx, (n,), (a,))) for a in mats]
+        assert (reg.slice((n,)).mode == "constructive") == (n > 1)  # q <= 3 points at n = 1
+        stacked = fresh._identify_stack((n,), [np.stack([a.a for a in mats])], len(mats))
+        assert stacked.tolist() == [i for _, i in keys]
+        pairs = {(key, orbit.identify(Rep(jordan(), ctx, (n,), (a,))))
+                 for a, key in zip(mats, keys)}
+        assert len(pairs) == len({k for k, _ in pairs}) == len({o for _, o in pairs})
+        for key, other in pairs:
+            assert ({**_export_line(reg, key), "canon": None}
+                    == {**_export_line(orbit, other), "canon": None})
 
 
 def test_canonical_is_lex_min_in_orbit_mode(kron2):
@@ -1625,16 +1648,15 @@ def test_canonical_representatives_identify_without_classify(constructive_regs, 
     def refuse(index, reps_, ends=None):
         raise AssertionError(f"classify called on grade {reps_[0].dims}")
 
-    for index in (SplitIndex, OneLoopIndex):
-        monkeypatch.setattr(index, "classify", refuse)
+    monkeypatch.setattr(SplitIndex, "classify", refuse)
     seen = collections.Counter()
     for reg in (*constructive_regs.values(), one_loop):
         for sl in list(reg.slices.values()):
             if sl.mode == "constructive":
                 for c in sl.classes:
                     assert reg.identify(c.canon) == c.key
-                    seen[type(sl.index)] += 1
-    assert seen[SplitIndex] > 0 and seen[OneLoopIndex] > 0, seen
+                    seen["one-loop" if reg.quiver == jordan() else "acyclic"] += 1
+    assert seen["acyclic"] > 0 and seen["one-loop"] > 0, seen
 
 
 def test_memory_cap_counts_census_tables(monkeypatch):
