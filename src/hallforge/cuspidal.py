@@ -44,7 +44,7 @@ from .oneloop import a_lambda, one_loop_rep, partitions_of
 from .quiver import (Quiver, classify_type, euler_form, restrict_dim, subquiver_on,
                      support, support_is_connected, symmetrized_form)
 from .registry import ClassKey
-from .reps import Rep, simple_rep, unique_rows
+from .reps import Rep, simple_rep
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +97,20 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
         if all(any(k[0]) and (not regular_only or reg.cls(k).pri_class == "regular")
                for k in pair)
     })
-    # scattered into one integer array, rows by the sorted pairs; the kernel
-    # is independent of row order and repeats, so repeated rows are dropped
-    at = {pair: i for i, pair in enumerate(pairs)}
-    table = np.zeros((len(pairs), len(cols)), dtype=np.int64)
+    # one sparse row of (column, count) per pair, in sorted pair order; the
+    # kernel is independent of row order and repeats, so a repeated row is
+    # dropped by its hash, and only the distinct rows are scattered into the
+    # integer array the kernel reads
+    rows: Dict[tuple, list] = {pair: [] for pair in pairs}
     for j, census in enumerate(censuses):
-        hits = [(at[pair], count) for pair, count in census.items() if pair in at]
-        if hits:
-            where, counts = zip(*hits)
-            table[list(where), j] = counts
-    if pairs:
-        table = table[unique_rows(table)[0]]
+        for pair, count in census.items():
+            if pair in rows:
+                rows[pair].append((j, count))
+    distinct = list(dict.fromkeys(tuple(row) for row in rows.values()))
+    table = np.zeros((len(distinct), len(cols)), dtype=np.int64)
+    for i, row in enumerate(distinct):
+        where, counts = zip(*row)
+        table[i, list(where)] = counts
     basis = []
     for vec in kernel_basis_exact(table):
         terms = {}

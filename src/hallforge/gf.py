@@ -20,8 +20,9 @@ Matrices are thin immutable wrappers over numpy uint8 code arrays.  Every
 elementwise operation (sum, difference, negation, scaling, the row
 operations of elimination) is a table lookup.  Matrix products all go
 through `GF.matmul`, the one place that chooses between the two product
-paths: an integer matmul reduced mod p for prime fields, and an
-accumulation of table lookups over the inner index for extension fields.
+paths: an integer matmul reduced mod p for prime fields, in the narrowest
+integer dtype that holds its sums exactly, and an accumulation of table
+lookups over the inner index for extension fields.
 Beside it, `GF.rref_stack` is the stack eliminator: it reduces an
 (N, r, c) stack column by column, every row operation a table lookup over
 the whole stack, and hands a stack of one to `Mat.rref`'s per-row loop,
@@ -63,6 +64,14 @@ MODULUS_TABLE = {
 }
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _product_dtype(inner: int, p: int) -> type:
+    """The narrowest integer dtype that holds a sum of `inner` products of
+    GF(p) codes, each at most (p - 1)^2, exactly: int16 below 2^15, int32
+    below 2^31, else int64."""
+    top = inner * (p - 1) ** 2
+    return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +200,11 @@ class GF:
     # -- matrix product on code arrays
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b on uint8 code arrays, broadcasting stack dimensions like np.matmul."""
+        """a @ b on uint8 code arrays, broadcasting stack dimensions like
+        np.matmul; a prime field multiplies in `_product_dtype`."""
         if self.k == 1:
-            return ((a.astype(np.int64) @ b.astype(np.int64)) % self.p).astype(np.uint8)
+            dtype = _product_dtype(a.shape[-1], self.p)
+            return ((a.astype(dtype) @ b.astype(dtype)) % self.p).astype(np.uint8)
         shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
         acc = np.zeros(shape, dtype=np.uint8)
         for t in range(a.shape[-1]):

@@ -13,9 +13,11 @@ On points, a generator (v, g) of prod_v GL(d_v) acts on each arrow block
 on its own (M -> gM into v, M -> Mg^-1 out of v, both on a loop), so one
 table per (generator, arrow at v), built once per grade, maps each block
 code to the shift of the point's code, and an image is the code plus one
-table entry per block at v (`_base_change_images`).  The tables, each no
-larger than the ambient space, are counted with the walk's dense arrays
-against the memory cap.
+table entry per block at v (`_base_change_images`).  Each table is filled
+over runs of `_BLOCK` block codes.  The tables, each no larger than the
+ambient space, are counted with the walk's dense arrays against the memory
+cap.  An orbit slice's class table, the labels of its walk, is int32: 4
+bytes a point.
 
 At a loop-free sink or source v of a grade's support the same walk and
 images builder move the row spaces of the blocks at v instead of points
@@ -201,8 +203,8 @@ class _RowSpaces:
 
     def nbytes(self) -> int:
         """The class table of the reduced codes and the span table, 8 bytes
-        an entry, and the RREF bases; the span fill's stacks are bounded by
-        `_BLOCK`."""
+        an entry (an upper bound: class table entries take 4), and the RREF
+        bases; the span fill's stacks are bounded by `_BLOCK`."""
         spans = self.growable * self.ctx.q ** self.m
         return 8 * (self.reduced + spans) + self.count * self.kmax * self.m
 
@@ -310,7 +312,7 @@ class _RowSpaces:
             first[found], met[found] = h * q ** low + new[at], True
             h += 1
         order = np.argsort(first)
-        rank = np.empty(n, dtype=np.int64)
+        rank = np.empty(n, dtype=np.int32)
         rank[order] = np.arange(n)
         fibre = [math.prod(q ** d - q ** i for i in range(k)) for k in range(self.kmax + 1)]
         per_w = labels.reshape(self.count, -1)
@@ -325,13 +327,16 @@ def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps,
     """The `images` of an orbit walk over the point codes of `grade`, or with
     `spaces` over its reduced codes.  The table of a generator (v, g) at an
     arrow at v maps each block code to (image block code - block code) * the
-    place value of the block; with `spaces`, the generators are those of the
+    place value of the block, and is filled over runs of `_BLOCK` block
+    codes, so no array of the size of the block-code range is decoded or
+    multiplied at once; with `spaces`, the generators are those of the
     vertices but the reduced one, and a generator that moves W has one more
     table, from W's id to the shift of the reduced code (`_RowSpaces.act`).
 
     Memory is checked first: ten bytes per walked code and eight per table
     entry, with `spaces` also its span table, which it then fills, and its
-    class table of reduced codes (`_RowSpaces.nbytes`)."""
+    class table of reduced codes (`_RowSpaces.nbytes`).  These are upper
+    bounds: a walk's labels, its class table, take four bytes a code."""
     q = ctx.q
     skip = None if spaces is None else spaces.v
     spans = _spans(quiver, grade, skip)
@@ -356,15 +361,18 @@ def _base_change_images(quiver: Quiver, ctx: GF, grade: tuple, caps: Caps,
         tables.append([])
         for i in arrows:
             (lo, hi, r, c), (s, t) = spans[i], quiver.arrows[i]
-            codes = np.arange(q ** (hi - lo), dtype=np.int64)
-            block = _decode_batch(codes, hi - lo, q).reshape(-1, r, c)
-            if t == v:
-                block = ctx.matmul(g, block)
-            if s == v:
-                block = ctx.matmul(block, ginv)
-            image = _encode_batch(block.reshape(codes.size, -1), q)
-            radix[i] = (q ** (e - hi), codes.size)
-            tables[-1].append((i, (image - codes) * radix[i][0]))
+            radix[i] = (q ** (e - hi), q ** (hi - lo))
+            delta = np.empty(radix[i][1], dtype=np.int64)
+            for codes in _runs(0, delta.size, 1):
+                block = _decode_batch(codes, hi - lo, q).reshape(-1, r, c)
+                if t == v:
+                    block = ctx.matmul(g, block)
+                if s == v:
+                    block = ctx.matmul(block, ginv)
+                image = _encode_batch(block.reshape(codes.size, -1), q)
+                delta[codes[0]: codes[0] + codes.size] = image - codes
+            delta *= radix[i][0]
+            tables[-1].append((i, delta))
         if moved:
             ids = np.arange(spaces.count, dtype=np.int64)
             tables[-1].append((-1, (spaces.act(v, g, ginv) - ids) * q ** e))

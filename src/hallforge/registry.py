@@ -14,6 +14,7 @@ its representations:
   of the orbit and the automorphism order is group order / orbit size.
   A point walk's slice `table` maps the base-q code of every point to its
   class; the zero grade has the one-entry table of the zero representation.
+  Every class table is int32.
 
   Above `_REDUCE_ABOVE` points, a grade whose support has a loop-free sink
   or source walks the row spaces there instead of the points
@@ -280,11 +281,11 @@ class SplitIndex:
 
 class GradeSlice:
     """The classes of one grade, in a fixed order.  `mode` is "zero", "orbit"
-    or "constructive".  A zero or orbit slice has the `table` of the class
-    of every point code (negative if excluded), or with the `spaces` of a
-    reduced walk of every reduced code (`_RowSpaces.codes`); a constructive
-    slice has an `index` to `classify` a representation and the classes
-    `known` by the bytes of digit rows."""
+    or "constructive".  A zero or orbit slice has the int32 `table` of the
+    class of every point code (negative if excluded), or with the `spaces`
+    of a reduced walk of every reduced code (`_RowSpaces.codes`); a
+    constructive slice has an `index` to `classify` a representation and
+    the classes `known` by the bytes of digit rows."""
 
     def __init__(self, grade: tuple, mode: str, table=None,
                  spaces: Optional[_RowSpaces] = None):
@@ -385,7 +386,7 @@ class IsoRegistry:
 
     def _build(self, grade: tuple) -> GradeSlice:
         if all(x == 0 for x in grade):
-            sl = GradeSlice(grade, "zero", table=np.zeros(1, dtype=np.int64))
+            sl = GradeSlice(grade, "zero", table=np.zeros(1, dtype=np.int32))
             self._add_class(sl, zero_rep(self.quiver, self.ctx), 1, ())
             return sl
         e = _entry_count(self.quiver, grade)
@@ -589,18 +590,19 @@ class IsoRegistry:
             except CapExceeded:  # the point walk may still fit
                 pass
             else:
-                labels = np.full(spaces.reduced, -1, dtype=np.int64)
+                labels = np.full(spaces.reduced, -1, dtype=np.int32)
                 _walk_orbits(labels, images)
                 table, seeds, sizes = spaces.classes(labels)
                 sl = GradeSlice(grade, "orbit", table=table, spaces=spaces)
                 return sl, seeds, sizes, ambient
         images = _base_change_images(quiver, ctx, grade, self.caps)
-        class_of = np.full(ambient, -1, dtype=np.int64)
-        points = ambient
-        if self.nilpotent_only:
+        if self.nilpotent_only:  # -2 marks the points excluded from this registry
             nilpotent = self._nilpotent_mask(grade, e, ambient)
-            class_of[~nilpotent] = -2  # excluded from this registry
             points = self.ambient_count(grade) if self._is_one_loop else int(nilpotent.sum())
+            class_of = np.where(nilpotent, np.int32(-1), np.int32(-2))
+            del nilpotent  # not held through the walk
+        else:
+            class_of, points = np.full(ambient, -1, dtype=np.int32), ambient
         seeds, sizes = _walk_orbits(class_of, images)
         return GradeSlice(grade, "orbit", table=class_of), seeds, sizes, points
 
@@ -849,8 +851,8 @@ class IsoRegistry:
 
     def _table_bytes(self, grade: tuple) -> int:
         """The bytes of one representative's `_block_tables` of `grade`, at 16
-        per block entry (the int64 product and remainder of a prime-field
-        `GF.matmul`) and one per test."""
+        per block entry (an upper bound: the product and remainder of a
+        prime-field `GF.matmul` are int64 at most) and one per test."""
         counts = [len(self._adapted_bases(d)[0]) for d in grade]
         return sum((counts[s] if s == t else counts[t] * counts[s])
                    * (16 * grade[s] * grade[t] + 1) for s, t in self.quiver.arrows)

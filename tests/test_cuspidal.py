@@ -3,11 +3,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from childenv import child_env
+from hallforge import cuspidal
 from hallforge.errors import CertificateError, HallforgeError
 from hallforge.exact import kernel_basis_exact, matrix_rank, row_reduce
 from hallforge.gf import GF, monic_irreducibles
@@ -15,7 +17,7 @@ from hallforge.hall import HallAlgebra, QNum
 from hallforge.quiver import (Quiver, a4_square, affine_a2_acyclic, classify_type,
                               cyclic_quiver, d4_star_out, kronecker)
 from hallforge.registry import IsoRegistry
-from hallforge.reps import (ext1_dim, hom_dim, rep_with_dims, simple_rep)
+from hallforge.reps import ext1_dim, hom_dim, rep_with_dims, simple_rep, unique_rows
 from hallforge.cuspidal import (CuspidalSpace, TubePermutation, cancellation_check,
                                 conjecture1_check, conjecture2_check, cuspidal_space,
                                 cyclic_nilpotent_cuspidal, delta_evaluation_identity,
@@ -227,6 +229,54 @@ def test_primitive_space_matches_defect_kernel(hall_kron2, kron2, tubes_kron2):
         dims.append((len(keys), space.dim))
     # not vacuous: some spaces are proper, nonzero subspaces
     assert any(0 < d < n for n, d in dims)
+
+
+def _dense_constraints(hall, grade):
+    """`primitive_space`'s constraint table built densely: one int64 row
+    per sorted pair over every class of `grade`, then its distinct rows
+    (`reps.unique_rows`), in order of first occurrence."""
+    reg = hall.registry
+    cols = [c.key for c in reg.classes(grade)]
+    censuses = list(reg.censuses(cols).values())
+    pairs = sorted({pair for census in censuses for pair in census
+                    if all(any(k[0]) for k in pair)})
+    at = {pair: i for i, pair in enumerate(pairs)}
+    table = np.zeros((len(pairs), len(cols)), dtype=np.int64)
+    for j, census in enumerate(censuses):
+        for pair, count in census.items():
+            if pair in at:
+                table[at[pair], j] = count
+    return table[unique_rows(table)[0]] if pairs else table
+
+
+# (registry fixture or (quiver, field, nilpotent-only), grades)
+PRIMITIVE_CASES = {
+    "kronecker-q2": ("kron2", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]),
+    "kronecker-q3": ("kron3", [(1, 1), (2, 2), (3, 3)]),
+    "kronecker-q4": ((kronecker(), GF.of(2, 2), False), [(2, 3)]),
+    "jordan-q3": ("jordan3", [(1,), (2,), (3,), (4,)]),
+    "cyclic3-nilpotent-q3": ((cyclic_quiver(3), F3, True), [(1, 1, 1), (2, 2, 2)]),
+}
+
+
+@pytest.mark.parametrize("source, grades", PRIMITIVE_CASES.values(),
+                         ids=PRIMITIVE_CASES.keys())
+def test_primitive_space_matches_dense_unique_rows(source, grades, request, monkeypatch):
+    # the sparse rows scatter exactly the distinct rows of the dense table,
+    # so the kernel is the dense table's
+    reg = (request.getfixturevalue(source) if isinstance(source, str)
+           else IsoRegistry(source[0], source[1], nilpotent_only=source[2]))
+    hall, tables = HallAlgebra(reg), []
+    monkeypatch.setattr(cuspidal, "kernel_basis_exact",
+                        lambda table: tables.append(table) or kernel_basis_exact(table))
+    for g in grades:
+        space = primitive_space(hall, g)
+        dense, table = _dense_constraints(hall, g), tables.pop()
+        assert table.dtype == np.int64 and len(table) == len(dense), g
+        assert np.array_equal(table, dense), g
+        want = [[x * reg.cls(k).aut_order for k, x in zip(space.coords, vec)]
+                for vec in kernel_basis_exact(dense)]
+        assert space.coefficient_rows() == want, g
 
 
 _SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))

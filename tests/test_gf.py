@@ -11,6 +11,7 @@ import pytest
 from childenv import child_env
 from hallforge.errors import CapExceeded, CertificateError, SingularMatrix, SizeMismatch
 from hallforge.exact import PRIME_BOUND
+from hallforge import gf
 from hallforge.gf import (GF, MODULUS_TABLE, Mat, gaussian_binomial, gl_order,
                           is_prime, monic_irreducibles, poly_divmod, subspaces_of_dim)
 from hallforge.reps import rref_pivots
@@ -189,6 +190,25 @@ def test_matmul_matches_scalar_oracle(p, k):
     check(rand(r, 0), rand(0, c))               # empty inner dimension
     check(rand(0, n), rand(n, c))               # no rows
     assert Mat(ctx, rand(r, 0)) @ Mat(ctx, rand(0, c)) == Mat.zeros(ctx, r, c)
+
+
+@pytest.mark.parametrize("p", [p for p in gf._SMALL_PRIMES if p <= 7])
+def test_prime_matmul_matches_int64_reference(p):
+    # each dtype holds exactly the inner sizes it is chosen for: the largest
+    # c with c * (p - 1)^2 below 2^15 (int16) or 2^31 (int32), and one past
+    square = (p - 1) ** 2
+    for bits, narrow, wide in ((15, np.int16, np.int32), (31, np.int32, np.int64)):
+        at = ((1 << bits) - 1) // square
+        assert gf._product_dtype(at, p) is narrow and gf._product_dtype(at + 1, p) is wide
+    ctx, rng, at = GF.of(p), np.random.default_rng(p), ((1 << 15) - 1) // square
+    for c in (1, at, at + 1):
+        top = np.full((2, c), p - 1, dtype=np.uint8)  # every sum is c * (p - 1)^2
+        rand = rng.integers(0, p, size=(3, 2, c), dtype=np.uint8)
+        for a, b in ((top, top.T), (rand, top.T), (top, rand.transpose(0, 2, 1)),
+                     (rand, rand.transpose(0, 2, 1)), (rand[:, None], top.T[None, None])):
+            got = ctx.matmul(a, b)
+            want = (a.astype(np.int64) @ b.astype(np.int64)) % p
+            assert got.dtype == np.uint8 and np.array_equal(got, want), (c, a.shape, b.shape)
 
 
 def test_rref_and_kernel():

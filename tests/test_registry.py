@@ -1092,8 +1092,30 @@ def test_reduced_build_holds_no_point_sized_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sl.spaces is not None and sl.table.shape == (211,)
+    assert sl.spaces is not None and sl.table.shape == (211,) and sl.table.dtype == np.int32
     assert peak < min(1 << 20, 3 ** 12), peak
+
+
+@pytest.mark.parametrize("quiver, q, nilpotent, grade, mb", [
+    (cyclic_quiver(3), 3, True, (2, 2, 2), 3.5),
+    (jordan(), 3, False, (3,), 1.5),
+], ids=["cyclic3-nilpotent-q3", "jordan-q3"])
+def test_point_walk_build_holds_no_dense_transient(quiver, q, nilpotent, grade, mb):
+    # with its lower grades built, a point walk holds its int32 class table
+    # (2.1 MB of cyclic3's 531,441 points), its mask and the walk's
+    # frontiers, and fills its action tables in runs of block codes
+    reg = IsoRegistry(quiver, GF.of_q(q), nilpotent_only=nilpotent)
+    for g in reg.grades_below(grade)[:-1]:
+        reg.slice(g)
+    tracemalloc.start()
+    try:
+        sl = reg.slice(grade)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sl.spaces is None and sl.table.size == q ** registry._entry_count(quiver, grade)
+    assert {s.table.dtype for s in reg.slices.values()} == {np.dtype(np.int32)}
+    assert peak <= mb * 2 ** 20, peak
 
 
 def test_decode_rep_rejects_codes_outside_the_points():
@@ -1168,6 +1190,9 @@ def _permutation_orbits(draw):
 @example((np.zeros((0, 5000), dtype=np.int64), np.repeat([-2, -1], [4500, 500])))
 @example((np.r_[np.roll(np.arange(4500), 1), np.arange(4500, 5000)][None],
           np.full(5000, -1, dtype=np.int64)))
+@example((np.r_[np.roll(np.arange(2000), 1), np.arange(2000, 3000),
+               np.roll(np.arange(3000, 5000), 7)][None],
+          np.repeat(np.array([-1, -2, -1], dtype=np.int32), [2000, 1000, 2000])))
 def test_orbit_walk_matches_set_bfs_property(case):
     # up to 5,000 points, so the first-point scan crosses a block boundary;
     # the examples pass a whole block of excluded or already walked points
