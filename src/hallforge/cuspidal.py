@@ -4,7 +4,11 @@ An element f is cuspidal when Delta(f) = f(x)1 + 1(x)f.  Writing
 g_R = f(R)/|Aut R|, primitivity in a fixed grade is the integer linear
 system  sum_R F^R_{U,V} g_R = 0, one row per pair (U, V) of positive
 grades that occurs in the census of some support class R, so cuspidal
-spaces are exact rational kernels of integer census matrices.  Every
+spaces are exact rational kernels of integer census matrices.  A class
+R = X + Y with X, Y nonzero and Ext^1(X, Y) = 0 is the only extension of
+X by Y, so its row (X, Y) forces g_R = 0: such columns are pruned before
+any census is taken, and the kernel of the kept columns, padded with
+zeros, is the kernel of the whole system.  Every
 rational solve, and every subspace relation (as a rank relation), goes
 through the one eliminator of `exact`, which takes its certified modular
 route on those integer matrices.  No tolerance appears anywhere.  Elements and
@@ -30,6 +34,7 @@ package.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,7 +49,7 @@ from .oneloop import a_lambda, one_loop_rep, partitions_of
 from .quiver import (Quiver, classify_type, euler_form, restrict_dim, subquiver_on,
                      support, support_is_connected, symmetrized_form)
 from .registry import ClassKey
-from .reps import Rep, simple_rep
+from .reps import Rep, hom_stack, simple_rep
 
 
 # ---------------------------------------------------------------------------
@@ -77,12 +82,15 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
                     support_keys: Optional[List[ClassKey]] = None) -> CuspidalSpace:
     """Kernel of the coproduct constraints on one graded piece.
 
-    Each constraint row is one pair (U, V) of positive grades that occurs in
-    the census of a support column, with entries F^R_{U,V} over the columns
-    R.  With `regular_only`, both the support and the constraint pairs are
-    restricted to regular classes: that computes primitives for the
-    corestricted coproduct.  `support_keys` further restricts the support
-    (used per tube).
+    The columns are the support classes R; those that `_unsplit_columns`
+    drops are zero in every kernel vector, and only the kept ones are
+    censused.  Each constraint row is one pair (U, V) of positive grades
+    that occurs in the census of a kept column, with entries F^R_{U,V} over
+    the kept columns: a pair met only in dropped columns' censuses has no
+    entry there.  With `regular_only`, both the support and the constraint
+    pairs are restricted to regular classes: that computes primitives for
+    the corestricted coproduct.  `support_keys` further restricts the
+    support (used per tube).  The space's `coords` are all support classes.
     """
     grade = hall.quiver.check_dim(grade)
     reg = hall.registry
@@ -91,7 +99,8 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
     if support_keys is not None:
         allowed = set(support_keys)
         cols = [k for k in cols if k in allowed]
-    censuses = list(reg.censuses(cols).values())
+    kept = _unsplit_columns(reg, cols)
+    censuses = list(reg.censuses(kept).values())
     pairs = sorted({
         pair for census in censuses for pair in census
         if all(any(k[0]) and (not regular_only or reg.cls(k).pri_class == "regular")
@@ -107,18 +116,76 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
             if pair in rows:
                 rows[pair].append((j, count))
     distinct = list(dict.fromkeys(tuple(row) for row in rows.values()))
-    table = np.zeros((len(distinct), len(cols)), dtype=np.int64)
+    table = np.zeros((len(distinct), len(kept)), dtype=np.int64)
     for i, row in enumerate(distinct):
         where, counts = zip(*row)
         table[i, list(where)] = counts
     basis = []
     for vec in kernel_basis_exact(table):
         terms = {}
-        for k, g in zip(cols, vec):
+        for k, g in zip(kept, vec):
             if g:
                 terms[k] = hall.scalar(g * reg.cls(k).aut_order)
         basis.append(HallElement(terms))
     return CuspidalSpace(grade, cols, basis)
+
+
+def _ext1_dims(reg, pairs: Sequence[Tuple[ClassKey, ClassKey]]
+               ) -> Dict[Tuple[ClassKey, ClassKey], int]:
+    """dim Ext^1(M, N) for pairs (M, N) of built classes: hom(M, N) from one
+    `reps.hom_stack` of canonical representatives per pair of grades, less
+    the Euler form, cached on the registry by key pair (`ext1_cache`).  A
+    negative value is a CertificateError, as in `reps.ext1_dim`."""
+    by_grades: Dict[tuple, list] = {}
+    for pair in dict.fromkeys(pairs):
+        if pair not in reg.ext1_cache:
+            by_grades.setdefault((pair[0][0], pair[1][0]), []).append(pair)
+    for (gm, gn), todo in by_grades.items():
+        _, homs = hom_stack([reg.cls(m).canon for m, _ in todo],
+                            [reg.cls(n).canon for _, n in todo])
+        euler = euler_form(reg.quiver, gm, gn)
+        for pair, h in zip(todo, homs.tolist()):
+            if h < euler:
+                raise CertificateError(f"ext1 dimension from {pair[0]} to {pair[1]}", None,
+                                       "a nonnegative value", h - euler)
+            reg.ext1_cache[pair] = h - euler
+    return {pair: reg.ext1_cache[pair] for pair in pairs}
+
+
+def _unsplit_columns(reg, cols: List[ClassKey]) -> List[ClassKey]:
+    """The columns of `cols` that no split extension forces to zero.
+
+    If R = X + Y with X, Y nonzero and Ext^1(X, Y) = 0, every extension of
+    X by Y splits, so the row (X, Y) has its one nonzero entry
+    F^R_{X,Y} >= 1 at R, and g_R = 0.  Such a split exists exactly when the
+    digraph on R's summand instances, one node per copy with an edge M -> N
+    when ext^1(M, N) > 0, is not strongly connected: take X to be a sink
+    component.  The dropped columns are never free columns of the RREF (no
+    kernel vector ends there), so the padded kernel basis of the kept ones
+    is the kernel basis of all of them, vector for vector.  An edge with
+    <dim M, dim N> < 0 needs no Hom: ext^1(M, N) >= -<dim M, dim N>.
+    """
+    nodes = {k: [sk for sk, m in reg.cls(k).summands for _ in range(m)] for k in cols}
+    pairs = list(dict.fromkeys(pair for ns in nodes.values() if len(ns) > 1
+                               for pair in itertools.permutations(ns, 2)))
+    euler = {gg: euler_form(reg.quiver, *gg) for gg in {(a[0], b[0]) for a, b in pairs}}
+    ext = _ext1_dims(reg, [(a, b) for a, b in pairs if euler[a[0], b[0]] >= 0])
+
+    def edge(m, n):
+        return euler[m[0], n[0]] < 0 or ext[m, n] > 0
+
+    def reaches_all(ns, arc):  # from the first node
+        seen, todo = {0}, [0]
+        while todo:
+            i = todo.pop()
+            for j in range(len(ns)):
+                if j not in seen and arc(ns[i], ns[j]):
+                    seen.add(j)
+                    todo.append(j)
+        return len(seen) == len(ns)
+
+    return [k for k in cols if reaches_all(nodes[k], edge)
+            and reaches_all(nodes[k], lambda m, n: edge(n, m))]
 
 
 def cuspidal_space(hall: HallAlgebra, grade: Sequence) -> CuspidalSpace:

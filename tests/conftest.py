@@ -24,6 +24,11 @@ def kron3():
 
 
 @pytest.fixture(scope="session")
+def kron4():
+    return IsoRegistry(kronecker(), GF.of(2, 2))
+
+
+@pytest.fixture(scope="session")
 def hall_kron2(kron2):
     return HallAlgebra(kron2)
 
@@ -31,6 +36,11 @@ def hall_kron2(kron2):
 @pytest.fixture(scope="session")
 def hall_kron3(kron3):
     return HallAlgebra(kron3)
+
+
+@pytest.fixture(scope="session")
+def hall_kron4(kron4):
+    return HallAlgebra(kron4)
 
 
 @pytest.fixture(scope="session")

@@ -220,12 +220,12 @@ def test_criterion_7_symmetry_results(hall_kron2, tubes_kron2,
     report(7, started, "conjectures, cancellation, all tube transpositions")
 
 
-def test_criterion_8_counting_pipeline(kron2, kron3, hall_kron2, hall_kron3):
+def test_criterion_8_counting_pipeline(kron2, kron3, kron4, hall_kron2, hall_kron3, hall_kron4):
     started = time.time()
     # interpolated Kac polynomial at delta, verified on a held-out point
     samples = []
     for q in (2, 3, 4, 5):
-        reg = {2: kron2, 3: kron3}.get(q) or IsoRegistry(kronecker(), GF.of_q(q))
+        reg = {2: kron2, 3: kron3, 4: kron4}.get(q) or IsoRegistry(kronecker(), GF.of_q(q))
         samples.append((q, Fraction(count_absolutely_indecomposable(reg, (1, 1)))))
     a_poly = interpolate_polynomial(samples, 1)
     assert a_poly == IntPolynomial([1, 1])
@@ -234,8 +234,7 @@ def test_criterion_8_counting_pipeline(kron2, kron3, hall_kron2, hall_kron3):
             assert Fraction(count_indecomposables(reg, (r, r))) == \
                 descent_prediction(lambda rr, qq: a_poly(qq), r, q)
     # measured cuspidal dimensions up the delta ray, q = 4 held out
-    halls = {2: hall_kron2, 3: hall_kron3,
-             4: HallAlgebra(IsoRegistry(kronecker(), GF.of(2, 2)))}
+    halls = {2: hall_kron2, 3: hall_kron3, 4: hall_kron4}
     measured = {}
     for q, h in halls.items():
         for r in (1, 2, 3):

@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from childenv import child_env
 from hallforge import cuspidal
+from hallforge.counting import points_of_degree_dividing
 from hallforge.errors import CertificateError, HallforgeError
 from hallforge.exact import kernel_basis_exact, matrix_rank, row_reduce
 from hallforge.gf import GF, monic_irreducibles
 from hallforge.hall import HallAlgebra, QNum
 from hallforge.quiver import (Quiver, a4_square, affine_a2_acyclic, classify_type,
-                              cyclic_quiver, d4_star_out, kronecker)
+                              cyclic_quiver, d4_star_out, jordan, kronecker)
 from hallforge.registry import IsoRegistry
-from hallforge.reps import ext1_dim, hom_dim, rep_with_dims, simple_rep, unique_rows
+from hallforge.reps import (direct_sum_all, ext1_dim, hom_dim, rep_with_dims, simple_rep,
+                            unique_rows)
 from hallforge.cuspidal import (CuspidalSpace, TubePermutation, cancellation_check,
                                 conjecture1_check, conjecture2_check, cuspidal_space,
                                 cyclic_nilpotent_cuspidal, delta_evaluation_identity,
@@ -159,10 +161,8 @@ def _tubes_by_hom_ext(hall, up_to):
     return [(tid,) + t for tid, t in enumerate(out)]
 
 
-def test_tubes_from_census_links_match_hom_ext_closure(hall_kron2, hall_kron3):
-    F4 = GF.of(2, 2)
-    cases = ((hall_kron2, 2), (hall_kron3, 2),
-             (HallAlgebra(IsoRegistry(kronecker(), F4)), 2),
+def test_tubes_from_census_links_match_hom_ext_closure(hall_kron2, hall_kron3, hall_kron4):
+    cases = ((hall_kron2, 2), (hall_kron3, 2), (hall_kron4, 2),
              (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F2)), 2),
              (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F3)), 1),
              (HallAlgebra(IsoRegistry(d4_star_out(), F2)), 1))
@@ -231,15 +231,18 @@ def test_primitive_space_matches_defect_kernel(hall_kron2, kron2, tubes_kron2):
     assert any(0 < d < n for n, d in dims)
 
 
-def _dense_constraints(hall, grade):
-    """`primitive_space`'s constraint table built densely: one int64 row
-    per sorted pair over every class of `grade`, then its distinct rows
+def _dense_constraints(hall, grade, regular_only=False, support_keys=None):
+    """`primitive_space`'s constraint table built densely and unpruned: one
+    int64 row per sorted pair over every support class of `grade` (the
+    columns of `primitive_space(...).coords`), then its distinct rows
     (`reps.unique_rows`), in order of first occurrence."""
     reg = hall.registry
-    cols = [c.key for c in reg.classes(grade)]
+    regular = lambda k: not regular_only or reg.cls(k).pri_class == "regular"
+    cols = [c.key for c in reg.classes(grade) if regular(c.key)
+            and (support_keys is None or c.key in support_keys)]
     censuses = list(reg.censuses(cols).values())
     pairs = sorted({pair for census in censuses for pair in census
-                    if all(any(k[0]) for k in pair)})
+                    if all(any(k[0]) and regular(k) for k in pair)})
     at = {pair: i for i, pair in enumerate(pairs)}
     table = np.zeros((len(pairs), len(cols)), dtype=np.int64)
     for j, census in enumerate(censuses):
@@ -249,11 +252,18 @@ def _dense_constraints(hall, grade):
     return table[unique_rows(table)[0]] if pairs else table
 
 
+def _dense_kernel_rows(hall, space, dense):
+    """The kernel of the dense table as `space.coefficient_rows()` has it."""
+    reg = hall.registry
+    return [[x * reg.cls(k).aut_order for k, x in zip(space.coords, vec)]
+            for vec in kernel_basis_exact(dense)]
+
+
 # (registry fixture or (quiver, field, nilpotent-only), grades)
 PRIMITIVE_CASES = {
     "kronecker-q2": ("kron2", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]),
     "kronecker-q3": ("kron3", [(1, 1), (2, 2), (3, 3)]),
-    "kronecker-q4": ((kronecker(), GF.of(2, 2), False), [(2, 3)]),
+    "kronecker-q4": ("kron4", [(2, 3)]),
     "jordan-q3": ("jordan3", [(1,), (2,), (3,), (4,)]),
     "cyclic3-nilpotent-q3": ((cyclic_quiver(3), F3, True), [(1, 1, 1), (2, 2, 2)]),
 }
@@ -262,8 +272,8 @@ PRIMITIVE_CASES = {
 @pytest.mark.parametrize("source, grades", PRIMITIVE_CASES.values(),
                          ids=PRIMITIVE_CASES.keys())
 def test_primitive_space_matches_dense_unique_rows(source, grades, request, monkeypatch):
-    # the sparse rows scatter exactly the distinct rows of the dense table,
-    # so the kernel is the dense table's
+    # the kernel is the dense, unpruned table's, and the solved table holds
+    # exactly the distinct nonzero rows of the dense table on the kept columns
     reg = (request.getfixturevalue(source) if isinstance(source, str)
            else IsoRegistry(source[0], source[1], nilpotent_only=source[2]))
     hall, tables = HallAlgebra(reg), []
@@ -272,11 +282,112 @@ def test_primitive_space_matches_dense_unique_rows(source, grades, request, monk
     for g in grades:
         space = primitive_space(hall, g)
         dense, table = _dense_constraints(hall, g), tables.pop()
-        assert table.dtype == np.int64 and len(table) == len(dense), g
-        assert np.array_equal(table, dense), g
-        want = [[x * reg.cls(k).aut_order for k, x in zip(space.coords, vec)]
-                for vec in kernel_basis_exact(dense)]
-        assert space.coefficient_rows() == want, g
+        kept = [space.coords.index(k) for k in cuspidal._unsplit_columns(reg, space.coords)]
+        assert table.dtype == np.int64 and table.shape[1] == len(kept), g
+        on_kept = {tuple(row) for row in dense[:, kept].tolist() if any(row)}
+        assert len(table) == len(on_kept) and set(map(tuple, table.tolist())) == on_kept, g
+        assert space.coefficient_rows() == _dense_kernel_rows(hall, space, dense), g
+
+
+def _split_without_ext(reg, key):
+    """Whether the class splits as X + Y, X and Y nonzero, with
+    ext^1(X, Y) = 0: `reps.ext1_dim` on the direct sums of every proper
+    sub-multiset of its summands and the rest."""
+    parts = [reg.cls(sk).canon for sk, m in reg.cls(key).summands for _ in range(m)]
+    for mask in range(1, 2 ** len(parts) - 1):
+        x, y = ([p for i, p in enumerate(parts) if (mask >> i & 1) == side] for side in (1, 0))
+        if ext1_dim(direct_sum_all(x, reg.quiver, reg.ctx),
+                    direct_sum_all(y, reg.quiver, reg.ctx)) == 0:
+            return True
+    return False
+
+
+def _assert_pruned_matches_dense(hall, grade, **options):
+    """`primitive_space` against the kernel of the dense, unpruned table, and
+    its kept columns against `_split_without_ext`; returns (kept columns,
+    all columns)."""
+    reg = hall.registry
+    space = primitive_space(hall, grade, **options)
+    dense = _dense_constraints(hall, grade, **options)
+    assert space.coefficient_rows() == _dense_kernel_rows(hall, space, dense), (grade, options)
+    kept = cuspidal._unsplit_columns(reg, space.coords)
+    assert kept == [k for k in space.coords if not _split_without_ext(reg, k)], (grade, options)
+    return len(kept), len(space.coords)
+
+
+def test_split_prune_matches_dense_solve(hall_kron2, tubes_kron2, hall_kron3, tubes_kron3):
+    counts = []
+    for ctx in (F2, F3):  # nilpotent Jordan and cyclic3
+        h = HallAlgebra(IsoRegistry(jordan(), ctx, nilpotent_only=True))
+        counts += [_assert_pruned_matches_dense(h, (d,)) for d in (1, 2, 3, 4)]
+        h = HallAlgebra(IsoRegistry(cyclic_quiver(3), ctx, nilpotent_only=True))
+        counts += [_assert_pruned_matches_dense(h, g)
+                   for g in ((1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2))]
+    h = HallAlgebra(IsoRegistry(affine_a2_acyclic(), F2))
+    counts.append(_assert_pruned_matches_dense(h, (2, 2, 2), regular_only=True))
+    for h, tubes in ((hall_kron2, tubes_kron2), (hall_kron3, tubes_kron3)):
+        for t in tubes:  # per-tube solves at every level up to 2*delta
+            for g in ((1, 1), (2, 2)):
+                keys = tube_support_keys(h, t, g)
+                counts.append(_assert_pruned_matches_dense(
+                    h, g, regular_only=True, support_keys=keys))
+    for quiver, grade in ((WILD1, (1, 1, 0)), (WILD2, (1, 0)), (WILD3, (1, 0, 1)),
+                          (kronecker(3), (2, 2))):
+        counts.append(_assert_pruned_matches_dense(HallAlgebra(IsoRegistry(quiver, F2)), grade))
+    # not vacuous: the prune drops columns, and keeps some
+    assert sum(n - k for k, n in counts) > 0 and all(k > 0 for k, n in counts if n)
+
+
+def test_split_prune_censuses_only_kept_columns():
+    # Kronecker (1,1) over GF(2): S_0 + S_1 has ext^1(S_0, S_1) = 2 but
+    # ext^1(S_1, S_0) = 0, so its column is dropped and never censused; the
+    # three regular simples are indecomposable and kept
+    reg = IsoRegistry(kronecker(), F2)
+    space = primitive_space(HallAlgebra(reg), (1, 1))
+    split = [c.index for c in reg.classes((1, 1)) if not c.indec]
+    assert len(split) == 1 and len(space.coords) == 4 and space.dim == 2
+    assert sorted(reg.slice((1, 1)).census_cache) == sorted(set(range(4)) - set(split))
+    assert all(split[0] != k[1] for f in space.basis for k in f.terms)
+
+
+def test_ext1_dims_match_ext1_dim(kron2):
+    # the registry's ext^1 table against `reps.ext1_dim` on ordered pairs of
+    # classes, which is not symmetric: a table read the wrong way round fails
+    keys = [c.key for g in kron2.grades_below((2, 2)) if any(g) for c in kron2.classes(g)]
+    pairs = [(a, b) for a in keys for b in keys]
+    table = cuspidal._ext1_dims(kron2, pairs)
+    assert table == {(a, b): ext1_dim(kron2.cls(a).canon, kron2.cls(b).canon) for a, b in pairs}
+    assert any(table[a, b] != table[b, a] for a, b in pairs)
+
+
+@st.composite
+def _acyclic_quiver_grade(draw):
+    n = draw(st.integers(2, 3))  # one vertex without loops has one class per grade
+    arrow = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda a: a[0] != a[1]).map(sorted).map(tuple)  # forward: s < t
+    arrows = draw(st.lists(arrow, min_size=1, max_size=4))
+    quiver = Quiver(tuple(str(i) for i in range(n)), tuple(arrows))
+    grade = draw(st.tuples(*[st.integers(0, 2)] * n).filter(any))
+    return quiver, grade
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_acyclic_quiver_grade())
+@example((kronecker(), (2, 2)))
+@example((Quiver(("0", "1", "2"), ((0, 1), (1, 2), (0, 2))), (1, 1, 1)))
+def test_split_prune_matches_dense_property(case):
+    # acyclic quivers of up to 3 vertices and 4 arrows over GF(2)
+    quiver, grade = case
+    _assert_pruned_matches_dense(HallAlgebra(IsoRegistry(quiver, F2)), grade)
+
+
+def test_delta_ray_reach():
+    # grades the prune makes cheap: the cuspidal dimension up the delta ray
+    # is the number of closed points of P^1 of degree dividing r, less one
+    for quiver, r in ((kronecker(), 4), (affine_a2_acyclic(), 3)):
+        h = HallAlgebra(IsoRegistry(quiver, F2))
+        grade = tuple(r * d for d in h.registry.qtype.delta)
+        assert cuspidal_space(h, grade).dim == points_of_degree_dividing(r, 2) - 1
 
 
 _SMALL_FRACTIONS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -696,6 +807,13 @@ def test_guards_survive_optimize():
         "        replace(emb, wiring=other[emb.wiring]).apply(s1)\n"
         "    except CertificateError as err:\n"
         "        print(err.what, err.expected, err.got)\n"
+        "import numpy as np\n"
+        "from hallforge import cuspidal\n"
+        "cuspidal.hom_stack = lambda ms, ns: (None, np.zeros(len(ms), dtype=int))\n"
+        "try:\n"
+        "    cuspidal.primitive_space(HallAlgebra(IsoRegistry(kronecker(), GF.of(2))), (2, 0))\n"
+        "except CertificateError as err:\n"
+        "    print(err.what, err.expected, err.got)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
@@ -708,6 +826,8 @@ def test_guards_survive_optimize():
         # the theta weight of the arrows into the extending vertex
         "theta at arrow 0->1 1 2",
         "theta at arrow 1->2 2 1",
+        # a corrupted Hom gives ext^1(S_0, S_0) = 0 - <(1,0), (1,0)> = -1
+        "ext1 dimension from ((1, 0), 0) to ((1, 0), 0) a nonnegative value -1",
     ]
 
 

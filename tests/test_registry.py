@@ -142,11 +142,11 @@ def test_jordan_dim1_aut(jordan3):
         assert c.aut_order == 2  # |F_q^*| = q - 1
 
 
-def test_residue_degrees_match_orbit_aut_orders(kron2, kron3, jordan2, jordan3):
+def test_residue_degrees_match_orbit_aut_orders(kron2, kron3, kron4, jordan2, jordan3):
     # an orbit-mode |Aut| is |G| / orbit size; for an indecomposable with
     # End/rad = F_{q^t} it must also be q^(dim End - t) (q^t - 1)
     degrees = set()
-    for reg, top in ((kron2, (3, 3)), (kron3, (2, 2)), (IsoRegistry(kronecker(), F4), (2, 2)),
+    for reg, top in ((kron2, (3, 3)), (kron3, (2, 2)), (kron4, (2, 2)),
                      (jordan2, (4,)), (jordan3, (3,))):
         for g in reg.grades_below(top):
             assert reg.slice(g).mode in ("zero", "orbit")
@@ -299,13 +299,13 @@ def test_stacked_splits_match_the_per_rep_search(monkeypatch):
     assert all(branches[b] for b in ("basis", "pairs", "scan", "indecomposable")), branches
 
 
-def test_scan_splitter_matches_the_full_scan(kron3):
+def test_scan_splitter_matches_the_full_scan(kron3, kron4):
     # other bases of End(m), T * basis for random invertible T, on which no
     # element or pair sum splits a decomposable m: the split is then found
     # only by the scan, at elements of every shape of coefficient vector
     rng = random.Random(11)
     cases = collections.Counter()
-    for reg, top in ((kron3, (3, 3)), (IsoRegistry(kronecker(), F4), (2, 2))):
+    for reg, top in ((kron3, (3, 3)), (kron4, (2, 2))):
         ctx = reg.ctx
         for c in (c for g in reg.grades_below(top) for c in reg.classes(g) if not c.indec):
             m, basis = c.canon, reps.end_basis(c.canon)
