@@ -18,18 +18,18 @@ CertificateError.
 
 On an affine acyclic quiver the regular classes decompose into tubes
 (blocks of the regular subcategory).  Distinct tubes are Hom-orthogonal,
-so a regular indecomposable lies in the tube of every regular
-indecomposable summand of its subs and quotients, and these links,
-read off the submodule census, join each tube.  A
-non-homogeneous tube has degree 1 (checked), so level n of any tube lives
-in grade `Tube.grade_at(n) = n * degree * delta`.  Each tube carries, per
-level, a one-dimensional space of primitives for the regular-corestricted
-coproduct; normalized representatives take value 1 on the indecomposables
-of that grade.  The linear form L(f) = (f, chi) with chi the sum of all
-classes of the grade evaluates on a normalized tube element to
-xi(n, q^deg), and its kernel inside the regular cuspidals is exactly the
-space of cuspidal elements, which is the main verification target of this
-package.
+so two regular indecomposables with a nonzero Hom in either direction lie
+in one tube; these links, read off one Hom table (`_hom_dims`, the table
+the split prune reads), join each tube, and the same table finds its
+regular simples.  A non-homogeneous tube has degree 1 (checked), so level
+n of any tube lives in grade `Tube.grade_at(n) = n * degree * delta`.
+Each tube carries, per level, a one-dimensional space of primitives for
+the regular-corestricted coproduct; normalized representatives take value
+1 on the indecomposables of that grade.  The linear form L(f) = (f, chi)
+with chi the sum of all classes of the grade evaluates on a normalized
+tube element to xi(n, q^deg), and its kernel inside the regular cuspidals
+is exactly the space of cuspidal elements, which is the main verification
+target of this package.
 """
 
 from __future__ import annotations
@@ -130,15 +130,15 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
     return CuspidalSpace(grade, cols, basis)
 
 
-def _ext1_dims(reg, pairs: Sequence[Tuple[ClassKey, ClassKey]]
-               ) -> Dict[Tuple[ClassKey, ClassKey], int]:
-    """dim Ext^1(M, N) for pairs (M, N) of built classes: hom(M, N) from one
-    `reps.hom_stack` of canonical representatives per pair of grades, less
-    the Euler form, cached on the registry by key pair (`ext1_cache`).  A
-    negative value is a CertificateError, as in `reps.ext1_dim`."""
+def _hom_dims(reg, pairs: Sequence[Tuple[ClassKey, ClassKey]]
+              ) -> Dict[Tuple[ClassKey, ClassKey], int]:
+    """dim Hom(M, N) for pairs (M, N) of built classes: one `reps.hom_stack`
+    of canonical representatives per pair of grades, cached on the registry
+    by key pair (`hom_cache`).  A value below the Euler form <dim M, dim N>
+    would be a negative ext^1: a CertificateError, as in `reps.ext1_dim`."""
     by_grades: Dict[tuple, list] = {}
     for pair in dict.fromkeys(pairs):
-        if pair not in reg.ext1_cache:
+        if pair not in reg.hom_cache:
             by_grades.setdefault((pair[0][0], pair[1][0]), []).append(pair)
     for (gm, gn), todo in by_grades.items():
         _, homs = hom_stack([reg.cls(m).canon for m, _ in todo],
@@ -148,8 +148,8 @@ def _ext1_dims(reg, pairs: Sequence[Tuple[ClassKey, ClassKey]]
             if h < euler:
                 raise CertificateError(f"ext1 dimension from {pair[0]} to {pair[1]}", None,
                                        "a nonnegative value", h - euler)
-            reg.ext1_cache[pair] = h - euler
-    return {pair: reg.ext1_cache[pair] for pair in pairs}
+            reg.hom_cache[pair] = h
+    return {pair: reg.hom_cache[pair] for pair in pairs}
 
 
 def _unsplit_columns(reg, cols: List[ClassKey]) -> List[ClassKey]:
@@ -159,20 +159,21 @@ def _unsplit_columns(reg, cols: List[ClassKey]) -> List[ClassKey]:
     X by Y splits, so the row (X, Y) has its one nonzero entry
     F^R_{X,Y} >= 1 at R, and g_R = 0.  Such a split exists exactly when the
     digraph on R's summand instances, one node per copy with an edge M -> N
-    when ext^1(M, N) > 0, is not strongly connected: take X to be a sink
-    component.  The dropped columns are never free columns of the RREF (no
-    kernel vector ends there), so the padded kernel basis of the kept ones
-    is the kernel basis of all of them, vector for vector.  An edge with
-    <dim M, dim N> < 0 needs no Hom: ext^1(M, N) >= -<dim M, dim N>.
+    when ext^1(M, N) = hom(M, N) - <dim M, dim N> > 0, is not strongly
+    connected: take X to be a sink component.  The dropped columns are
+    never free columns of the RREF (no kernel vector ends there), so the
+    padded kernel basis of the kept ones is the kernel basis of all of
+    them, vector for vector.  An edge with <dim M, dim N> < 0 needs no
+    Hom: ext^1(M, N) >= -<dim M, dim N>.
     """
     nodes = {k: [sk for sk, m in reg.cls(k).summands for _ in range(m)] for k in cols}
     pairs = list(dict.fromkeys(pair for ns in nodes.values() if len(ns) > 1
                                for pair in itertools.permutations(ns, 2)))
     euler = {gg: euler_form(reg.quiver, *gg) for gg in {(a[0], b[0]) for a, b in pairs}}
-    ext = _ext1_dims(reg, [(a, b) for a, b in pairs if euler[a[0], b[0]] >= 0])
+    hom = _hom_dims(reg, [(a, b) for a, b in pairs if euler[a[0], b[0]] >= 0])
 
     def edge(m, n):
-        return euler[m[0], n[0]] < 0 or ext[m, n] > 0
+        return euler[m[0], n[0]] < 0 or hom[m, n] > euler[m[0], n[0]]
 
     def reaches_all(ns, arc):  # from the first node
         seen, todo = {0}, [0]
@@ -263,16 +264,18 @@ class Tube:
 def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
     """Blocks of regular indecomposables with dimensions <= up_to * delta.
 
-    Each member is joined with every regular indecomposable summand of
-    each sub and each quotient in its census: the inclusion or the
-    projection restricts to a nonzero map between the two, and distinct
-    tubes are Hom-orthogonal, so both lie in one tube.  A tube of period p
-    has members of every quasi-length up to p within delta, whose socles
-    and tops link all of its regular simples, so these links join each
-    tube.  Degree = least m with a member of dimension m*delta, which must
-    be 1 for a non-homogeneous tube (checked), so level n of every tube
-    has dimension n*degree*delta; period = number of members without a
-    proper nonzero regular subrepresentation (the regular simples).
+    Distinct tubes are Hom-orthogonal, so members X and Y with Hom(X, Y)
+    or Hom(Y, X) nonzero lie in one tube; a tube of period p has members
+    of every quasi-length up to p within delta, whose socles and tops
+    link all of its regular simples, so these links join each tube.  A
+    member X is a regular simple (it has no proper nonzero regular
+    subrepresentation) exactly when Hom(Y, X) = 0 for every other member
+    Y with dim Y <= dim X: the image of a nonzero map between regular
+    modules is a regular subrepresentation, onto only if Y = X.  Every
+    Hom comes from `_hom_dims`.  Degree = least m with a member of
+    dimension m*delta, which must be 1 for a non-homogeneous tube
+    (checked), so level n of every tube has dimension n*degree*delta;
+    period = number of regular simples.
     """
     reg = hall.registry
     qtype = reg.qtype
@@ -280,13 +283,9 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
         raise HallforgeError("tube decomposition needs an affine acyclic quiver")
     delta = qtype.delta
     top = tuple(up_to * d for d in delta)
-    members = []
-    for g in reg.grades_below(top):
-        if not any(g):
-            continue
-        for c in reg.classes(g):
-            if c.indec and c.pri_class == "regular":
-                members.append(c.key)
+    members = [c.key for g in reg.grades_below(top) if any(g) for c in reg.classes(g)
+               if c.indec and c.pri_class == "regular"]
+    hom = _hom_dims(reg, list(itertools.permutations(members, 2)))
     parent = {k: k for k in members}
 
     def find(x):
@@ -295,19 +294,11 @@ def tube_decomposition(hall: HallAlgebra, up_to: int) -> List[Tube]:
             x = parent[x]
         return x
 
-    regular_simples = set()
-    censuses: Dict[ClassKey, dict] = {}
-    for g in dict.fromkeys(k[0] for k in members):  # each grade's members as one stack
-        censuses.update(reg.censuses([k for k in members if k[0] == g]))
-    for k in members:
-        census = censuses[k]
-        for part in {part for pair in census for part in pair}:
-            for j, _m in reg.cls(part).summands:
-                if reg.cls(j).pri_class == "regular":
-                    parent[find(j)] = find(k)
-        if not any(any(sk[0]) and sk != k and reg.cls(sk).pri_class == "regular"
-                   for (_qk, sk) in census):
-            regular_simples.add(k)
+    for (x, y), h in hom.items():
+        if h:
+            parent[find(x)] = find(y)
+    regular_simples = {x for x in members if not any(
+        hom[y, x] for y in members if y != x and all(a <= b for a, b in zip(y[0], x[0])))}
 
     blocks: Dict[ClassKey, list] = {}
     for k in members:

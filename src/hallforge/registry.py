@@ -318,7 +318,7 @@ class IsoRegistry:
         self.slices: Dict[tuple, GradeSlice] = {}
         self.candidates_enumerated = 0  # extension lines over all constructive levels
         self._adapted_lists: Dict[int, tuple] = {}
-        self.ext1_cache: Dict[Tuple[ClassKey, ClassKey], int] = {}  # see cuspidal._ext1_dims
+        self.hom_cache: Dict[Tuple[ClassKey, ClassKey], int] = {}  # see cuspidal._hom_dims
         try:
             self.qtype = classify_type(quiver) if quiver.is_connected() else None
         except ValueError:

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hallforge.gf import GF
 from hallforge.hall import HallAlgebra
-from hallforge.quiver import jordan, kronecker
+from hallforge.quiver import d4_star_out, jordan, kronecker
 from hallforge.registry import IsoRegistry
 
 
@@ -26,6 +26,11 @@ def kron3():
 @pytest.fixture(scope="session")
 def kron4():
     return IsoRegistry(kronecker(), GF.of(2, 2))
+
+
+@pytest.fixture(scope="session")
+def d4star2():
+    return IsoRegistry(d4_star_out(), GF.of(2))
 
 
 @pytest.fixture(scope="session")

@@ -89,10 +89,8 @@ def test_tube_census_kronecker(tubes_kron2, tubes_kron3):
             assert have == closed_points_p1(e, q), (q, e)
 
 
-def test_tube_census_d4():
-    reg = IsoRegistry(d4_star_out(), F2)
-    h = HallAlgebra(reg)
-    tubes = tube_decomposition(h, 1)
+def test_tube_census_d4(d4star2):
+    tubes = tube_decomposition(HallAlgebra(d4star2), 1)
     assert sorted(t.period for t in tubes) == [2, 2, 2]
     # at q=2 all three points of the projective line are non-homogeneous here
     assert all(t.degree == 1 for t in tubes)
@@ -109,26 +107,34 @@ def test_tube_census_a2_matches_remark():
     assert len(homog) == 2  # N(1) = q + 1 - |D| = 2
 
 
-def test_sum_of_periods_identity():
+def test_sum_of_periods_identity(d4star2):
     # sum (p_i - 1) over non-homogeneous tubes = (number of vertices - 1) - 1
-    for quiver in (d4_star_out(), affine_a2_acyclic(), a4_square()):
-        reg = IsoRegistry(quiver, F2)
-        h = HallAlgebra(reg)
-        tubes = tube_decomposition(h, 1)
-        n0 = quiver.n - 1
+    for reg in (d4star2, IsoRegistry(affine_a2_acyclic(), F2), IsoRegistry(a4_square(), F2)):
+        tubes = tube_decomposition(HallAlgebra(reg), 1)
+        n0 = reg.quiver.n - 1
         assert sum(t.period - 1 for t in tubes if t.period > 1) == n0 - 1
 
 
-def _tubes_by_hom_ext(hall, up_to):
-    """Reference tubes: regular indecomposables with dimensions <= up_to *
-    delta, joined when hom or ext^1 is nonzero in either direction and
-    closed transitively.  Returns (tid, degree, period, simples, members)
-    per tube in the order of `tube_decomposition`."""
-    reg = hall.registry
+def _regular_members(reg, up_to):
+    """The regular indecomposables with dimensions <= up_to * delta."""
+    top = tuple(up_to * d for d in reg.qtype.delta)
+    return [c.key for g in reg.grades_below(top) if any(g) for c in reg.classes(g)
+            if c.indec and c.pri_class == "regular"]
+
+
+def _census_simples(reg, members):
+    """The members with no proper nonzero regular sub in their census."""
+    return {k for k in members if not any(
+        any(sk[0]) and sk != k and reg.cls(sk).pri_class == "regular"
+        for (_qk, sk) in reg.census(k))}
+
+
+def _closed_tubes(reg, up_to, links, simples):
+    """The members joined by `links` and closed transitively, as
+    (tid, degree, period, simples, members) per tube in the order of
+    `tube_decomposition`, and the (tube_id, tube_level) of each member."""
     delta = reg.qtype.delta
-    top = tuple(up_to * d for d in delta)
-    members = [c.key for g in reg.grades_below(top) if any(g) for c in reg.classes(g)
-               if c.indec and c.pri_class == "regular"]
+    members = _regular_members(reg, up_to)
     parent = {k: k for k in members}
 
     def find(x):
@@ -136,42 +142,91 @@ def _tubes_by_hom_ext(hall, up_to):
             x = parent[x]
         return x
 
-    for i, a in enumerate(members):
-        ca = reg.cls(a).canon
-        for b in members[i + 1:]:
-            cb = reg.cls(b).canon
-            if (hom_dim(ca, cb) or hom_dim(cb, ca) or ext1_dim(ca, cb)
-                    or ext1_dim(cb, ca)):
-                parent[find(a)] = find(b)
+    for a, b in links:
+        parent[find(a)] = find(b)
     blocks = {}
     for k in members:
         blocks.setdefault(find(k), []).append(k)
     out = []
     for block in blocks.values():
-        simples = sorted(k for k in block if not any(
-            any(sk[0]) and sk != k and reg.cls(sk).pri_class == "regular"
-            for (_qk, sk) in reg.census(k)))
         member_map = {}
         for k in sorted(block):
             member_map.setdefault(k[0], []).append(k)
         degree = min(m for m in range(1, up_to + 1)
                      if tuple(m * d for d in delta) in member_map)
-        out.append((degree, len(simples), simples, member_map))
+        tube_simples = sorted(k for k in block if k in simples)
+        out.append((degree, len(tube_simples), tube_simples, member_map))
     out.sort(key=lambda t: (t[0], t[1], t[2][0]))
-    return [(tid,) + t for tid, t in enumerate(out)]
+    labels = {}
+    for tid, (degree, _p, _s, member_map) in enumerate(out):
+        for k in (k for ks in member_map.values() for k in ks):
+            level = next((n for n in range(1, up_to // degree + 1)
+                          if k[0] == tuple(n * degree * d for d in delta)), None)
+            labels[k] = (tid, level)
+    return [(tid,) + t for tid, t in enumerate(out)], labels
 
 
-def test_tubes_from_census_links_match_hom_ext_closure(hall_kron2, hall_kron3, hall_kron4):
-    cases = ((hall_kron2, 2), (hall_kron3, 2), (hall_kron4, 2),
-             (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F2)), 2),
-             (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F3)), 1),
-             (HallAlgebra(IsoRegistry(d4_star_out(), F2)), 1))
-    for h, up_to in cases:
+def _tubes_by_hom_ext(hall, up_to):
+    """Reference tubes: members joined when hom or ext^1 is nonzero in
+    either direction, the regular simples read off the census."""
+    reg = hall.registry
+    members = _regular_members(reg, up_to)
+    canon = {k: reg.cls(k).canon for k in members}
+    links = [(a, b) for i, a in enumerate(members) for b in members[i + 1:]
+             if hom_dim(canon[a], canon[b]) or hom_dim(canon[b], canon[a])
+             or ext1_dim(canon[a], canon[b]) or ext1_dim(canon[b], canon[a])]
+    return _closed_tubes(reg, up_to, links, _census_simples(reg, members))[0]
+
+
+def _tubes_by_census(hall, up_to):
+    """Reference tubes from the submodule census: each member joined with
+    every regular indecomposable summand of each sub and each quotient in
+    its census, and a member with no proper nonzero regular sub a regular
+    simple."""
+    reg = hall.registry
+    members = _regular_members(reg, up_to)
+    links = [(j, k) for k in members
+             for part in {part for pair in reg.census(k) for part in pair}
+             for j, _m in reg.cls(part).summands if reg.cls(j).pri_class == "regular"]
+    return _closed_tubes(reg, up_to, links, _census_simples(reg, members))
+
+
+def test_tubes_match_census_and_hom_ext_references(hall_kron2, hall_kron3, hall_kron4,
+                                                   d4star2):
+    closure_cases = ((hall_kron2, 2), (hall_kron3, 2), (hall_kron4, 2),
+                     (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F2)), 2),
+                     (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F3)), 1),
+                     (HallAlgebra(d4star2), 1))
+    census_cases = closure_cases + tuple(
+        (HallAlgebra(IsoRegistry(quiver, ctx)), 1)
+        for quiver, ctx in ((d4_star_out(), F3), (a4_square(), F2), (a4_square(), F3)))
+    for i, (h, up_to) in enumerate(census_cases):
+        reg = h.registry
         tubes = tube_decomposition(h, up_to)
         got = [(t.tid, t.degree, t.period, t.simples, t.members) for t in tubes]
-        assert got == _tubes_by_hom_ext(h, up_to), (h.quiver, h.q, up_to)
-    # d4-star, the last case, has three tubes of period 2
-    assert sorted(t.period for t in tubes) == [2, 2, 2]
+        want, labels = _tubes_by_census(h, up_to)
+        assert got == want, (h.quiver, h.q, up_to)
+        # every class's labels: members as the census reference has them,
+        # every other class of the grades unlabelled
+        top = tuple(up_to * d for d in reg.qtype.delta)
+        assert {c.key: (c.tube_id, c.tube_level) for g in reg.grades_below(top)
+                for c in reg.classes(g)} == {
+            c.key: labels.get(c.key, (None, None)) for g in reg.grades_below(top)
+            for c in reg.classes(g)}, (h.quiver, h.q, up_to)
+        if i < len(closure_cases):
+            assert got == _tubes_by_hom_ext(h, up_to), (h.quiver, h.q, up_to)
+    # d4-star over GF(2) has three tubes of period 2; over GF(3), three of
+    # period 2 and one homogeneous tube of degree 1
+    assert [sorted(t[2] for t in _tubes_by_census(h, 1)[0])
+            for h, _ in census_cases[5:7]] == [[2, 2, 2], [1, 2, 2, 2]]
+
+
+def test_tube_decomposition_takes_no_census(hall_kron2, d4star2, monkeypatch):
+    def census_taken(self, keys):
+        raise AssertionError("tube_decomposition took a census")
+    monkeypatch.setattr(IsoRegistry, "censuses", census_taken)
+    assert len(tube_decomposition(hall_kron2, 2)) == 4
+    assert len(tube_decomposition(HallAlgebra(d4star2), 1)) == 3
 
 
 def test_tube_levels_follow_grade_at(hall_kron2, tubes_kron2):
@@ -350,14 +405,17 @@ def test_split_prune_censuses_only_kept_columns():
     assert all(split[0] != k[1] for f in space.basis for k in f.terms)
 
 
-def test_ext1_dims_match_ext1_dim(kron2):
-    # the registry's ext^1 table against `reps.ext1_dim` on ordered pairs of
+def test_hom_dims_match_hom_dim(kron2, monkeypatch):
+    # the registry's Hom table against `reps.hom_dim` on ordered pairs of
     # classes, which is not symmetric: a table read the wrong way round fails
     keys = [c.key for g in kron2.grades_below((2, 2)) if any(g) for c in kron2.classes(g)]
     pairs = [(a, b) for a in keys for b in keys]
-    table = cuspidal._ext1_dims(kron2, pairs)
-    assert table == {(a, b): ext1_dim(kron2.cls(a).canon, kron2.cls(b).canon) for a, b in pairs}
+    table = cuspidal._hom_dims(kron2, pairs)
+    assert table == {(a, b): hom_dim(kron2.cls(a).canon, kron2.cls(b).canon) for a, b in pairs}
     assert any(table[a, b] != table[b, a] for a, b in pairs)
+    # a second call reads the cache alone
+    monkeypatch.setattr(cuspidal, "hom_stack", lambda ms, ns: pytest.fail("hom_stack called"))
+    assert cuspidal._hom_dims(kron2, pairs) == table
 
 
 @st.composite
@@ -900,16 +958,15 @@ def test_embedding_image_characterization():
             assert image == ext
 
 
-def test_embedding_d4_tube_parameters():
+def test_embedding_d4_tube_parameters(d4star2, kron2):
     # the three non-homogeneous tubes sit at the images of three rational
     # points, and the remaining rational points give regular simples
-    reg = IsoRegistry(d4_star_out(), F2)
+    reg = d4star2
     h = HallAlgebra(reg)
     tube_decomposition(h, 1)
     emb = kronecker_embedding(h)
-    regK = IsoRegistry(kronecker(), F2)
     tube_ids = set()
-    for c in regK.classes((1, 1)):
+    for c in kron2.classes((1, 1)):
         if c.indec:
             key = reg.identify(emb.apply(c.canon))
             tube_ids.add(reg.cls(key).tube_id)
