@@ -215,7 +215,8 @@ def cmd_kac(args) -> int:
         grade = tuple(r * d for d in delta)
         samples = []
         for q in (2, 3, 4, 5):
-            reg = IsoRegistry(quiver, GF.of_q(q), hall.registry.caps)
+            reg = IsoRegistry(quiver, GF.of_q(q), hall.registry.caps,
+                              nilpotent_only=args.nilpotent)
             samples.append((q, Fraction(count_absolutely_indecomposable(reg, grade))))
         poly = interpolate_polynomial(samples, 1)
         rows.append({"grade": list(grade), "kac_polynomial": str(poly)})
@@ -458,7 +459,9 @@ def main(argv=None) -> int:
     add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("kac", help="interpolated absolutely-indecomposable polynomials")
+    about = ("interpolated absolutely-indecomposable polynomials, sampled at "
+             "q = 2, 3, 4, 5 (--p/--k only validate the field)")
+    p = sub.add_parser("kac", help=about, description=about)
     add_common(p)
     add_format(p)
     p.set_defaults(func=cmd_kac)

@@ -49,7 +49,7 @@ from .oneloop import a_lambda, one_loop_rep, partitions_of
 from .quiver import (Quiver, classify_type, euler_form, restrict_dim, subquiver_on,
                      support, support_is_connected, symmetrized_form)
 from .registry import ClassKey
-from .reps import Rep, hom_stack, simple_rep
+from .reps import Rep, hom_stack, simple_rep, unique_rows
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +78,8 @@ class CuspidalSpace:
         return rows
 
 
-def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = False,
-                    support_keys: Optional[List[ClassKey]] = None) -> CuspidalSpace:
+def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = False
+                    ) -> CuspidalSpace:
     """Kernel of the coproduct constraints on one graded piece.
 
     The columns are the support classes R; those that `_unsplit_columns`
@@ -89,16 +89,13 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
     the kept columns: a pair met only in dropped columns' censuses has no
     entry there.  With `regular_only`, both the support and the constraint
     pairs are restricted to regular classes: that computes primitives for
-    the corestricted coproduct.  `support_keys` further restricts the
-    support (used per tube).  The space's `coords` are all support classes.
+    the corestricted coproduct.  The space's `coords` are all support
+    classes.
     """
     grade = hall.quiver.check_dim(grade)
     reg = hall.registry
     cols = [c.key for c in reg.classes(grade)
             if not regular_only or c.pri_class == "regular"]
-    if support_keys is not None:
-        allowed = set(support_keys)
-        cols = [k for k in cols if k in allowed]
     kept = _unsplit_columns(reg, cols)
     censuses = list(reg.censuses(kept).values())
     pairs = sorted({
@@ -106,20 +103,16 @@ def primitive_space(hall: HallAlgebra, grade: Sequence, regular_only: bool = Fal
         if all(any(k[0]) and (not regular_only or reg.cls(k).pri_class == "regular")
                for k in pair)
     })
-    # one sparse row of (column, count) per pair, in sorted pair order; the
-    # kernel is independent of row order and repeats, so a repeated row is
-    # dropped by its hash, and only the distinct rows are scattered into the
-    # integer array the kernel reads
-    rows: Dict[tuple, list] = {pair: [] for pair in pairs}
+    # one integer row per sorted pair; the kernel is independent of row
+    # order and repeats, so repeated rows are dropped
+    at = {pair: i for i, pair in enumerate(pairs)}
+    table = np.zeros((len(pairs), len(kept)), dtype=np.int64)
     for j, census in enumerate(censuses):
         for pair, count in census.items():
-            if pair in rows:
-                rows[pair].append((j, count))
-    distinct = list(dict.fromkeys(tuple(row) for row in rows.values()))
-    table = np.zeros((len(distinct), len(kept)), dtype=np.int64)
-    for i, row in enumerate(distinct):
-        where, counts = zip(*row)
-        table[i, list(where)] = counts
+            if pair in at:
+                table[at[pair], j] = count
+    if pairs:
+        table = table[unique_rows(table)[0]]
     basis = []
     for vec in kernel_basis_exact(table):
         terms = {}
@@ -342,17 +335,6 @@ class NormalizedTubeCuspidal:
     element: HallElement
 
 
-def tube_support_keys(hall: HallAlgebra, tube: Tube, grade: tuple) -> List[ClassKey]:
-    reg = hall.registry
-    out = []
-    for c in reg.classes(grade):
-        if c.pri_class != "regular":
-            continue
-        if all(reg.cls(sk).tube_id == tube.tid for (sk, _m) in c.summands):
-            out.append(c.key)
-    return out
-
-
 def _normalized_line(space: CuspidalSpace, indecs: List[ClassKey], what: str) -> HallElement:
     """The basis element of a one-dimensional space, scaled to value 1 on
     the indecomposables `indecs`.  Certifies that the space is a line and
@@ -372,33 +354,43 @@ def _normalized_line(space: CuspidalSpace, indecs: List[ClassKey], what: str) ->
     return f.scaled(val.inverse())
 
 
+def _tube_line(hall: HallAlgebra, space: CuspidalSpace, tube: Tube,
+               level: int) -> NormalizedTubeCuspidal:
+    """The tube's normalized element in a regular cuspidal space: the basis
+    vectors whose classes have every summand in the tube, as one line."""
+    reg = hall.registry
+    inside = [f for f in space.basis if all(
+        reg.cls(sk).tube_id == tube.tid for k in f.terms for sk, _m in reg.cls(k).summands)]
+    f = _normalized_line(CuspidalSpace(space.grade, space.coords, inside),
+                         tube.members.get(space.grade, []), f"tube {tube.tid} level {level}")
+    return NormalizedTubeCuspidal(tube.tid, level, space.grade, f)
+
+
 def normalized_tube_cuspidal(hall: HallAlgebra, tube: Tube, level: int,
                              delta: tuple) -> NormalizedTubeCuspidal:
     """The unique regular-primitive element supported in one tube, in grade
     tube.grade_at(level), with value 1 on its indecomposables of that grade
     (all of which must carry equal values in a non-homogeneous tube)."""
-    grade = tube.grade_at(level, delta)
-    keys = tube_support_keys(hall, tube, grade)
-    space = primitive_space(hall, grade, regular_only=True, support_keys=keys)
-    f = _normalized_line(space, tube.members.get(grade, []), f"tube {tube.tid} level {level}")
-    return NormalizedTubeCuspidal(tube.tid, level, grade, f)
+    space = primitive_space(hall, tube.grade_at(level, delta), regular_only=True)
+    return _tube_line(hall, space, tube, level)
 
 
 def regular_cuspidal_space(hall: HallAlgebra, tubes: List[Tube], r: int,
                            delta: tuple) -> Tuple[CuspidalSpace, List[NormalizedTubeCuspidal]]:
     """Regular-primitive space in grade r*delta with its normalized basis.
 
-    The basis has one element per (tube, level) with level*degree = r; the
-    global solve must agree in dimension.
+    Distinct tubes are Hom- and Ext-orthogonal, so a regular class with
+    summands in two tubes splits and its column is pruned: the system is
+    block diagonal by tube, and its kernel basis is the union of the
+    tubes' bases.  One solve gives one line per (tube, level) with
+    level*degree = r, and the lines must span the whole space.
     """
     grade = tuple(r * d for d in delta)
-    normalized = [normalized_tube_cuspidal(hall, t, r // t.degree, delta)
-                  for t in tubes if r % t.degree == 0]
     space = primitive_space(hall, grade, regular_only=True)
+    normalized = [_tube_line(hall, space, t, r // t.degree) for t in tubes if r % t.degree == 0]
     if space.dim != len(normalized):
         raise CertificateError("regular cuspidal dimension", grade, len(normalized), space.dim)
-    basis = [n.element for n in normalized]
-    return CuspidalSpace(grade, space.coords, basis), normalized
+    return CuspidalSpace(grade, space.coords, [n.element for n in normalized]), normalized
 
 
 def xi_value(d: int, q: int) -> Fraction:
@@ -473,19 +465,11 @@ def verify_kernel_theorem(hall: HallAlgebra, tubes: List[Tube], r: int) -> dict:
             }
     report["checks"]["xi_values"] = xi_ok
 
-    # kernel of L on the span of the normalized basis
+    # kernel of L on the span of the normalized basis, as combinations of its rows
     values = [form.evaluate(hall, n.element).as_fraction() for n in normalized]
-    lrow = [values]
-    coeffs = kernel_basis_exact(lrow)
-    kernel_rows = []
-    for vec in coeffs:
-        f = HallElement({})
-        for c, n in zip(vec, normalized):
-            if c:
-                f = f + n.element.scaled(c)
-        kernel_rows.append(f)
-    kernel_space = CuspidalSpace(grade, coords, kernel_rows)
-    kernel_ok = subspace_equal(kernel_space.coefficient_rows(coords), full_rows)
+    kernel_rows = [[sum(c * row[j] for c, row in zip(vec, reg_rows)) for j in range(len(coords))]
+                   for vec in kernel_basis_exact([values])]
+    kernel_ok = subspace_equal(kernel_rows, full_rows)
     report["checks"]["kernel_equals_cuspidal"] = kernel_ok
 
     primitive_ok = all(hall.is_primitive(f) for f in full.basis)
@@ -662,7 +646,8 @@ def conjecture1_check(hall: HallAlgebra, tubes: List[Tube], degree: int, level: 
     if not family:
         raise HallforgeError(f"no homogeneous tube of degree {degree}")
     n_d = len(family)
-    elements = [normalized_tube_cuspidal(hall, t, level, delta).element for t in family]
+    space = primitive_space(hall, family[0].grade_at(level, delta), regular_only=True)
+    elements = [_tube_line(hall, space, t, level).element for t in family]
     avg = HallElement({})
     for e in elements:
         avg = avg + e.scaled(Fraction(1, n_d))

@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hallforge.gf import GF
 from hallforge.hall import HallAlgebra
-from hallforge.quiver import d4_star_out, jordan, kronecker
+from hallforge.quiver import affine_a2_acyclic, d4_star_out, jordan, kronecker
 from hallforge.registry import IsoRegistry
 
 
@@ -31,6 +31,11 @@ def kron4():
 @pytest.fixture(scope="session")
 def d4star2():
     return IsoRegistry(d4_star_out(), GF.of(2))
+
+
+@pytest.fixture(scope="session")
+def a2acyc2():
+    return IsoRegistry(affine_a2_acyclic(), GF.of(2))
 
 
 @pytest.fixture(scope="session")

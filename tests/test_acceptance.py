@@ -22,8 +22,7 @@ from hallforge.cuspidal import (CuspidalSpace, TubePermutation, cancellation_che
                                 verify_sigma_hopf)
 from hallforge.gf import GF, monic_irreducibles
 from hallforge.hall import HallAlgebra
-from hallforge.quiver import (Quiver, affine_a2_acyclic, classify_type,
-                              cyclic_quiver, kronecker)
+from hallforge.quiver import Quiver, classify_type, cyclic_quiver, kronecker
 from hallforge.registry import IsoRegistry
 from hallforge.cli import pbw_rank
 
@@ -148,15 +147,15 @@ def test_criterion_4_cuspidal_dimensions(hall_kron2, hall_kron3,
     report(4, started, "delta/2delta dims and one-loop irreducible counts")
 
 
-def test_criterion_5_kernel_theorem(hall_kron2, tubes_kron2, hall_kron3, tubes_kron3):
+def test_criterion_5_kernel_theorem(hall_kron2, tubes_kron2, hall_kron3, tubes_kron3,
+                                    a2acyc2):
     started = time.time()
     for h, tubes in ((hall_kron2, tubes_kron2), (hall_kron3, tubes_kron3)):
         for r in (1, 2):
             rep = verify_kernel_theorem(h, tubes, r)
             assert rep["status"] == "pass", rep
             assert delta_evaluation_identity(h, tubes, r)
-    regA = IsoRegistry(affine_a2_acyclic(), F2)
-    hA = HallAlgebra(regA)
+    hA = HallAlgebra(a2acyc2)
     tubesA = tube_decomposition(hA, 1)
     rep = verify_kernel_theorem(hA, tubesA, 1)
     assert rep["status"] == "pass", rep

@@ -120,6 +120,18 @@ def test_kac(tmp_path):
     assert rows[0]["kac_polynomial"] == "t + 1"
 
 
+def test_kac_samples_read_nilpotent(tmp_path):
+    # the nilpotent indecomposables of dimension delta of the cyclic quiver
+    # on 3 vertices are its 3 segments of length 3 at every q; over all
+    # representations the count is q + 2
+    args = ["kac", "--quiver", "cyclic3", "--r", "1"]
+    for extra, want in (([], "t + 2"), (["--nilpotent"], "3")):
+        code, text = run_cli(args + extra, tmp_path)
+        assert code == 0 and json.loads(text)[0]["kac_polynomial"] == want, extra
+    code, text = run_cli(["kac", "--quiver", "kronecker", "--r", "1", "--nilpotent"], tmp_path)
+    assert code == 2 and json.loads(text)["error"] == "HallforgeError"
+
+
 def test_quiver_file_round_trip(tmp_path):
     qfile = tmp_path / "quiver.json"
     qfile.write_text(json.dumps(

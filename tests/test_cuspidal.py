@@ -28,7 +28,7 @@ from hallforge.cuspidal import (CuspidalSpace, TubePermutation, cancellation_che
                                 one_loop_cuspidal_closed_form, primitive_space,
                                 regular_cuspidal_space, regular_defect,
                                 subspace_contains, subspace_equal, tube_decomposition,
-                                tube_support_keys, unique_indec_key,
+                                unique_indec_key,
                                 verify_kernel_theorem, verify_sigma_hopf, xi_value)
 
 F2, F3 = GF.of(2), GF.of(3)
@@ -96,20 +96,18 @@ def test_tube_census_d4(d4star2):
     assert all(t.degree == 1 for t in tubes)
 
 
-def test_tube_census_a2_matches_remark():
+def test_tube_census_a2_matches_remark(a2acyc2):
     # two arrows aligned, one opposite: a single non-homogeneous tube
-    reg = IsoRegistry(affine_a2_acyclic(), F2)
-    h = HallAlgebra(reg)
-    tubes = tube_decomposition(h, 1)
+    tubes = tube_decomposition(HallAlgebra(a2acyc2), 1)
     non_homog = [t for t in tubes if t.period > 1]
     assert len(non_homog) == 1 and non_homog[0].period == 2
     homog = [t for t in tubes if t.period == 1]
     assert len(homog) == 2  # N(1) = q + 1 - |D| = 2
 
 
-def test_sum_of_periods_identity(d4star2):
+def test_sum_of_periods_identity(d4star2, a2acyc2):
     # sum (p_i - 1) over non-homogeneous tubes = (number of vertices - 1) - 1
-    for reg in (d4star2, IsoRegistry(affine_a2_acyclic(), F2), IsoRegistry(a4_square(), F2)):
+    for reg in (d4star2, a2acyc2, IsoRegistry(a4_square(), F2)):
         tubes = tube_decomposition(HallAlgebra(reg), 1)
         n0 = reg.quiver.n - 1
         assert sum(t.period - 1 for t in tubes if t.period > 1) == n0 - 1
@@ -192,9 +190,9 @@ def _tubes_by_census(hall, up_to):
 
 
 def test_tubes_match_census_and_hom_ext_references(hall_kron2, hall_kron3, hall_kron4,
-                                                   d4star2):
+                                                   d4star2, a2acyc2):
     closure_cases = ((hall_kron2, 2), (hall_kron3, 2), (hall_kron4, 2),
-                     (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F2)), 2),
+                     (HallAlgebra(a2acyc2), 2),
                      (HallAlgebra(IsoRegistry(affine_a2_acyclic(), F3)), 1),
                      (HallAlgebra(d4star2), 1))
     census_cases = closure_cases + tuple(
@@ -260,7 +258,29 @@ def _defect_kernel_rows(hall, keys, defect):
     return kernel_basis_exact(rows)
 
 
-def test_primitive_space_matches_defect_kernel(hall_kron2, kron2, tubes_kron2):
+def tube_support_keys(hall, tube, grade):
+    """The regular classes of `grade` whose summands all lie in `tube`."""
+    reg = hall.registry
+    return [c.key for c in reg.classes(grade) if c.pri_class == "regular"
+            and all(reg.cls(sk).tube_id == tube.tid for sk, _m in c.summands)]
+
+
+def _tube_lines(hall, tubes, r):
+    """Each tube's line in grade r*delta from `regular_cuspidal_space`, as
+    (the tube's support keys, the line's coefficient row over them)."""
+    delta = hall.registry.qtype.delta
+    grade = tuple(r * d for d in delta)
+    _, normalized = regular_cuspidal_space(hall, tubes, r, delta)
+    assert normalized
+    out = []
+    for n in normalized:
+        keys = tube_support_keys(hall, tubes[n.tube_id], grade)
+        out.append((keys, CuspidalSpace(grade, keys, [n.element]).coefficient_rows()))
+    return out
+
+
+def test_primitive_space_matches_defect_kernel(hall_kron2, kron2, tubes_kron2,
+                                               hall_kron3, tubes_kron3):
     h = hall_kron2
     regular = {"regular_only": True}
     cases = []  # (grade, primitive_space options, oracle columns, oracle defect)
@@ -270,10 +290,6 @@ def test_primitive_space_matches_defect_kernel(hall_kron2, kron2, tubes_kron2):
             cases.append((g, regular, [c.key for c in kron2.classes(g)
                                        if c.pri_class == "regular"],
                           lambda f: regular_defect(h, f)))
-    for t in tubes_kron2:  # every tube at grade 2*delta: levels 2 and 1
-        keys = tube_support_keys(h, t, (2, 2))
-        cases.append(((2, 2), dict(regular, support_keys=keys), keys,
-                      lambda f: regular_defect(h, f)))
     dims = []
     for g, options, keys, defect in cases:
         space = primitive_space(h, g, **options)
@@ -284,13 +300,21 @@ def test_primitive_space_matches_defect_kernel(hall_kron2, kron2, tubes_kron2):
         dims.append((len(keys), space.dim))
     # not vacuous: some spaces are proper, nonzero subspaces
     assert any(0 < d < n for n, d in dims)
+    # each tube's line from the one regular solve at delta and 2*delta is the
+    # defect kernel on the classes with every summand in that tube
+    for hall, tubes in ((hall_kron2, tubes_kron2), (hall_kron3, tubes_kron3)):
+        for r in (1, 2):
+            for keys, line in _tube_lines(hall, tubes, r):
+                want = _defect_kernel_rows(hall, keys, lambda f: regular_defect(hall, f))
+                assert len(want) == 1 and subspace_equal(line, want), (hall.q, r, keys)
 
 
 def _dense_constraints(hall, grade, regular_only=False, support_keys=None):
     """`primitive_space`'s constraint table built densely and unpruned: one
     int64 row per sorted pair over every support class of `grade` (the
-    columns of `primitive_space(...).coords`), then its distinct rows
-    (`reps.unique_rows`), in order of first occurrence."""
+    columns of `primitive_space(...).coords`), or over `support_keys` alone
+    (one tube's classes), then its distinct rows (`reps.unique_rows`), in
+    order of first occurrence."""
     reg = hall.registry
     regular = lambda k: not regular_only or reg.cls(k).pri_class == "regular"
     cols = [c.key for c in reg.classes(grade) if regular(c.key)
@@ -307,10 +331,11 @@ def _dense_constraints(hall, grade, regular_only=False, support_keys=None):
     return table[unique_rows(table)[0]] if pairs else table
 
 
-def _dense_kernel_rows(hall, space, dense):
-    """The kernel of the dense table as `space.coefficient_rows()` has it."""
+def _dense_kernel_rows(hall, coords, dense):
+    """The kernel of the dense table over `coords`, as
+    `CuspidalSpace.coefficient_rows()` has it."""
     reg = hall.registry
-    return [[x * reg.cls(k).aut_order for k, x in zip(space.coords, vec)]
+    return [[x * reg.cls(k).aut_order for k, x in zip(coords, vec)]
             for vec in kernel_basis_exact(dense)]
 
 
@@ -341,7 +366,7 @@ def test_primitive_space_matches_dense_unique_rows(source, grades, request, monk
         assert table.dtype == np.int64 and table.shape[1] == len(kept), g
         on_kept = {tuple(row) for row in dense[:, kept].tolist() if any(row)}
         assert len(table) == len(on_kept) and set(map(tuple, table.tolist())) == on_kept, g
-        assert space.coefficient_rows() == _dense_kernel_rows(hall, space, dense), g
+        assert space.coefficient_rows() == _dense_kernel_rows(hall, space.coords, dense), g
 
 
 def _split_without_ext(reg, key):
@@ -364,13 +389,15 @@ def _assert_pruned_matches_dense(hall, grade, **options):
     reg = hall.registry
     space = primitive_space(hall, grade, **options)
     dense = _dense_constraints(hall, grade, **options)
-    assert space.coefficient_rows() == _dense_kernel_rows(hall, space, dense), (grade, options)
+    assert space.coefficient_rows() == _dense_kernel_rows(hall, space.coords, dense), (
+        grade, options)
     kept = cuspidal._unsplit_columns(reg, space.coords)
     assert kept == [k for k in space.coords if not _split_without_ext(reg, k)], (grade, options)
     return len(kept), len(space.coords)
 
 
-def test_split_prune_matches_dense_solve(hall_kron2, tubes_kron2, hall_kron3, tubes_kron3):
+def test_split_prune_matches_dense_solve(hall_kron2, tubes_kron2, hall_kron3, tubes_kron3,
+                                         a2acyc2):
     counts = []
     for ctx in (F2, F3):  # nilpotent Jordan and cyclic3
         h = HallAlgebra(IsoRegistry(jordan(), ctx, nilpotent_only=True))
@@ -378,14 +405,15 @@ def test_split_prune_matches_dense_solve(hall_kron2, tubes_kron2, hall_kron3, tu
         h = HallAlgebra(IsoRegistry(cyclic_quiver(3), ctx, nilpotent_only=True))
         counts += [_assert_pruned_matches_dense(h, g)
                    for g in ((1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2))]
-    h = HallAlgebra(IsoRegistry(affine_a2_acyclic(), F2))
-    counts.append(_assert_pruned_matches_dense(h, (2, 2, 2), regular_only=True))
+    counts.append(_assert_pruned_matches_dense(HallAlgebra(a2acyc2), (2, 2, 2),
+                                               regular_only=True))
     for h, tubes in ((hall_kron2, tubes_kron2), (hall_kron3, tubes_kron3)):
-        for t in tubes:  # per-tube solves at every level up to 2*delta
-            for g in ((1, 1), (2, 2)):
-                keys = tube_support_keys(h, t, g)
-                counts.append(_assert_pruned_matches_dense(
-                    h, g, regular_only=True, support_keys=keys))
+        for r in (1, 2):  # the regular solve, and each tube's line against its own table
+            counts.append(_assert_pruned_matches_dense(h, (r, r), regular_only=True))
+            for keys, line in _tube_lines(h, tubes, r):
+                dense = _dense_constraints(h, (r, r), regular_only=True, support_keys=keys)
+                want = _dense_kernel_rows(h, keys, dense)
+                assert len(want) == 1 and subspace_equal(line, want), (h.q, r, keys)
     for quiver, grade in ((WILD1, (1, 1, 0)), (WILD2, (1, 0)), (WILD3, (1, 0, 1)),
                           (kronecker(3), (2, 2))):
         counts.append(_assert_pruned_matches_dense(HallAlgebra(IsoRegistry(quiver, F2)), grade))
@@ -533,6 +561,34 @@ def test_regular_cuspidal_dims(hall_kron2, tubes_kron2):
     assert rc1.dim == 3 and rc2.dim == 4
 
 
+def test_regular_cuspidals_take_one_solve(hall_kron2, tubes_kron2, monkeypatch):
+    # every tube's line is read off one regular solve of its grade
+    grades, solve = [], cuspidal.primitive_space
+    monkeypatch.setattr(cuspidal, "primitive_space",
+                        lambda hall, grade, **kw: grades.append(grade) or solve(hall, grade, **kw))
+    for r in (1, 2):
+        _, normalized = regular_cuspidal_space(hall_kron2, tubes_kron2, r, (1, 1))
+        assert grades == [(r, r)] and len(normalized) == 3 + (r == 2)
+        grades.clear()
+    for degree, level in ((1, 1), (1, 2), (2, 1)):
+        assert conjecture1_check(hall_kron2, tubes_kron2, degree, level)
+        assert grades == [(degree * level,) * 2]
+        grades.clear()
+
+
+def test_regular_cuspidals_certify_the_tube_split():
+    # a member relabelled into another tube leaves its own tube with no
+    # basis vector of the one solve, and the other tube with two
+    h = HallAlgebra(IsoRegistry(kronecker(), F2))
+    tubes = tube_decomposition(h, 1)
+    regular_cuspidal_space(h, tubes, 1, (1, 1))
+    h.registry.cls(tubes[0].level_member(1, (1, 1))).tube_id = tubes[1].tid
+    with pytest.raises(CertificateError) as err:
+        regular_cuspidal_space(h, tubes, 1, (1, 1))
+    assert (err.value.what, err.value.expected, err.value.got) == (
+        "tube 0 level 1 primitive dimension", 1, 0)
+
+
 def test_regular_comultiply_projection(hall_kron2, kron2):
     from hallforge.cuspidal import regular_comultiply
     h = hall_kron2
@@ -591,9 +647,8 @@ def test_kernel_theorem_q3(hall_kron3, tubes_kron3):
         assert rep["status"] == "pass", rep
 
 
-def test_kernel_theorem_a2():
-    reg = IsoRegistry(affine_a2_acyclic(), F2)
-    h = HallAlgebra(reg)
+def test_kernel_theorem_a2(a2acyc2):
+    h = HallAlgebra(a2acyc2)
     tubes = tube_decomposition(h, 1)
     rep = verify_kernel_theorem(h, tubes, 1)
     assert rep["status"] == "pass", rep

@@ -638,9 +638,8 @@ def test_kac_count_prediction(kron2, kron3):
         assert indec == q + 1
 
 
-def test_a2_indecomposable_count():
-    reg = IsoRegistry(affine_a2_acyclic(), F2)
-    indec = sum(1 for c in reg.classes((1, 1, 1)) if c.indec)
+def test_a2_indecomposable_count(a2acyc2):
+    indec = sum(1 for c in a2acyc2.classes((1, 1, 1)) if c.indec)
     assert indec == 2 + 2  # q + n_0 with n_0 = 2
 
 

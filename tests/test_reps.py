@@ -5,7 +5,6 @@ import numpy as np
 from hallforge import reps
 from hallforge.gf import GF, Mat, gl_order
 from hallforge.quiver import euler_form, jordan, kronecker
-from hallforge.quiver import affine_a2_acyclic
 from hallforge.registry import IsoRegistry
 from hallforge.reps import (Rep, aut_order_from_summands, direct_sum, dualize_rep,
                             end_basis, ext1_dim, first_isomorphic, fitting_split, hom_dim,
@@ -147,13 +146,13 @@ def test_fitting_split_eliminates_once_per_vertex_per_candidate(kron2, kron3, mo
     assert splits > 0
 
 
-def test_fitting_split_is_a_decomposition(kron2, kron3):
+def test_fitting_split_is_a_decomposition(kron2, kron3, a2acyc2):
     # Auslander's criterion: m = K + Q exactly when hom(X, m) = hom(X, K) +
     # hom(X, Q) for every indecomposable X; checked against every class of
     # grade <= m.dims, which shares no code with the split
     cases = ((kron2, (2, 2)), (kron3, (2, 2)),
              (IsoRegistry(K, GF.of(2, 2)), (2, 2)),
-             (IsoRegistry(affine_a2_acyclic(), F2), (1, 1, 1)))
+             (a2acyc2, (1, 1, 1)))
     for reg, top in cases:
         for grade in filter(any, reg.grades_below(top)):
             for c in reg.classes(grade):
