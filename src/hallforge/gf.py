@@ -14,7 +14,9 @@ The modulus for each (p, k) with k > 1 is fixed by MODULUS_TABLE below so
 that runs are reproducible across machines; every entry is a monic
 irreducible polynomial over GF(p), checked by the test suite.  Every field,
 prime or not, builds its q x q ADD/MUL tables by the same loop over
-coefficient vectors, and its q-entry NEG/INV tables from them.
+coefficient vectors, its q-entry NEG/INV tables from them, and the flat
+q^3-entry table AXPY[(w q + f) q + x] = w + f x of one elimination row
+update, indexed in uint16 (uint32 once q^3 > 2^16, that is q >= 41).
 
 Matrices are thin immutable wrappers over numpy uint8 code arrays.  Every
 elementwise operation (sum, difference, negation, scaling, the row
@@ -24,7 +26,7 @@ paths: an integer matmul reduced mod p for prime fields, in the narrowest
 integer dtype that holds its sums exactly, and an accumulation of table
 lookups over the inner index for extension fields.
 Beside it, `GF.rref_stack` is the stack eliminator: it reduces an
-(N, r, c) stack column by column, every row operation a table lookup over
+(N, r, c) stack column by column, every row update one `AXPY` gather over
 the whole stack, and hands a stack of one to `Mat.rref`'s per-row loop,
 the faster route for one small matrix.  `GF.kernel_stack` reads the RREF
 kernel bases off it; `Mat.kernel_basis` is its stack of one.
@@ -168,6 +170,9 @@ class GF:
         for a in range(1, q):
             inv[a] = self.MUL[a].tolist().index(1)
         self.INV = inv
+        # AXPY[(w * q + f) * q + x] = w + f x: one gather per elimination row update
+        self.AXPY = self.ADD[:, self.MUL].reshape(-1)
+        self.axpy_dtype = np.uint16 if q ** 3 <= 1 << 16 else np.uint32
         # a multiplicative generator (smallest code that works)
         self.generator = next(
             g for g in range(2, q) if self._mult_order(g) == q - 1
@@ -222,7 +227,9 @@ class GF:
         route for one small matrix.  A larger stack is swept column by
         column: the matrices with a nonzero entry at or below their rank
         swap their first such row up, scale it to a unit pivot and clear the
-        column, all by table lookups over the whole stack at once.
+        column, all by table lookups over the whole stack at once.  Clearing
+        is one gather from `AXPY` at the codes (w q + f) q + x of every entry
+        w of the rows, factor f and pivot-row entry x, held in `axpy_dtype`.
         """
         a = np.asarray(a, dtype=np.uint8)
         n, rows, cols = a.shape
@@ -231,7 +238,7 @@ class GF:
             red, rank, piv = Mat(self, a[0]).rref()
             pivots[0, list(piv)] = True
             return red.a[None], np.array([rank]), pivots
-        work = a.copy()
+        work, q, dt = a.copy(), self.q, self.axpy_dtype
         rank = np.zeros(n, dtype=np.intp)
         below = np.arange(rows)
         for c in range(cols):
@@ -248,7 +255,11 @@ class GF:
             w[k, dst] = prow
             f = self.NEG[w[:, :, 0]]  # row i -= w[i, c] * pivot row, but for the pivot row
             f[k, dst] = 0
-            work[hit, :, c:] = self.ADD[w, self.MUL[f[:, :, None], prow[:, None, :]]]
+            at = w.astype(dt)  # the codes (w * q + f) * q + x of w + f x
+            at *= q * q
+            at += (f.astype(dt) * q)[:, :, None]
+            at += prow[:, None, :]
+            work[hit, :, c:] = self.AXPY[at]
             pivots[hit, c] = True
             rank[hit] += 1
         return work, rank, pivots
@@ -280,12 +291,17 @@ class GF:
         return basis, nullity
 
     def ranks(self, mats: Sequence[np.ndarray]) -> np.ndarray:
-        """The ranks of matrices of any shapes, from one `rref_stack` of the
-        stack zero-padded to their largest shape."""
-        shape = tuple(max((m.shape[i] for m in mats), default=0) for i in (0, 1))
-        stack = np.zeros((len(mats),) + shape, dtype=np.uint8)
-        for i, m in enumerate(mats):
-            stack[i, : m.shape[0], : m.shape[1]] = m
+        """The ranks of matrices of any shapes, each given alone (r, c) or in
+        a stack (N, r, c) of one shape, in order, a stack's matrices in its
+        order: one `rref_stack` of all of them zero-padded to their largest
+        shape."""
+        stacks = [m[None] if m.ndim == 2 else m for m in mats]
+        shape = tuple(max((m.shape[i] for m in stacks), default=0) for i in (1, 2))
+        stack = np.zeros((sum(len(m) for m in stacks),) + shape, dtype=np.uint8)
+        at = 0
+        for m in stacks:
+            stack[at: at + len(m), : m.shape[1], : m.shape[2]] = m
+            at += len(m)
         return self.rref_stack(stack)[1]
 
 

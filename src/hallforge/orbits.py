@@ -31,7 +31,6 @@ table's hyperplanes come from `gf.subspace_blocks`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +40,7 @@ from .config import Caps
 from .errors import CertificateError
 from .gf import GF, Mat, gaussian_binomial, subspace_blocks
 from .quiver import Quiver
-from .reps import Rep, end_basis
+from .reps import Rep, basis_rows, hom_stack, invertible_rows
 
 _BLOCK = 1 << 12  # codes per block of a first-point scan or a table fill
 
@@ -429,9 +428,11 @@ class SinkExtensions:
         q = a.ctx.q
         self.count = (q ** len(self.free) - 1) // (q - 1) + 1
 
-    def orbits(self) -> Tuple[np.ndarray, np.ndarray]:
+    def orbits(self, gens: Optional[List[np.ndarray]] = None) -> Tuple[np.ndarray, np.ndarray]:
         """The candidate cocycles, one row each, and for each the position of
         the first candidate of its orbit under a subgroup H of Aut(A).
+        `gens`, when given, are the generators of H as `_aut_generators`
+        gives them for this extension; by default they are solved here.
 
         Candidates come in lexicographic order of their free entries: zero,
         then those whose leading free entry is 1 (xi and c*xi have
@@ -443,8 +444,8 @@ class SinkExtensions:
         codes = np.flatnonzero(_leading(digits) <= 1)
         cocycles = np.zeros((self.count, self.dim), dtype=np.uint8)
         cocycles[:, self.free] = digits[codes]
-        # the zero line is fixed, so with one other line there is nothing to skip
-        gens = self._aut_generators() if self.count > 2 else []
+        if gens is None:
+            gens = self._aut_generators([self])[0]
         if not gens:
             return cocycles, np.arange(self.count)
         # the image of every candidate under every generator, as a candidate:
@@ -461,32 +462,56 @@ class SinkExtensions:
         first = np.array(firsts)[labels]
         return cocycles, first
 
-    def _aut_generators(self) -> List[np.ndarray]:
-        """Generators of H, the invertible elements b and 1 + c*b (c in F_q^*)
-        of the basis of End(A), each as the block-diagonal matrix of its phi_s
-        over the arrows alpha: s -> v, which acts on cocycles from the right.
+    @staticmethod
+    def _aut_generators(exts: Sequence["SinkExtensions"]) -> List[List[np.ndarray]]:
+        """For each of `exts`, extensions of base classes A of one dimension
+        vector, generators of its H: the invertible elements b and 1 + c*b
+        (c in F_q^*) of the basis of End(A), each as the block-diagonal
+        matrix of its phi_s over the arrows alpha: s -> v, which acts on
+        cocycles from the right.  An extension with at most two lines gets
+        none: the zero line is fixed, so with one other line there is
+        nothing to skip.  End is solved for the bases not given by one
+        `hom_stack`, and the candidate elements of all the bases are tested
+        by one `GF.ranks` (`invertible_rows`).
 
         For phi in Aut(A), phi_s at s != v and diag(1, phi_v) at v form an
         isomorphism E_{xi.phi} -> E_xi, where (xi.phi)_alpha = xi_alpha phi_s,
         because phi_v a_alpha = a_alpha phi_s.
         """
-        a, ctx, dim = self.a, self.a.ctx, self.dim
-        arrows = a.quiver.arrows
-        ident = [Mat.identity(ctx, d) for d in a.dims]
-        phis = [phi for b in (end_basis(a) if self.end is None else self.end)
-                for phi in [b] + [[i + bi.scale(c) for i, bi in zip(ident, b)]
-                                  for c in range(1, ctx.q)]]
-        ranks = ctx.ranks([f.a for phi in phis for f in phi]).reshape(len(phis), len(a.dims))
-        out: Dict[bytes, np.ndarray] = {}
-        for phi in itertools.compress(phis, (ranks == np.array(a.dims)).all(axis=1)):
-            block = np.zeros((dim, dim), dtype=np.uint8)
-            pos = 0
-            for idx, w in zip(self.into_v, self.widths):
-                block[pos: pos + w, pos: pos + w] = phi[arrows[idx][0]].a
-                pos += w
-            out.setdefault(block.tobytes(), block)
-        out.pop(np.eye(dim, dtype=np.uint8).tobytes(), None)
-        return list(out.values())
+        out: List[List[np.ndarray]] = [[] for _ in exts]
+        wanted = [i for i, ext in enumerate(exts) if ext.count > 2]
+        if not wanted:
+            return out
+        a, ctx = exts[wanted[0]].a, exts[wanted[0]].a.ctx
+        bases = {i: basis_rows(exts[i].end, a.dims) for i in wanted if exts[i].end is not None}
+        unsolved = [i for i in wanted if i not in bases]
+        if unsolved:
+            kernel, h = hom_stack(*[[exts[i].a for i in unsolved]] * 2)
+            bases.update((i, kernel[j, : h[j]]) for j, i in enumerate(unsolved))
+        ident = np.concatenate([np.eye(d, dtype=np.uint8).ravel() for d in a.dims])
+        elements = []
+        for i in wanted:
+            # b, then 1 + c*b for c = 1 .. q-1, for each basis element b
+            phis = ctx.MUL[np.arange(ctx.q)[None, :, None], bases[i][:, None, :]]
+            phis[:, 1:] = ctx.ADD[ident, phis[:, 1:]]
+            phis[:, 0] = bases[i]
+            elements.append(phis.reshape(-1, len(ident)))
+        invertible = np.split(invertible_rows(ctx, np.concatenate(elements), a.dims),
+                              np.cumsum([len(e) for e in elements])[:-1])
+        ends = np.cumsum([0] + [d * d for d in a.dims]).tolist()
+        for i, phis, ok in zip(wanted, elements, invertible):
+            ext, found = exts[i], {}
+            for phi in phis[ok]:
+                block = np.zeros((ext.dim, ext.dim), dtype=np.uint8)
+                pos = 0
+                for idx, w in zip(ext.into_v, ext.widths):
+                    s = a.quiver.arrows[idx][0]
+                    block[pos: pos + w, pos: pos + w] = phi[ends[s]: ends[s + 1]].reshape(w, w)
+                    pos += w
+                found.setdefault(block.tobytes(), block)
+            found.pop(np.eye(ext.dim, dtype=np.uint8).tobytes(), None)
+            out[i] = list(found.values())
+        return out
 
     def middle_term(self, xi: np.ndarray) -> Rep:
         """E_xi for one cocycle row xi."""

@@ -53,7 +53,8 @@ its representations:
 
   Of the lines of one base class A, the build registers only the first
   of each orbit of a subgroup H of Aut(A), generated by the invertible
-  elements b and 1 + c*b (c in F_q^*) of the basis of End(A).  For phi in
+  elements b and 1 + c*b (c in F_q^*) of the basis of End(A), decided for
+  every base class of a level at once (`SinkExtensions._aut_generators`).  For phi in
   Aut(A), phi_s at s != v and diag(1, phi_v) at v map the middle term of
   xi.phi, where (xi.phi)_alpha = xi_alpha phi_s, isomorphically onto that
   of xi, so the lines of one orbit have isomorphic middle terms.  The
@@ -71,12 +72,14 @@ its representations:
   stack.  A built grade identifies its halves and adds their registered
   summands; an unbuilt grade splits its halves further, by one
   `reps.end_splits`, and identifies the indecomposable ones with their
-  End bases (building the slice).  The full End scan
-  (`reps.scan_splitter`) of a representation that no basis element or
-  pair sum splits runs only when its turn comes, in candidate order.  A
+  End bases (building the slice).  The representations that no basis
+  element or pair sum splits get the full End scan as one stack
+  (`reps.scan_splitters`, `_scanned`), up to the first whose scan exceeds
+  the end-scan cap, which raises at its turn in candidate order.  A
   representation is indecomposable exactly when the split adds no
   summand; `SplitIndex` then compares it with the registered
-  indecomposables of its (dim End, arrow ranks).  Automorphism
+  indecomposables of its (dim End, arrow ranks), in rounds over the
+  whole stack.  Automorphism
   orders come from the End basis the split searched: a new decomposable
   class is isomorphic to the candidate that registers it, so dim End of
   its canonical representative is the length of that basis.  A class
@@ -133,8 +136,8 @@ from .orbits import (SinkExtensions, _base_change_images, _decode_batch, _encode
                      _entry_count, _RowSpaces, _spans, _walk_orbits)
 from .quiver import Quiver, classify_type, euler_form
 from .reps import (Rep, aut_order_from_summands, digit_rows, direct_sum_all,
-                   end_splits, first_isomorphic, hom_stack, is_nilpotent_rep,
-                   pri_of_defect, residue_degree, scan_splitter,
+                   end_splits, hom_stack, is_nilpotent_rep, isomorphic_stack,
+                   pri_of_defect, residue_degree, scan_splitters,
                    sub_quotient_stack, unique_rows, zero_rep)
 
 ClassKey = Tuple[tuple, int]  # (grade, index within grade)
@@ -199,9 +202,17 @@ class SplitIndex:
     """Constructive slices: Fitting splits of a stack, then lookups.
 
     A decomposable representation is found by its summands.  An
-    indecomposable one is compared, by `first_isomorphic`, with the
-    registered indecomposables of its `signature` (dim End, arrow ranks),
-    whose classes the buckets hold.
+    indecomposable one is compared with the registered indecomposables of
+    its signature (dim End, arrow ranks), whose classes the buckets hold,
+    by an invertible element of a Hom basis (`reps.isomorphic_stack`).
+    A stack is classified in stacked phases: End and the splits by basis
+    elements and pair sums (`end_splits`, `IsoRegistry._summands`), one
+    full End scan of the rows those leave unsplit
+    (`IsoRegistry._scanned`), the signatures of every indecomposable row
+    from one `GF.ranks` (`signatures`), and the identification in rounds
+    (`_match`), each one `hom_stack` and one `GF.ranks`.  Each row is then
+    placed at its turn, in row order (`_place`), where a cap or a missing
+    class raises.
     """
 
     def __init__(self, reg: "IsoRegistry", sl: "GradeSlice"):
@@ -209,16 +220,22 @@ class SplitIndex:
         self.sl = sl
         self.buckets: Dict[tuple, List[IsoClass]] = {}
 
-    def signature(self, rep: Rep, h_end: int) -> tuple:
-        """The bucket of an indecomposable with dim End `h_end`."""
-        return (h_end, tuple(self.reg.ctx.ranks([m.a for m in rep.mats]).tolist()))
+    def signatures(self, reps: Sequence[Rep], h_ends: Sequence[int]) -> List[tuple]:
+        """The buckets of indecomposables of the slice's grade with dims End
+        `h_ends`: their arrow ranks come from one `GF.ranks`."""
+        if not reps:
+            return []
+        arrows = len(reps[0].mats)
+        ranks = self.reg.ctx.ranks([np.stack([rep.mats[a].a for rep in reps])
+                                    for a in range(arrows)])
+        return [(h, tuple(r)) for h, r in zip(h_ends, ranks.reshape(arrows, len(reps)).T.tolist())]
 
     def file(self, classes: Sequence[IsoClass]) -> None:
         """File indecomposable classes in their buckets, End solved for
         their canonical representatives as one `hom_stack`."""
         canons = [c.canon for c in classes]
-        for c, h_end in zip(classes, hom_stack(canons, canons)[1].tolist()):
-            self.buckets.setdefault(self.signature(c.canon, h_end), []).append(c)
+        for c, sig in zip(classes, self.signatures(canons, hom_stack(canons, canons)[1].tolist())):
+            self.buckets.setdefault(sig, []).append(c)
 
     def classify(self, reps: Sequence[Rep], ends: Optional[list] = None) -> List[int]:
         """The classes, in row order, of a stack of representations of the
@@ -232,39 +249,79 @@ class SplitIndex:
 
     def _classify(self, reps: Sequence[Rep], ends: Optional[list], register: bool) -> List[int]:
         """End and the summands are solved for the whole stack at once
-        (`end_splits`, `IsoRegistry._summands`) unless `ends` is given; each
-        representation is then placed at its turn, in row order."""
+        (`end_splits`, `IsoRegistry._summands` and `_scanned`) unless `ends` is
+        given, and the indecomposable rows are matched (`_match`); each row
+        is then placed at its turn, in row order.  A row left to a full scan
+        over the end-scan cap stops the stack: the rows after it are not
+        matched, and the cap fires at its turn."""
         if ends is None:
             splits = end_splits(reps)
-            found = self.reg._summands(reps, splits)
             ends = [basis for basis, _ in splits]
+            found = self.reg._scanned(reps, ends, self.reg._summands(reps, splits))
         else:
             found = [{} for _ in reps]
-        return [self._place(rep, basis, counts, register)
-                for rep, basis, counts in zip(reps, ends, found)]
+        stop = next((i for i, counts in enumerate(found) if counts is None), len(reps))
+        matches = self._match(reps, ends, [i for i in range(stop) if not found[i]], register)
+        return [self._place(rep, basis, counts, matches.get(i), register)
+                for i, (rep, basis, counts) in enumerate(zip(reps, ends, found))]
+
+    def _match(self, reps: Sequence[Rep], ends: list, rows: List[int],
+               register: bool) -> Dict[int, tuple]:
+        """The signature and class, or None, of each indecomposable row
+        `rows` of a stack, found in rounds, each one `isomorphic_stack` of
+        the pairs it tests.  Round 0 tests each row against the classes
+        already in the bucket of its signature.  In register mode, each
+        later round takes the first unplaced row of every signature as a new
+        class and tests the rest of that signature against it, so the first
+        occurrence of a class is its canonical representative and a row is
+        tested against at most the classes before its own."""
+        reg, sl = self.reg, self.sl
+        sigs = dict(zip(rows, self.signatures([reps[i] for i in rows],
+                                              [len(ends[i]) for i in rows])))
+        out: Dict[int, int] = {}
+
+        def test(pairs):  # (row, class) pairs; the first match of a row counts
+            if pairs:
+                hits = isomorphic_stack([reps[i] for i, _ in pairs], [c.canon for _, c in pairs])
+                for (i, c), hit in zip(pairs, hits.tolist()):
+                    if hit:
+                        out.setdefault(i, c.index)
+
+        test([(i, c) for i in rows for c in self.buckets.get(sigs[i], [])])
+        left: Dict[tuple, List[int]] = {}  # signature -> its unplaced rows, in order
+        for i in rows:
+            if register and i not in out:
+                left.setdefault(sigs[i], []).append(i)
+        while left:
+            pairs = []
+            for sig, todo in left.items():
+                first = todo[0]
+                _, t, aut = reg._class_data(reps[first], ends[first], {})
+                cls = reg._add_class(sl, reps[first], aut, res_degree=t, end=ends[first])
+                self.buckets.setdefault(sig, []).append(cls)
+                out[first] = cls.index
+                pairs += [(i, cls) for i in todo[1:]]
+            test(pairs)
+            left = {sig: rest for sig, rest in
+                    ((sig, [i for i in todo if i not in out]) for sig, todo in left.items()) if rest}
+        return {i: (sigs[i], out.get(i)) for i in rows}
 
     def _place(self, rep: Rep, basis: list, counts: Optional[Dict[ClassKey, int]],
-               register: bool) -> int:
-        """The class of `rep`, given its End basis and its summands (None
-        when no basis element or pair sum splits it: its full scan runs
-        now, so a scan's cap fires at its candidate)."""
+               match: Optional[tuple], register: bool) -> int:
+        """The class of `rep` at its turn, given its End basis, its summands
+        (None when its full End scan exceeds the end-scan cap, which fires
+        now) and, for an indecomposable, the (signature, class or None) that
+        `_match` found."""
         reg, sl = self.reg, self.sl
         if counts is None:
-            counts = reg._scanned(rep, basis)
+            reg.caps.check("end_scan", reg.ctx.q ** len(basis))
         if not counts:
-            sig = self.signature(rep, len(basis))
-            bucket = self.buckets.get(sig, [])
-            pos = first_isomorphic(rep, [c.canon for c in bucket])
-            if pos is not None:
-                return bucket[pos].index
-            if not register:
+            sig, idx = match
+            if idx is None:
                 raise CertificateError("identification", sl.grade,
                                        "a registered indecomposable",
                                        f"none with signature {sig}")
-            _, t, aut = reg._class_data(rep, basis, counts)
-            cls = reg._add_class(sl, rep, aut, res_degree=t, end=basis)
-            self.buckets.setdefault(sig, []).append(cls)
-            return cls.index
+            return idx
         key = tuple(sorted(counts.items()))
         idx = sl.by_summands.get(key)
         if idx is None:
@@ -454,7 +511,7 @@ class IsoRegistry:
         representations of one grade, given the (End basis, splitter
         kernels) pairs `end_splits` gave them: empty for one certified
         indecomposable, None for one no basis element or pair sum splits
-        (its `scan_splitter` is left to the caller, in order: `_scanned`).
+        (its full End scan is left to the caller: `_scanned`).
 
         The halves of the splits are cut out as stacks, one per grade and
         kernel dimension vector (`sub_quotient_stack`), and collected by
@@ -462,7 +519,8 @@ class IsoRegistry:
         in when it is taken.  A grade that is built identifies its halves by
         one `_identify_stack` and adds their registered summands.  An
         unbuilt grade splits its distinct halves by one `end_splits` and, if
-        needed, their scans; the halves of those splits join the collection,
+        needed, one `scan_splitters`, after checking every scan against the
+        end-scan cap in order; the halves of those splits join the collection,
         and the indecomposable ones are identified, which builds the slice,
         so no slice is built that a full decomposition would not build.
         """
@@ -508,9 +566,13 @@ class IsoRegistry:
                      for r, _ in rows.values()]
             indec, items = [], []
             solved = end_splits(cands)
-            for (r, o), rep, (basis, kers) in zip(rows.values(), cands, solved):
-                if kers is None:
-                    kers = scan_splitter(rep, basis, self.caps)
+            left = [j for j, (_, kers) in enumerate(solved) if kers is None]
+            for j in left:  # in order, before any scan
+                self.caps.check("end_scan", ctx.q ** len(solved[j][0]))
+            scanned = dict(zip(left, scan_splitters([cands[j] for j in left],
+                                                    [solved[j][0] for j in left])))
+            for j, ((r, o), rep, (basis, kers)) in enumerate(zip(rows.values(), cands, solved)):
+                kers = scanned.get(j, kers)
                 if kers is None:
                     indec.append((r, o, basis))
                 else:
@@ -524,10 +586,30 @@ class IsoRegistry:
                     add(o, (grade, i), 1)
         return out
 
-    def _scanned(self, rep: Rep, basis: list) -> Dict[ClassKey, int]:
-        """The summands of `rep` when `_summands` left it to the full scan."""
-        kers = scan_splitter(rep, basis, self.caps)
-        return {} if kers is None else self._summands([rep], [(basis, kers)])[0]
+    def _scanned(self, reps: Sequence[Rep], ends: list,
+                 found: List[Optional[Dict[ClassKey, int]]]) -> List[Optional[Dict[ClassKey, int]]]:
+        """`found`, from `_summands`, with the summands of the rows it left to
+        the full End scan (None) filled in: the rows before the first whose
+        scan exceeds the end-scan cap are scanned by one `scan_splitters`
+        and the halves of their splits go through one `_summands`; that row
+        and the rows after it stay None, and the caller raises the cap at
+        its turn."""
+        q, cap = self.ctx.q, self.caps.max_end_scan
+        todo = []
+        for i, counts in enumerate(found):
+            if counts is None:
+                if q ** len(ends[i]) > cap:
+                    break
+                todo.append(i)
+        kers = scan_splitters([reps[i] for i in todo], [ends[i] for i in todo])
+        split = [(i, k) for i, k in zip(todo, kers) if k is not None]
+        halves = self._summands([reps[i] for i, _ in split], [(ends[i], k) for i, k in split])
+        found = list(found)
+        for i in todo:
+            found[i] = {}
+        for (i, _), counts in zip(split, halves):
+            found[i] = counts
+        return found
 
     def _class_data(self, rep: Rep, basis: list, counts: Dict[ClassKey, int]
                     ) -> Tuple[Optional[tuple], Optional[int], int]:
@@ -556,10 +638,11 @@ class IsoRegistry:
         canons = [_rep_of(quiver, ctx, grade, digits) for digits in _decode_batch(
             np.array(seeds, dtype=np.int64), _entry_count(quiver, grade), ctx.q)]
         splits = end_splits(canons)
-        for canon, size, (basis, _), counts in zip(canons, sizes, splits,
-                                                   self._summands(canons, splits)):
-            if counts is None:
-                counts = self._scanned(canon, basis)
+        bases = [basis for basis, _ in splits]
+        for canon, size, basis, counts in zip(canons, sizes, bases, self._scanned(
+                canons, bases, self._summands(canons, splits))):
+            if counts is None:  # its full End scan exceeds the cap
+                self.caps.check("end_scan", ctx.q ** len(basis))
             summands, res, aut = self._class_data(canon, basis, counts)
             # orbit-stabilizer: |G| / orbit size is |Aut| as End's structure gives it
             if aut != group // size:
@@ -711,8 +794,8 @@ class IsoRegistry:
         self.caps.check("total_candidates", self.candidates_enumerated + lines)
         self.candidates_enumerated += lines
         candidates = []
-        for ext in exts:
-            cocycles, first = ext.orbits()
+        for ext, gens in zip(exts, SinkExtensions._aut_generators(exts)):
+            cocycles, first = ext.orbits(gens)
             candidates += [ext.middle_term(cocycles[i])
                            for i in np.flatnonzero(first == np.arange(ext.count))]
         sl.index.register(candidates)  # all orbit-first candidates as one stack

@@ -22,6 +22,11 @@ one `GF.kernel_stack` per vertex.  `end_splits` runs it after solving End
 for the stack, keeping each End basis as its kernel rows (`EndBasis`);
 the public per-representation API (`fitting_split`, `krull_schmidt`,
 `is_indecomposable`) runs it on a stack of one with the caller's basis.
+The full End scan of the representations it leaves unsplit is one stack
+too (`scan_splitters`; `scan_splitter` is its stack of one, checked
+against the end-scan cap), and so is the isomorphism test of pairs of
+indecomposables by an invertible Hom basis element (`isomorphic_stack`;
+`first_isomorphic` is its stack of the pairs of one representation).
 The subs and quotients of the splits of a stack with one kernel dimension
 vector are cut out together (`sub_quotient_stack`; `sub_quotient` is its
 stack of one).
@@ -48,7 +53,7 @@ from .gf import GF, Mat
 from .quiver import Quiver, dual_quiver, euler_form
 
 _SPLIT_STACK = 1024  # representations per stack of `end_splits`
-_SCAN_STACK = 4096   # End elements per stack of `scan_splitter`
+_SCAN_STACK = 4096   # End elements per stack of `scan_splitters`
 
 
 @dataclass(frozen=True)
@@ -259,6 +264,15 @@ class EndBasis(Sequence):
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other)
+
+
+def basis_rows(basis: Sequence, dims: tuple) -> np.ndarray:
+    """An End basis as kernel rows: an `EndBasis`'s own, or the blocks of
+    each element of a list of per-vertex Mat tuples, flattened in order."""
+    if isinstance(basis, EndBasis):
+        return basis.rows
+    return np.array([np.concatenate([fi.a.ravel() for fi in f]) for f in basis],
+                    dtype=np.uint8).reshape(len(basis), sum(d * d for d in dims))
 
 
 def hom_space(m: Rep, n: Rep) -> Tuple[int, list]:
@@ -481,31 +495,64 @@ def end_splits(reps: Sequence[Rep]) -> List[Tuple[EndBasis, Optional[List[Mat]]]
     return [(EndBasis(m.ctx, kernel[i, : h[i]].copy(), m.dims), k) for i, k in enumerate(kers)]
 
 
-def scan_splitter(m: Rep, basis: EndBasis, caps: Caps) -> Optional[List[Mat]]:
-    """For m that no element or pair sum of `basis` splits (`end_splits`
-    gave it None), the Fitting kernels of the first element of End(m), in
-    `hom_combinations` order, that splits m, or None when m is certified
-    indecomposable; the scan is checked against the end-scan cap first.
+def _scan_codes(lo: int, hi: int, q: int, h: int) -> np.ndarray:
+    """The codes of positions lo..hi-1 of a full End scan over h basis
+    elements: the coefficient vectors, first coefficient most significant,
+    whose leading coefficient is 1, in increasing order.  Those with leading
+    coefficient 1 at place k from the end are the codes q^k .. 2 q^k - 1,
+    which begin at position (q^k - 1) / (q - 1)."""
+    at = np.arange(lo, hi, dtype=np.int64)
+    starts = (q ** np.arange(h + 1, dtype=np.int64) - 1) // (q - 1)
+    k = np.searchsorted(starts, at, side="right") - 1
+    return q ** k + at - starts[k]
 
-    The elements are tried in stacks of `_SCAN_STACK`, skipping those
-    known not to split: every element whose leading coefficient is not 1
-    (c*f has the Fitting kernels of f and comes after it), and the basis
-    elements and pair sums themselves.
+
+def scan_splitters(ms: Sequence[Rep], bases: Sequence[EndBasis]) -> list:
+    """For each of a stack of representations of one dimension vector, whose
+    End bases `bases` split none of them by an element or pair sum
+    (`end_splits` gave them None), the Fitting kernels of the first element
+    of End, in `hom_combinations` order, that splits it, or None when it is
+    certified indecomposable.  No cap is checked here (`scan_splitter`).
+
+    The elements of all the scans are tried in order, in stacks of
+    `_SCAN_STACK` elements in total (`_first_splitters`), and a
+    representation leaves the pass once it is split.  Skipped are the
+    elements whose leading coefficient is not 1 (c*f has the Fitting
+    kernels of f and comes after it), and the basis elements and pair sums
+    themselves.
     """
-    q, h = m.ctx.q, len(basis)
-    caps.check("end_scan", q ** h)
-    for lo in range(1, q ** h, _SCAN_STACK):
-        combos = np.stack(np.unravel_index(np.arange(lo, min(lo + _SCAN_STACK, q ** h)),
-                                           (q,) * h), axis=1).astype(np.uint8)
-        lead = combos[np.arange(len(combos)), (combos != 0).argmax(axis=1)]
-        tried = (combos <= 1).all(axis=1) & ((combos != 0).sum(axis=1) <= 2)
-        combos = combos[(lead == 1) & ~tried]
-        if len(combos):
-            found = _first_splitters(m, m.ctx.matmul(combos, basis.rows),
-                                     np.zeros(len(combos), int), 1)
-            if found[0] is not None:
-                return found[0]
-    return None
+    found = [None] * len(ms)
+    if not ms:
+        return found
+    q = ms[0].ctx.q
+    sizes = [(q ** len(b) - 1) // (q - 1) for b in bases]
+    done = [0] * len(ms)  # scan positions tried so far
+    active = [i for i, size in enumerate(sizes) if size]
+    while active:
+        elements, owner, room = [], [], _SCAN_STACK
+        for i in active:
+            if not room:
+                break
+            h, lo = len(bases[i]), done[i]
+            done[i] = hi = min(lo + room, sizes[i])
+            room -= hi - lo
+            combos = np.stack(np.unravel_index(_scan_codes(lo, hi, q, h), (q,) * h),
+                              axis=1).astype(np.uint8)
+            combos = combos[~((combos <= 1).all(axis=1) & ((combos != 0).sum(axis=1) <= 2))]
+            elements.append(ms[0].ctx.matmul(combos, bases[i].rows))
+            owner.append(np.full(len(combos), i))
+        kers = _first_splitters(ms[0], np.concatenate(elements), np.concatenate(owner), len(ms))
+        for i in active:
+            found[i] = kers[i]
+        active = [i for i in active if found[i] is None and done[i] < sizes[i]]
+    return found
+
+
+def scan_splitter(m: Rep, basis: EndBasis, caps: Caps) -> Optional[List[Mat]]:
+    """`scan_splitters` on a stack of one, checked against the end-scan cap
+    first."""
+    caps.check("end_scan", m.ctx.q ** len(basis))
+    return scan_splitters([m], [basis])[0]
 
 
 def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tuple[Rep, Rep]]:
@@ -520,8 +567,7 @@ def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tu
     m = ker g (+) im g with both summands stable, the quotient is
     isomorphic to the image part.
     """
-    rows = np.array([np.concatenate([fi.a.ravel() for fi in f]) for f in basis],
-                    dtype=np.uint8).reshape(len(basis), sum(d * d for d in m.dims))
+    rows = basis_rows(basis, m.dims)
     kers = _basis_splits(m, rows, np.array([len(basis)]))[0]
     if kers is None:
         kers = scan_splitter(m, EndBasis(m.ctx, rows, m.dims), caps)
@@ -548,30 +594,46 @@ def iso_indecomposables(m: Rep, n: Rep) -> bool:
     """Isomorphism test for two certified-indecomposable representations."""
     if m.dims != n.dims:
         return False
-    return m.total_dim == 0 or first_isomorphic(m, [n]) == 0
+    return m.total_dim == 0 or bool(isomorphic_stack([m], [n])[0])
 
 
-def first_isomorphic(m: Rep, others: Sequence[Rep]) -> Optional[int]:
-    """The position of the first of `others` isomorphic to m, or None; m and
-    `others` are certified-indecomposable representations of one nonzero
+def invertible_rows(ctx: GF, rows: np.ndarray, dims: tuple) -> np.ndarray:
+    """Whether each of `rows`, the per-vertex square blocks of a map between
+    representations of dimension vector `dims` (row-major, in vertex order),
+    is invertible at every vertex: one `GF.ranks` of all the blocks."""
+    ends = np.cumsum([0] + [d * d for d in dims]).tolist()
+    ranks = ctx.ranks([rows[:, lo:hi].reshape(len(rows), d, d)
+                       for lo, hi, d in zip(ends, ends[1:], dims)])
+    return (ranks.reshape(len(dims), len(rows)) == np.array(dims)[:, None]).all(axis=0)
+
+
+def isomorphic_stack(ms: Sequence[Rep], ns: Sequence[Rep]) -> np.ndarray:
+    """Whether m is isomorphic to n, for each of a stack of pairs of
+    certified-indecomposable representations, every m and n of one nonzero
     dimension vector.
 
     If m and n are isomorphic indecomposables, some basis element of
     Hom(m, n) must be invertible (the non-invertible homs form a proper
     subspace), so scanning the basis is a complete test.  Hom is solved for
     all pairs as one stack (`hom_stack`) and the blocks of every basis
-    element are ranked by one `GF.ranks`.
+    element are ranked by one `GF.ranks` (`invertible_rows`).
     """
+    kernel, dims = hom_stack(ms, ns)
+    rows = kernel[np.arange(kernel.shape[1]) < dims[:, None]]
+    owners = np.repeat(np.arange(len(ms)), dims)
+    out = np.zeros(len(ms), dtype=bool)
+    out[owners[invertible_rows(ms[0].ctx, rows, ms[0].dims)]] = True
+    return out
+
+
+def first_isomorphic(m: Rep, others: Sequence[Rep]) -> Optional[int]:
+    """The position of the first of `others` isomorphic to m, or None; m and
+    `others` are certified-indecomposable representations of one nonzero
+    dimension vector (`isomorphic_stack` of the pairs of m with each)."""
     if not others:
         return None
-    kernel, dims = hom_stack([m] * len(others), others)
-    ends = np.cumsum([0] + [d * d for d in m.dims]).tolist()
-    rows = kernel[np.arange(kernel.shape[1]) < dims[:, None]]
-    ranks = m.ctx.ranks([row[lo:hi].reshape(d, d) for row in rows
-                         for lo, hi, d in zip(ends, ends[1:], m.dims)])
-    invertible = (ranks.reshape(len(rows), len(m.dims)) == np.array(m.dims)).all(axis=1)
-    owners = np.repeat(np.arange(len(others)), dims)[invertible]
-    return int(owners[0]) if owners.size else None
+    hits = np.flatnonzero(isomorphic_stack([m] * len(others), others))
+    return int(hits[0]) if hits.size else None
 
 
 def residue_degree(m: Rep, basis: list) -> int:

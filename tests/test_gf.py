@@ -291,6 +291,41 @@ def test_rref_stack_matches_rref(p, k):
     assert ctx.ranks(mats).tolist() == [Mat(ctx, m).rank() for m in mats]
 
 
+def test_axpy_table_is_the_row_update():
+    # every field GF.of_q builds, q <= 64: AXPY[(w q + f) q + x] = w + f x,
+    # and its index dtype holds q^3 - 1 (uint16, then uint32 from q = 41)
+    built = set()
+    for q in range(2, 65):
+        try:
+            ctx = GF.of_q(q)
+        except ValueError:
+            continue
+        built.add(q)
+        w, f, x = np.indices((q, q, q)).reshape(3, -1)
+        assert ctx.AXPY.shape == (q ** 3,) and ctx.AXPY.dtype == np.uint8
+        assert np.array_equal(ctx.AXPY[(w * q + f) * q + x], ctx.ADD[w, ctx.MUL[f, x]]), q
+        assert ctx.axpy_dtype == (np.uint16 if q < 41 else np.uint32), q
+        assert np.iinfo(ctx.axpy_dtype).max >= q ** 3 - 1
+    assert built == {p ** k for p, k in ACCEPTED_FIELDS}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 61, 64])
+def test_rref_stack_matches_rref_at_every_index_dtype(q):
+    # the one-gather row update reduces each matrix of a stack as Mat.rref's
+    # per-row loop does, on both sides of the uint16/uint32 index switch
+    ctx = GF.of_q(q)
+    rng = np.random.default_rng(q)
+    for rows, cols in ((6, 9), (9, 6), (12, 12)):
+        a = rng.integers(0, q, size=(40, rows, cols), dtype=np.uint8)
+        a[::3] = ctx.matmul(a[::3, :, :2], a[::3, :2, :])  # rank at most 2
+        a[1::3] *= (rng.random((len(a[1::3]), rows, cols)) < 0.3).astype(np.uint8)
+        red, rank, pivots = ctx.rref_stack(a)
+        for i in range(len(a)):
+            want_red, want_rank, want_piv = Mat(ctx, a[i]).rref()
+            assert np.array_equal(red[i], want_red.a), (q, rows, cols, i)
+            assert rank[i] == want_rank and tuple(np.flatnonzero(pivots[i])) == want_piv
+
+
 def test_solve_and_inverse():
     rng = random.Random(4)
     for ctx in (GF.of(p, k) for p, k in FIELDS):

@@ -331,13 +331,13 @@ def test_scan_splitter_matches_the_full_scan(kron3, kron4):
 
 def test_end_scan_cap_raises_as_the_per_rep_search(monkeypatch):
     # Kronecker (3,3) over GF(3): the candidates left to the full End scan
-    # are scanned in candidate order.  Under a cap that only their scans
-    # exceed, the build raises the CapExceeded that the per-rep search of
-    # the first such candidate raises, at that candidate
+    # are scanned as one stack, in candidate order.  Under a cap that only
+    # their scans exceed, the build raises the CapExceeded that the per-rep
+    # search of the first such candidate raises, at that candidate's turn
     scans, candidates, registered = [], [], []
-    scan, register, place = registry.scan_splitter, SplitIndex.register, SplitIndex._place
-    monkeypatch.setattr(registry, "scan_splitter", lambda m, basis, caps: (
-        scans.append((m, len(basis))), scan(m, basis, caps))[1])
+    scan, register, place = registry.scan_splitters, SplitIndex.register, SplitIndex._place
+    monkeypatch.setattr(registry, "scan_splitters", lambda ms, bases: (
+        scans.extend((m, len(basis)) for m, basis in zip(ms, bases)), scan(ms, bases))[1])
     monkeypatch.setattr(SplitIndex, "register",
                         lambda index, reps_: (candidates.extend(reps_), register(index, reps_))[1])
     IsoRegistry(kronecker(), F3).slice((3, 3))
@@ -740,9 +740,9 @@ def test_candidate_cap(monkeypatch):
     enumerated = set()
     orbits = SinkExtensions.orbits
 
-    def recorded(self):
+    def recorded(self, *gens):
         enumerated.add(tuple(d + (i == self.v) for i, d in enumerate(self.a.dims)))
-        return orbits(self)
+        return orbits(self, *gens)
 
     monkeypatch.setattr(SinkExtensions, "orbits", recorded)
     for cap in (10, 64):
@@ -1510,10 +1510,8 @@ def test_stacked_split_summands_match_krull_schmidt():
         reg, oracle = IsoRegistry(quiver, ctx), IsoRegistry(quiver, ctx)
         stack = _random_reps(quiver, ctx, grade, 40, seed)
         splits = registry.end_splits(stack)
-        got = reg._summands(stack, splits)
-        for m, (basis, _), counts in zip(stack, splits, got):
-            if counts is None:
-                counts = reg._scanned(m, basis)
+        got = reg._scanned(stack, [b for b, _ in splits], reg._summands(stack, splits))
+        for m, counts in zip(stack, got):
             parts = krull_schmidt(m, reg.caps)
             want = collections.Counter(oracle.identify(part) for part in parts)
             assert counts == ({} if len(parts) == 1 else dict(want)), m
@@ -1769,3 +1767,163 @@ def test_indec_census_jordan_dim2(jordan2):
     nilp = [c for c in indec if c.nilpotent]
     assert len(nilp) == 1
     assert sorted(c.res_degree for c in indec) == [1, 1, 2]
+
+
+def _per_row_classify(index, reps_, ends, register):
+    """The oracle of the stacked placement: each row placed at its turn, in
+    row order, by the per-row search the index had before its phases were
+    stacked: its full End scan by `scan_splitter`, its signature by one
+    `GF.ranks` of its arrows, and its class by `first_isomorphic` against
+    the bucket of that signature, a new class when none matches."""
+    reg, sl = index.reg, index.sl
+    if ends is None:
+        splits = reps.end_splits(reps_)
+        found = reg._summands(reps_, splits)
+        ends = [basis for basis, _ in splits]
+    else:
+        found = [{} for _ in reps_]
+    out = []
+    for rep, basis, counts in zip(reps_, ends, found):
+        if counts is None:
+            kers = reps.scan_splitter(rep, basis, reg.caps)
+            counts = {} if kers is None else reg._summands([rep], [(basis, kers)])[0]
+        if not counts:
+            sig = (len(basis), tuple(reg.ctx.ranks([m.a for m in rep.mats]).tolist()))
+            bucket = index.buckets.get(sig, [])
+            pos = reps.first_isomorphic(rep, [c.canon for c in bucket])
+            if pos is None and not register:
+                raise CertificateError("identification", sl.grade, "a registered indecomposable",
+                                       f"none with signature {sig}")
+            if pos is None:
+                _, t, aut = reg._class_data(rep, basis, counts)
+                bucket = index.buckets.setdefault(sig, [])
+                bucket.append(reg._add_class(sl, rep, aut, res_degree=t, end=basis))
+                pos = len(bucket) - 1
+            out.append(bucket[pos].index)
+            continue
+        key = tuple(sorted(counts.items()))
+        if key not in sl.by_summands:
+            if not register:
+                raise CertificateError("identification", sl.grade, "a registered class",
+                                       f"summands {key}")
+            _, _, aut = reg._class_data(rep, basis, counts)
+            canon = reps.direct_sum_all([reg.cls(k).canon for k, mult in key for _ in range(mult)],
+                                        reg.quiver, reg.ctx)
+            reg._add_class(sl, canon, aut, key)
+        out.append(sl.by_summands[key])
+    return out
+
+
+def _slice_record(reg, grade):
+    sl = reg.slice(grade)
+    return ([(c.canon.tobytes(), c.aut_order, c.indec, c.summands, c.res_degree, c.pri_class)
+             for c in sl.classes],
+            {sig: [c.index for c in bucket] for sig, bucket in (sl.index.buckets.items()
+                                                               if sl.index else ())})
+
+
+def test_stacked_placement_matches_the_per_row_oracle(kron4, a2acyc2, monkeypatch):
+    # constructive builds: the same classes, canonical bytes, class order and
+    # buckets as the per-row placement, on every grade each build made
+    cases = [(IsoRegistry(kronecker(), F3), (3, 3)), (kron4, (2, 3)), (a2acyc2, (3, 3, 3))]
+    for reg, top in cases:
+        reg.slice(top)
+        with monkeypatch.context() as patch:
+            patch.setattr(SplitIndex, "_classify", _per_row_classify)
+            oracle = IsoRegistry(reg.quiver, reg.ctx)
+            oracle.slice(top)
+        assert reg.slice(top).mode == "constructive"
+        assert reg.export_jsonl([top]) == oracle.export_jsonl([top]), top
+        for grade in oracle.slices:
+            assert _slice_record(reg, grade) == _slice_record(oracle, grade), (top, grade)
+
+
+def test_stacked_classify_matches_the_per_row_oracle(monkeypatch):
+    # classify mode on fixed buckets: the misses of Kronecker (3,3) censuses
+    # over GF(4) and of their halves' splits, and random one-loop matrices
+    calls = []
+    classify = SplitIndex.classify
+
+    def recorded(index, reps_, ends=None):
+        out = classify(index, reps_, ends)
+        calls.append((index, reps_, ends, out))
+        return out
+
+    monkeypatch.setattr(SplitIndex, "classify", recorded)
+    reg = IsoRegistry(kronecker(), F4)
+    reg.censuses([c.key for c in reg.classes((3, 3))[:6]])
+    rng = np.random.default_rng(3)
+    for ctx, n in ((F2, 4), (F3, 3)):
+        one_loop = IsoRegistry(jordan(), ctx, TINY)
+        one_loop.slice((n,))
+        mats = rng.integers(0, ctx.q, size=(30, n, n), dtype=np.uint8)
+        one_loop._identify_stack((n,), [mats], len(mats))
+    monkeypatch.undo()
+    kinds = collections.Counter((index.sl.grade, ends is None) for index, _, ends, _ in calls)
+    assert kinds[(2, 3), True] and kinds[(4,), True] and kinds[(3,), True], kinds
+    for index, reps_, ends, out in calls:
+        assert _per_row_classify(index, reps_, ends, False) == out, index.sl.grade
+
+
+def test_stacked_placement_raises_at_the_unmatched_row(monkeypatch):
+    # a row whose class is missing from its bucket raises the oracle's
+    # CertificateError at the oracle's row, after the rows before it
+    reg = IsoRegistry(kronecker(), F3, TINY)
+    sl = reg.slice((2, 2))
+    gone = next(c for c in sl.classes
+                if c.indec and any(len(b) > 1 and c in b for b in sl.index.buckets.values()))
+    for bucket in sl.index.buckets.values():
+        bucket[:] = [c for c in bucket if c is not gone]
+    others = [c.canon for c in sl.classes if c is not gone]
+    stack = others[:4] + [gone.canon] + others[4:]
+    errors, turns = [], []
+    place = SplitIndex._place
+    monkeypatch.setattr(SplitIndex, "_place", lambda index, rep, *args: (
+        turns.append(rep), place(index, rep, *args))[1])
+    for run in (lambda: sl.index.classify(stack),
+                lambda: _per_row_classify(sl.index, stack, None, False)):
+        with pytest.raises(CertificateError) as err:
+            run()
+        errors.append((err.value.what, err.value.grade, err.value.expected, err.value.got))
+    assert errors[0] == errors[1] and errors[0][2] == "a registered indecomposable"
+    assert len(turns) == 5 and turns[-1] is gone.canon
+
+
+def test_constructive_build_identifies_in_rounds(monkeypatch):
+    # Kronecker (3,3) over GF(3): no per-candidate first_isomorphic, and no
+    # more identification Hom stacks than the most classes of one signature
+    calls = collections.Counter()
+    hom_stack = reps.hom_stack
+
+    def counted(ms, ns):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return hom_stack(ms, ns)
+
+    monkeypatch.setattr(reps, "hom_stack", counted)
+    monkeypatch.setattr(reps, "first_isomorphic",
+                        lambda *args: pytest.fail("first_isomorphic called by the build"))
+    reg = IsoRegistry(kronecker(), F3)
+    sl = reg.slice((3, 3))
+    most = max(len(bucket) for bucket in sl.index.buckets.values())
+    assert 0 < calls["isomorphic_stack"] <= most, (calls, most)
+
+
+def test_stacked_scan_matches_the_per_rep_scans(kron3, monkeypatch):
+    # one stacked full scan of other End bases (as in
+    # test_scan_splitter_matches_the_full_scan), in passes of a few elements
+    # in total, gives each representation its per-rep scan
+    rng = random.Random(12)
+    for grade in ((2, 2), (3, 3)):
+        ms, bases = [], []
+        for m in (c.canon for c in kron3.classes(grade)):
+            basis = reps.end_basis(m)
+            t = Mat(F3, [[rng.randrange(3) for _ in basis] for _ in basis])
+            if 1 < len(basis) <= 5 and t.rank() == len(basis):
+                ms.append(m)
+                bases.append(reps.EndBasis(F3, F3.matmul(t.a, reps.basis_rows(basis, m.dims)),
+                                           m.dims))
+        want = [reps.scan_splitter(m, b, Caps()) for m, b in zip(ms, bases)]
+        assert len(ms) > 10 and {w is None for w in want} == {True, False}, grade
+        for size in (5, 64):
+            monkeypatch.setattr(reps, "_SCAN_STACK", size)
+            assert reps.scan_splitters(ms, bases) == want, (grade, size)
