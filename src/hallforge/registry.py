@@ -54,8 +54,8 @@ its representations:
   Of the lines of one base class A, the build registers only the first
   of each orbit of a subgroup H of Aut(A), generated by the invertible
   elements b and 1 + c*b (c in F_q^*) of the basis of End(A), decided for
-  every base class of a level at once (`SinkExtensions._aut_generators`).  For phi in
-  Aut(A), phi_s at s != v and diag(1, phi_v) at v map the middle term of
+  every base class of a level at once (`SinkExtensions._aut_generators`).
+  For phi in Aut(A), phi_s at s != v and diag(1, phi_v) at v map the middle term of
   xi.phi, where (xi.phi)_alpha = xi_alpha phi_s, isomorphically onto that
   of xi, so the lines of one orbit have isomorphic middle terms.  The
   first candidate of any class is the first line of its own orbit, so it
@@ -275,6 +275,8 @@ class SplitIndex:
         class and tests the rest of that signature against it, so the first
         occurrence of a class is its canonical representative and a row is
         tested against at most the classes before its own."""
+        if not rows:
+            return {}
         reg, sl = self.reg, self.sl
         sigs = dict(zip(rows, self.signatures([reps[i] for i in rows],
                                               [len(ends[i]) for i in rows])))
@@ -302,8 +304,8 @@ class SplitIndex:
                 out[first] = cls.index
                 pairs += [(i, cls) for i in todo[1:]]
             test(pairs)
-            left = {sig: rest for sig, rest in
-                    ((sig, [i for i in todo if i not in out]) for sig, todo in left.items()) if rest}
+            left = {sig: [i for i in todo if i not in out] for sig, todo in left.items()}
+            left = {sig: todo for sig, todo in left.items() if todo}
         return {i: (sigs[i], out.get(i)) for i in rows}
 
     def _place(self, rep: Rep, basis: list, counts: Optional[Dict[ClassKey, int]],
@@ -587,7 +589,8 @@ class IsoRegistry:
         return out
 
     def _scanned(self, reps: Sequence[Rep], ends: list,
-                 found: List[Optional[Dict[ClassKey, int]]]) -> List[Optional[Dict[ClassKey, int]]]:
+                 found: List[Optional[Dict[ClassKey, int]]]
+                 ) -> List[Optional[Dict[ClassKey, int]]]:
         """`found`, from `_summands`, with the summands of the rows it left to
         the full End scan (None) filled in: the rows before the first whose
         scan exceeds the end-scan cap are scanned by one `scan_splitters`
@@ -601,6 +604,8 @@ class IsoRegistry:
                 if q ** len(ends[i]) > cap:
                     break
                 todo.append(i)
+        if not todo:
+            return found
         kers = scan_splitters([reps[i] for i in todo], [ends[i] for i in todo])
         split = [(i, k) for i, k in zip(todo, kers) if k is not None]
         halves = self._summands([reps[i] for i, _ in split], [(ends[i], k) for i, k in split])
