@@ -40,7 +40,7 @@ from .config import Caps
 from .errors import CertificateError
 from .gf import GF, Mat, gaussian_binomial, subspace_blocks
 from .quiver import Quiver
-from .reps import Rep, basis_rows, hom_stack, invertible_rows
+from .reps import Rep, hom_stack, invertible_rows
 
 _BLOCK = 1 << 12  # codes per block of a first-point scan or a table fill
 
@@ -410,7 +410,7 @@ class SinkExtensions:
     transversal of the coboundaries, `count` of them.
     """
 
-    def __init__(self, a: Rep, v: int, end: Optional[list] = None):
+    def __init__(self, a: Rep, v: int, end: Optional[np.ndarray] = None):
         self.a, self.v, self.end = a, v, end
         arrows = a.quiver.arrows
         self.into_v = [idx for idx, (_, t) in enumerate(arrows) if t == v]
@@ -483,7 +483,7 @@ class SinkExtensions:
         if not wanted:
             return out
         a, ctx = exts[wanted[0]].a, exts[wanted[0]].a.ctx
-        bases = {i: basis_rows(exts[i].end, a.dims) for i in wanted if exts[i].end is not None}
+        bases = {i: exts[i].end for i in wanted if exts[i].end is not None}
         unsolved = [i for i in wanted if i not in bases]
         if unsolved:
             kernel, h = hom_stack(*[[exts[i].a for i in unsolved]] * 2)

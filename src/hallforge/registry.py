@@ -72,19 +72,19 @@ its representations:
   stack.  A built grade identifies its halves and adds their registered
   summands; an unbuilt grade splits its halves further, by one
   `reps.end_splits`, and identifies the indecomposable ones with their
-  End bases (building the slice).  The representations that no basis
-  element or pair sum splits get the full End scan as one stack
-  (`reps.scan_splitters`, `_scanned`), up to the first whose scan exceeds
-  the end-scan cap, which raises at its turn in candidate order.  A
+  End bases (building the slice).  In each stack, the representations
+  that no basis element or pair sum splits get the full End scan as one
+  stack (`reps.scan_splitters`), up to the first whose scan exceeds the
+  end-scan cap, which raises at its turn in candidate order.  A
   representation is indecomposable exactly when the split adds no
   summand; `SplitIndex` then compares it with the registered
   indecomposables of its (dim End, arrow ranks), in rounds over the
-  whole stack.  Automorphism
-  orders come from the End basis the split searched: a new decomposable
-  class is isomorphic to the candidate that registers it, so dim End of
-  its canonical representative is the length of that basis.  A class
-  whose canonical representative was solved keeps that basis
-  (`IsoClass.end`) for the extensions built on it.
+  whole stack.  Automorphism orders and residue degrees come from the
+  End basis (kernel rows) the split searched: a new decomposable class is
+  isomorphic to the candidate that registers it, so dim End of its
+  canonical representative is the length of that basis.  A class whose
+  canonical representative was solved keeps that basis (`IsoClass.end`)
+  for the extensions built on it.
 
 Every grade identifies a stack of representations by their digit rows
 (`_identify_stack`; `identify` is a stack of one): a zero or orbit slice
@@ -158,9 +158,9 @@ class IsoClass:
     pri_class: Optional[str] = None   # affine acyclic quivers only
     tube_id: Optional[int] = None
     tube_level: Optional[int] = None
-    # the End basis of `canon` when the build solved it: every orbit class
-    # and every indecomposable constructive class
-    end: Optional[list] = field(default=None, repr=False, compare=False)
+    # the End basis of `canon` as kernel rows when the build solved it: every
+    # orbit class and every indecomposable constructive class
+    end: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> ClassKey:
@@ -206,10 +206,10 @@ class SplitIndex:
     its signature (dim End, arrow ranks), whose classes the buckets hold,
     by an invertible element of a Hom basis (`reps.isomorphic_stack`).
     A stack is classified in stacked phases: End and the splits by basis
-    elements and pair sums (`end_splits`, `IsoRegistry._summands`), one
-    full End scan of the rows those leave unsplit
-    (`IsoRegistry._scanned`), the signatures of every indecomposable row
-    from one `GF.ranks` (`signatures`), and the identification in rounds
+    elements and pair sums (`end_splits`), the summands, with one full End
+    scan of the rows those leave unsplit (`IsoRegistry._summands`), the
+    signatures of every indecomposable row from one `GF.ranks`
+    (`signatures`), and the identification in rounds
     (`_match`), each one `hom_stack` and one `GF.ranks`.  Each row is then
     placed at its turn, in row order (`_place`), where a cap or a missing
     class raises.
@@ -249,15 +249,15 @@ class SplitIndex:
 
     def _classify(self, reps: Sequence[Rep], ends: Optional[list], register: bool) -> List[int]:
         """End and the summands are solved for the whole stack at once
-        (`end_splits`, `IsoRegistry._summands` and `_scanned`) unless `ends` is
-        given, and the indecomposable rows are matched (`_match`); each row
-        is then placed at its turn, in row order.  A row left to a full scan
-        over the end-scan cap stops the stack: the rows after it are not
-        matched, and the cap fires at its turn."""
+        (`end_splits` and `IsoRegistry._summands`) unless `ends` is given,
+        and the indecomposable rows are matched (`_match`); each row is then
+        placed at its turn, in row order.  A row left to a full scan over the
+        end-scan cap stops the stack: the rows after it are not matched, and
+        the cap fires at its turn."""
         if ends is None:
             splits = end_splits(reps)
             ends = [basis for basis, _ in splits]
-            found = self.reg._scanned(reps, ends, self.reg._summands(reps, splits))
+            found = self.reg._summands(reps, splits)
         else:
             found = [{} for _ in reps]
         stop = next((i for i, counts in enumerate(found) if counts is None), len(reps))
@@ -308,7 +308,7 @@ class SplitIndex:
             left = {sig: todo for sig, todo in left.items() if todo}
         return {i: (sigs[i], out.get(i)) for i in rows}
 
-    def _place(self, rep: Rep, basis: list, counts: Optional[Dict[ClassKey, int]],
+    def _place(self, rep: Rep, basis: np.ndarray, counts: Optional[Dict[ClassKey, int]],
                match: Optional[tuple], register: bool) -> int:
         """The class of `rep` at its turn, given its End basis, its summands
         (None when its full End scan exceeds the end-scan cap, which fires
@@ -466,9 +466,9 @@ class IsoRegistry:
         self._mass_check(sl, points)
         return sl
 
-    def _add_class(self, sl: GradeSlice, canon: Rep, aut: int,
-                   summands: Optional[tuple] = None,
-                   res_degree: Optional[int] = None, end: Optional[list] = None) -> IsoClass:
+    def _add_class(self, sl: GradeSlice, canon: Rep, aut: int, summands: Optional[tuple] = None,
+                   res_degree: Optional[int] = None, end: Optional[np.ndarray] = None
+                   ) -> IsoClass:
         """Append a class to `sl`; no `summands` marks an indecomposable."""
         idx = len(sl.classes)
         indec = summands is None
@@ -512,23 +512,34 @@ class IsoRegistry:
         """The Krull-Schmidt summands, by class key, of each of a stack of
         representations of one grade, given the (End basis, splitter
         kernels) pairs `end_splits` gave them: empty for one certified
-        indecomposable, None for one no basis element or pair sum splits
-        (its full End scan is left to the caller: `_scanned`).
+        indecomposable, None from the first row left to a full End scan
+        over the end-scan cap on (the caller raises at that row's turn).
 
+        One scan step serves every stack: one `scan_splitters` of the rows
+        no basis element or pair sum splits, up to the first over the cap.
         The halves of the splits are cut out as stacks, one per grade and
         kernel dimension vector (`sub_quotient_stack`), and collected by
         grade; grades are taken largest first, so every half of a grade is
         in when it is taken.  A grade that is built identifies its halves by
         one `_identify_stack` and adds their registered summands.  An
-        unbuilt grade splits its distinct halves by one `end_splits` and, if
-        needed, one `scan_splitters`, after checking every scan against the
-        end-scan cap in order; the halves of those splits join the collection,
-        and the indecomposable ones are identified, which builds the slice,
-        so no slice is built that a full decomposition would not build.
+        unbuilt grade splits its distinct halves by one `end_splits` and the
+        scan step, raising the cap before any half is split; the halves of
+        those splits join the collection, and the indecomposable ones are
+        identified, which builds the slice, so no slice is built that a full
+        decomposition would not build.
         """
         quiver, ctx = self.quiver, self.ctx
-        out = [None if kers is None else {} for _, kers in splits]
         pending: Dict[tuple, tuple] = {}  # grade -> (owners per row, block stacks)
+
+        def scan(cands, solved):  # the kernels, and the first row left over the cap
+            kers, cap = [k for _, k in solved], self.caps.max_end_scan
+            stop = next((j for j, (b, k) in enumerate(solved)
+                         if k is None and ctx.q ** len(b) > cap), len(cands))
+            left = [j for j in range(stop) if kers[j] is None]
+            for j, k in zip(left, scan_splitters([cands[j] for j in left],
+                                                 [solved[j][0] for j in left])):
+                kers[j] = k
+            return kers, stop
 
         def add(owners, key, mult):
             for owner in owners:
@@ -549,8 +560,9 @@ class IsoRegistry:
                     owners.extend(o for o, _, _ in group)
                     stacks.append(blocks)
 
-        split([([i], rep, kers) for i, (rep, (_, kers)) in enumerate(zip(reps, splits))
-               if kers is not None])
+        kers, stop = scan(reps, splits)
+        out = [{} if i < stop else None for i in range(len(reps))]
+        split([([i], reps[i], k) for i, k in enumerate(kers[:stop]) if k is not None])
         while pending:
             grade = max(pending, key=lambda g: (sum(g), g))  # every half of it is in
             owners, stacks = pending.pop(grade)
@@ -568,17 +580,14 @@ class IsoRegistry:
                      for r, _ in rows.values()]
             indec, items = [], []
             solved = end_splits(cands)
-            left = [j for j, (_, kers) in enumerate(solved) if kers is None]
-            for j in left:  # in order, before any scan
-                self.caps.check("end_scan", ctx.q ** len(solved[j][0]))
-            scanned = dict(zip(left, scan_splitters([cands[j] for j in left],
-                                                    [solved[j][0] for j in left])))
-            for j, ((r, o), rep, (basis, kers)) in enumerate(zip(rows.values(), cands, solved)):
-                kers = scanned.get(j, kers)
-                if kers is None:
+            kers, stop = scan(cands, solved)
+            if stop < len(cands):  # raises: this half's scan exceeds the cap
+                self.caps.check("end_scan", ctx.q ** len(solved[stop][0]))
+            for (r, o), rep, (basis, _), k in zip(rows.values(), cands, solved, kers):
+                if k is None:
                     indec.append((r, o, basis))
                 else:
-                    items.append((o, rep, kers))
+                    items.append((o, rep, k))
             split(items)
             if indec:  # identified with their End bases: a miss needs no second solve
                 sel, owned, bases = zip(*indec)
@@ -588,35 +597,7 @@ class IsoRegistry:
                     add(o, (grade, i), 1)
         return out
 
-    def _scanned(self, reps: Sequence[Rep], ends: list,
-                 found: List[Optional[Dict[ClassKey, int]]]
-                 ) -> List[Optional[Dict[ClassKey, int]]]:
-        """`found`, from `_summands`, with the summands of the rows it left to
-        the full End scan (None) filled in: the rows before the first whose
-        scan exceeds the end-scan cap are scanned by one `scan_splitters`
-        and the halves of their splits go through one `_summands`; that row
-        and the rows after it stay None, and the caller raises the cap at
-        its turn."""
-        q, cap = self.ctx.q, self.caps.max_end_scan
-        todo = []
-        for i, counts in enumerate(found):
-            if counts is None:
-                if q ** len(ends[i]) > cap:
-                    break
-                todo.append(i)
-        if not todo:
-            return found
-        kers = scan_splitters([reps[i] for i in todo], [ends[i] for i in todo])
-        split = [(i, k) for i, k in zip(todo, kers) if k is not None]
-        halves = self._summands([reps[i] for i, _ in split], [(ends[i], k) for i, k in split])
-        found = list(found)
-        for i in todo:
-            found[i] = {}
-        for (i, _), counts in zip(split, halves):
-            found[i] = counts
-        return found
-
-    def _class_data(self, rep: Rep, basis: list, counts: Dict[ClassKey, int]
+    def _class_data(self, rep: Rep, basis: np.ndarray, counts: Dict[ClassKey, int]
                     ) -> Tuple[Optional[tuple], Optional[int], int]:
         """The summands, residue degree and |Aut| of the class of `rep`,
         given its End basis and its summand counts: no summands and a
@@ -643,9 +624,8 @@ class IsoRegistry:
         canons = [_rep_of(quiver, ctx, grade, digits) for digits in _decode_batch(
             np.array(seeds, dtype=np.int64), _entry_count(quiver, grade), ctx.q)]
         splits = end_splits(canons)
-        bases = [basis for basis, _ in splits]
-        for canon, size, basis, counts in zip(canons, sizes, bases, self._scanned(
-                canons, bases, self._summands(canons, splits))):
+        for canon, size, (basis, _), counts in zip(canons, sizes, splits,
+                                                    self._summands(canons, splits)):
             if counts is None:  # its full End scan exceeds the cap
                 self.caps.check("end_scan", ctx.q ** len(basis))
             summands, res, aut = self._class_data(canon, basis, counts)

@@ -15,13 +15,15 @@ of the intertwiner systems' kernels.
 
 Hom systems are filled from scatter indices cached per pair of dimension
 vectors, for a whole stack of pairs at once (`hom_stack`; `hom_space` is
-its stack of one).  There is one splitter search, over End basis rows
-(`_basis_splits`): every basis element of a stack of representations of
-one dimension vector, then the pair sums of those still unsplit, each as
-one `GF.kernel_stack` per vertex.  `end_splits` runs it after solving End
-for the stack, keeping each End basis as its kernel rows (`EndBasis`);
-the public per-representation API (`fitting_split`, `krull_schmidt`,
-`is_indecomposable`) runs it on a stack of one with the caller's basis.
+its stack of one).  An End basis is the (h, sum d_v^2) array of its
+system's RREF kernel rows (`end_basis`).  There is one splitter search,
+over End basis rows (`_basis_splits`): every basis element of a stack of
+representations of one dimension vector, then the pair sums of those
+still unsplit, each as one `GF.kernel_stack` per vertex.  `end_splits`
+runs it after solving End for the stack; the public per-representation
+API (`fitting_split`, `krull_schmidt`, `is_indecomposable`) runs it on a
+stack of one with the caller's basis.  Fitting and Frobenius powers
+(`residue_degree`) raise one stack per vertex (`power_stack`).
 The full End scan of the representations it leaves unsplit is one stack
 too (`scan_splitters`; `scan_splitter` is its stack of one, checked
 against the end-scan cap), and so is the isomorphism test of pairs of
@@ -245,36 +247,6 @@ def _hom_blocks(ctx: GF, rows: np.ndarray, mdims: tuple, ndims: tuple) -> list:
             for row in rows]
 
 
-class EndBasis(Sequence):
-    """An End basis as `end_splits` solved it, kept as its kernel rows; the
-    per-vertex Mat blocks of its elements are made on first use, as most
-    candidates a build splits need only the basis length."""
-
-    def __init__(self, ctx: GF, rows: np.ndarray, dims: tuple):
-        self.ctx, self.rows, self.dims = ctx, rows, dims
-        self._blocks: Optional[list] = None
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        if self._blocks is None:
-            self._blocks = _hom_blocks(self.ctx, self.rows, self.dims, self.dims)
-        return self._blocks[i]
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other)
-
-
-def basis_rows(basis: Sequence, dims: tuple) -> np.ndarray:
-    """An End basis as kernel rows: an `EndBasis`'s own, or the blocks of
-    each element of a list of per-vertex Mat tuples, flattened in order."""
-    if isinstance(basis, EndBasis):
-        return basis.rows
-    return np.array([np.concatenate([fi.a.ravel() for fi in f]) for f in basis],
-                    dtype=np.uint8).reshape(len(basis), sum(d * d for d in dims))
-
-
 def hom_space(m: Rep, n: Rep) -> Tuple[int, list]:
     """Dimension and basis of Hom(m, n); basis entries are tuples of Mat."""
     kernel, dims = hom_stack([m], [n])
@@ -294,8 +266,10 @@ def ext1_dim(m: Rep, n: Rep) -> int:
     return val
 
 
-def end_basis(m: Rep) -> list:
-    return hom_space(m, m)[1]
+def end_basis(m: Rep) -> np.ndarray:
+    """End(m) as kernel rows: the blocks f_v of each, row-major, in order."""
+    kernel, h = hom_stack([m], [m])
+    return kernel[0, : h[0]]
 
 
 def hom_combinations(basis: list, q: int, zero: tuple):
@@ -426,6 +400,19 @@ def sub_quotient_stack(quiver: Quiver, ctx: GF, mats: Sequence[np.ndarray],
 # Fitting splits and Krull-Schmidt
 
 
+def power_stack(ctx: GF, a: np.ndarray, e: int) -> np.ndarray:
+    """a ** e for each matrix of an (N, d, d) stack, by repeated squaring with
+    `GF.matmul` (the identity for e = 0)."""
+    power = None
+    while e:
+        if e & 1:
+            power = a if power is None else ctx.matmul(power, a)
+        e >>= 1
+        if e:
+            a = ctx.matmul(a, a)
+    return np.broadcast_to(np.eye(a.shape[2], dtype=a.dtype), a.shape) if power is None else power
+
+
 def _first_splitters(m: Rep, cands: np.ndarray, owner: np.ndarray, count: int) -> list:
     """For each of `count` owners, the per-vertex Fitting kernels of its
     first candidate (rows of `cands`, endomorphisms of m as End basis rows,
@@ -433,21 +420,14 @@ def _first_splitters(m: Rep, cands: np.ndarray, owner: np.ndarray, count: int) -
     splits m when the nullity of its Fitting power is neither 0 nor dim m.
 
     At each vertex the blocks f_i of all candidates are raised to the power
-    d_i by broadcasting `GF.matmul` and eliminated as one stack
+    d_i as one stack (`power_stack`) and eliminated as one stack
     (`GF.kernel_stack`).
     """
     ctx, ends = m.ctx, np.cumsum([0] + [d * d for d in m.dims]).tolist()
     kernels, nullity = [], np.zeros((len(cands), len(m.dims)), dtype=np.intp)
     for v, (lo, hi, d) in enumerate(zip(ends, ends[1:], m.dims)):
-        block = cands[:, lo:hi].reshape(len(cands), d, d)
-        power, e = None, d
-        while e:  # block ** d by repeated squaring
-            if e & 1:
-                power = block if power is None else ctx.matmul(power, block)
-            e >>= 1
-            if e:
-                block = ctx.matmul(block, block)
-        kernel, nullity[:, v] = ctx.kernel_stack(block if power is None else power)
+        power = power_stack(ctx, cands[:, lo:hi].reshape(len(cands), d, d), d)
+        kernel, nullity[:, v] = ctx.kernel_stack(power)
         kernels.append(kernel)
     total = nullity.sum(axis=1)
     hits = np.flatnonzero((total > 0) & (total < m.total_dim))
@@ -478,9 +458,9 @@ def _basis_splits(m: Rep, rows: np.ndarray, h: np.ndarray) -> list:
     return kers
 
 
-def end_splits(reps: Sequence[Rep]) -> List[Tuple[EndBasis, Optional[List[Mat]]]]:
+def end_splits(reps: Sequence[Rep]) -> List[Tuple[np.ndarray, Optional[List[Mat]]]]:
     """For each representation of a stack of one dimension vector, its End
-    basis (an `EndBasis`) and the Fitting kernels of its first basis
+    basis (kernel rows, as `end_basis` gives them) and the Fitting kernels of its first basis
     element or pair sum that splits it, or None when none does
     (`_basis_splits`).  End is solved for the whole stack by one
     `hom_stack`.  A representation with None is indecomposable unless
@@ -492,7 +472,7 @@ def end_splits(reps: Sequence[Rep]) -> List[Tuple[EndBasis, Optional[List[Mat]]]
     m = reps[0]
     kernel, h = hom_stack(reps, reps)
     kers = _basis_splits(m, kernel[np.arange(kernel.shape[1]) < h[:, None]], h)
-    return [(EndBasis(m.ctx, kernel[i, : h[i]].copy(), m.dims), k) for i, k in enumerate(kers)]
+    return [(kernel[i, : h[i]].copy(), k) for i, k in enumerate(kers)]
 
 
 def _scan_codes(lo: int, hi: int, q: int, h: int) -> np.ndarray:
@@ -507,7 +487,7 @@ def _scan_codes(lo: int, hi: int, q: int, h: int) -> np.ndarray:
     return q ** k + at - starts[k]
 
 
-def scan_splitters(ms: Sequence[Rep], bases: Sequence[EndBasis]) -> list:
+def scan_splitters(ms: Sequence[Rep], bases: Sequence[np.ndarray]) -> list:
     """For each of a stack of representations of one dimension vector, whose
     End bases `bases` split none of them by an element or pair sum
     (`end_splits` gave them None), the Fitting kernels of the first element
@@ -539,7 +519,7 @@ def scan_splitters(ms: Sequence[Rep], bases: Sequence[EndBasis]) -> list:
             combos = np.stack(np.unravel_index(_scan_codes(lo, hi, q, h), (q,) * h),
                               axis=1).astype(np.uint8)
             combos = combos[~((combos <= 1).all(axis=1) & ((combos != 0).sum(axis=1) <= 2))]
-            elements.append(ms[0].ctx.matmul(combos, bases[i].rows))
+            elements.append(ms[0].ctx.matmul(combos, bases[i]))
             owner.append(np.full(len(combos), i))
         kers = _first_splitters(ms[0], np.concatenate(elements), np.concatenate(owner), len(ms))
         for i in active:
@@ -548,17 +528,19 @@ def scan_splitters(ms: Sequence[Rep], bases: Sequence[EndBasis]) -> list:
     return found
 
 
-def scan_splitter(m: Rep, basis: EndBasis, caps: Caps) -> Optional[List[Mat]]:
+def scan_splitter(m: Rep, basis: np.ndarray, caps: Caps) -> Optional[List[Mat]]:
     """`scan_splitters` on a stack of one, checked against the end-scan cap
     first."""
     caps.check("end_scan", m.ctx.q ** len(basis))
     return scan_splitters([m], [basis])[0]
 
 
-def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tuple[Rep, Rep]]:
+def fitting_split(m: Rep, basis: np.ndarray, caps: Caps = DEFAULT_CAPS
+                  ) -> Optional[Tuple[Rep, Rep]]:
     """Split m once by the Fitting power g of a splitter endomorphism.
 
-    `basis` is a basis of End(m), searched in its order: its elements and
+    `basis` is a basis of End(m) as kernel rows (`end_basis`), searched in
+    its order: its elements and
     pair sums as `end_splits` searches a stack (`_basis_splits`, here on a
     stack of one), then the full scan (`scan_splitter`).  Returns the sub
     ker g and the quotient m / ker g, both nonzero, or None when m is
@@ -567,10 +549,9 @@ def fitting_split(m: Rep, basis: list, caps: Caps = DEFAULT_CAPS) -> Optional[Tu
     m = ker g (+) im g with both summands stable, the quotient is
     isomorphic to the image part.
     """
-    rows = basis_rows(basis, m.dims)
-    kers = _basis_splits(m, rows, np.array([len(basis)]))[0]
+    kers = _basis_splits(m, basis, np.array([len(basis)]))[0]
     if kers is None:
-        kers = scan_splitter(m, EndBasis(m.ctx, rows, m.dims), caps)
+        kers = scan_splitter(m, basis, caps)
     return None if kers is None else sub_quotient(m, kers)
 
 
@@ -636,29 +617,30 @@ def first_isomorphic(m: Rep, others: Sequence[Rep]) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-def residue_degree(m: Rep, basis: list) -> int:
+def residue_degree(m: Rep, basis: np.ndarray) -> int:
     """Degree t over GF(q) of the residue field End(m)/rad for indecomposable
-    m, given a basis of End(m).
+    m, given a basis of End(m) as kernel rows.
 
     End(m) being local, an endomorphism is nilpotent exactly when its image
     in the residue field F_{q^t} is zero, so the image of f lies in F_{q^d}
     exactly when f^(q^d) - f is nilpotent.  The least such d (at most
     dim m, as m / rad(End m) m is a nonzero F_{q^t}-space) is the degree of
     that image, and the images of a basis generate the residue field, so t
-    is the lcm of these degrees.
+    is the lcm of these degrees.  All basis elements are raised at once, as
+    one stack per vertex (`power_stack`).
     """
-    q, n = m.ctx.q, m.total_dim
-    t = 1
-    for f in basis:
-        frob = f
-        for d in range(1, n + 1):
-            frob = [gi.power(q) for gi in frob]
-            if all((gi - fi).power(fi.rows).is_zero() for gi, fi in zip(frob, f)):
-                break
-        else:
-            raise CertificateError("residue degree", m.dims, f"a degree <= {n}", "none")
-        t = math.lcm(t, d)
-    return t
+    ctx, h = m.ctx, len(basis)
+    ends = np.cumsum([0] + [d * d for d in m.dims]).tolist()
+    blocks = [basis[:, lo:hi].reshape(h, d, d) for lo, hi, d in zip(ends, ends[1:], m.dims)]
+    frobs, degree = blocks, np.zeros(h, dtype=np.intp)
+    for d in range(1, m.total_dim + 1):
+        frobs = [power_stack(ctx, f, ctx.q) for f in frobs]
+        moved = [power_stack(ctx, ctx.ADD[f, ctx.NEG[b]], b.shape[1]).reshape(h, -1).any(axis=1)
+                 for f, b in zip(frobs, blocks)]  # f^(q^d) - f is not nilpotent
+        degree[(degree == 0) & ~np.any(moved, axis=0)] = d
+        if degree.all():
+            return math.lcm(*degree.tolist())
+    raise CertificateError("residue degree", m.dims, f"a degree <= {m.total_dim}", "none")
 
 
 def aut_order_from_summands(h_end: int, summands: Sequence[Tuple[int, int]], q: int) -> int:

@@ -280,12 +280,13 @@ def test_stacked_splits_match_the_per_rep_search(monkeypatch):
         solved.clear()
         IsoRegistry(quiver, ctx, caps).slice(top)
         assert any(m.dims == top for m, _ in solved)
-        for m, (basis, kers) in solved:
-            assert basis == reps.end_basis(m), m
+        for m, (rows, kers) in solved:
+            assert np.array_equal(rows, reps.end_basis(m)), m
+            basis = reps._hom_blocks(ctx, rows, m.dims, m.dims)
             for f in basis:  # intertwiners, checked without the Hom system
                 assert all(f[t] @ a == a @ f[s] for a, (s, t) in zip(m.mats, quiver.arrows))
             want = _first_splitter(m, basis, caps)
-            assert (kers if kers is not None else reps.scan_splitter(m, basis, caps)) == want
+            assert (kers if kers is not None else reps.scan_splitter(m, rows, caps)) == want
             if any(_fitting_splits(m, f) is not None for f in basis):
                 branch = "basis"
             elif any(_fitting_splits(m, tuple(x + y for x, y in zip(basis[i], basis[j])))
@@ -308,23 +309,24 @@ def test_scan_splitter_matches_the_full_scan(kron3, kron4):
     for reg, top in ((kron3, (3, 3)), (kron4, (2, 2))):
         ctx = reg.ctx
         for c in (c for g in reg.grades_below(top) for c in reg.classes(g) if not c.indec):
-            m, basis = c.canon, reps.end_basis(c.canon)
-            h = len(basis)
+            m, rows = c.canon, reps.end_basis(c.canon)
+            h = len(rows)
             if h < 2 or ctx.q ** h > 256:
                 continue
-            rows = np.array([np.concatenate([b.a.ravel() for b in f]) for f in basis])
             for _ in range(60):
                 t = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(h)] for _ in range(h)])
                 if t.rank() < h:
                     continue
-                other = reps.EndBasis(ctx, ctx.matmul(t.a, rows), m.dims)
+                other_rows = ctx.matmul(t.a, rows)
+                other = reps._hom_blocks(ctx, other_rows, m.dims, m.dims)
                 pairs = (tuple(x + y for x, y in zip(other[i], other[j]))
                          for i, j in itertools.combinations(range(h), 2))
                 if any(_fitting_splits(m, f) is not None
                        for f in itertools.chain(other, pairs)):
                     continue
                 want = _first_splitter(m, other, Caps())
-                assert want is not None and reps.scan_splitter(m, other, Caps()) == want, c.key
+                got = reps.scan_splitter(m, other_rows, Caps())
+                assert want is not None and got == want, c.key
                 cases[ctx.q] += 1
     assert cases[3] >= 10 and cases[4] >= 10, cases
 
@@ -347,7 +349,7 @@ def test_end_scan_cap_raises_as_the_per_rep_search(monkeypatch):
     capped = Caps(max_end_scan=cap)
     for i, m in enumerate(candidates):
         try:
-            _first_splitter(m, reps.end_basis(m), capped)
+            _first_splitter(m, reps.hom_space(m, m)[1], capped)
         except CapExceeded as exc:
             first, want = i, exc
             break
@@ -1494,29 +1496,50 @@ def test_end_splits_chunks_match_one_stack(monkeypatch):
     monkeypatch.setattr(reps, "_SPLIT_STACK", 3)
     chunked = reps.end_splits(stack)
     assert solves == [3, 3, 3, 1]
-    assert [(b.rows.tolist(), k) for b, k in chunked] == [(b.rows.tolist(), k) for b, k in whole]
+    assert [(b.tolist(), k) for b, k in chunked] == [(b.tolist(), k) for b, k in whole]
     assert {k is None for _, k in whole} == {True, False}
 
 
 def test_stacked_split_summands_match_krull_schmidt():
     # random stacks of representations, sparse ones often decomposable: the
     # split loop's summand counts are those of a full decomposition whose
-    # parts are identified on a second registry
-    cases = [(kronecker(), F2, (2, 3)), (kronecker(), F3, (3, 2)), (kronecker(), F4, (2, 2)),
-             (affine_a2_acyclic(), F2, (2, 2, 2)), (affine_a2_acyclic(), F3, (1, 2, 1)),
-             (d4_star_out(), F2, (2, 1, 1, 1, 1))]
+    # parts are identified on a second registry.  Under an end-scan cap that
+    # an unsplit row exceeds, the rows from the first such row on get None
+    caps = Caps()
+    cases = [(kronecker(), F2, (2, 3), caps), (kronecker(), F3, (3, 2), caps),
+             (kronecker(), F4, (2, 2), caps), (affine_a2_acyclic(), F2, (2, 2, 2), caps),
+             (affine_a2_acyclic(), F3, (1, 2, 1), caps),
+             (d4_star_out(), F2, (2, 1, 1, 1, 1), caps),
+             (kronecker(), F4, (2, 2), Caps(max_end_scan=15))]
     seen = collections.Counter()
-    for seed, (quiver, ctx, grade) in enumerate(cases):
-        reg, oracle = IsoRegistry(quiver, ctx), IsoRegistry(quiver, ctx)
+    for seed, (quiver, ctx, grade, cap) in enumerate(cases):
+        reg, oracle = IsoRegistry(quiver, ctx, cap), IsoRegistry(quiver, ctx)
         stack = _random_reps(quiver, ctx, grade, 40, seed)
         splits = registry.end_splits(stack)
-        got = reg._scanned(stack, [b for b, _ in splits], reg._summands(stack, splits))
-        for m, counts in zip(stack, got):
-            parts = krull_schmidt(m, reg.caps)
+        got = reg._summands(stack, splits)
+        stop = next((i for i, (basis, kers) in enumerate(splits)
+                     if kers is None and ctx.q ** len(basis) > cap.max_end_scan), len(stack))
+        assert all(counts is None for counts in got[stop:])
+        for m, counts in zip(stack[:stop], got):
+            parts = krull_schmidt(m, oracle.caps)
             want = collections.Counter(oracle.identify(part) for part in parts)
             assert counts == ({} if len(parts) == 1 else dict(want)), m
             seen[len(parts) > 1] += 1
-    assert seen[True] > 20 and seen[False] > 20, seen
+        seen["capped"] += 0 < stop < len(stack)
+    assert seen[True] > 20 and seen[False] > 20 and seen["capped"] == 1, seen
+    # an unbuilt half over the cap raises what the per-rep search raises
+    capped = Caps(max_end_scan=3)
+    tube = rep_with_dims(kronecker(), F2, (2, 2), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    x = reps.direct_sum(tube, simple_rep(kronecker(), F2, 0))  # End of tube: dim 2
+    splits = registry.end_splits([x])
+    assert splits[0][1] is not None  # split by its basis: the scan is its half's
+    errors, reg = [], IsoRegistry(kronecker(), F2, capped)
+    for run in (lambda: reg._summands([x], splits), lambda: krull_schmidt(x, capped)):
+        with pytest.raises(CapExceeded) as err:
+            run()
+        errors.append((err.value.what, err.value.estimate, err.value.cap))
+    assert errors[0] == errors[1] == ("end_scan", 4, 3)
+    assert not reg.slices  # raised before any half was identified
 
 
 def test_split_loop_splits_each_grade_once(monkeypatch):
@@ -1772,21 +1795,17 @@ def test_indec_census_jordan_dim2(jordan2):
 def _per_row_classify(index, reps_, ends, register):
     """The oracle of the stacked placement: each row placed at its turn, in
     row order, by the per-row search the index had before its phases were
-    stacked: its full End scan by `scan_splitter`, its signature by one
+    stacked: its full End scan by `scan_splitter`, its summands by
+    `_summands` on a stack of one, its signature by one
     `GF.ranks` of its arrows, and its class by `first_isomorphic` against
     the bucket of that signature, a new class when none matches."""
     reg, sl = index.reg, index.sl
-    if ends is None:
-        splits = reps.end_splits(reps_)
-        found = reg._summands(reps_, splits)
-        ends = [basis for basis, _ in splits]
-    else:
-        found = [{} for _ in reps_]
+    splits = reps.end_splits(reps_) if ends is None else [(basis, None) for basis in ends]
     out = []
-    for rep, basis, counts in zip(reps_, ends, found):
-        if counts is None:
+    for rep, (basis, kers) in zip(reps_, splits):
+        if ends is None and kers is None:
             kers = reps.scan_splitter(rep, basis, reg.caps)
-            counts = {} if kers is None else reg._summands([rep], [(basis, kers)])[0]
+        counts = {} if kers is None else reg._summands([rep], [(basis, kers)])[0]
         if not counts:
             sig = (len(basis), tuple(reg.ctx.ranks([m.a for m in rep.mats]).tolist()))
             bucket = index.buckets.get(sig, [])
@@ -1920,8 +1939,7 @@ def test_stacked_scan_matches_the_per_rep_scans(kron3, monkeypatch):
             t = Mat(F3, [[rng.randrange(3) for _ in basis] for _ in basis])
             if 1 < len(basis) <= 5 and t.rank() == len(basis):
                 ms.append(m)
-                bases.append(reps.EndBasis(F3, F3.matmul(t.a, reps.basis_rows(basis, m.dims)),
-                                           m.dims))
+                bases.append(F3.matmul(t.a, basis))
         want = [reps.scan_splitter(m, b, Caps()) for m, b in zip(ms, bases)]
         assert len(ms) > 10 and {w is None for w in want} == {True, False}, grade
         for size in (5, 64):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_krull_schmidt_multiset_and_order_independence():
         # the first split searches End(m) in a shuffled order
         permuted = list(basis)
         rng.shuffle(permuted)
-        parts = [p for half in fitting_split(m, permuted) for p in krull_schmidt(half)]
+        parts = [p for half in fitting_split(m, np.array(permuted)) for p in krull_schmidt(half)]
         multiset = sorted(
             (p.dims, hom_dim(p, p), is_nilpotent_rep(p)) for p in parts
         )
@@ -217,6 +218,42 @@ def test_residue_degree():
     assert residue_degree(j2, end_basis(j2)) == 1
     brick = kron_rep(F3, 1, 1)
     assert residue_degree(brick, end_basis(brick)) == 1
+
+
+def _residue_degree_per_element(m, basis):
+    """The residue degree by the per-element loop the stacked
+    `residue_degree` replaced: the blocks of each basis element (per-vertex
+    Mat tuples) raised one at a time by `Mat.power`."""
+    q, n, t = m.ctx.q, m.total_dim, 1
+    for f in basis:
+        frob = f
+        for d in range(1, n + 1):
+            frob = [gi.power(q) for gi in frob]
+            if all((gi - fi).power(fi.rows).is_zero() for gi, fi in zip(frob, f)):
+                break
+        else:
+            raise ValueError(f"no degree <= {n} for {m.dims}")
+        t = math.lcm(t, d)
+    return t
+
+
+def test_stacked_residue_degree_matches_the_per_element_loop(jordan2, jordan3, kron2, kron4):
+    # every indecomposable of registries where degrees above 1 occur: jordan
+    # up to (4,), Kronecker over GF(2) up to 3 delta (tube members of degree
+    # 2 and 3) and over GF(4) up to 2 delta
+    degrees = {}
+    for name, reg, top in (("jordan2", jordan2, (4,)), ("jordan3", jordan3, (4,)),
+                           ("kron2", kron2, (3, 3)), ("kron4", kron4, (2, 2))):
+        for grade in filter(any, reg.grades_below(top)):
+            for c in reg.classes(grade):
+                if c.indec:
+                    m = c.canon
+                    t = residue_degree(m, end_basis(m))
+                    assert t == _residue_degree_per_element(m, hom_space(m, m)[1]), c.key
+                    assert t == c.res_degree, c.key
+                    degrees.setdefault(name, set()).add(t)
+    assert degrees == {"jordan2": {1, 2, 3, 4}, "jordan3": {1, 2, 3, 4},
+                       "kron2": {1, 2, 3}, "kron4": {1, 2}}, degrees
 
 
 def test_aut_order_formula():

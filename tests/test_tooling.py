@@ -130,6 +130,25 @@ def test_backticked_dotted_names_resolve():
     assert cited and [name for name in cited if not resolves(name)] == []
 
 
+def test_backticked_private_and_class_names_are_defined():
+    # every bare `_name` or `CamelCase` name the package's sources and the
+    # README cite is one the package defines (a def, a class or an assigned
+    # name or attribute at any depth), so no citation outlives its code
+    defined = set()
+    for _, node in _nodes():
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    texts = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    texts.append((TESTS.parent / "README.md").read_text())
+    cited = {name for text in texts
+             for name in re.findall(r"`(_\w+|[A-Z][a-z0-9]+[A-Z]\w*)`", text)}
+    assert cited and sorted(cited - defined) == []
+
+
 def test_module_level_names_are_read():
     # every module-level def, class or assignment of the package is read
     # somewhere besides its binding: as a whole word elsewhere in the
